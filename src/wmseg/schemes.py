@@ -56,6 +56,27 @@ def validate_probs(probs: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     return probs
 
 
+def check_tokens(tokens, vocab_size: int) -> None:
+    """Raise IndexError unless every token lies in [0, vocab_size).
+
+    Array pivots index key arrays with the tokens, and numpy would silently
+    wrap a negative index, so this runs before any gather.
+    """
+    if np.ndim(tokens) == 0:
+        if not 0 <= tokens < vocab_size:
+            raise IndexError(f"token {tokens} outside vocabulary of {vocab_size}")
+        return
+    tokens = np.asarray(tokens)
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+        bad = tokens[(tokens < 0) | (tokens >= vocab_size)][0]
+        raise IndexError(f"token {bad} outside vocabulary of {vocab_size}")
+
+
+def _float_or_array(token, pivot):
+    """A float for a scalar token, a float array for an array of tokens."""
+    return float(pivot) if np.ndim(token) == 0 else pivot.astype(float, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # Pseudo-random keys
 # ---------------------------------------------------------------------------
@@ -136,11 +157,16 @@ def gumbel_decode(probs: np.ndarray, key: GumbelKey) -> int:
     return int(np.argmax(ratios))
 
 
-def gumbel_pivot(token: int, key: GumbelKey) -> float:
-    """The uniform coordinate of the emitted token."""
-    if not 0 <= token < key.uniforms.size:
-        raise IndexError(f"token {token} outside vocabulary of {key.uniforms.size}")
-    return float(key.uniforms[token])
+def gumbel_pivot(token, key: GumbelKey, check: bool = True):
+    """The uniform coordinate of the emitted token.
+
+    Accepts one token (returns a float) or an array of tokens under the same
+    key (returns an array). ``check=False`` skips the vocabulary bounds
+    check, for callers that checked the whole sequence once already.
+    """
+    if check:
+        check_tokens(token, key.uniforms.size)
+    return _float_or_array(token, key.uniforms[token])
 
 
 def gumbel_score(y):
@@ -244,16 +270,20 @@ def inverse_decode(probs: np.ndarray, key: InverseKey) -> int:
     return int(inv[rank])
 
 
-def inverse_pivot(token: int, key: InverseKey) -> float:
-    """|U - eta(rank)| with eta spreading ranks evenly over [0, 1]."""
+def inverse_pivot(token, key: InverseKey, check: bool = True):
+    """|U - eta(rank)| with eta spreading ranks evenly over [0, 1].
+
+    Accepts one token (returns a float) or an array of tokens under the same
+    key (returns an array); ``check`` as in ``gumbel_pivot``.
+    """
     perm = key.perm
     vocab = perm.size
     if vocab < 2:
         raise ValueError("inverse pivot needs a vocabulary of at least 2")
-    if not 0 <= token < vocab:
-        raise IndexError(f"token {token} outside vocabulary of {vocab}")
+    if check:
+        check_tokens(token, vocab)
     eta = perm[token] / (vocab - 1)
-    return float(abs(key.u - eta))
+    return _float_or_array(token, np.abs(key.u - eta))
 
 
 def inverse_score(y):
@@ -309,11 +339,15 @@ def red_green_decode(probs: np.ndarray, key: RedGreenKey, bias: float) -> int:
     return min(int(np.searchsorted(cdf, key.u * cdf[-1], side="left")), probs.size - 1)
 
 
-def red_green_pivot(token: int, key: RedGreenKey) -> float:
-    """Green-membership indicator; Bernoulli(green fraction) under the null."""
-    if not 0 <= token < key.green.size:
-        raise IndexError(f"token {token} outside vocabulary of {key.green.size}")
-    return float(key.green[token])
+def red_green_pivot(token, key: RedGreenKey, check: bool = True):
+    """Green-membership indicator; Bernoulli(green fraction) under the null.
+
+    Accepts one token (returns a float) or an array of tokens under the same
+    key (returns a float array); ``check`` as in ``gumbel_pivot``.
+    """
+    if check:
+        check_tokens(token, key.green.size)
+    return _float_or_array(token, key.green[token])
 
 
 # ---------------------------------------------------------------------------
@@ -393,12 +427,14 @@ class SchemeSpec:
             return inverse_decode(probs, key)
         return red_green_decode(probs, key, self.bias)
 
-    def pivot(self, token: int, key: PseudoKey) -> float:
+    def pivot(self, token, key: PseudoKey, check: bool = True):
+        """Pivot of one token (a float) or of a token array (an array) under
+        one key; ``check=False`` skips the vocabulary bounds check."""
         if self.scheme_id == GUMBEL:
-            return gumbel_pivot(token, key)
+            return gumbel_pivot(token, key, check)
         if self.scheme_id == INVERSE:
-            return inverse_pivot(token, key)
-        return red_green_pivot(token, key)
+            return inverse_pivot(token, key, check)
+        return red_green_pivot(token, key, check)
 
     def score(self, y):
         if self.scheme_id == GUMBEL:

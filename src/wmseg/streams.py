@@ -6,6 +6,12 @@ token with the master seed (context window of one token), and either a
 decoded token (inside a planted segment) or an independent sample from the
 NTP (outside). The scored pivots of the resulting stream are what the
 segmenter consumes; a JSONL file format carries them between tools.
+
+A key depends only on the master seed and the previous token, so a stream
+of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
+Generation and verifier scoring derive each of them once per distinct
+context, not once per position: positions that share a context share one
+key object, and the verifier gathers their pivots with one array index.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .keys import (
     key_seed,
     mix,
 )
-from .schemes import PivotSeries, PseudoKey, SchemeSpec, validate_probs
+from .schemes import PivotSeries, PseudoKey, SchemeSpec, check_tokens, validate_probs
 
 NTP_KINDS = ("dirichlet", "zipf", "fixed")
 _REJECTION_LIMIT = 10_000
@@ -176,7 +182,10 @@ def generate_stream(spec: StreamSpec) -> Stream:
 
     Inside a planted segment the token is the scheme's decode of (NTP, key);
     outside it is sampled from the NTP independently of the key, which is
-    exactly the coupling the pivot statistics detect.
+    exactly the coupling the pivot statistics detect. Each distinct context
+    derives its key once, so positions with the same previous token share
+    one key object in ``Stream.keys``. Raw pivots are scored in one call
+    after the loop, as ``score_tokens`` does, so both give the same bits.
     """
     scheme = spec.scheme
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
@@ -184,19 +193,44 @@ def generate_stream(spec: StreamSpec) -> Stream:
     inside = spec.true_segments.mask(spec.n)
 
     tokens = np.empty(spec.n, dtype=np.int64)
-    scores = np.empty(spec.n, dtype=float)
+    pivots = np.empty(spec.n, dtype=float)
     keys: list[PseudoKey] = []
+    key_of: dict[int, PseudoKey] = {}
     prev = CONTEXT_SENTINEL
     for i in range(spec.n):
         probs = spec.ntp_model.sample(rng_ntp, spec.vocab_size, position=i)
-        key = scheme.key_at(key_seed(spec.seed, prev))
+        key = key_of.get(prev)
+        if key is None:
+            key = key_of[prev] = scheme.key_at(key_seed(spec.seed, prev))
         token = scheme.decode(probs, key) if inside[i] else _sample_token(probs, rng_null)
         tokens[i] = token
         keys.append(key)
-        scores[i] = scheme.pivot_score(token, key)
+        pivots[i] = scheme.pivot(token, key)
         prev = token
-    series = PivotSeries(scores=scores, null_mean=scheme.null_mean, scheme_id=scheme.scheme_id)
+    series = PivotSeries(
+        scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
+    )
     return Stream(spec=spec, tokens=tokens, keys=tuple(keys), pivots=series)
+
+
+def _keys_by_context(tokens: np.ndarray, master_seed: int, scheme: SchemeSpec):
+    """Yield ``(key, positions)`` once per distinct context of a token array.
+
+    A position's context is the token before it, or CONTEXT_SENTINEL at the
+    first position. Each key is derived once, however often its context
+    repeats; ``positions`` lists, in increasing order, the 0-based positions
+    that use it.
+    """
+    if tokens.size == 0:
+        raise ValueError("token sequence is empty")
+    prevs = np.concatenate(([CONTEXT_SENTINEL], tokens[:-1]))
+    contexts, group = np.unique(prevs, return_inverse=True)
+    order = np.argsort(group, kind="stable")
+    stops = np.cumsum(np.bincount(group, minlength=contexts.size)).tolist()
+    start = 0
+    for context, stop in zip(contexts.tolist(), stops):
+        yield scheme.key_at(key_seed(master_seed, context)), order[start:stop]
+        start = stop
 
 
 def reconstruct_keys(
@@ -205,25 +239,33 @@ def reconstruct_keys(
     """Re-derive the per-position keys from tokens and the master seed.
 
     This is the verifier's view: composing it with ``generate_stream`` gives
-    back the generator's key sequence exactly.
+    back the generator's key sequence exactly. Keys are derived once per
+    distinct context, and positions that share a context share the key
+    object.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.size == 0:
-        raise ValueError("token sequence is empty")
-    prevs = np.concatenate(([CONTEXT_SENTINEL], tokens[:-1]))
-    return tuple(scheme.key_at(key_seed(master_seed, int(p))) for p in prevs)
+    keys: list[PseudoKey | None] = [None] * tokens.size
+    for key, positions in _keys_by_context(tokens, master_seed, scheme):
+        for i in positions.tolist():
+            keys[i] = key
+    return tuple(keys)
 
 
 def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) -> PivotSeries:
-    """Verifier-side scored pivots for an arbitrary (possibly edited) stream."""
+    """Verifier-side scored pivots for an arbitrary (possibly edited) stream.
+
+    Tokens outside [0, V) raise IndexError. Each distinct context derives its
+    key once and gathers the pivots of all its positions in one array index;
+    the whole pivot array is then scored in one call.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
-    keys = reconstruct_keys(tokens, master_seed, scheme)
-    scores = np.fromiter(
-        (scheme.pivot_score(int(t), k) for t, k in zip(tokens, keys)),
-        dtype=float,
-        count=tokens.size,
+    check_tokens(tokens, scheme.vocab_size)
+    pivots = np.empty(tokens.size, dtype=float)
+    for key, positions in _keys_by_context(tokens, master_seed, scheme):
+        pivots[positions] = scheme.pivot(tokens[positions], key, check=False)
+    return PivotSeries(
+        scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
     )
-    return PivotSeries(scores=scores, null_mean=scheme.null_mean, scheme_id=scheme.scheme_id)
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +356,25 @@ def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
 
 
 def read_stream_jsonl(path: str | Path) -> StreamFile:
+    """Read a stream file written by ``write_stream_jsonl``.
+
+    The file must hold exactly ``n`` token records whose ``t`` values are
+    1..n, each once; anything else raises ValueError instead of leaving
+    slots wrapped or unset.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        n = int(header["n"])
-        tokens = np.empty(n, dtype=np.int64)
-        scores = np.empty(n, dtype=float)
-        for _ in range(n):
-            record = json.loads(fh.readline())
-            t = int(record["t"])
-            tokens[t - 1] = int(record["token"])
-            scores[t - 1] = float(record["pivot_score"])
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    n = int(header["n"])
+    if len(lines) != n:
+        raise ValueError(f"{path}: header says n={n} but the file has {len(lines)} token records")
+    records = json.loads("[" + ",".join(lines) + "]")
+    t = np.array([record["t"] for record in records], dtype=np.int64)
+    order = np.argsort(t, kind="stable")
+    if not np.array_equal(t[order], np.arange(1, n + 1)):
+        raise ValueError(f"{path}: token records must carry each t in 1..{n} exactly once")
+    tokens = np.array([record["token"] for record in records], dtype=np.int64)[order]
+    scores = np.array([record["pivot_score"] for record in records], dtype=float)[order]
     scheme = SchemeSpec.from_json(header["scheme_params"])
     series = PivotSeries(
         scores=scores, null_mean=float(header["mu0"]), scheme_id=str(header["scheme"])

@@ -319,6 +319,20 @@ def _capped_random_probs(rng, vocab, delta):
 
 
 @pytest.mark.parametrize("scheme_id", ["gumbel", "inverse", "red_green"])
+def test_pivot_accepts_a_token_array(scheme_id):
+    scheme = SchemeSpec(scheme_id, vocab_size=12)
+    key = scheme.key_at(77)
+    tokens = np.array([3, 0, 11, 3, 7])
+    pivots = scheme.pivot(tokens, key)
+    assert pivots.dtype == float
+    assert pivots.tolist() == [scheme.pivot(int(t), key) for t in tokens]
+    assert type(scheme.pivot(np.int64(3), key)) is float
+    for bad in (-1, 12):
+        with pytest.raises(IndexError, match=f"token {bad} outside"):
+            scheme.pivot(np.array([2, bad, 5]), key)
+
+
+@pytest.mark.parametrize("scheme_id", ["gumbel", "inverse", "red_green"])
 def test_elevated_alternatives(scheme_id, rng):
     """Watermarked score mean exceeds the null mean for capped NTPs."""
     delta = 0.5

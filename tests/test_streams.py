@@ -294,3 +294,55 @@ class TestStreamJsonl:
         assert set(record) == {"t", "token", "pivot_score"}
         assert record["t"] == 1
         assert len(lines) == 6
+
+    def _records(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_stream_jsonl(path, generate_stream(make_spec(n=6, seed=13)))
+        lines = path.read_text().splitlines()
+        return path, lines[0], [json.loads(line) for line in lines[1:]]
+
+    @staticmethod
+    def _write(path, header, records):
+        path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
+
+    def test_t_zero_is_rejected(self, tmp_path):
+        # t=0 used to wrap silently into the last slot.
+        path, header, records = self._records(tmp_path)
+        records[5]["t"] = 0
+        self._write(path, header, records)
+        with pytest.raises(ValueError, match="exactly once"):
+            read_stream_jsonl(path)
+
+    def test_duplicate_t_is_rejected(self, tmp_path):
+        # A duplicate t used to leave one slot of the arrays uninitialised.
+        path, header, records = self._records(tmp_path)
+        records[3]["t"] = 2
+        self._write(path, header, records)
+        with pytest.raises(ValueError, match="exactly once"):
+            read_stream_jsonl(path)
+
+    def test_missing_t_is_rejected(self, tmp_path):
+        path, header, records = self._records(tmp_path)
+        records[2]["t"] = 7
+        self._write(path, header, records)
+        with pytest.raises(ValueError, match="exactly once"):
+            read_stream_jsonl(path)
+
+    def test_truncated_file_is_rejected(self, tmp_path):
+        path, header, records = self._records(tmp_path)
+        self._write(path, header, records[:4])
+        with pytest.raises(ValueError, match="n=6 but the file has 4 token records"):
+            read_stream_jsonl(path)
+
+    def test_extra_records_are_rejected(self, tmp_path):
+        path, header, records = self._records(tmp_path)
+        self._write(path, header, records + [dict(records[0], t=7)])
+        with pytest.raises(ValueError, match="n=6 but the file has 7 token records"):
+            read_stream_jsonl(path)
+
+    def test_records_in_any_order_read_back_by_t(self, tmp_path):
+        path, header, records = self._records(tmp_path)
+        self._write(path, header, records[::-1])
+        back = read_stream_jsonl(path)
+        assert back.tokens.tolist() == [r["token"] for r in records]
+        assert back.series.scores.tolist() == [r["pivot_score"] for r in records]

@@ -114,8 +114,9 @@ def calibrate_threshold(
 ) -> ThresholdCert:
     """Calibrate the screening threshold for a scheme's score null law.
 
-    ``scheme`` is anything exposing scheme_id and null_scores(rng, size) —
-    normally a SchemeSpec. Certified pipeline use expects mc_reps >= 10^4.
+    ``scheme`` is anything exposing scheme_id, null_scores(rng, size) and
+    to_json() — normally a SchemeSpec. Certified pipeline use expects
+    mc_reps >= 10^4.
     """
     if not 1 <= block_len <= n:
         raise ValueError("block length must lie in [1, n]")
@@ -130,14 +131,13 @@ def calibrate_threshold(
     # product landing an ulp above an integer and shifting the index.
     rank = math.ceil((1 - Fraction(alpha)) * mc_reps)
     rank = min(max(rank, 1), mc_reps)
-    params = scheme.to_json() if hasattr(scheme, "to_json") else {}
     return ThresholdCert(
         q=float(maxima[rank - 1]),
         alpha=alpha,
         n=n,
         block_len=block_len,
         scheme_id=scheme.scheme_id,
-        scheme_params=params,
+        scheme_params=scheme.to_json(),
         mc_reps=mc_reps,
         seed=seed,
     )

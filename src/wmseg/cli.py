@@ -177,10 +177,9 @@ def _cmd_segment(opts: _Options) -> int:
     )
     trace_path = opts.get("trace")
     if trace_path:
-        trace = dict(result.trace.summary())
-        trace["block_sums"] = [float(x) for x in result.trace.block_sums]
-        trace["windows"] = [[list(w[0]), list(w[1])] for w in result.trace.windows]
-        Path(trace_path).write_text(json.dumps(trace, indent=2) + "\n", encoding="utf-8")
+        Path(trace_path).write_text(
+            json.dumps(result.trace.summary(), indent=2) + "\n", encoding="utf-8"
+        )
     return 0
 
 

@@ -46,20 +46,25 @@ def iou(truth: Segments, estimate: Segments, n: int) -> float:
     return inter / union
 
 
+def _overlapping(intervals: Segments, other: Segments) -> int:
+    """How many of ``intervals`` overlap ``other`` anywhere."""
+    return sum(1 for iv in intervals if interval_overlap(iv, other) > 0)
+
+
 def precision_recall_f1(truth: Segments, estimate: Segments) -> tuple[float, float, float]:
     """Interval-level hit metrics.
 
-    An estimated interval counts as a hit when it overlaps the truth
-    anywhere; precision divides hits by the number of estimated intervals,
-    recall by the number of true ones.
+    Precision is the fraction of estimated intervals that overlap the truth
+    anywhere; recall is the fraction of true intervals that some estimated
+    interval overlaps. A true segment split into several estimates is
+    recalled once, so both lie in [0, 1].
     """
     k, k_hat = len(truth), len(estimate)
-    hits = sum(1 for iv in estimate if interval_overlap(iv, truth) > 0)
     if k_hat == 0:
         precision = 1.0 if k == 0 else 0.0
     else:
-        precision = hits / k_hat
-    recall = 1.0 if k == 0 else hits / k
+        precision = _overlapping(estimate, truth) / k_hat
+    recall = 1.0 if k == 0 else _overlapping(truth, estimate) / k
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
 

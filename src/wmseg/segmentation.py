@@ -93,10 +93,12 @@ class StageTrace:
     def summary(self) -> dict:
         return {
             "n_blocks": int(self.block_sums.size),
+            "block_sums": [float(x) for x in self.block_sums],
             "threshold": self.threshold,
             "selected_blocks": [int(k) + 1 for k in self.selected_blocks],
             "kept_runs_blocks": [[a + 1, b + 1] for a, b in self.kept_runs],
             "regions": self.regions.to_pairs(),
+            "windows": [[list(left), list(right)] for left, right in self.windows],
             "d_tilde": self.signal,
             "d_tilde_floored": self.signal_floored,
             "min_run_blocks": self.min_run_blocks,

@@ -184,8 +184,8 @@ def generate_stream(spec: StreamSpec) -> Stream:
     outside it is sampled from the NTP independently of the key, which is
     exactly the coupling the pivot statistics detect. Each distinct context
     derives its key once, so positions with the same previous token share
-    one key object in ``Stream.keys``. Raw pivots are scored in one call
-    after the loop, as ``score_tokens`` does, so both give the same bits.
+    one key object in ``Stream.keys``. The pivots are then scored by the
+    verifier's own scorer over those keys, so both give the same bits.
     """
     scheme = spec.scheme
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
@@ -193,7 +193,6 @@ def generate_stream(spec: StreamSpec) -> Stream:
     inside = spec.true_segments.mask(spec.n)
 
     tokens = np.empty(spec.n, dtype=np.int64)
-    pivots = np.empty(spec.n, dtype=float)
     keys: list[PseudoKey] = []
     key_of: dict[int, PseudoKey] = {}
     prev = CONTEXT_SENTINEL
@@ -205,21 +204,17 @@ def generate_stream(spec: StreamSpec) -> Stream:
         token = scheme.decode(probs, key) if inside[i] else _sample_token(probs, rng_null)
         tokens[i] = token
         keys.append(key)
-        pivots[i] = scheme.pivot(token, key)
         prev = token
-    series = PivotSeries(
-        scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
-    )
+    series = _score(tokens, scheme, key_of.__getitem__)
     return Stream(spec=spec, tokens=tokens, keys=tuple(keys), pivots=series)
 
 
-def _keys_by_context(tokens: np.ndarray, master_seed: int, scheme: SchemeSpec):
-    """Yield ``(key, positions)`` once per distinct context of a token array.
+def _positions_by_context(tokens: np.ndarray):
+    """Yield ``(context, positions)`` once per distinct context of a token array.
 
     A position's context is the token before it, or CONTEXT_SENTINEL at the
-    first position. Each key is derived once, however often its context
-    repeats; ``positions`` lists, in increasing order, the 0-based positions
-    that use it.
+    first position; ``positions`` lists, in increasing order, the 0-based
+    positions with that context.
     """
     if tokens.size == 0:
         raise ValueError("token sequence is empty")
@@ -229,8 +224,20 @@ def _keys_by_context(tokens: np.ndarray, master_seed: int, scheme: SchemeSpec):
     stops = np.cumsum(np.bincount(group, minlength=contexts.size)).tolist()
     start = 0
     for context, stop in zip(contexts.tolist(), stops):
-        yield scheme.key_at(key_seed(master_seed, context)), order[start:stop]
+        yield context, order[start:stop]
         start = stop
+
+
+def _score(tokens: np.ndarray, scheme: SchemeSpec, key_of) -> PivotSeries:
+    """Scored pivots of in-vocabulary tokens, with ``key_of(context)`` the
+    key of each distinct context; each context's pivots are gathered with
+    one array index and the whole pivot array is scored in one call."""
+    pivots = np.empty(tokens.size, dtype=float)
+    for context, positions in _positions_by_context(tokens):
+        pivots[positions] = scheme.pivot(tokens[positions], key_of(context), check=False)
+    return PivotSeries(
+        scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
+    )
 
 
 def reconstruct_keys(
@@ -245,7 +252,8 @@ def reconstruct_keys(
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     keys: list[PseudoKey | None] = [None] * tokens.size
-    for key, positions in _keys_by_context(tokens, master_seed, scheme):
+    for context, positions in _positions_by_context(tokens):
+        key = scheme.key_at(key_seed(master_seed, context))
         for i in positions.tolist():
             keys[i] = key
     return tuple(keys)
@@ -255,17 +263,11 @@ def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) ->
     """Verifier-side scored pivots for an arbitrary (possibly edited) stream.
 
     Tokens outside [0, V) raise IndexError. Each distinct context derives its
-    key once and gathers the pivots of all its positions in one array index;
-    the whole pivot array is then scored in one call.
+    key once.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     check_tokens(tokens, scheme.vocab_size)
-    pivots = np.empty(tokens.size, dtype=float)
-    for key, positions in _keys_by_context(tokens, master_seed, scheme):
-        pivots[positions] = scheme.pivot(tokens[positions], key, check=False)
-    return PivotSeries(
-        scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
-    )
+    return _score(tokens, scheme, lambda context: scheme.key_at(key_seed(master_seed, context)))
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,11 @@ class TestPrecisionRecall:
         assert math.isclose(p, 1 / 3)
         assert r == 1.0
 
+    def test_split_true_segment_is_recalled_once(self):
+        truth = Segments([(10, 40)])
+        est = Segments([(12, 20), (25, 38)])
+        assert precision_recall_f1(truth, est) == (1.0, 1.0, 1.0)
+
     def test_empty_edge_cases(self):
         some = Segments([(1, 3)])
         assert precision_recall_f1(Segments(), Segments()) == (1.0, 1.0, 1.0)
@@ -122,10 +127,11 @@ class TestPrecisionRecall:
 
         def check(truth, est):
             p, r, _ = precision_recall_f1(truth, est)
-            tmask = truth.mask(n)
+            tmask, emask = truth.mask(n), est.mask(n)
             hits = sum(1 for l, rgt in est if tmask[l - 1 : rgt].any())
+            found = sum(1 for l, rgt in truth if emask[l - 1 : rgt].any())
             exp_p = 1.0 if (not est and not truth) else (0.0 if not est else hits / len(est))
-            exp_r = 1.0 if not truth else hits / len(truth)
+            exp_r = 1.0 if not truth else found / len(truth)
             assert p == exp_p and r == exp_r
 
         seen = set()

@@ -5,42 +5,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import digamma
 
+from scheme_theory import (
+    capped_extremal_probs,
+    gumbel_separation_lower_bound,
+    gumbel_watermarked_score_mean,
+    inverse_null_pivot_cdf,
+)
 from wmseg.keys import generator, uniform_open
 from wmseg.schemes import (
+    SCHEME_IDS,
     GumbelKey,
     InvalidDistribution,
     InverseKey,
     PivotSeries,
     RedGreenKey,
     SchemeSpec,
-    capped_extremal_probs,
-    gumbel_decode,
-    gumbel_key,
-    gumbel_pivot,
-    gumbel_score,
-    gumbel_separation_lower_bound,
-    gumbel_watermarked_score_mean,
-    inverse_decode,
-    inverse_key,
-    inverse_null_pivot_cdf,
-    inverse_null_score_mean,
-    inverse_pivot,
-    inverse_score,
-    red_green_decode,
-    red_green_key,
-    red_green_pivot,
 )
 
 N_MC = 100_000
-
-
-def digamma_score_mean(probs) -> float:
-    """Independent closed-form oracle for the watermarked Gumbel score mean."""
-    probs = np.asarray(probs, float)
-    probs = probs[probs > 0]
-    return float(np.sum(probs * (digamma(1.0 / probs + 1.0) + np.euler_gamma)))
+GUMBEL = SchemeSpec("gumbel", 2)
+INVERSE = SchemeSpec("inverse", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -50,47 +35,51 @@ def digamma_score_mean(probs) -> float:
 
 class TestGumbelDecode:
     def test_one_hot_forces_the_argmax(self):
-        key = gumbel_key(1, 5)
+        scheme = SchemeSpec("gumbel", 5)
         probs = np.zeros(5)
         probs[3] = 1.0
-        assert gumbel_decode(probs, key) == 3
+        assert scheme.decode(probs, scheme.key_at(1)) == 3
 
     def test_two_token_example(self):
         # log(0.81)/0.5 = -0.4214 beats log(0.25)/0.5 = -2.7726.
         key = GumbelKey(uniforms=np.array([0.81, 0.25]))
-        assert gumbel_decode(np.array([0.5, 0.5]), key) == 0
+        assert GUMBEL.decode(np.array([0.5, 0.5]), key) == 0
 
     def test_equal_uniforms_favor_the_larger_probability(self):
         for u in (0.1, 0.5, 0.9):
             key = GumbelKey(uniforms=np.array([u, u]))
-            assert gumbel_decode(np.array([0.2, 0.8]), key) == 1
+            assert GUMBEL.decode(np.array([0.2, 0.8]), key) == 1
 
     def test_all_zero_distribution_is_rejected(self):
+        scheme = SchemeSpec("gumbel", 4)
         with pytest.raises(InvalidDistribution):
-            gumbel_decode(np.zeros(4), gumbel_key(1, 4))
+            scheme.decode(np.zeros(4), scheme.key_at(1))
 
     def test_zero_probability_tokens_never_win(self):
+        scheme = SchemeSpec("gumbel", 4)
         probs = np.array([0.0, 0.5, 0.5, 0.0])
         for seed in range(50):
-            assert gumbel_decode(probs, gumbel_key(seed, 4)) in (1, 2)
+            assert scheme.decode(probs, scheme.key_at(seed)) in (1, 2)
 
     def test_deterministic_given_inputs(self):
-        key = gumbel_key(7, 20)
+        scheme = SchemeSpec("gumbel", 20)
+        key = scheme.key_at(7)
         probs = np.full(20, 0.05)
-        assert gumbel_decode(probs, key) == gumbel_decode(probs, key)
+        assert scheme.decode(probs, key) == scheme.decode(probs, key)
 
 
 class TestGumbelPivot:
     def test_coordinate_lookup(self):
         key = GumbelKey(uniforms=np.array([0.1, 0.2, 0.7, 0.4]))
-        assert gumbel_pivot(2, key) == 0.7
+        assert SchemeSpec("gumbel", 4).pivot(2, key) == 0.7
 
     def test_out_of_range_token(self):
-        key = gumbel_key(1, 4)
+        scheme = SchemeSpec("gumbel", 4)
+        key = scheme.key_at(1)
         with pytest.raises(IndexError):
-            gumbel_pivot(4, key)
+            scheme.pivot(4, key)
         with pytest.raises(IndexError):
-            gumbel_pivot(-1, key)
+            scheme.pivot(-1, key)
 
     def test_null_pivot_is_uniform(self, rng):
         # Token drawn independently of the key: pivot must be Uniform(0,1).
@@ -107,29 +96,29 @@ class TestGumbelPivot:
         winners = np.argmax(np.log(u) / probs, axis=1)
         scores = -np.log1p(-u[np.arange(N_MC), winners])
         assert abs(scores.mean() - 1.5) < 0.02
-        assert abs(digamma_score_mean(probs) - 1.5) < 1e-12
+        assert abs(gumbel_watermarked_score_mean(probs) - 1.5) < 1e-12
 
 
 class TestGumbelScore:
     def test_fixed_points(self):
-        assert gumbel_score(0.0) == 0.0
-        assert math.isclose(gumbel_score(1.0 - math.exp(-1.0)), 1.0, rel_tol=1e-12)
+        assert GUMBEL.score(0.0) == 0.0
+        assert math.isclose(GUMBEL.score(1.0 - math.exp(-1.0)), 1.0, rel_tol=1e-12)
 
     def test_domain_errors_instead_of_clipping(self):
         for bad in (-0.01, 1.0, 1.5):
             with pytest.raises(ValueError):
-                gumbel_score(bad)
+                GUMBEL.score(bad)
         with pytest.raises(ValueError):
-            gumbel_score(np.array([0.2, 1.0]))
+            GUMBEL.score(np.array([0.2, 1.0]))
 
     def test_null_mean_is_one(self):
         u = uniform_open(generator(13), N_MC)
-        assert abs(gumbel_score(u).mean() - 1.0) < 0.01
+        assert abs(GUMBEL.score(u).mean() - 1.0) < 0.01
 
     @given(st.floats(min_value=0.0, max_value=0.999999))
     def test_monotone_and_nonnegative(self, y):
-        assert gumbel_score(y) >= 0.0
-        assert gumbel_score(min(y + 1e-6, 0.9999995)) >= gumbel_score(y)
+        assert GUMBEL.score(y) >= 0.0
+        assert GUMBEL.score(min(y + 1e-6, 0.9999995)) >= GUMBEL.score(y)
 
 
 class TestGumbelSeparationBound:
@@ -139,14 +128,14 @@ class TestGumbelSeparationBound:
     def test_two_thirds_cap_matches_extremal_oracle(self):
         # Extremal vector is three entries of 1/3; closed form H_3 - 1 = 5/6.
         got = gumbel_separation_lower_bound(2.0 / 3.0)
-        oracle = digamma_score_mean(capped_extremal_probs(2.0 / 3.0)) - 1.0
+        oracle = gumbel_watermarked_score_mean(capped_extremal_probs(2.0 / 3.0)) - 1.0
         assert math.isclose(got, oracle, abs_tol=1e-8)
         assert math.isclose(got, 5.0 / 6.0, abs_tol=1e-8)
 
     def test_series_matches_digamma_oracle_on_a_grid(self):
         for delta in (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95):
             got = gumbel_separation_lower_bound(delta)
-            oracle = digamma_score_mean(capped_extremal_probs(delta)) - 1.0
+            oracle = gumbel_watermarked_score_mean(capped_extremal_probs(delta)) - 1.0
             assert math.isclose(got, oracle, abs_tol=1e-8), delta
 
     def test_vanishes_as_the_cap_disappears(self):
@@ -173,18 +162,14 @@ class TestInverseDecode:
         # V=2, P=(0.3,0.7), identity permutation, U=0.2: cumulative mass
         # reaches 0.2 already at the first rank.
         key = InverseKey(u=0.2, perm=np.array([0, 1]))
-        assert inverse_decode(np.array([0.3, 0.7]), key) == 0
+        assert INVERSE.decode(np.array([0.3, 0.7]), key) == 0
 
     def test_one_hot(self):
+        scheme = SchemeSpec("inverse", 6)
         probs = np.zeros(6)
         probs[4] = 1.0
         for seed in range(30):
-            assert inverse_decode(probs, inverse_key(seed, 6)) == 4
-
-    def test_permutation_is_validated(self):
-        key = InverseKey(u=0.5, perm=np.array([0, 0, 2]))
-        with pytest.raises(ValueError):
-            inverse_decode(np.array([0.2, 0.3, 0.5]), key)
+            assert scheme.decode(probs, scheme.key_at(seed)) == 4
 
     def test_null_marginal_matches_the_ntp(self, rng):
         # With the key independent of everything, output ~ P.
@@ -193,8 +178,9 @@ class TestInverseDecode:
         cdf = np.cumsum(probs)
         tokens = np.searchsorted(cdf, u, side="left")
         # identity permutation: decoder reduces to plain inverse-CDF sampling
+        scheme = SchemeSpec("inverse", 5)
         sample = [
-            inverse_decode(probs, InverseKey(u=float(ui), perm=np.arange(5)))
+            scheme.decode(probs, InverseKey(u=float(ui), perm=np.arange(5)))
             for ui in u[:2000]
         ]
         counts = np.bincount(tokens, minlength=5)
@@ -203,8 +189,9 @@ class TestInverseDecode:
         assert stats.chisquare(counts_ops, probs * 2000).pvalue > 0.01
 
     def test_random_permutations_keep_the_marginal(self):
+        scheme = SchemeSpec("inverse", 3)
         probs = np.array([0.6, 0.3, 0.1])
-        draws = np.array([inverse_decode(probs, inverse_key(s, 3)) for s in range(4000)])
+        draws = np.array([scheme.decode(probs, scheme.key_at(s)) for s in range(4000)])
         counts = np.bincount(draws, minlength=3)
         assert stats.chisquare(counts, probs * 4000).pvalue > 0.01
 
@@ -214,16 +201,11 @@ class TestInversePivot:
         key = InverseKey(u=0.5, perm=np.array([1, 2, 0]))
         # token 2 has rank 0 ... eta grid over V=3 is (0, 0.5, 1)
         key = InverseKey(u=0.5, perm=np.array([2, 1, 0]))
-        assert inverse_pivot(1, key) == 0.0
+        assert SchemeSpec("inverse", 3).pivot(1, key) == 0.0
 
     def test_grid_example(self):
         key = InverseKey(u=0.25, perm=np.arange(3))
-        assert inverse_pivot(2, key) == 0.75
-
-    def test_needs_two_tokens(self):
-        key = InverseKey(u=0.3, perm=np.array([0]))
-        with pytest.raises(ValueError):
-            inverse_pivot(0, key)
+        assert SchemeSpec("inverse", 3).pivot(2, key) == 0.75
 
     def test_null_score_mean_near_two_thirds(self, rng):
         vocab = 100
@@ -231,7 +213,7 @@ class TestInversePivot:
         eta = rng.integers(0, vocab, N_MC) / (vocab - 1)
         scores = 1.0 - np.abs(u - eta)
         assert abs(scores.mean() - 2.0 / 3.0) < 0.01
-        assert abs(scores.mean() - inverse_null_score_mean(vocab)) < 0.005
+        assert abs(scores.mean() - SchemeSpec("inverse", vocab).null_mean) < 0.005
 
     def test_null_pivot_law_matches_exact_cdf(self, rng):
         vocab = 50
@@ -243,10 +225,10 @@ class TestInversePivot:
 
     def test_score_domain(self):
         with pytest.raises(ValueError):
-            inverse_score(-0.1)
+            INVERSE.score(-0.1)
         with pytest.raises(ValueError):
-            inverse_score(1.1)
-        assert inverse_score(0.25) == 0.75
+            INVERSE.score(1.1)
+        assert INVERSE.score(0.25) == 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -256,54 +238,58 @@ class TestInversePivot:
 
 class TestRedGreen:
     def test_zero_bias_is_a_no_op(self):
+        scheme = SchemeSpec("red_green", 4, green_frac=0.5, bias=0.0)
         probs = np.array([0.1, 0.2, 0.3, 0.4])
-        draws = np.array(
-            [red_green_decode(probs, red_green_key(s, 4, 0.5), bias=0.0) for s in range(8000)]
-        )
+        draws = np.array([scheme.decode(probs, scheme.key_at(s)) for s in range(8000)])
         counts = np.bincount(draws, minlength=4)
         assert stats.chisquare(counts, probs * 8000).pvalue > 0.01
 
     def test_huge_bias_forces_green(self):
+        scheme = SchemeSpec("red_green", 10, green_frac=0.5, bias=50.0)
         probs = np.full(10, 0.1)
         for seed in range(200):
-            key = red_green_key(seed, 10, 0.5)
-            token = red_green_decode(probs, key, bias=50.0)
+            key = scheme.key_at(seed)
+            token = scheme.decode(probs, key)
             assert key.green[token]
 
     def test_biased_green_probability_closed_form(self):
         # Uniform NTP over V=4, half green, bias 2: green mass
         # e^2 / (e^2 + 1) ~ 0.8808.
         expected = math.exp(2.0) / (math.exp(2.0) + 1.0)
+        scheme = SchemeSpec("red_green", 4, green_frac=0.5, bias=2.0)
         probs = np.full(4, 0.25)
         hits = 0
         n = 20_000
         for seed in range(n):
-            key = red_green_key(seed, 4, 0.5)
-            hits += key.green[red_green_decode(probs, key, bias=2.0)]
+            key = scheme.key_at(seed)
+            hits += key.green[scheme.decode(probs, key)]
         assert abs(hits / n - expected) < 0.01
 
     def test_pivot_is_the_green_indicator(self):
+        scheme = SchemeSpec("red_green", 3, green_frac=0.5)
         key = RedGreenKey(green=np.array([True, False, True]), u=0.3)
-        assert red_green_pivot(0, key) == 1.0
-        assert red_green_pivot(1, key) == 0.0
+        assert scheme.pivot(0, key) == 1.0
+        assert scheme.pivot(1, key) == 0.0
 
     def test_null_mean_matches_green_fraction(self, rng):
+        scheme = SchemeSpec("red_green", 10, green_frac=0.5)
         tokens = rng.integers(0, 10, 20_000)
         hits = 0.0
         for i, tok in enumerate(tokens):
-            hits += red_green_pivot(int(tok), red_green_key(i, 10, 0.5))
+            hits += scheme.pivot(int(tok), scheme.key_at(i))
         assert abs(hits / tokens.size - 0.5) < 0.01
 
     def test_green_subset_size_and_determinism(self):
-        key1 = red_green_key(42, 100, 0.3)
-        key2 = red_green_key(42, 100, 0.3)
+        scheme = SchemeSpec("red_green", 100, green_frac=0.3)
+        key1 = scheme.key_at(42)
+        key2 = scheme.key_at(42)
         assert key1.green.sum() == 30
         assert np.array_equal(key1.green, key2.green)
         assert key1.u == key2.u
 
     def test_negative_bias_rejected(self):
         with pytest.raises(ValueError):
-            red_green_decode(np.full(4, 0.25), red_green_key(0, 4, 0.5), bias=-1.0)
+            SchemeSpec("red_green", 4, green_frac=0.5, bias=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +370,28 @@ def test_scheme_spec_round_trip_and_null_means():
     ):
         assert SchemeSpec.from_json(spec.to_json()) == spec
     assert SchemeSpec("gumbel", 100).null_mean == 1.0
-    assert math.isclose(SchemeSpec("inverse", 100).null_mean, 2.0 / 3.0)
+    assert math.isclose(SchemeSpec("inverse", 100).null_mean, 395 / 594)
     assert SchemeSpec("red_green", 100, green_frac=0.5).null_mean == 0.5
     with pytest.raises(ValueError):
         SchemeSpec("permute_flip", 100)
+
+
+def exact_null_mean(scheme_id, vocab, green_frac=0.5):
+    """Oracle for the score's null mean: Exp(1); the mean of
+    E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2 over the rank grid g = k/(V-1);
+    the green fraction |G|/V."""
+    if scheme_id == "gumbel":
+        return 1.0
+    if scheme_id == "inverse":
+        g = np.arange(vocab) / (vocab - 1)
+        return float(np.mean(1.0 - (g**2 + (1.0 - g) ** 2) / 2.0))
+    return math.floor(green_frac * vocab) / vocab
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_null_mean_matches_exact_oracle(scheme_id):
+    for vocab in (2, 3, 20, 1000):
+        got = SchemeSpec(scheme_id, vocab).null_mean
+        assert math.isclose(got, exact_null_mean(scheme_id, vocab), rel_tol=1e-12), vocab
+    with pytest.raises(ValueError):
+        SchemeSpec(scheme_id, 1)

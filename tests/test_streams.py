@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from scheme_theory import gumbel_separation_lower_bound
 from wmseg.intervals import Segments
 from wmseg.keys import generator
-from wmseg.schemes import GumbelKey, SchemeSpec, gumbel_separation_lower_bound
+from wmseg.schemes import GumbelKey, SchemeSpec
 from wmseg.streams import (
     Deletion,
     Insertion,

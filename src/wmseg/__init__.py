@@ -4,7 +4,7 @@ from .calibration import CertMismatch, ThresholdCert, calibrate_threshold, null_
 from .intervals import Segments
 from .metrics import EvalReport, evaluate, iou, modified_rand_index, precision_recall_f1, rand_index
 from .schemes import PivotSeries, SchemeSpec
-from .segmentation import SegmenterConfig, SegmentationResult, naive_estimate, segment_series
+from .segmentation import SegmenterConfig, SegmentationResult, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream, read_stream_jsonl, write_stream_jsonl
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "generate_stream",
     "iou",
     "modified_rand_index",
-    "naive_estimate",
     "null_fpr_estimate",
     "precision_recall_f1",
     "rand_index",

@@ -78,8 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a replicated grid experiment")
     common(p)
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--cache-dir", type=str, default=None)
     p.add_argument("--no-timing", action="store_true",
                    help="omit runtime_ms values for byte-reproducible output")
 
@@ -224,12 +222,7 @@ def _cmd_experiment(opts: _Options) -> int:
     if opts.args.get("no_timing"):
         plan_data["include_timing"] = False
     plan = ExperimentPlan.from_json(plan_data)
-    run_experiment(
-        plan,
-        out_path=opts.require("out"),
-        cache_dir=opts.get("cache_dir"),
-        jobs=int(opts.get("jobs", 1)),
-    )
+    run_experiment(plan, out_path=opts.require("out"))
     return 0
 
 

@@ -1,20 +1,16 @@
-"""Experiment runner: corpora, calibration cache, grids, timing benchmarks.
+"""Experiment runner: corpora, grids, timing benchmarks.
 
 Everything here is seed-deterministic: stream seeds derive from the plan
 seed and the (grid point, replication) pair, calibration seeds derive from
-the calibration inputs, and rows are written in a fixed order regardless of
-how many worker threads ran the replications.
+the calibration inputs, and rows are written in grid order.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,44 +113,6 @@ class ExperimentPlan:
         )
 
 
-class CertCache:
-    """Disk cache of threshold certificates keyed by their calibration inputs."""
-
-    def __init__(self, directory: str | Path | None):
-        self.directory = Path(directory) if directory is not None else None
-        if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def cache_key(scheme: SchemeSpec, n: int, block_len: int, alpha: float,
-                  mc_reps: int, seed: int) -> str:
-        payload = json.dumps(
-            {
-                "scheme": scheme.to_json(),
-                "n": n,
-                "b": block_len,
-                "alpha": repr(alpha),
-                "mc_reps": mc_reps,
-                "seed": seed,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
-
-    def get(self, scheme: SchemeSpec, n: int, block_len: int, alpha: float,
-            mc_reps: int, seed: int) -> ThresholdCert:
-        if self.directory is not None:
-            path = self.directory / (
-                self.cache_key(scheme, n, block_len, alpha, mc_reps, seed) + ".json"
-            )
-            if path.exists():
-                return ThresholdCert.load(path)
-        cert = calibrate_threshold(scheme, n, block_len, alpha, mc_reps=mc_reps, seed=seed)
-        if self.directory is not None:
-            cert.save(path)
-        return cert
-
-
 def _calibration_seed(plan_seed: int, n: int, block_len: int, alpha: float, mc_reps: int) -> int:
     alpha_bits = int(np.float64(alpha).view(np.uint64))
     return mix(plan_seed, 0xCA11B, n, block_len, alpha_bits, mc_reps)
@@ -218,30 +176,33 @@ def _format_row(kind: str, b: int, rho: float, alpha: float, gamma: float,
     ]
 
 
-def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None,
-                   cache_dir: str | Path | None = None, jobs: int = 1) -> list[list[str]]:
+def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
+                   jobs: int = 1) -> list[list[str]]:
     """Run the grid experiment; returns (and optionally writes) all CSV rows.
 
     Per grid point and replication: generate a stream, segment it against
-    the (cached) certificate for that grid point, and evaluate. Aggregate
-    mean and median rows follow each grid point's runs.
+    the certificate for that grid point's (block length, alpha), and
+    evaluate. Each (block length, alpha) is calibrated once per call.
+    Aggregate mean and median rows follow each grid point's runs.
+
+    Replications run in order on the calling thread; ``jobs`` must be 1.
+    The keyword goes away once the benchmark stops passing it.
     """
-    cache = CertCache(cache_dir)
+    if jobs != 1:
+        raise ValueError("run_experiment runs replications in order; jobs must be 1")
     model = plan.ntp_model.describe()
+    certs: dict[tuple[int, float], ThresholdCert] = {}
     rows: list[list[str]] = []
     for grid_index, (b, rho, alpha, gamma) in enumerate(plan.grid()):
-        cal_seed = _calibration_seed(plan.seed, plan.n, b, alpha, plan.mc_reps)
-        cert = cache.get(plan.scheme, plan.n, b, alpha, plan.mc_reps, cal_seed)
-
-        def task(rep: int, _cert=cert, _gi=grid_index, _rho=rho, _gamma=gamma) -> EvalReport:
-            return _run_once(plan, _cert, _gi, rep, _rho, _gamma)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(task, range(plan.replications)))
-        else:
-            reports = [task(rep) for rep in range(plan.replications)]
-
+        if (b, alpha) not in certs:
+            certs[b, alpha] = calibrate_threshold(
+                plan.scheme, plan.n, b, alpha, mc_reps=plan.mc_reps,
+                seed=_calibration_seed(plan.seed, plan.n, b, alpha, plan.mc_reps),
+            )
+        reports = [
+            _run_once(plan, certs[b, alpha], grid_index, rep, rho, gamma)
+            for rep in range(plan.replications)
+        ]
         for rep, report in enumerate(reports):
             rows.append(_format_row("run", b, rho, alpha, gamma, rep, report,
                                     model, plan.scheme.scheme_id))

@@ -5,9 +5,7 @@ clears the calibrated threshold; merge kept blocks into runs and discard
 runs too short to be real; enlarge surviving runs into disjoint candidate
 regions; estimate the signal strength from those regions; and finally, for
 each region, scan restricted endpoint windows for the interval whose
-excluded scores look most like noise. The exhaustive single-interval
-estimator over the full series doubles as the correctness oracle for the
-restricted scan.
+excluded scores look most like noise.
 """
 
 from __future__ import annotations
@@ -273,36 +271,6 @@ def localize_segment(
     )
 
 
-def naive_estimate(
-    scores: np.ndarray, null_mean: float, rho: float, signal: float
-) -> Interval:
-    """Exhaustive single-interval estimator over the whole series.
-
-    Scans every 1 <= s <= t <= n for the interval minimizing the adjusted
-    score sum outside it, with the same tie-breaking as localize_segment.
-    Quadratic cost; serves as the correctness oracle for the restricted scan.
-    """
-    adjusted = np.asarray(scores, dtype=float) - (null_mean + rho * signal)
-    n = adjusted.size
-    if n == 0:
-        raise ValueError("empty score series")
-    # suffix[i] = sum of adjusted[i:]
-    suffix = np.concatenate((np.cumsum(adjusted[::-1])[::-1], [0.0]))
-    best_obj = math.inf
-    best: Interval = (1, 1)
-    best_width = n + 1
-    left = 0.0
-    for s0 in range(n):
-        row = left + suffix[s0 + 1 :]  # objective over t0 = s0 .. n-1
-        t_rel = int(np.argmin(row))  # first minimum: smallest t, narrowest here
-        obj = float(row[t_rel])
-        width = t_rel + 1
-        if obj < best_obj or (obj == best_obj and width < best_width):
-            best_obj, best_width, best = obj, width, (s0 + 1, s0 + t_rel + 1)
-        left += adjusted[s0]
-    return best
-
-
 def segment_series(series: PivotSeries, config: SegmenterConfig) -> SegmentationResult:
     """Run the full pipeline on a scored pivot series."""
     cert = config.cert
@@ -323,28 +291,16 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
     kept = discard_short_runs(selected, min_run)
     regions = enlarge_runs(kept, b, n, pad)
 
-    if not regions:
-        trace = StageTrace(
-            block_sums=sums,
-            threshold=cert.q,
-            selected_blocks=selected,
-            merged_runs=tuple(merged),
-            kept_runs=tuple(kept),
-            regions=regions,
-            windows=(),
-            signal=0.0,
-            signal_floored=False,
-            min_run_blocks=min_run,
-            pad=pad,
-        )
-        return SegmentationResult(segments=Segments(), trace=trace)
-
-    signal, floored = estimate_signal(series.scores, regions, series.null_mean)
-    windows = tuple(search_windows(region, b, pad) for region in regions)
-    located = [
-        localize_segment(series.scores, region, wl, wr, series.null_mean, config.rho, signal)
-        for region, (wl, wr) in zip(regions, windows)
-    ]
+    signal, floored = 0.0, False
+    windows: tuple[tuple[Interval, Interval], ...] = ()
+    located: list[Interval] = []
+    if regions:
+        signal, floored = estimate_signal(series.scores, regions, series.null_mean)
+        windows = tuple(search_windows(region, b, pad) for region in regions)
+        located = [
+            localize_segment(series.scores, region, wl, wr, series.null_mean, config.rho, signal)
+            for region, (wl, wr) in zip(regions, windows)
+        ]
     trace = StageTrace(
         block_sums=sums,
         threshold=cert.q,

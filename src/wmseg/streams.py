@@ -17,6 +17,7 @@ key object, and the verifier gathers their pivots with one array index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -362,7 +363,9 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
 
     The file must hold exactly ``n`` token records whose ``t`` values are
     1..n, each once; anything else raises ValueError instead of leaving
-    slots wrapped or unset.
+    slots wrapped or unset. The series takes its null mean and scheme id
+    from ``scheme_params``; a header ``scheme`` or ``mu0`` that disagrees
+    with them raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
@@ -378,9 +381,17 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
     tokens = np.array([record["token"] for record in records], dtype=np.int64)[order]
     scores = np.array([record["pivot_score"] for record in records], dtype=float)[order]
     scheme = SchemeSpec.from_json(header["scheme_params"])
-    series = PivotSeries(
-        scores=scores, null_mean=float(header["mu0"]), scheme_id=str(header["scheme"])
-    )
+    if header["scheme"] != scheme.scheme_id:
+        raise ValueError(
+            f"{path}: header scheme {header['scheme']!r} differs from "
+            f"scheme_params scheme {scheme.scheme_id!r}"
+        )
+    if not math.isclose(float(header["mu0"]), scheme.null_mean, rel_tol=1e-12):
+        raise ValueError(
+            f"{path}: header mu0={header['mu0']!r} differs from the null mean "
+            f"{scheme.null_mean!r} of its scheme_params"
+        )
+    series = PivotSeries(scores=scores, null_mean=scheme.null_mean, scheme_id=scheme.scheme_id)
     return StreamFile(
         series=series,
         true_segments=Segments(header["true_segments"], n=n),

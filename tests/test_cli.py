@@ -6,8 +6,11 @@ import json
 import pytest
 
 from wmseg.cli import cli_main
+from wmseg.harness import EXPERIMENT_COLUMNS, ExperimentPlan
+from wmseg.intervals import Segments
 from wmseg.metrics import EVAL_COLUMNS
-from wmseg.schemes import SCHEME_IDS
+from wmseg.schemes import SCHEME_IDS, SchemeSpec
+from wmseg.streams import NtpModel, StreamSpec, generate_stream, write_stream_jsonl
 
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
@@ -44,3 +47,52 @@ def test_missing_stream_file_is_an_io_error(tmp_path):
     argv = ["segment", "--stream", str(tmp_path / "missing.jsonl"),
             "--cert", str(tmp_path / "cert.json"), "--out", str(tmp_path / "result.json")]
     assert cli_main(argv) == 2
+
+
+@pytest.mark.parametrize("scheme, header", [
+    (SchemeSpec("inverse", vocab_size=3), {"mu0": 2 / 3}),
+    (SchemeSpec("red_green", vocab_size=20), {"scheme": "gumbel"}),
+], ids=["stale-mu0", "scheme-mismatch"])
+def test_segment_rejects_a_header_that_contradicts_scheme_params(scheme, header, tmp_path):
+    stream, cert = tmp_path / "stream.jsonl", tmp_path / "cert.json"
+    write_stream_jsonl(stream, generate_stream(StreamSpec(
+        n=100, true_segments=Segments(), scheme=scheme,
+        ntp_model=NtpModel(kind="dirichlet"), seed=5,
+    )))
+    first, *body = stream.read_text(encoding="utf-8").splitlines()
+    stream.write_text("\n".join([json.dumps({**json.loads(first), **header}), *body]) + "\n",
+                      encoding="utf-8")
+    params = ["--scheme", scheme.scheme_id, "--vocab-size", str(scheme.vocab_size)]
+    assert cli_main(["calibrate", *params, "--n", "100", "--block-len", "10",
+                     "--mc-reps", "500", "--out", str(cert)]) == 0
+    argv = ["segment", "--stream", str(stream), "--cert", str(cert),
+            "--out", str(tmp_path / "result.json")]
+    assert cli_main(argv) == 1
+
+
+def test_experiment_is_byte_reproducible_and_has_no_jobs_or_cache_flags(tmp_path):
+    plan = ExperimentPlan(
+        n=300,
+        true_segments=Segments([(100, 200)], n=300),
+        scheme=SchemeSpec("gumbel", vocab_size=50),
+        ntp_model=NtpModel(kind="dirichlet"),
+        replications=2,
+        block_lens=(20,),
+        mc_reps=1000,
+        seed=4,
+    )
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps(plan.to_json()), encoding="utf-8")
+    outs = tmp_path / "a.csv", tmp_path / "b.csv"
+    for out in outs:
+        assert cli_main(["experiment", "--config", str(config), "--no-timing",
+                         "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    with open(outs[0], newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert tuple(header) == EXPERIMENT_COLUMNS
+    assert len(rows) == plan.replications + 2
+    for flag in (["--jobs", "2"], ["--cache-dir", str(tmp_path / "d")]):
+        argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "c.csv"), *flag]
+        assert cli_main(argv) == 1, flag
+    assert not (tmp_path / "c.csv").exists()

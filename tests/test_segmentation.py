@@ -18,7 +18,6 @@ from wmseg.segmentation import (
     localize_segment,
     merge_selected,
     min_run_blocks,
-    naive_estimate,
     screen_blocks,
     search_windows,
     segment_series,
@@ -37,6 +36,36 @@ def open_cert(n, block_len, q=-1e18):
 
 def series_of(scores):
     return PivotSeries(scores=np.asarray(scores, float), null_mean=1.0, scheme_id="gumbel")
+
+
+def naive_estimate(
+    scores: np.ndarray, null_mean: float, rho: float, signal: float
+) -> tuple[int, int]:
+    """Exhaustive single-interval estimator over the whole series.
+
+    Scans every 1 <= s <= t <= n for the interval minimizing the adjusted
+    score sum outside it, with the same tie-breaking as localize_segment.
+    Quadratic cost; serves as the correctness oracle for the restricted scan.
+    """
+    adjusted = np.asarray(scores, dtype=float) - (null_mean + rho * signal)
+    n = adjusted.size
+    if n == 0:
+        raise ValueError("empty score series")
+    # suffix[i] = sum of adjusted[i:]
+    suffix = np.concatenate((np.cumsum(adjusted[::-1])[::-1], [0.0]))
+    best_obj = math.inf
+    best = (1, 1)
+    best_width = n + 1
+    left = 0.0
+    for s0 in range(n):
+        row = left + suffix[s0 + 1 :]  # objective over t0 = s0 .. n-1
+        t_rel = int(np.argmin(row))  # first minimum: smallest t, narrowest here
+        obj = float(row[t_rel])
+        width = t_rel + 1
+        if obj < best_obj or (obj == best_obj and width < best_width):
+            best_obj, best_width, best = obj, width, (s0 + 1, s0 + t_rel + 1)
+        left += adjusted[s0]
+    return best
 
 
 def literal_estimate(scores, null_mean, rho, signal):
@@ -276,6 +305,12 @@ class TestSegmentSeries:
         assert result.k_hat == 0
         assert result.segments.to_pairs() == []
         assert result.trace.signal == 0.0
+        null = segment_series(series_of(rng.standard_exponential(100)), SegmenterConfig(cert=cert))
+        data = null.to_json()
+        assert (data["k_hat"], data["segments"], data["d_tilde"]) == (0, [], 0.0)
+        assert data["trace"]["windows"] == []
+        assert data["trace"]["d_tilde"] == 0.0
+        assert data["trace"]["d_tilde_floored"] is False
 
     def test_planted_two_segments(self, rng):
         n = 500

@@ -341,6 +341,36 @@ class TestStreamJsonl:
         with pytest.raises(ValueError, match="n=6 but the file has 7 token records"):
             read_stream_jsonl(path)
 
+    @staticmethod
+    def _with_header(tmp_path, scheme, fields):
+        path = tmp_path / "s.jsonl"
+        write_stream_jsonl(path, generate_stream(make_spec(n=6, seed=14, scheme=scheme)))
+        header, *body = path.read_text().splitlines()
+        path.write_text("\n".join([json.dumps({**json.loads(header), **fields}), *body]) + "\n")
+        return path
+
+    def test_stale_mu0_is_rejected(self, tmp_path):
+        # Inverse files written before the exact null mean carry mu0 = 2/3;
+        # reading one used to centre the series on 2/3 instead of 0.583.
+        inverse = SchemeSpec("inverse", vocab_size=3)
+        path = self._with_header(tmp_path, inverse, {"mu0": 2 / 3})
+        with pytest.raises(ValueError, match=f"mu0={2 / 3!r}.*{inverse.null_mean!r}"):
+            read_stream_jsonl(path)
+
+    def test_header_scheme_must_match_scheme_params(self, tmp_path):
+        path = self._with_header(
+            tmp_path, SchemeSpec("red_green", vocab_size=20), {"scheme": "gumbel"}
+        )
+        with pytest.raises(ValueError, match="'gumbel'.*'red_green'"):
+            read_stream_jsonl(path)
+
+    def test_series_takes_the_null_mean_of_scheme_params(self, tmp_path):
+        inverse = SchemeSpec("inverse", vocab_size=3)
+        path = self._with_header(tmp_path, inverse, {"mu0": inverse.null_mean * (1 + 1e-14)})
+        back = read_stream_jsonl(path)
+        assert back.series.null_mean == inverse.null_mean
+        assert back.series.scheme_id == "inverse"
+
     def test_records_in_any_order_read_back_by_t(self, tmp_path):
         path, header, records = self._records(tmp_path)
         self._write(path, header, records[::-1])

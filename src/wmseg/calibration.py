@@ -18,9 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .keys import TAG_CALIBRATION, generator, mix
-from .schemes import SchemeSpec
+from .schemes import SchemeSpec, read_fields
 
 _CHUNK_BUDGET = 4_000_000  # draws per simulation chunk, keeps memory flat
+
+# Defaults of calibrate_threshold, shared by the experiment plan and run_bench.
+DEFAULT_ALPHA = 0.05
+DEFAULT_MC_REPS = 10_000
 
 
 class CertMismatch(ValueError):
@@ -45,10 +49,6 @@ class ThresholdCert:
     mc_reps: int
     seed: int
 
-    @property
-    def quantile_level(self) -> float:
-        return 1.0 - self.alpha
-
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -63,16 +63,17 @@ class ThresholdCert:
 
     @classmethod
     def from_json(cls, data: dict) -> "ThresholdCert":
-        return cls(
-            q=float(data["q"]),
-            alpha=float(data["alpha"]),
-            n=int(data["n"]),
-            block_len=int(data["b"]),
-            scheme_id=str(data["scheme"]),
-            scheme_params=dict(data["scheme_params"]),
-            mc_reps=int(data["mc_reps"]),
-            seed=int(data["seed"]),
-        )
+        """Read ``to_json`` output; an unknown key, or a ``scheme`` other
+        than the id in ``scheme_params``, raises ValueError."""
+        fields = read_fields(data, {
+            "q": float, "alpha": float, "n": int, "b": int, "scheme": str,
+            "scheme_params": dict, "mc_reps": int, "seed": int,
+        }, "certificate")
+        fields["block_len"], fields["scheme_id"] = fields.pop("b"), fields.pop("scheme")
+        if fields["scheme_id"] != fields["scheme_params"].get("id"):
+            raise ValueError(f"certificate scheme {fields['scheme_id']!r} differs from its "
+                             f"scheme_params {fields['scheme_params']}")
+        return cls(**fields)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
@@ -108,8 +109,8 @@ def calibrate_threshold(
     scheme,
     n: int,
     block_len: int,
-    alpha: float,
-    mc_reps: int = 10_000,
+    alpha: float = DEFAULT_ALPHA,
+    mc_reps: int = DEFAULT_MC_REPS,
     seed: int = 0,
 ) -> ThresholdCert:
     """Calibrate the screening threshold for a scheme's score null law.

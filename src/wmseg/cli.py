@@ -1,7 +1,13 @@
 """Command-line interface: generate, calibrate, segment, evaluate, bench, experiment.
 
-Exit codes: 0 success, 1 validation error (bad arguments or inconsistent
-inputs), 2 I/O error (missing or unreadable files).
+Options left unset take the defaults of the library call they feed (the CLI
+sets only scheme gumbel, vocab size 100, generate seed 0 and the model label).
+A ``--config`` JSON file may set any option of its command by name (flags
+win); for ``experiment`` it is the plan itself, plus an optional ``out``.
+
+Exit codes: 0 success, 1 validation error (bad arguments, unknown config or
+plan keys, or inconsistent inputs such as a certificate built for another
+null law than the stream's), 2 I/O error (missing or unreadable files).
 """
 
 from __future__ import annotations
@@ -11,11 +17,11 @@ import json
 import sys
 from pathlib import Path
 
-from .calibration import ThresholdCert, calibrate_threshold
+from .calibration import CertMismatch, ThresholdCert, calibrate_threshold
 from .harness import ExperimentPlan, run_bench, run_experiment, write_csv
 from .intervals import Segments
 from .metrics import EVAL_COLUMNS, evaluate
-from .schemes import SchemeSpec
+from .schemes import SchemeSpec, check_keys
 from .segmentation import SegmenterConfig, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream, read_stream_jsonl, write_stream_jsonl
 
@@ -85,19 +91,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 class _Options:
-    """CLI flags overlaid on --config JSON defaults."""
+    """CLI flags overlaid on --config JSON values."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         self.config = {}
         if self.args.get("config"):
             self.config = json.loads(Path(self.args["config"]).read_text(encoding="utf-8"))
+        if not isinstance(self.config, dict):
+            raise ValueError(f"{self.args['config']}: config must be a JSON object")
+        if args.command != "experiment":  # an experiment config is the plan
+            check_keys(self.config, self.args.keys() - {"command", "config"},
+                       f"{args.command} config")
 
     def get(self, name: str, default=None):
         value = self.args.get(name)
         if value is None or value is False:
             value = self.config.get(name, default)
         return value
+
+    def given(self, *names: str) -> dict:
+        """The named options that were set, by flag or by config key."""
+        return {name: self.get(name) for name in names if self.get(name) is not None}
 
     def require(self, name: str):
         value = self.get(name)
@@ -117,28 +132,22 @@ def _parse_segments(text: str | None, n: int) -> Segments:
 
 
 def _scheme_from(opts: _Options) -> SchemeSpec:
-    return SchemeSpec(
-        scheme_id=str(opts.get("scheme", "gumbel")),
-        vocab_size=int(opts.get("vocab_size", 100)),
-        green_frac=float(opts.get("green_frac", 0.5)),
-        bias=float(opts.get("bias", 2.0)),
-    )
+    return SchemeSpec.from_json({"id": opts.get("scheme", "gumbel"),
+                                 "vocab_size": opts.get("vocab_size", 100),
+                                 **opts.given("green_frac", "bias")})
 
 
 def _cmd_generate(opts: _Options) -> int:
     n = int(opts.require("n"))
     scheme = _scheme_from(opts)
-    ntp = NtpModel(
-        kind=str(opts.get("ntp", "dirichlet")),
-        delta_cap=float(opts.get("delta_cap", 0.5)),
-        concentration=float(opts.get("concentration", 0.3)),
-        exponent=float(opts.get("exponent", 1.5)),
-    )
+    ntp = opts.given("delta_cap", "concentration", "exponent")
+    if opts.get("ntp") is not None:
+        ntp["kind"] = opts.get("ntp")
     spec = StreamSpec(
         n=n,
         true_segments=_parse_segments(opts.get("segments"), n),
         scheme=scheme,
-        ntp_model=ntp,
+        ntp_model=NtpModel.from_json(ntp),
         seed=int(opts.get("seed", 0)),
     )
     write_stream_jsonl(opts.require("out"), generate_stream(spec))
@@ -150,9 +159,7 @@ def _cmd_calibrate(opts: _Options) -> int:
         _scheme_from(opts),
         n=int(opts.require("n")),
         block_len=int(opts.require("block_len")),
-        alpha=float(opts.get("alpha", 0.05)),
-        mc_reps=int(opts.get("mc_reps", 10_000)),
-        seed=int(opts.get("seed", 0)),
+        **opts.given("alpha", "mc_reps", "seed"),
     )
     cert.save(opts.require("out"))
     return 0
@@ -161,14 +168,11 @@ def _cmd_calibrate(opts: _Options) -> int:
 def _cmd_segment(opts: _Options) -> int:
     stream = read_stream_jsonl(opts.require("stream"))
     cert = ThresholdCert.load(opts.require("cert"))
-    pad = opts.get("pad")
-    config = SegmenterConfig(
-        cert=cert,
-        rho=float(opts.get("rho", 0.5)),
-        gamma=float(opts.get("gamma", 0.1)),
-        discard_c=float(opts.get("discard_c", 0.5)),
-        pad="auto" if pad is None else int(pad),
-    )
+    law = SchemeSpec.from_json(cert.scheme_params)
+    if (law.scheme_id, law.null_mean) != (stream.scheme.scheme_id, stream.scheme.null_mean):
+        raise CertMismatch(f"certificate null law {cert.scheme_params} differs from the "
+                           f"stream's {stream.scheme.to_json()}")
+    config = SegmenterConfig(cert=cert, **opts.given("rho", "gamma", "discard_c", "pad"))
     result = segment_series(stream.series, config)
     Path(opts.require("out")).write_text(
         json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8"
@@ -204,17 +208,14 @@ def _cmd_bench(opts: _Options) -> int:
     n_list = [int(x) for x in str(opts.require("n_list")).split(",")]
     run_bench(
         n_list,
-        reps=int(opts.get("reps", 5)),
-        seed=int(opts.get("seed", 0)),
         out_path=opts.require("out"),
-        alpha=float(opts.get("alpha", 0.05)),
-        mc_reps=int(opts.get("mc_reps", 10_000)),
+        **opts.given("reps", "seed", "alpha", "mc_reps"),
     )
     return 0
 
 
 def _cmd_experiment(opts: _Options) -> int:
-    plan_data = dict(opts.config)
+    plan_data = {key: value for key, value in opts.config.items() if key != "out"}
     if not plan_data:
         raise ValueError("experiment requires --config with a plan JSON")
     if opts.args.get("seed") is not None:

@@ -16,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import ThresholdCert, calibrate_threshold
+from .calibration import DEFAULT_ALPHA, DEFAULT_MC_REPS, ThresholdCert, calibrate_threshold
 from .intervals import Segments
 from .keys import TAG_BENCH, TAG_REPLICATION, mix
 from .metrics import EVAL_COLUMNS, EvalReport, evaluate
-from .schemes import SchemeSpec
+from .schemes import SchemeSpec, check_keys, read_fields
 from .segmentation import SegmenterConfig, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream
 
@@ -46,16 +46,16 @@ class ExperimentPlan:
     """A replicated grid experiment over one stream template."""
 
     n: int
-    true_segments: Segments
     scheme: SchemeSpec
     ntp_model: NtpModel
-    replications: int
     block_lens: tuple[int, ...]
-    rhos: tuple[float, ...] = (0.5,)
-    alphas: tuple[float, ...] = (0.05,)
-    gammas: tuple[float, ...] = (0.1,)
-    discard_c: float = 0.5
-    mc_reps: int = 10_000
+    true_segments: Segments = Segments()
+    replications: int = 1
+    rhos: tuple[float, ...] = (SegmenterConfig.rho,)
+    alphas: tuple[float, ...] = (DEFAULT_ALPHA,)
+    gammas: tuple[float, ...] = (SegmenterConfig.gamma,)
+    discard_c: float = SegmenterConfig.discard_c
+    mc_reps: int = DEFAULT_MC_REPS
     seed: int = 0
     include_timing: bool = True
 
@@ -81,12 +81,7 @@ class ExperimentPlan:
             "scheme": self.scheme.to_json(),
             "ntp_model": self.ntp_model.to_json(),
             "replications": self.replications,
-            "grid": {
-                "block_len": list(self.block_lens),
-                "rho": list(self.rhos),
-                "alpha": list(self.alphas),
-                "gamma": list(self.gammas),
-            },
+            "grid": {key: list(getattr(self, name)) for key, (name, _) in _GRID_FIELDS.items()},
             "discard_c": self.discard_c,
             "mc_reps": self.mc_reps,
             "seed": self.seed,
@@ -95,22 +90,24 @@ class ExperimentPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentPlan":
-        grid = data.get("grid", {})
-        return cls(
-            n=int(data["n"]),
-            true_segments=Segments(data.get("true_segments", [])),
-            scheme=SchemeSpec.from_json(data["scheme"]),
-            ntp_model=NtpModel.from_json(data["ntp_model"]),
-            replications=int(data.get("replications", 1)),
-            block_lens=tuple(int(b) for b in grid.get("block_len", [])),
-            rhos=tuple(float(x) for x in grid.get("rho", [0.5])),
-            alphas=tuple(float(x) for x in grid.get("alpha", [0.05])),
-            gammas=tuple(float(x) for x in grid.get("gamma", [0.1])),
-            discard_c=float(data.get("discard_c", 0.5)),
-            mc_reps=int(data.get("mc_reps", 10_000)),
-            seed=int(data.get("seed", 0)),
-            include_timing=bool(data.get("include_timing", True)),
-        )
+        """Read ``to_json`` output; keys left out take the field defaults."""
+        fields = read_fields(data, {
+            "n": int, "true_segments": Segments, "scheme": SchemeSpec.from_json,
+            "ntp_model": NtpModel.from_json, "replications": int, "grid": _read_grid,
+            "discard_c": float, "mc_reps": int, "seed": int, "include_timing": bool,
+        }, "plan")
+        return cls(**fields.pop("grid", {}), **fields)
+
+
+# Plan JSON grid key -> (ExperimentPlan field, element type).
+_GRID_FIELDS = {"block_len": ("block_lens", int), "rho": ("rhos", float),
+                "alpha": ("alphas", float), "gamma": ("gammas", float)}
+
+
+def _read_grid(grid: dict) -> dict:
+    check_keys(grid, _GRID_FIELDS, "grid")
+    return {_GRID_FIELDS[key][0]: tuple(map(_GRID_FIELDS[key][1], values))
+            for key, values in grid.items()}
 
 
 def _calibration_seed(plan_seed: int, n: int, block_len: int, alpha: float, mc_reps: int) -> int:
@@ -216,20 +213,20 @@ def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
 
 
 def run_bench(n_list: list[int], reps: int = 5, seed: int = 0,
-              out_path: str | Path | None = None, alpha: float = 0.05,
-              mc_reps: int = 10_000, scheme: SchemeSpec | None = None) -> list[list[str]]:
+              out_path: str | Path | None = None, alpha: float = DEFAULT_ALPHA,
+              mc_reps: int = DEFAULT_MC_REPS) -> list[list[str]]:
     """Wall-time scaling of the segmenter across stream lengths.
 
-    One planted segment of length ceil(n/6) at a seeded random offset,
-    block length ceil(sqrt(n)). Only the segmentation call is timed; stream
-    generation, calibration and I/O are excluded.
+    One planted segment of length ceil(n/6) at a seeded random offset in a
+    gumbel (V=100) Dirichlet stream, block length ceil(sqrt(n)). Only the
+    segmentation call is timed; stream generation, calibration and I/O are
+    excluded.
     """
     if sorted(n_list) != list(n_list):
         raise ValueError("n_list must be sorted ascending")
     if reps < 1:
         raise ValueError("need at least one timing repetition")
-    scheme = scheme or SchemeSpec("gumbel", vocab_size=100)
-    ntp = NtpModel(kind="dirichlet", delta_cap=0.5)
+    scheme, ntp = SchemeSpec("gumbel", vocab_size=100), NtpModel()
     rows: list[list[str]] = []
     for n in n_list:
         b = math.ceil(math.sqrt(n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .intervals import Segments, interval_overlap
 
@@ -123,9 +123,6 @@ class EvalReport:
     k_true: int
     k_hat: int
     runtime_ms: float | None = None
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def csv_row(self, model: str, scheme: str, method: str) -> list[str]:
         values = {

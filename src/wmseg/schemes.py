@@ -77,6 +77,26 @@ def _float_or_array(token, pivot):
     return float(pivot) if np.ndim(token) == 0 else pivot.astype(float, copy=False)
 
 
+def check_keys(data: dict, known, what: str) -> None:
+    """Raise ValueError naming every key of ``data`` not in ``known``, so a
+    misspelled key is an error rather than a silent fall-back to a default."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
+def read_fields(data: dict, readers: dict, what: str) -> dict:
+    """Each key of ``data`` converted by its reader; unknown keys raise."""
+    check_keys(data, readers, what)
+    return {name: readers[name](value) for name, value in data.items()}
+
+
+def inverse_cdf(weights: np.ndarray, u: float) -> int:
+    """The first index whose cumulative weight reaches ``u`` times the total."""
+    cdf = np.cumsum(weights)
+    return min(int(np.searchsorted(cdf, u * cdf[-1], side="left")), cdf.size - 1)
+
+
 def _check_decodable(probs: np.ndarray, key_size: int) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (key_size,):
@@ -150,11 +170,7 @@ class Gumbel(_Scheme):
         Ties break toward the lowest token index (measure-zero under
         continuous keys, but keeps the decoder a pure function).
         """
-        probs = np.asarray(probs, dtype=float)
-        if np.any(probs < 0):
-            raise InvalidDistribution("negative probability entry")
-        if not np.any(probs > 0):
-            raise InvalidDistribution("all-zero probability vector")
+        probs = _check_decodable(probs, key.uniforms.size)
         ratios = np.full(probs.shape, -np.inf)
         live = probs > 0
         ratios[live] = np.log(key.uniforms[live]) / probs[live]
@@ -259,9 +275,7 @@ class RedGreen(_Scheme):
         key's uniform, keeping the decoder deterministic given (probs, key).
         """
         probs = _check_decodable(probs, key.green.size)
-        weights = np.where(key.green, probs * self.green_weight, probs)
-        cdf = np.cumsum(weights)
-        return min(int(np.searchsorted(cdf, key.u * cdf[-1], side="left")), probs.size - 1)
+        return inverse_cdf(np.where(key.green, probs * self.green_weight, probs), key.u)
 
     @staticmethod
     def pivot(token, key: RedGreenKey):
@@ -368,9 +382,8 @@ class SchemeSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "SchemeSpec":
-        return cls(
-            scheme_id=data["id"],
-            vocab_size=int(data["vocab_size"]),
-            green_frac=float(data.get("green_frac", 0.5)),
-            bias=float(data.get("bias", 2.0)),
+        """Read ``to_json`` output; keys left out take the field defaults."""
+        fields = read_fields(
+            data, {"id": str, "vocab_size": int, "green_frac": float, "bias": float}, "scheme"
         )
+        return cls(fields.pop("id"), **fields)

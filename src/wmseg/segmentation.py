@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CertMismatch, ThresholdCert
+from .calibration import CertMismatch, ThresholdCert, block_starts
 from .intervals import Interval, Segments
 from .schemes import PivotSeries
 
@@ -79,8 +79,7 @@ class StageTrace:
     block_sums: np.ndarray
     threshold: float
     selected_blocks: np.ndarray  # 0-based block indices
-    merged_runs: tuple[Interval, ...]  # 0-based inclusive block runs
-    kept_runs: tuple[Interval, ...]
+    kept_runs: tuple[Interval, ...]  # 0-based inclusive block runs
     regions: Segments  # enlarged candidate regions, token units
     windows: tuple[tuple[Interval, Interval], ...]  # (left, right) per region
     signal: float
@@ -134,7 +133,7 @@ def block_sums(scores: np.ndarray, block_len: int) -> np.ndarray:
         raise ValueError("empty score series")
     if not 1 <= block_len <= scores.size:
         raise ValueError("block length must lie in [1, n]")
-    return np.add.reduceat(scores, np.arange(0, scores.size, block_len))
+    return np.add.reduceat(scores, block_starts(scores.size, block_len))
 
 
 def screen_blocks(sums: np.ndarray, threshold: float) -> np.ndarray:
@@ -287,7 +286,6 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
 
     sums = block_sums(series.scores, b)
     selected = screen_blocks(sums, cert.q)
-    merged = merge_selected(selected)
     kept = discard_short_runs(selected, min_run)
     regions = enlarge_runs(kept, b, n, pad)
 
@@ -305,7 +303,6 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
         block_sums=sums,
         threshold=cert.q,
         selected_blocks=selected,
-        merged_runs=tuple(merged),
         kept_runs=tuple(kept),
         regions=regions,
         windows=windows,

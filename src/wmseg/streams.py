@@ -33,7 +33,8 @@ from .keys import (
     key_seed,
     mix,
 )
-from .schemes import PivotSeries, PseudoKey, SchemeSpec, check_tokens, validate_probs
+from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_tokens, inverse_cdf,
+                      read_fields, validate_probs)
 
 NTP_KINDS = ("dirichlet", "zipf", "fixed")
 _REJECTION_LIMIT = 10_000
@@ -118,13 +119,11 @@ class NtpModel:
 
     @classmethod
     def from_json(cls, data: dict) -> "NtpModel":
-        return cls(
-            kind=data["kind"],
-            delta_cap=float(data["delta_cap"]),
-            concentration=float(data.get("concentration", 0.3)),
-            exponent=float(data.get("exponent", 1.5)),
-            vectors=tuple(tuple(v) for v in data["vectors"]) if "vectors" in data else None,
-        )
+        """Read ``to_json`` output; keys left out take the field defaults."""
+        return cls(**read_fields(data, {
+            "kind": str, "delta_cap": float, "concentration": float, "exponent": float,
+            "vectors": lambda vectors: tuple(tuple(v) for v in vectors),
+        }, "ntp_model"))
 
     def describe(self) -> str:
         if self.kind == "dirichlet":
@@ -173,11 +172,6 @@ class Stream:
         return self.spec.true_segments.mask(self.spec.n)
 
 
-def _sample_token(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cdf = np.cumsum(probs)
-    return min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="left")), probs.size - 1)
-
-
 def generate_stream(spec: StreamSpec) -> Stream:
     """Generate tokens, keys and scored pivots for a stream spec.
 
@@ -202,7 +196,7 @@ def generate_stream(spec: StreamSpec) -> Stream:
         key = key_of.get(prev)
         if key is None:
             key = key_of[prev] = scheme.key_at(key_seed(spec.seed, prev))
-        token = scheme.decode(probs, key) if inside[i] else _sample_token(probs, rng_null)
+        token = scheme.decode(probs, key) if inside[i] else inverse_cdf(probs, rng_null.random())
         tokens[i] = token
         keys.append(key)
         prev = token

@@ -95,6 +95,16 @@ class TestCalibrateThreshold:
         assert set(data) == {"q", "alpha", "n", "b", "scheme", "scheme_params",
                              "mc_reps", "seed"}
 
+    def test_from_json_rejects_unknown_keys(self):
+        data = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=1000).to_json()
+        with pytest.raises(ValueError, match="unknown certificate key.*'quantile'"):
+            ThresholdCert.from_json({**data, "quantile": 0.9})
+
+    def test_from_json_rejects_a_scheme_other_than_its_params_id(self):
+        data = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=1000).to_json()
+        with pytest.raises(ValueError, match="'inverse'.*'gumbel'"):
+            ThresholdCert.from_json({**data, "scheme": "inverse"})
+
 
 class TestNullFprEstimate:
     def test_point_mass_stub_never_false_positives(self):

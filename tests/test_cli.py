@@ -96,3 +96,59 @@ def test_experiment_is_byte_reproducible_and_has_no_jobs_or_cache_flags(tmp_path
         argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "c.csv"), *flag]
         assert cli_main(argv) == 1, flag
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_experiment_rejects_an_unknown_plan_key(tmp_path):
+    plan = {"n": 300, "scheme": {"id": "gumbel", "vocab_size": 50}, "ntp_model": {},
+            "grid": {"block_len": [20]}, "mc_reps": 500, "replicatons": 2}
+    config, out = tmp_path / "plan.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps(plan), encoding="utf-8")
+    assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    del plan["replicatons"]
+    config.write_text(json.dumps({**plan, "out": str(out)}), encoding="utf-8")
+    assert cli_main(["experiment", "--config", str(config)]) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "experiment"])
+def test_a_config_that_is_not_a_json_object_is_a_validation_error(command, tmp_path):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text("[]", encoding="utf-8")
+    assert cli_main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def _stream_and_cert(tmp_path, stream_scheme, cert_params):
+    stream, cert = tmp_path / "stream.jsonl", tmp_path / "cert.json"
+    write_stream_jsonl(stream, generate_stream(StreamSpec(
+        n=400, true_segments=Segments(), scheme=stream_scheme,
+        ntp_model=NtpModel(), seed=11,
+    )))
+    assert cli_main(["calibrate", *cert_params, "--n", "400", "--block-len", "20",
+                     "--mc-reps", "500", "--out", str(cert)]) == 0
+    return ["segment", "--stream", str(stream), "--cert", str(cert)]
+
+
+def test_segment_config_takes_only_segment_options(tmp_path):
+    argv = _stream_and_cert(tmp_path, SchemeSpec("gumbel", 50),
+                            ["--scheme", "gumbel", "--vocab-size", "50"])
+    config, out = tmp_path / "segment.json", tmp_path / "result.json"
+    config.write_text(json.dumps({"rh0": 0.3}), encoding="utf-8")
+    assert cli_main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    config.write_text(json.dumps({"rho": 0.3, "pad": 7, "out": str(out)}), encoding="utf-8")
+    assert cli_main([*argv, "--config", str(config), "--trace", str(tmp_path / "t.json")]) == 0
+    assert json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))["pad"] == 7
+
+
+@pytest.mark.parametrize("cert_params, code", [
+    (["--green-frac", "0.25"], 1),
+    (["--green-frac", "0.5", "--bias", "4.0"], 0),
+], ids=["other-null-law", "same-null-law-other-bias"])
+def test_segment_rejects_a_certificate_for_another_null_law(cert_params, code, tmp_path):
+    argv = _stream_and_cert(tmp_path, SchemeSpec("red_green", 40, green_frac=0.5),
+                            ["--scheme", "red_green", "--vocab-size", "40", *cert_params])
+    out = tmp_path / "result.json"
+    assert cli_main([*argv, "--out", str(out)]) == code
+    assert out.exists() == (code == 0)

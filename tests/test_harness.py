@@ -1,5 +1,6 @@
 """The grid experiment runner."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -9,6 +10,7 @@ from wmseg import harness
 from wmseg.harness import ExperimentPlan, run_experiment
 from wmseg.intervals import Segments
 from wmseg.schemes import SchemeSpec
+from wmseg.segmentation import SegmenterConfig
 from wmseg.streams import NtpModel
 
 PLAN = ExperimentPlan(
@@ -58,3 +60,25 @@ def test_more_than_one_job_is_rejected():
 
 def test_plan_json_round_trip():
     assert ExperimentPlan.from_json(PLAN.to_json()) == PLAN
+
+
+def test_plan_from_json_takes_the_field_defaults_for_missing_keys():
+    minimal = {"n": 600, "scheme": {"id": "gumbel", "vocab_size": 50}, "ntp_model": {},
+               "grid": {"block_len": [30]}}
+    plan = ExperimentPlan.from_json(minimal)
+    assert plan == ExperimentPlan(600, SchemeSpec("gumbel", 50), NtpModel(), (30,))
+    assert plan.replications == 1 and plan.true_segments == Segments()
+    segmenter = {f.name: f.default for f in dataclasses.fields(SegmenterConfig)}
+    assert plan.rhos == (segmenter["rho"],) and plan.gammas == (segmenter["gamma"],)
+    assert plan.discard_c == segmenter["discard_c"]
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"replicatons": 2}, "replicatons"),
+    ({"grid": {"block_len": [30], "rhos": [0.3]}}, "rhos"),
+    ({"scheme": {"id": "red_green", "vocab_size": 50, "green_fraction": 0.25}}, "green_fraction"),
+    ({"ntp_model": {"kind": "dirichlet", "concentraton": 0.7}}, "concentraton"),
+], ids=["plan", "grid", "scheme", "ntp_model"])
+def test_plan_from_json_rejects_unknown_keys(edit, key):
+    with pytest.raises(ValueError, match=f"unknown .*'{key}'"):
+        ExperimentPlan.from_json({**PLAN.to_json(), **edit})

@@ -55,6 +55,11 @@ class TestGumbelDecode:
         with pytest.raises(InvalidDistribution):
             scheme.decode(np.zeros(4), scheme.key_at(1))
 
+    def test_probabilities_must_match_the_key_size(self):
+        scheme = SchemeSpec("gumbel", 4)
+        with pytest.raises(InvalidDistribution, match="key size"):
+            scheme.decode(np.full(3, 1 / 3), scheme.key_at(1))
+
     def test_zero_probability_tokens_never_win(self):
         scheme = SchemeSpec("gumbel", 4)
         probs = np.array([0.0, 0.5, 0.5, 0.0])
@@ -374,6 +379,17 @@ def test_scheme_spec_round_trip_and_null_means():
     assert SchemeSpec("red_green", 100, green_frac=0.5).null_mean == 0.5
     with pytest.raises(ValueError):
         SchemeSpec("permute_flip", 100)
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_from_json_takes_the_field_defaults_for_missing_keys(scheme_id):
+    assert SchemeSpec.from_json({"id": scheme_id, "vocab_size": 40}) == SchemeSpec(scheme_id, 40)
+
+
+def test_from_json_rejects_unknown_keys():
+    data = {"id": "red_green", "vocab_size": 40, "green_fraction": 0.25}
+    with pytest.raises(ValueError, match="unknown scheme key.*'green_fraction'"):
+        SchemeSpec.from_json(data)
 
 
 def exact_null_mean(scheme_id, vocab, green_frac=0.5):

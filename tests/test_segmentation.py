@@ -372,7 +372,8 @@ class TestSegmentSeries:
         result = segment_series(series, SegmenterConfig(cert=cert))
         trace = result.trace
         assert trace.block_sums.size == math.ceil(n / 20)
-        assert set(trace.kept_runs) <= set(trace.merged_runs)
+        assert trace.kept_runs == tuple(discard_short_runs(trace.selected_blocks,
+                                                           trace.min_run_blocks))
         assert np.array_equal(trace.selected_blocks,
                               screen_blocks(trace.block_sums, trace.threshold))
         for (wl, wr), region in zip(trace.windows, trace.regions):

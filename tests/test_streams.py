@@ -110,6 +110,15 @@ class TestNtpModel:
         ):
             assert NtpModel.from_json(model.to_json()) == model
 
+    def test_from_json_takes_the_field_defaults_for_missing_keys(self):
+        assert NtpModel.from_json({}) == NtpModel()
+        zipf = NtpModel("zipf", exponent=1.2)
+        assert NtpModel.from_json({"kind": "zipf", "exponent": 1.2}) == zipf
+
+    def test_from_json_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="unknown ntp_model key.*'concentraton'"):
+            NtpModel.from_json({"kind": "dirichlet", "concentraton": 0.7})
+
 
 # ---------------------------------------------------------------------------
 # Stream generation

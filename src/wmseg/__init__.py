@@ -1,6 +1,6 @@
 """Watermark segment localization in mixed-source token streams."""
 
-from .calibration import CertMismatch, ThresholdCert, calibrate_threshold, null_fpr_estimate
+from .calibration import CertMismatch, ThresholdCert, calibrate_threshold
 from .intervals import Segments
 from .metrics import EvalReport, evaluate, iou, modified_rand_index, precision_recall_f1, rand_index
 from .schemes import PivotSeries, SchemeSpec
@@ -23,7 +23,6 @@ __all__ = [
     "generate_stream",
     "iou",
     "modified_rand_index",
-    "null_fpr_estimate",
     "precision_recall_f1",
     "rand_index",
     "read_stream_jsonl",

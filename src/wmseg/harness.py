@@ -1,8 +1,8 @@
 """Experiment runner: corpora, grids, timing benchmarks.
 
 Everything here is seed-deterministic: stream seeds derive from the plan
-seed and the (grid point, replication) pair, calibration seeds derive from
-the calibration inputs, and rows are written in grid order.
+seed and the (grid point, replication) pair, thresholds come from the exact
+null law, and rows are written in grid order.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ BENCH_COLUMNS = ("n", "b", "reps", "median_s", "lo95_s", "hi95_s")
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A replicated grid experiment over one stream template."""
+    """A replicated grid experiment over one stream template. ``mc_reps``
+    is still read and written but changes nothing: calibration is exact."""
 
     n: int
     scheme: SchemeSpec
@@ -90,12 +91,14 @@ class ExperimentPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentPlan":
-        """Read ``to_json`` output; keys left out take the field defaults."""
+        """Read ``to_json`` output; ``n``, ``scheme``, ``ntp_model`` and
+        ``grid.block_len`` are required, other keys left out take the field
+        defaults."""
         fields = read_fields(data, {
             "n": int, "true_segments": Segments, "scheme": SchemeSpec.from_json,
             "ntp_model": NtpModel.from_json, "replications": int, "grid": _read_grid,
             "discard_c": float, "mc_reps": int, "seed": int, "include_timing": bool,
-        }, "plan")
+        }, "plan", required=("n", "scheme", "ntp_model", "grid"))
         return cls(**fields.pop("grid", {}), **fields)
 
 
@@ -105,14 +108,9 @@ _GRID_FIELDS = {"block_len": ("block_lens", int), "rho": ("rhos", float),
 
 
 def _read_grid(grid: dict) -> dict:
-    check_keys(grid, _GRID_FIELDS, "grid")
+    check_keys(grid, _GRID_FIELDS, "grid", required=("block_len",))
     return {_GRID_FIELDS[key][0]: tuple(map(_GRID_FIELDS[key][1], values))
             for key, values in grid.items()}
-
-
-def _calibration_seed(plan_seed: int, n: int, block_len: int, alpha: float, mc_reps: int) -> int:
-    alpha_bits = int(np.float64(alpha).view(np.uint64))
-    return mix(plan_seed, 0xCA11B, n, block_len, alpha_bits, mc_reps)
 
 
 def _run_once(plan: ExperimentPlan, cert: ThresholdCert, grid_index: int, rep: int,
@@ -192,10 +190,7 @@ def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
     rows: list[list[str]] = []
     for grid_index, (b, rho, alpha, gamma) in enumerate(plan.grid()):
         if (b, alpha) not in certs:
-            certs[b, alpha] = calibrate_threshold(
-                plan.scheme, plan.n, b, alpha, mc_reps=plan.mc_reps,
-                seed=_calibration_seed(plan.seed, plan.n, b, alpha, plan.mc_reps),
-            )
+            certs[b, alpha] = calibrate_threshold(plan.scheme, plan.n, b, alpha)
         reports = [
             _run_once(plan, certs[b, alpha], grid_index, rep, rho, gamma)
             for rep in range(plan.replications)
@@ -220,7 +215,7 @@ def run_bench(n_list: list[int], reps: int = 5, seed: int = 0,
     One planted segment of length ceil(n/6) at a seeded random offset in a
     gumbel (V=100) Dirichlet stream, block length ceil(sqrt(n)). Only the
     segmentation call is timed; stream generation, calibration and I/O are
-    excluded.
+    excluded. ``mc_reps`` changes nothing, as calibration is exact.
     """
     if sorted(n_list) != list(n_list):
         raise ValueError("n_list must be sorted ascending")
@@ -231,11 +226,7 @@ def run_bench(n_list: list[int], reps: int = 5, seed: int = 0,
     for n in n_list:
         b = math.ceil(math.sqrt(n))
         seg_len = math.ceil(n / 6)
-        cert = calibrate_threshold(
-            scheme, n, b, alpha, mc_reps=mc_reps,
-            seed=_calibration_seed(seed, n, b, alpha, mc_reps),
-        )
-        config = SegmenterConfig(cert=cert)
+        config = SegmenterConfig(cert=calibrate_threshold(scheme, n, b, alpha))
         times = []
         for rep in range(reps):
             rng_seed = mix(seed, TAG_BENCH, n, rep)

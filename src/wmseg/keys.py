@@ -17,7 +17,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 TAG_KEY = 0x01
 TAG_NTP = 0x02
 TAG_NULL_DRAW = 0x03
-TAG_CALIBRATION = 0x04
 TAG_REPLICATION = 0x05
 TAG_BENCH = 0x06
 

@@ -2,16 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.signal import fftconvolve
 
+from scheme_theory import inverse_null_pivot_cdf
+from wmseg import calibration
 from wmseg.calibration import (
     ThresholdCert,
     block_starts,
     calibrate_threshold,
-    null_fpr_estimate,
+    simulate_max_block_sums,
 )
-from wmseg.schemes import SchemeSpec
+from wmseg.schemes import INVERSE_STEP, SchemeSpec
 
 GUMBEL = SchemeSpec("gumbel", vocab_size=100)
+
+
+def null_fpr_estimate(cert: ThresholdCert, reps: int, seed: int, scheme=None) -> float:
+    """Fraction of fresh null streams whose max block sum exceeds the cert's
+    threshold: a Monte Carlo check that the certificate holds its alpha."""
+    if reps < 1_000:
+        raise ValueError("need at least 10^3 replications for a usable estimate")
+    if scheme is None:
+        scheme = SchemeSpec.from_json(cert.scheme_params)
+    maxima = simulate_max_block_sums(scheme, cert.n, cert.block_len, reps,
+                                     np.random.default_rng(seed))
+    return float(np.mean(maxima > cert.q))
 
 
 class PointMassScheme:
@@ -24,6 +40,9 @@ class PointMassScheme:
 
     def null_scores(self, rng, size):
         return np.full(size, self.null_mean)
+
+    def block_sum_cdf(self, k):
+        return lambda q: float(q >= k * self.null_mean)
 
     def to_json(self):
         return {"id": self.scheme_id, "null_mean": self.null_mean}
@@ -93,7 +112,7 @@ class TestCalibrateThreshold:
         assert ThresholdCert.load(path) == cert
         data = cert.to_json()
         assert set(data) == {"q", "alpha", "n", "b", "scheme", "scheme_params",
-                             "mc_reps", "seed"}
+                             "mc_reps", "seed", "method"}
 
     def test_from_json_rejects_unknown_keys(self):
         data = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=1000).to_json()
@@ -104,6 +123,24 @@ class TestCalibrateThreshold:
         data = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=1000).to_json()
         with pytest.raises(ValueError, match="'inverse'.*'gumbel'"):
             ThresholdCert.from_json({**data, "scheme": "inverse"})
+
+    def test_from_json_names_a_missing_key(self):
+        data = calibrate_threshold(GUMBEL, 200, 15, 0.1).to_json()
+        del data["b"]
+        with pytest.raises(ValueError, match="missing certificate key.*'b'"):
+            ThresholdCert.from_json(data)
+
+    def test_new_certificates_are_exact_and_record_no_draws(self):
+        cert = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=5000, seed=3)
+        assert (cert.method, cert.mc_reps, cert.seed) == ("exact", 0, 0)
+        assert cert == calibrate_threshold(GUMBEL, 200, 15, 0.1)
+
+    def test_a_certificate_without_method_reads_as_mc(self):
+        data = calibrate_threshold(GUMBEL, 200, 15, 0.1).to_json()
+        del data["method"]
+        assert ThresholdCert.from_json({**data, "mc_reps": 10_000, "seed": 4}).method == "mc"
+        with pytest.raises(ValueError, match="'bootstrap'"):
+            ThresholdCert.from_json({**data, "method": "bootstrap"})
 
 
 class TestNullFprEstimate:
@@ -143,3 +180,100 @@ def test_q_over_b_decreases_toward_the_null_mean():
     for earlier, later in zip(ratios, ratios[1:]):
         assert later <= earlier + 0.02
     assert ratios[-1] < ratios[0]
+
+
+def max_block_sum_cover(block_cdf, n, block_len, q):
+    """P(max block sum <= q) from a per-block CDF ``block_cdf(q, k)``."""
+    m = math.ceil(n / block_len)
+    return block_cdf(q, block_len) ** (m - 1) * block_cdf(q, n - (m - 1) * block_len)
+
+
+def k_fold(pmf, k):
+    """Mass function of the sum of k i.i.d. draws from ``pmf``, by squaring."""
+    out, power = np.array([1.0]), pmf
+    while k:
+        if k & 1:
+            out = fftconvolve(out, power)
+        k >>= 1
+        if k:
+            power = fftconvolve(power, power)
+    return np.clip(out, 0.0, None)
+
+
+class TestExactLaw:
+    """calibrate_threshold against oracles that share none of its code."""
+
+    @pytest.mark.parametrize("n, b, alpha", [
+        (1000, 32, 0.05), (4000, 64, 0.05), (16000, 127, 0.01), (400, 20, 0.5), (7, 3, 0.1),
+        (50, 50, 0.05),
+    ])
+    def test_gumbel_covers_exactly(self, n, b, alpha):
+        cert = calibrate_threshold(GUMBEL, n, b, alpha)
+        cover = max_block_sum_cover(lambda q, k: stats.gamma.cdf(q, k), n, b, cert.q)
+        assert abs(cover - (1 - alpha)) < 1e-9
+
+    @pytest.mark.parametrize("vocab, green_frac, n, b, alpha", [
+        (1000, 0.5, 1000, 32, 0.05),  # the last block (8 tokens) is below q
+        (1000, 0.25, 4000, 64, 0.05),
+        (20, 0.5, 16000, 127, 0.01),
+        (50, 0.1, 300, 30, 0.5),
+        (1000, 0.001, 10, 5, 0.05),  # q = 0 already covers
+    ])
+    def test_red_green_q_is_the_smallest_covering_count(self, vocab, green_frac, n, b, alpha):
+        scheme = SchemeSpec("red_green", vocab, green_frac=green_frac)
+        cert = calibrate_threshold(scheme, n, b, alpha)
+        p = scheme.null_mean
+
+        def cover(q):
+            return max_block_sum_cover(lambda q, k: stats.binom.cdf(q, k, p), n, b, q)
+
+        assert cert.q == math.floor(cert.q) >= 0
+        assert cover(cert.q) >= 1 - alpha > cover(cert.q - 1)
+        if (n, b) == (1000, 32):
+            assert cert.q > 8  # above the short last block's size, where bdtr needs the clamp
+
+    @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
+    def test_inverse_lies_within_its_lattice_bound_and_the_monte_carlo_quantile(self, vocab):
+        n, b, alpha = 1000, 32, 0.05
+        scheme = SchemeSpec("inverse", vocab)
+        cert = calibrate_threshold(scheme, n, b, alpha)
+        # Round each score *down* onto the lattice: that sum never exceeds
+        # the exact one, so its threshold q_down is a lower bound. Rounding
+        # up adds exactly h per score, so a conservative q lies r·h to b·h
+        # above q_down, with r the short last block's length.
+        steps = round(1 / INVERSE_STEP)
+        lattice = np.arange(steps + 1) * INVERSE_STEP
+        score_cdf = 1.0 - inverse_null_pivot_cdf(1.0 - lattice, vocab)
+        pmf_down = np.diff(score_cdf)
+        m = math.ceil(n / b)
+        full = np.cumsum(k_fold(pmf_down, b))
+        r = n - (m - 1) * b
+        last = np.cumsum(k_fold(pmf_down, r))
+        last = np.concatenate((last, np.ones(full.size - last.size)))
+        q_down = int(np.argmax(full ** (m - 1) * last >= 1 - alpha)) * INVERSE_STEP
+        assert q_down + r * INVERSE_STEP <= cert.q <= q_down + b * INVERSE_STEP
+
+        reps = 100_000
+        maxima = simulate_max_block_sums(scheme, n, b, reps, np.random.default_rng(vocab))
+        level = 1 - alpha
+        mc_q = float(np.quantile(maxima, level, method="higher"))
+        spread = np.quantile(maxima, level + 0.01) - np.quantile(maxima, level - 0.01)
+        se = (spread / 0.02) * math.sqrt(alpha * level / reps)
+        assert abs(cert.q - mc_q) < 3 * se
+
+    def test_inverse_lattice_law_keeps_the_null_mean(self):
+        for vocab in (2, 3, 20, 1000):
+            scheme = SchemeSpec("inverse", vocab)
+            cdf = scheme.block_sum_cdf(1)
+            lattice = np.arange(round(1 / INVERSE_STEP) + 1) * INVERSE_STEP
+            mass = np.diff([cdf(q) for q in lattice], prepend=0.0)
+            mean = float(mass @ lattice)
+            assert scheme.null_mean <= mean <= scheme.null_mean + INVERSE_STEP
+
+    def test_calibration_never_simulates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibrate_threshold drew Monte Carlo samples")
+
+        monkeypatch.setattr(calibration, "simulate_max_block_sums", refuse)
+        for scheme_id in ("gumbel", "inverse", "red_green"):
+            calibrate_threshold(SchemeSpec(scheme_id, 20), 1000, 32, 0.05)

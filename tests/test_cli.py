@@ -152,3 +152,24 @@ def test_segment_rejects_a_certificate_for_another_null_law(cert_params, code, t
     out = tmp_path / "result.json"
     assert cli_main([*argv, "--out", str(out)]) == code
     assert out.exists() == (code == 0)
+
+
+def test_segment_reads_a_certificate_without_method_as_monte_carlo(tmp_path):
+    argv = _stream_and_cert(tmp_path, SchemeSpec("gumbel", 50),
+                            ["--scheme", "gumbel", "--vocab-size", "50"])
+    cert = tmp_path / "cert.json"
+    data = json.loads(cert.read_text(encoding="utf-8"))
+    assert data.pop("method") == "exact"
+    cert.write_text(json.dumps({**data, "mc_reps": 10_000, "seed": 1}), encoding="utf-8")
+    assert cli_main([*argv, "--out", str(tmp_path / "result.json")]) == 0
+
+
+def test_segment_names_a_missing_certificate_key(tmp_path, capsys):
+    argv = _stream_and_cert(tmp_path, SchemeSpec("gumbel", 50),
+                            ["--scheme", "gumbel", "--vocab-size", "50"])
+    cert = tmp_path / "cert.json"
+    data = json.loads(cert.read_text(encoding="utf-8"))
+    del data["b"]
+    cert.write_text(json.dumps(data), encoding="utf-8")
+    assert cli_main([*argv, "--out", str(tmp_path / "result.json")]) == 1
+    assert "missing certificate key(s): 'b'" in capsys.readouterr().err

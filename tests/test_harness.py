@@ -82,3 +82,15 @@ def test_plan_from_json_takes_the_field_defaults_for_missing_keys():
 def test_plan_from_json_rejects_unknown_keys(edit, key):
     with pytest.raises(ValueError, match=f"unknown .*'{key}'"):
         ExperimentPlan.from_json({**PLAN.to_json(), **edit})
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"n": None}, "n"),
+    ({"grid": {"rho": [0.3]}}, "block_len"),
+    ({"scheme": {"id": "gumbel"}}, "vocab_size"),
+], ids=["plan", "grid", "scheme"])
+def test_plan_from_json_names_a_missing_key(edit, key):
+    data = {**PLAN.to_json(), **edit}
+    data = {name: value for name, value in data.items() if value is not None}
+    with pytest.raises(ValueError, match=f"missing .*'{key}'"):
+        ExperimentPlan.from_json(data)

@@ -24,7 +24,8 @@ from .schemes import read_fields
 
 _CHUNK_BUDGET = 4_000_000  # draws per simulation chunk, keeps memory flat
 
-# Defaults of calibrate_threshold, shared by the experiment plan and run_bench.
+# Defaults of calibrate_threshold, shared by the experiment plan (both) and
+# run_bench (alpha).
 DEFAULT_ALPHA = 0.05
 DEFAULT_MC_REPS = 10_000
 

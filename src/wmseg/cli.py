@@ -31,12 +31,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", type=str, default=None, help="JSON file with defaults")
         p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("generate", help="generate a synthetic stream JSONL")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--scheme", type=str, default=None)
     p.add_argument("--vocab-size", type=int, default=None)
@@ -57,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--block-len", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mc-reps", type=int, default=None)
 
     p = sub.add_parser("segment", help="segment a stream with a certificate")
     common(p)
@@ -77,13 +76,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="runtime scaling benchmark")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-list", type=str, default=None, help="e.g. 1000,4000,16000")
     p.add_argument("--reps", type=int, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--mc-reps", type=int, default=None)
 
     p = sub.add_parser("experiment", help="run a replicated grid experiment")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-timing", action="store_true",
                    help="omit runtime_ms values for byte-reproducible output")
 
@@ -159,7 +159,7 @@ def _cmd_calibrate(opts: _Options) -> int:
         _scheme_from(opts),
         n=int(opts.require("n")),
         block_len=int(opts.require("block_len")),
-        **opts.given("alpha", "mc_reps", "seed"),
+        **opts.given("alpha"),
     )
     cert.save(opts.require("out"))
     return 0
@@ -209,7 +209,7 @@ def _cmd_bench(opts: _Options) -> int:
     run_bench(
         n_list,
         out_path=opts.require("out"),
-        **opts.given("reps", "seed", "alpha", "mc_reps"),
+        **opts.given("reps", "seed", "alpha"),
     )
     return 0
 

@@ -208,14 +208,14 @@ def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
 
 
 def run_bench(n_list: list[int], reps: int = 5, seed: int = 0,
-              out_path: str | Path | None = None, alpha: float = DEFAULT_ALPHA,
-              mc_reps: int = DEFAULT_MC_REPS) -> list[list[str]]:
+              out_path: str | Path | None = None,
+              alpha: float = DEFAULT_ALPHA) -> list[list[str]]:
     """Wall-time scaling of the segmenter across stream lengths.
 
     One planted segment of length ceil(n/6) at a seeded random offset in a
     gumbel (V=100) Dirichlet stream, block length ceil(sqrt(n)). Only the
     segmentation call is timed; stream generation, calibration and I/O are
-    excluded. ``mc_reps`` changes nothing, as calibration is exact.
+    excluded.
     """
     if sorted(n_list) != list(n_list):
         raise ValueError("n_list must be sorted ascending")

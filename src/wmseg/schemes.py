@@ -3,9 +3,10 @@
 A scheme couples a token choice to a pseudo-random key so that, on
 unwatermarked positions (token independent of key), the scored pivot
 follows a fixed null law, while on watermarked positions its mean is
-elevated. Each scheme class holds its key derivation, decoder, pivot,
-score, a sampler for the score's null law, the CDF of a sum of k null
-scores, and the exact mean of that same law:
+elevated. Each scheme class holds its key (drawn from a given generator),
+how the pivots of a token array come from per-position key seeds, its
+decoder, pivot, score, a sampler for the score's null law, the CDF of a sum
+of k null scores, and the exact mean of that same law:
 
 * ``Gumbel``    — exponential-race decoder ``argmax_w log(U_w)/P_w``; the
                   pivot is the winning coordinate ``U_token`` (Uniform(0,1)
@@ -36,7 +37,7 @@ from typing import Union
 import numpy as np
 from scipy.special import bdtr, gammainc
 
-from .keys import generator, uniform_open
+from .keys import generator, generators, group_by_seed, uniform_open, uniform_open_at
 
 # Lattice step h onto which Inverse.block_sum_cdf rounds each null score up.
 INVERSE_STEP = 2.0 ** -11
@@ -153,10 +154,11 @@ PseudoKey = Union[GumbelKey, InverseKey, RedGreenKey]
 class _Scheme:
     """What every scheme class provides, for one validated ``SchemeSpec``.
 
-    ``pivot`` takes a token or a token array already bounds-checked by the
-    caller; ``block_sum_cdf(k)`` returns the CDF of a sum of k null scores;
-    ``params`` names the ``SchemeSpec`` fields the scheme reads beyond the
-    vocabulary size.
+    ``key(rng)`` draws a key from a generator in the state of
+    ``generator(seed)``; ``pivot`` takes a token or a token array already
+    bounds-checked by the caller; ``block_sum_cdf(k)`` returns the CDF of a
+    sum of k null scores; ``params`` names the ``SchemeSpec`` fields the
+    scheme reads beyond the vocabulary size.
     """
 
     params: tuple[str, ...] = ()
@@ -165,12 +167,30 @@ class _Scheme:
     def __init__(self, spec: "SchemeSpec"):
         self.vocab_size = spec.vocab_size
 
+    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Pivot of each token under the key of the seed at its position.
+
+        Each distinct seed's key is drawn once, from one generator re-seeded
+        in place, and its positions are gathered with one array index.
+        """
+        out = np.empty(tokens.size, dtype=float)
+        distinct, positions = group_by_seed(seeds)
+        for rng, at in zip(generators(distinct), positions):
+            out[at] = self.pivot(tokens[at], self.key(rng))
+        return out
+
 
 class Gumbel(_Scheme):
     null_mean = 1.0
 
-    def key(self, seed: int) -> GumbelKey:
-        return GumbelKey(uniforms=uniform_open(generator(seed), self.vocab_size))
+    def key(self, rng: np.random.Generator) -> GumbelKey:
+        return GumbelKey(uniforms=uniform_open(rng, self.vocab_size))
+
+    @staticmethod
+    def pivots(tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Coordinate ``token`` of each seed's key, by counter: no key and no
+        generator is built."""
+        return uniform_open_at(seeds, tokens)
 
     @staticmethod
     def decode(probs: np.ndarray, key: GumbelKey) -> int:
@@ -220,8 +240,7 @@ class Inverse(_Scheme):
         v = self.vocab_size
         self.null_mean = 1.0 - (2 * v - 1) / (6.0 * (v - 1))
 
-    def key(self, seed: int) -> InverseKey:
-        rng = generator(seed)
+    def key(self, rng: np.random.Generator) -> InverseKey:
         u = float(uniform_open(rng))
         return InverseKey(u=u, perm=rng.permutation(self.vocab_size))
 
@@ -306,8 +325,7 @@ class RedGreen(_Scheme):
         self.green_weight = math.exp(spec.bias)
         self.null_mean = self.n_green / self.vocab_size
 
-    def key(self, seed: int) -> RedGreenKey:
-        rng = generator(seed)
+    def key(self, rng: np.random.Generator) -> RedGreenKey:
         green = np.zeros(self.vocab_size, dtype=bool)
         green[rng.permutation(self.vocab_size)[: self.n_green]] = True
         return RedGreenKey(green=green, u=float(uniform_open(rng)))
@@ -403,17 +421,20 @@ class SchemeSpec:
         return self._scheme.null_mean
 
     def key_at(self, seed: int) -> PseudoKey:
-        return self._scheme.key(seed)
+        return self._scheme.key(generator(seed))
+
+    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Pivots of a bounds-checked token array, each under the key of the
+        uint64 seed at its position: ``pivot(tokens[i], key_at(seeds[i]))``."""
+        return self._scheme.pivots(tokens, seeds)
 
     def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
         return self._scheme.decode(probs, key)
 
-    def pivot(self, token, key: PseudoKey, check: bool = True):
+    def pivot(self, token, key: PseudoKey):
         """Pivot of one token (a float) or of a token array (an array) under
-        one key; ``check=False`` skips the vocabulary bounds check, for
-        callers that checked the whole sequence once already."""
-        if check:
-            check_tokens(token, self.vocab_size)
+        one key; tokens outside the vocabulary raise IndexError."""
+        check_tokens(token, self.vocab_size)
         return _float_or_array(token, self._scheme.pivot(token, key))
 
     def score(self, y):

@@ -9,9 +9,15 @@ segmenter consumes; a JSONL file format carries them between tools.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
-Generation and verifier scoring derive each of them once per distinct
-context, not once per position: positions that share a context share one
-key object, and the verifier gathers their pivots with one array index.
+Generation derives each key once per distinct context, to decode with it;
+positions that share a context share one key object. The verifier calls no
+``SchemeSpec.key_at``: ``score_tokens`` derives every position's key seed in
+one array pass and lets the scheme read its pivots through the counter layer
+of ``keys``. For gumbel it builds no length-V key and no generator: each
+token's coordinate comes from PCG64 jump-ahead. Inverse and red_green still
+draw their (u, permutation of V) once per distinct context, from one
+re-seeded generator. Generation scores through ``score_tokens`` too, so
+both give the same bits.
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from .keys import (
     TAG_NTP,
     TAG_NULL_DRAW,
     generator,
+    group_by_seed,
     key_seed,
+    key_seeds,
     mix,
 )
 from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_tokens, inverse_cdf,
@@ -180,7 +188,7 @@ def generate_stream(spec: StreamSpec) -> Stream:
     exactly the coupling the pivot statistics detect. Each distinct context
     derives its key once, so positions with the same previous token share
     one key object in ``Stream.keys``. The pivots are then scored by the
-    verifier's own scorer over those keys, so both give the same bits.
+    verifier's own scorer, ``score_tokens``, so both give the same bits.
     """
     scheme = spec.scheme
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
@@ -200,39 +208,16 @@ def generate_stream(spec: StreamSpec) -> Stream:
         tokens[i] = token
         keys.append(key)
         prev = token
-    series = _score(tokens, scheme, key_of.__getitem__)
+    series = score_tokens(tokens, spec.seed, scheme)
     return Stream(spec=spec, tokens=tokens, keys=tuple(keys), pivots=series)
 
 
-def _positions_by_context(tokens: np.ndarray):
-    """Yield ``(context, positions)`` once per distinct context of a token array.
-
-    A position's context is the token before it, or CONTEXT_SENTINEL at the
-    first position; ``positions`` lists, in increasing order, the 0-based
-    positions with that context.
-    """
+def _key_seeds(tokens: np.ndarray, master_seed: int) -> np.ndarray:
+    """The key seed of every position of a token array: that of the token
+    before it, or of CONTEXT_SENTINEL at the first position."""
     if tokens.size == 0:
         raise ValueError("token sequence is empty")
-    prevs = np.concatenate(([CONTEXT_SENTINEL], tokens[:-1]))
-    contexts, group = np.unique(prevs, return_inverse=True)
-    order = np.argsort(group, kind="stable")
-    stops = np.cumsum(np.bincount(group, minlength=contexts.size)).tolist()
-    start = 0
-    for context, stop in zip(contexts.tolist(), stops):
-        yield context, order[start:stop]
-        start = stop
-
-
-def _score(tokens: np.ndarray, scheme: SchemeSpec, key_of) -> PivotSeries:
-    """Scored pivots of in-vocabulary tokens, with ``key_of(context)`` the
-    key of each distinct context; each context's pivots are gathered with
-    one array index and the whole pivot array is scored in one call."""
-    pivots = np.empty(tokens.size, dtype=float)
-    for context, positions in _positions_by_context(tokens):
-        pivots[positions] = scheme.pivot(tokens[positions], key_of(context), check=False)
-    return PivotSeries(
-        scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
-    )
+    return key_seeds(master_seed, np.concatenate(([CONTEXT_SENTINEL], tokens[:-1])))
 
 
 def reconstruct_keys(
@@ -247,8 +232,8 @@ def reconstruct_keys(
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     keys: list[PseudoKey | None] = [None] * tokens.size
-    for context, positions in _positions_by_context(tokens):
-        key = scheme.key_at(key_seed(master_seed, context))
+    for seed, positions in zip(*group_by_seed(_key_seeds(tokens, master_seed))):
+        key = scheme.key_at(int(seed))
         for i in positions.tolist():
             keys[i] = key
     return tuple(keys)
@@ -257,12 +242,16 @@ def reconstruct_keys(
 def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) -> PivotSeries:
     """Verifier-side scored pivots for an arbitrary (possibly edited) stream.
 
-    Tokens outside [0, V) raise IndexError. Each distinct context derives its
-    key once.
+    Tokens outside [0, V) raise IndexError. Every position's key seed comes
+    from one array pass and the scheme reads the pivots from the seeds
+    (``SchemeSpec.pivots``); the pivot array is scored in one call.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     check_tokens(tokens, scheme.vocab_size)
-    return _score(tokens, scheme, lambda context: scheme.key_at(key_seed(master_seed, context)))
+    pivots = scheme.pivots(tokens, _key_seeds(tokens, master_seed))
+    return PivotSeries(
+        scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ def test_generate_calibrate_segment_evaluate(scheme_id, tmp_path):
     steps = (
         ["generate", *scheme, "--n", "600", "--segments", "200-400", "--seed", "3",
          "--out", str(stream)],
-        ["calibrate", *scheme, "--n", "600", "--block-len", "30", "--mc-reps", "2000",
-         "--seed", "1", "--out", str(cert)],
+        ["calibrate", *scheme, "--n", "600", "--block-len", "30", "--out", str(cert)],
         ["segment", "--stream", str(stream), "--cert", str(cert), "--out", str(result),
          "--trace", str(trace)],
         ["evaluate", "--truth", str(stream), "--est", str(result), "--out", str(report)],
@@ -36,6 +35,23 @@ def test_generate_calibrate_segment_evaluate(scheme_id, tmp_path):
         header, row = list(csv.reader(fh))
     assert tuple(header) == EVAL_COLUMNS
     assert row[EVAL_COLUMNS.index("scheme")] == scheme_id
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--mc-reps", "2000"], None),
+    (["--seed", "3"], None),
+    ([], {"mc_reps": 2000}),
+], ids=["mc-reps-flag", "seed-flag", "mc-reps-config"])
+def test_calibrate_takes_no_monte_carlo_knobs(flags, config, tmp_path):
+    # Calibration is exact: a draw count or seed would be accepted and ignored.
+    cert = tmp_path / "cert.json"
+    argv = ["calibrate", "--n", "300", "--block-len", "20", "--out", str(cert), *flags]
+    if config is not None:
+        path = tmp_path / "calibrate.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert cli_main(argv) == 1
+    assert not cert.exists()
 
 
 def test_unknown_scheme_is_a_validation_error(tmp_path):
@@ -64,7 +80,7 @@ def test_segment_rejects_a_header_that_contradicts_scheme_params(scheme, header,
                       encoding="utf-8")
     params = ["--scheme", scheme.scheme_id, "--vocab-size", str(scheme.vocab_size)]
     assert cli_main(["calibrate", *params, "--n", "100", "--block-len", "10",
-                     "--mc-reps", "500", "--out", str(cert)]) == 0
+                     "--out", str(cert)]) == 0
     argv = ["segment", "--stream", str(stream), "--cert", str(cert),
             "--out", str(tmp_path / "result.json")]
     assert cli_main(argv) == 1
@@ -126,7 +142,7 @@ def _stream_and_cert(tmp_path, stream_scheme, cert_params):
         ntp_model=NtpModel(), seed=11,
     )))
     assert cli_main(["calibrate", *cert_params, "--n", "400", "--block-len", "20",
-                     "--mc-reps", "500", "--out", str(cert)]) == 0
+                     "--out", str(cert)]) == 0
     return ["segment", "--stream", str(stream), "--cert", str(cert)]
 
 

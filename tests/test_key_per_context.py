@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wmseg import keys, schemes, streams
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, key_seed
 from wmseg.schemes import SCHEME_IDS, SchemeSpec
@@ -199,6 +200,37 @@ def test_score_tokens_derives_at_most_one_key_per_context(scheme_id, key_at_call
     score_tokens(tokens, 5, SchemeSpec(scheme_id, 20))
     assert len(key_at_calls) <= 21
     assert len(set(key_at_calls)) == len(key_at_calls)
+
+
+@pytest.fixture
+def generator_calls(monkeypatch):
+    """Seeds passed to ``keys.generator`` under every name it is called by."""
+    calls = []
+    original = keys.generator
+
+    def counting(seed):
+        calls.append(seed)
+        return original(seed)
+
+    for module in (keys, schemes, streams):
+        monkeypatch.setattr(module, "generator", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_score_tokens_calls_no_key_at_and_at_most_one_generator(
+    scheme_id, key_at_calls, generator_calls
+):
+    spec = StreamSpec(
+        1000, Segments([(200, 700)], n=1000), SchemeSpec(scheme_id, 1000), NtpModel(), seed=6
+    )
+    stream = generate_stream(spec)
+    key_at_calls.clear()
+    generator_calls.clear()
+    series = score_tokens(stream.tokens, spec.seed, spec.scheme)
+    assert key_at_calls == []
+    assert len(generator_calls) <= (0 if scheme_id == "gumbel" else 1)
+    assert np.array_equal(series.scores, reference_scores(stream.tokens, spec.seed, spec.scheme))
 
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)

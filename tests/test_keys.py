@@ -1,15 +1,29 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wmseg.keys import (
     CONTEXT_SENTINEL,
     generator,
+    generators,
+    group_by_seed,
     key_seed,
+    key_seeds,
     mix,
+    pcg64_states,
     splitmix64,
     uniform_open,
+    uniform_open_at,
 )
+
+# The counter layer does wrapping uint64/uint32 arithmetic; a numpy overflow
+# warning would mean an operation ran on scalars and may not have wrapped.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+# SeedSequence reads a seed below 2^32 as one 32-bit entropy word and a
+# larger one as two, so the edge seeds sit on both sides of each word.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 
 def test_splitmix64_is_stable():
@@ -50,3 +64,58 @@ def test_generator_is_deterministic():
     a = generator(99).random(8)
     b = generator(99).random(8)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("master", (0, 1, 2**64 - 1))
+def test_key_seeds_equal_key_seed(master):
+    contexts = np.arange(CONTEXT_SENTINEL, 1000)
+    seeds = key_seeds(master, contexts)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [key_seed(master, c) for c in contexts.tolist()]
+
+
+def _numpy_pcg64_states(seeds):
+    states = (np.random.PCG64(seed).state["state"] for seed in seeds)
+    return [(state["state"], state["inc"]) for state in states]
+
+
+def _counter_pcg64_states(seeds):
+    state_hi, state_lo, inc_hi, inc_lo = (part.tolist() for part in pcg64_states(seeds))
+    return [(s_hi << 64 | s_lo, c_hi << 64 | c_lo)
+            for s_hi, s_lo, c_hi, c_lo in zip(state_hi, state_lo, inc_hi, inc_lo)]
+
+
+def test_pcg64_states_equal_numpy_seeding_at_entropy_word_edges():
+    assert _counter_pcg64_states(EDGE_SEEDS) == _numpy_pcg64_states(EDGE_SEEDS)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
+def test_pcg64_states_equal_numpy_seeding(seeds):
+    assert _counter_pcg64_states(seeds) == _numpy_pcg64_states(seeds)
+
+
+@pytest.mark.parametrize("vocab", (2, 20, 1000, 50_000))
+def test_uniform_open_at_equals_the_coordinate_of_uniform_open(vocab):
+    rng = np.random.default_rng(vocab)
+    seeds = [*EDGE_SEEDS, *rng.integers(0, 2**64 - 1, 24, dtype=np.uint64, endpoint=True).tolist()]
+    index = rng.integers(0, vocab, len(seeds))
+    index[:3] = 0, vocab - 1, vocab - 1
+    expected = [uniform_open(generator(seed), vocab)[i] for seed, i in zip(seeds, index.tolist())]
+    assert np.array_equal(uniform_open_at(np.array(seeds, dtype=np.uint64), index), expected)
+
+
+def test_generators_replay_fresh_generators_in_turn():
+    # Three uint32 draws leave half a 64-bit word buffered; re-seeding the
+    # shared generator must drop it, as a fresh one starts without it.
+    for seed, rng in zip(EDGE_SEEDS, generators(EDGE_SEEDS)):
+        fresh = generator(seed)
+        for draw in (lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                     lambda g: uniform_open(g), lambda g: g.permutation(50)):
+            assert np.array_equal(draw(rng), draw(fresh))
+
+
+def test_group_by_seed_lists_the_positions_of_each_distinct_seed():
+    seeds = np.array([7, 3, 7, 9, 3, 7], dtype=np.uint64)
+    distinct, positions = group_by_seed(seeds)
+    assert distinct.tolist() == [3, 7, 9]
+    assert [p.tolist() for p in positions] == [[1, 4], [0, 2, 5], [3]]

@@ -1,4 +1,4 @@
-"""Command-line interface: generate, calibrate, segment, evaluate, bench, experiment.
+"""Command-line interface: generate, calibrate, segment, evaluate, experiment.
 
 Options left unset take the defaults of the library call they feed (the CLI
 sets only scheme gumbel, vocab size 100, generate seed 0 and the model label).
@@ -18,9 +18,9 @@ import sys
 from pathlib import Path
 
 from .calibration import CertMismatch, ThresholdCert, calibrate_threshold
-from .harness import ExperimentPlan, run_bench, run_experiment, write_csv
+from .harness import ExperimentPlan, run_experiment
 from .intervals import Segments
-from .metrics import EVAL_COLUMNS, evaluate
+from .metrics import EVAL_COLUMNS, evaluate, format_csv
 from .schemes import SchemeSpec, check_keys
 from .segmentation import SegmenterConfig, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream, read_stream_jsonl, write_stream_jsonl
@@ -73,13 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", type=str, default=None, help="stream JSONL with true segments")
     p.add_argument("--est", type=str, default=None, help="result JSON from `segment`")
     p.add_argument("--model-label", type=str, default=None)
-
-    p = sub.add_parser("bench", help="runtime scaling benchmark")
-    common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-list", type=str, default=None, help="e.g. 1000,4000,16000")
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
 
     p = sub.add_parser("experiment", help="run a replicated grid experiment")
     common(p)
@@ -195,22 +188,12 @@ def _cmd_evaluate(opts: _Options) -> int:
     row = report.csv_row(
         str(opts.get("model_label", "synthetic")), stream.scheme.scheme_id, "wmseg"
     )
+    text = format_csv(EVAL_COLUMNS, [row])
     out = opts.get("out")
     if out:
-        write_csv(out, EVAL_COLUMNS, [row])
+        Path(out).write_text(text, encoding="utf-8", newline="")
     else:
-        print(",".join(EVAL_COLUMNS))
-        print(",".join(row))
-    return 0
-
-
-def _cmd_bench(opts: _Options) -> int:
-    n_list = [int(x) for x in str(opts.require("n_list")).split(",")]
-    run_bench(
-        n_list,
-        out_path=opts.require("out"),
-        **opts.given("reps", "seed", "alpha"),
-    )
+        sys.stdout.write(text)
     return 0
 
 
@@ -232,7 +215,6 @@ _HANDLERS = {
     "calibrate": _cmd_calibrate,
     "segment": _cmd_segment,
     "evaluate": _cmd_evaluate,
-    "bench": _cmd_bench,
     "experiment": _cmd_experiment,
 }
 

@@ -1,4 +1,4 @@
-"""Experiment runner: corpora, grids, timing benchmarks.
+"""Experiment runner: replicated grids over generated streams.
 
 Everything here is seed-deterministic: stream seeds derive from the plan
 seed and the (grid point, replication) pair, thresholds come from the exact
@@ -7,19 +7,15 @@ null law, and rows are written in grid order.
 
 from __future__ import annotations
 
-import csv
-import math
 import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .calibration import DEFAULT_ALPHA, DEFAULT_MC_REPS, ThresholdCert, calibrate_threshold
 from .intervals import Segments
-from .keys import TAG_BENCH, TAG_REPLICATION, mix
-from .metrics import EVAL_COLUMNS, EvalReport, evaluate
+from .keys import TAG_REPLICATION, mix
+from .metrics import EVAL_COLUMNS, EvalReport, evaluate, format_csv
 from .schemes import SchemeSpec, check_keys, read_fields
 from .segmentation import SegmenterConfig, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream
@@ -37,8 +33,6 @@ EXPERIMENT_COLUMNS = (
     "k_true",
     "k_hat",
 )
-
-BENCH_COLUMNS = ("n", "b", "reps", "median_s", "lo95_s", "hi95_s")
 
 
 @dataclass(frozen=True)
@@ -203,56 +197,6 @@ def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
         rows.append(_aggregate_row("aggregate-median", b, rho, alpha, gamma, reports,
                                    model, plan.scheme.scheme_id, statistics.median))
     if out_path is not None:
-        write_csv(out_path, EXPERIMENT_COLUMNS, rows)
+        Path(out_path).write_text(format_csv(EXPERIMENT_COLUMNS, rows), encoding="utf-8",
+                                  newline="")
     return rows
-
-
-def run_bench(n_list: list[int], reps: int = 5, seed: int = 0,
-              out_path: str | Path | None = None,
-              alpha: float = DEFAULT_ALPHA) -> list[list[str]]:
-    """Wall-time scaling of the segmenter across stream lengths.
-
-    One planted segment of length ceil(n/6) at a seeded random offset in a
-    gumbel (V=100) Dirichlet stream, block length ceil(sqrt(n)). Only the
-    segmentation call is timed; stream generation, calibration and I/O are
-    excluded.
-    """
-    if sorted(n_list) != list(n_list):
-        raise ValueError("n_list must be sorted ascending")
-    if reps < 1:
-        raise ValueError("need at least one timing repetition")
-    scheme, ntp = SchemeSpec("gumbel", vocab_size=100), NtpModel()
-    rows: list[list[str]] = []
-    for n in n_list:
-        b = math.ceil(math.sqrt(n))
-        seg_len = math.ceil(n / 6)
-        config = SegmenterConfig(cert=calibrate_threshold(scheme, n, b, alpha))
-        times = []
-        for rep in range(reps):
-            rng_seed = mix(seed, TAG_BENCH, n, rep)
-            offset = int(np.random.Generator(np.random.PCG64(rng_seed)).integers(
-                1, n - seg_len + 2
-            ))
-            spec = StreamSpec(
-                n=n,
-                true_segments=Segments([(offset, offset + seg_len - 1)], n=n),
-                scheme=scheme,
-                ntp_model=ntp,
-                seed=rng_seed,
-            )
-            stream = generate_stream(spec)
-            start = time.perf_counter()
-            segment_series(stream.pivots, config)
-            times.append(time.perf_counter() - start)
-        lo, med, hi = np.quantile(times, [0.025, 0.5, 0.975])
-        rows.append([str(n), str(b), str(reps), repr(float(med)), repr(float(lo)), repr(float(hi))])
-    if out_path is not None:
-        write_csv(out_path, BENCH_COLUMNS, rows)
-    return rows
-
-
-def write_csv(path: str | Path, columns, rows: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)

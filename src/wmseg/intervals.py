@@ -61,9 +61,6 @@ class Segments:
     def to_pairs(self) -> list[list[int]]:
         return [[l, r] for l, r in self.intervals]
 
-    def shifted(self, offset: int) -> "Segments":
-        return Segments((l + offset, r + offset) for l, r in self.intervals)
-
 
 def interval_overlap(iv: Interval, segments: Segments) -> int:
     """Number of positions of ``iv`` covered by ``segments``."""

@@ -37,7 +37,6 @@ TAG_KEY = 0x01
 TAG_NTP = 0x02
 TAG_NULL_DRAW = 0x03
 TAG_REPLICATION = 0x05
-TAG_BENCH = 0x06
 
 # Context token used to derive the key of the first position (no predecessor).
 CONTEXT_SENTINEL = -1

@@ -158,10 +158,11 @@ def evaluate(
     )
 
 
-def report_csv(rows: list[list[str]]) -> str:
-    """Render evaluation rows (with the fixed column header) as CSV text."""
+def format_csv(columns, rows: list[list[str]]) -> str:
+    """A header of ``columns`` and the ``rows`` as CSV text, quoting any
+    cell that holds a comma, quote or newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EVAL_COLUMNS)
+    writer.writerow(columns)
     writer.writerows(rows)
     return buf.getvalue()

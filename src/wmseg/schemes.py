@@ -68,19 +68,10 @@ def check_tokens(tokens, vocab_size: int) -> None:
     Array pivots index key arrays with the tokens, and numpy would silently
     wrap a negative index, so this runs before any gather.
     """
-    if np.ndim(tokens) == 0:
-        if not 0 <= tokens < vocab_size:
-            raise IndexError(f"token {tokens} outside vocabulary of {vocab_size}")
-        return
     tokens = np.asarray(tokens)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
         bad = tokens[(tokens < 0) | (tokens >= vocab_size)][0]
         raise IndexError(f"token {bad} outside vocabulary of {vocab_size}")
-
-
-def _float_or_array(token, pivot):
-    """A float for a scalar token, a float array for an array of tokens."""
-    return float(pivot) if np.ndim(token) == 0 else pivot.astype(float, copy=False)
 
 
 def check_keys(data: dict, known, what: str, required=()) -> None:
@@ -369,7 +360,11 @@ SCHEME_IDS = tuple(SCHEMES)
 
 @dataclass(frozen=True)
 class PivotSeries:
-    """Per-token scored pivots with their null mean and scheme provenance."""
+    """Per-token scored pivots with their null mean and scheme provenance.
+
+    Scores must be finite: a NaN compares false against every threshold, so
+    it would read as "no watermark" instead of as a broken input.
+    """
 
     scores: np.ndarray
     null_mean: float
@@ -379,6 +374,8 @@ class PivotSeries:
         scores = np.asarray(self.scores, dtype=float)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError("scores must be a nonempty 1-D array")
+        if not np.isfinite(scores).all():
+            raise ValueError("scores must be finite (no NaN or infinity)")
         object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
@@ -431,11 +428,11 @@ class SchemeSpec:
     def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
         return self._scheme.decode(probs, key)
 
-    def pivot(self, token, key: PseudoKey):
-        """Pivot of one token (a float) or of a token array (an array) under
-        one key; tokens outside the vocabulary raise IndexError."""
+    def pivot(self, token: int, key: PseudoKey) -> float:
+        """Pivot of one token under one key; a token outside the vocabulary
+        raises IndexError."""
         check_tokens(token, self.vocab_size)
-        return _float_or_array(token, self._scheme.pivot(token, key))
+        return float(self._scheme.pivot(token, key))
 
     def score(self, y):
         return self._scheme.score(y)

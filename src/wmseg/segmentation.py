@@ -45,16 +45,13 @@ class SegmenterConfig:
             raise ValueError("gamma must lie in (0, 1/2)")
         if self.discard_c <= 0:
             raise ValueError("discard_c must be positive")
-        if self.pad != "auto" and (not isinstance(self.pad, int) or self.pad < 0):
+        # type() rather than isinstance(): bool is an int subclass, not a pad.
+        if self.pad != "auto" and (type(self.pad) is not int or self.pad < 0):
             raise ValueError("pad must be 'auto' or a nonnegative integer")
 
     @property
     def block_len(self) -> int:
         return self.cert.block_len
-
-    @property
-    def alpha(self) -> float:
-        return self.cert.alpha
 
     def resolved_pad(self, n: int) -> int:
         if self.pad == "auto":

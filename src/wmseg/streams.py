@@ -41,8 +41,8 @@ from .keys import (
     key_seeds,
     mix,
 )
-from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_tokens, inverse_cdf,
-                      read_fields, validate_probs)
+from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_keys, check_tokens,
+                      inverse_cdf, read_fields, validate_probs)
 
 NTP_KINDS = ("dirichlet", "zipf", "fixed")
 _REJECTION_LIMIT = 10_000
@@ -174,10 +174,6 @@ class Stream:
     tokens: np.ndarray
     keys: tuple[PseudoKey, ...]
     pivots: PivotSeries
-
-    @property
-    def watermarked_mask(self) -> np.ndarray:
-        return self.spec.true_segments.mask(self.spec.n)
 
 
 def generate_stream(spec: StreamSpec) -> Stream:
@@ -320,6 +316,10 @@ class StreamFile:
     scheme: SchemeSpec
 
 
+# Every key of a stream file's header record, each required on reading.
+_HEADER_KEYS = ("n", "scheme", "mu0", "seed", "true_segments", "scheme_params")
+
+
 def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
     spec = stream.spec
     header = {
@@ -346,13 +346,15 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
 
     The file must hold exactly ``n`` token records whose ``t`` values are
     1..n, each once; anything else raises ValueError instead of leaving
-    slots wrapped or unset. The series takes its null mean and scheme id
-    from ``scheme_params``; a header ``scheme`` or ``mu0`` that disagrees
-    with them raises ValueError.
+    slots wrapped or unset. The header must hold exactly the keys the writer
+    puts there; an unknown or missing one raises ValueError naming it. The
+    series takes its null mean and scheme id from ``scheme_params``; a
+    header ``scheme`` or ``mu0`` that disagrees with them raises ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         lines = [line for line in fh.read().splitlines() if line.strip()]
+    check_keys(header, _HEADER_KEYS, "stream header", required=_HEADER_KEYS)
     n = int(header["n"])
     if len(lines) != n:
         raise ValueError(f"{path}: header says n={n} but the file has {len(lines)} token records")

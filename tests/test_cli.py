@@ -189,3 +189,37 @@ def test_segment_names_a_missing_certificate_key(tmp_path, capsys):
     cert.write_text(json.dumps(data), encoding="utf-8")
     assert cli_main([*argv, "--out", str(tmp_path / "result.json")]) == 1
     assert "missing certificate key(s): 'b'" in capsys.readouterr().err
+
+
+def test_segment_rejects_nan_pivot_scores(tmp_path):
+    stream, cert, out = tmp_path / "stream.jsonl", tmp_path / "cert.json", tmp_path / "result.json"
+    assert cli_main(["generate", "--n", "400", "--segments", "100-300", "--seed", "2",
+                     "--out", str(stream)]) == 0
+    assert cli_main(["calibrate", "--n", "400", "--block-len", "20", "--out", str(cert)]) == 0
+    header, *lines = stream.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records[99:300]:
+        record["pivot_score"] = float("nan")
+    stream.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    argv = ["segment", "--stream", str(stream), "--cert", str(cert), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+
+
+def test_bench_is_not_a_command(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert cli_main(["bench", "--n-list", "1000", "--reps", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_evaluate_to_stdout_quotes_a_label_with_a_comma(tmp_path, capsys):
+    stream, result = tmp_path / "stream.jsonl", tmp_path / "result.json"
+    assert cli_main(["generate", "--n", "200", "--segments", "50-120", "--out", str(stream)]) == 0
+    result.write_text(json.dumps({"segments": [{"left": 60, "right": 110}]}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["evaluate", "--truth", str(stream), "--est", str(result),
+                     "--model-label", "llama,7b"]) == 0
+    header, row = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert tuple(header) == EVAL_COLUMNS
+    assert len(row) == len(EVAL_COLUMNS)
+    assert row[EVAL_COLUMNS.index("model")] == "llama,7b"

@@ -310,17 +310,17 @@ def _capped_random_probs(rng, vocab, delta):
 
 
 @pytest.mark.parametrize("scheme_id", ["gumbel", "inverse", "red_green"])
-def test_pivot_accepts_a_token_array(scheme_id):
+def test_pivot_scores_one_token_as_a_float(scheme_id):
     scheme = SchemeSpec(scheme_id, vocab_size=12)
     key = scheme.key_at(77)
-    tokens = np.array([3, 0, 11, 3, 7])
-    pivots = scheme.pivot(tokens, key)
-    assert pivots.dtype == float
-    assert pivots.tolist() == [scheme.pivot(int(t), key) for t in tokens]
-    assert type(scheme.pivot(np.int64(3), key)) is float
+    for token in (3, np.int64(3), np.asarray(3)):
+        pivot = scheme.pivot(token, key)
+        assert type(pivot) is float
+        assert pivot == scheme.pivot(3, key)
     for bad in (-1, 12):
-        with pytest.raises(IndexError, match=f"token {bad} outside"):
-            scheme.pivot(np.array([2, bad, 5]), key)
+        for token in (bad, np.int64(bad), np.asarray(bad)):
+            with pytest.raises(IndexError, match=f"token {bad} outside vocabulary of 12"):
+                scheme.pivot(token, key)
 
 
 @pytest.mark.parametrize("scheme_id", ["gumbel", "inverse", "red_green"])
@@ -365,6 +365,12 @@ def test_pivot_series_validation():
         PivotSeries(scores=np.empty(0), null_mean=1.0, scheme_id="gumbel")
     series = PivotSeries(scores=np.arange(4.0), null_mean=1.0, scheme_id="gumbel")
     assert series.n == 4 and len(series) == 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pivot_series_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PivotSeries(np.array([1.0, bad, 0.5]), 1.0, "gumbel")
 
 
 def test_scheme_spec_round_trip_and_null_means():

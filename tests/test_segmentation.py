@@ -288,6 +288,8 @@ class TestSegmentSeries:
             SegmenterConfig(cert=cert, gamma=0.6)
         with pytest.raises(ValueError):
             SegmenterConfig(cert=cert, pad=-1)
+        with pytest.raises(ValueError):
+            SegmenterConfig(cert=cert, pad=True)  # bool is an int, but not a pad
 
     def test_cert_mismatch_raises(self):
         cert = calibrate_threshold(GUMBEL, 100, 10, 0.05, mc_reps=2000, seed=1)

@@ -131,7 +131,7 @@ class TestGenerateStream:
         stream = generate_stream(spec)
         # Exp(1) scores: mean within 3 sigma / sqrt(n) of 1.
         assert abs(stream.pivots.scores.mean() - 1.0) < 3.0 / math.sqrt(2000)
-        assert stream.watermarked_mask.sum() == 0
+        assert spec.true_segments.mask(spec.n).sum() == 0
 
     def test_fully_watermarked_stream_mean(self):
         spec = make_spec(n=1500, segments=[(1, 1500)], seed=4)
@@ -139,7 +139,7 @@ class TestGenerateStream:
         scores = stream.pivots.scores
         floor = 1.0 + gumbel_separation_lower_bound(0.5)
         assert scores.mean() >= floor - 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
-        assert stream.watermarked_mask.sum() == 1500
+        assert spec.true_segments.mask(spec.n).sum() == 1500
 
     def test_replays_are_bit_identical(self):
         spec = make_spec(n=120, segments=[(30, 80)], seed=5)
@@ -153,9 +153,10 @@ class TestGenerateStream:
         segments = [(10, 25), (60, 70)]
         spec = make_spec(n=100, segments=segments, seed=6)
         stream = generate_stream(spec)
-        assert stream.watermarked_mask.sum() == Segments(segments).union_size
-        inside = stream.pivots.scores[stream.watermarked_mask]
-        outside = stream.pivots.scores[~stream.watermarked_mask]
+        mask = spec.true_segments.mask(spec.n)
+        assert mask.sum() == Segments(segments).union_size
+        inside = stream.pivots.scores[mask]
+        outside = stream.pivots.scores[~mask]
         assert inside.mean() > outside.mean()
 
     def test_pivots_match_verifier_scoring(self):
@@ -172,7 +173,7 @@ class TestGenerateStream:
         ):
             spec = make_spec(n=200, segments=[(50, 150)], seed=8, scheme=scheme)
             stream = generate_stream(spec)
-            inside = stream.pivots.scores[stream.watermarked_mask]
+            inside = stream.pivots.scores[spec.true_segments.mask(spec.n)]
             assert inside.mean() > scheme.null_mean
 
     def test_segments_must_fit_the_stream(self):
@@ -297,7 +298,7 @@ class TestStreamJsonl:
         write_stream_jsonl(path, generate_stream(spec))
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
-        assert set(header) >= {"n", "scheme", "mu0", "seed", "true_segments"}
+        assert set(header) == {"n", "scheme", "mu0", "seed", "true_segments", "scheme_params"}
         assert header["n"] == 5
         assert header["scheme"] == "gumbel"
         record = json.loads(lines[1])
@@ -357,6 +358,19 @@ class TestStreamJsonl:
         header, *body = path.read_text().splitlines()
         path.write_text("\n".join([json.dumps({**json.loads(header), **fields}), *body]) + "\n")
         return path
+
+    def test_unknown_header_key_is_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, GUMBEL, {"mu_0": 1.0})
+        with pytest.raises(ValueError, match="unknown stream header key\\(s\\): 'mu_0'"):
+            read_stream_jsonl(path)
+
+    def test_missing_header_key_is_named(self, tmp_path):
+        path, header, records = self._records(tmp_path)
+        header = json.loads(header)
+        del header["n"]
+        self._write(path, json.dumps(header), records)
+        with pytest.raises(ValueError, match="missing stream header key\\(s\\): 'n'"):
+            read_stream_jsonl(path)
 
     def test_stale_mu0_is_rejected(self, tmp_path):
         # Inverse files written before the exact null mean carry mu0 = 2/3;

@@ -5,9 +5,13 @@ sets only scheme gumbel, vocab size 100, generate seed 0 and the model label).
 A ``--config`` JSON file may set any option of its command by name (flags
 win); for ``experiment`` it is the plan itself, plus an optional ``out``.
 
+``segment`` rescores the stream's tokens under its seed and scheme and
+rejects a file whose stored ``pivot_score`` values differ from them.
+
 Exit codes: 0 success, 1 validation error (bad arguments, unknown config or
 plan keys, or inconsistent inputs such as a certificate built for another
-null law than the stream's), 2 I/O error (missing or unreadable files).
+null law than the stream's, or stored scores that its tokens do not give),
+2 I/O error (missing or unreadable files).
 """
 
 from __future__ import annotations
@@ -17,13 +21,20 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .calibration import CertMismatch, ThresholdCert, calibrate_threshold
 from .harness import ExperimentPlan, run_experiment
 from .intervals import Segments
 from .metrics import EVAL_COLUMNS, evaluate, format_csv
 from .schemes import SchemeSpec, check_keys
 from .segmentation import SegmenterConfig, segment_series
-from .streams import NtpModel, StreamSpec, generate_stream, read_stream_jsonl, write_stream_jsonl
+from .streams import (NtpModel, StreamSpec, generate_stream, read_stream_jsonl, score_tokens,
+                      write_stream_jsonl)
+
+# The keys of ``SegmentationResult.to_json``, as ``evaluate`` reads them.
+_RESULT_KEYS = ("k_hat", "segments", "d_tilde", "trace")
+_SEGMENT_KEYS = ("left", "right")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -159,7 +170,16 @@ def _cmd_calibrate(opts: _Options) -> int:
 
 
 def _cmd_segment(opts: _Options) -> int:
-    stream = read_stream_jsonl(opts.require("stream"))
+    path = opts.require("stream")
+    stream = read_stream_jsonl(path)
+    stored = stream.series.scores
+    rescored = score_tokens(stream.tokens, stream.seed, stream.scheme).scores
+    differ = np.flatnonzero(stored != rescored)
+    if differ.size:
+        i = int(differ[0])
+        raise ValueError(f"{path}: stored pivot_score {float(stored[i])!r} at t={i + 1} differs "
+                         f"from {float(rescored[i])!r}, the score of its token under the "
+                         f"stream's seed and scheme")
     cert = ThresholdCert.load(opts.require("cert"))
     law = SchemeSpec.from_json(cert.scheme_params)
     if (law.scheme_id, law.null_mean) != (stream.scheme.scheme_id, stream.scheme.null_mean):
@@ -181,6 +201,9 @@ def _cmd_segment(opts: _Options) -> int:
 def _cmd_evaluate(opts: _Options) -> int:
     stream = read_stream_jsonl(opts.require("truth"))
     est_data = json.loads(Path(opts.require("est")).read_text(encoding="utf-8"))
+    check_keys(est_data, _RESULT_KEYS, "result", required=("segments",))
+    for seg in est_data["segments"]:
+        check_keys(seg, _SEGMENT_KEYS, "result segment", required=_SEGMENT_KEYS)
     estimate = Segments(
         [(seg["left"], seg["right"]) for seg in est_data["segments"]], n=stream.series.n
     )
@@ -239,7 +262,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

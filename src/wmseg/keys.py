@@ -1,29 +1,34 @@
-"""Deterministic seed derivation and RNG plumbing.
+"""Deterministic seed derivation and key material.
 
 All randomness in the package flows from 64-bit seeds mixed with splitmix64,
 so every run is exactly reproducible and verifier-side key reconstruction
-only needs the token sequence and the master seed.
+only needs the token sequence and the master seed. ``key_seed`` gives the
+seed of a position's key; ``key_seeds`` is the same over an array of
+contexts.
 
-A key is drawn from ``generator(seed)``, numpy's PCG64 seeded through a
-SeedSequence. The counter layer below reproduces that generator from arrays
-of seeds, bit for bit, without building one object per seed:
+Each scheme turns a key seed into key material in one of two ways, and both
+have an array form that scores a whole stream with no generator built:
 
-* ``key_seeds`` is ``key_seed`` over an array of contexts;
-* ``pcg64_states`` is numpy's seeding of ``PCG64(seed)`` (SeedSequence
-  hashing, pool mixing, ``generate_state(4, uint64)`` and ``srandom``) for
-  every seed at once, as 128-bit (state, inc) pairs in hi/lo uint64 arrays;
-* ``uniform_open_at`` is coordinate ``index`` of ``uniform_open(generator(seed),
-  size)``: a jump of ``index + 1`` LCG steps, then PCG64's XSL-RR output;
-* ``generators`` yields one generator re-seeded in place per seed, for keys
-  that need numpy's own draws (permutations).
-
-So the verifier scores gumbel streams with no generator and no length-V key,
-and inverse and red_green streams with one generator for all contexts.
+* Gumbel keys are ``uniform_open(generator(seed), V)``, numpy's PCG64 seeded
+  through a SeedSequence. ``pcg64_states`` reproduces numpy's seeding of
+  ``PCG64(seed)`` (SeedSequence hashing, pool mixing,
+  ``generate_state(4, uint64)`` and ``srandom``) for every seed at once, as
+  128-bit (state, inc) pairs in hi/lo uint64 arrays, and ``uniform_open_at``
+  reads coordinate ``index`` of the key from it: a jump of ``index + 1``
+  LCG steps, then PCG64's XSL-RR output, bit for bit.
+* Inverse and red_green keys are a uniform ``u`` and a keyed affine
+  permutation of the vocabulary: token w has rank ``(a*w + c) mod V``, with
+  ``a`` a unit mod V. ``affine_key`` derives (u, a, c) from keyed splitmix64
+  hashes of the seed and ``affine_keys`` does the same over an array of
+  seeds. ``c`` is the high word of a 64x64-bit product, so it is uniform
+  on 0..V-1 to within 2^-64 per value, and so is the rank of any fixed
+  token, whatever ``a``. A pivot's null law, which depends on one token's
+  rank alone, is thus that of a uniformly drawn permutation.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import functools
 
 import numpy as np
 
@@ -187,24 +192,28 @@ def pcg64_states(seeds) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return state[0], state[1], inc[0], inc[1]
 
 
-def _pcg64_jumps(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Jump-ahead constants (A_k hi, A_k lo, G_k hi, G_k lo) for k < count.
+@functools.lru_cache(maxsize=None)
+def _pcg64_jumps(bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Jump-ahead constants (A_k hi, A_k lo, G_k hi, G_k lo) for k < 2^bits.
 
     k steps of PCG64's LCG take a state S with increment c to
     A_k S + G_k c, where A_k = MULT^k and G_k = sum over i < k of MULT^i
     (mod 2^128). The table doubles in length each round, since
-    A_{m+k} = A_m A_k and G_{m+k} = A_m G_k + G_m.
+    A_{m+k} = A_m A_k and G_{m+k} = A_m G_k + G_m. Tables are kept per
+    power-of-two length and are read-only, since every caller shares them.
     """
     a = [np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64)]  # A_0 = 1
     g = [np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64)]  # G_0 = 0
     step_a, step_g = _PCG_MULT, 1  # A_m and G_m for the current length m
-    while a[0].size < count:
+    for _ in range(bits):
         shifted_a = _mul128(a, _split128(step_a))
         shifted_g = _add128(_mul128(g, _split128(step_a)), _split128(step_g))
         a = [np.concatenate(pair) for pair in zip(a, shifted_a)]
         g = [np.concatenate(pair) for pair in zip(g, shifted_g)]
         step_a, step_g = step_a * step_a & _MASK128, (step_a * step_g + step_g) & _MASK128
-    return a[0][:count], a[1][:count], g[0][:count], g[1][:count]
+    for part in (*a, *g):
+        part.flags.writeable = False
+    return a[0], a[1], g[0], g[1]
 
 
 def uniform_open_at(seeds, index) -> np.ndarray:
@@ -217,7 +226,8 @@ def uniform_open_at(seeds, index) -> np.ndarray:
     53 bits.
     """
     index = np.asarray(index, dtype=np.int64)
-    jumps = _pcg64_jumps(int(index.max(initial=0)) + 2)
+    # The table must reach index.max() + 1 steps.
+    jumps = _pcg64_jumps((int(index.max(initial=0)) + 1).bit_length())
     state_hi, state_lo, inc_hi, inc_lo = pcg64_states(seeds)
     steps = index + 1
     a = jumps[0][steps], jumps[1][steps]
@@ -237,20 +247,34 @@ def group_by_seed(seeds: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     return distinct, np.split(order, np.cumsum(np.bincount(group))[:-1])
 
 
-def generators(seeds) -> Iterator[np.random.Generator]:
-    """For each seed in turn, a generator in the state of ``generator(seed)``.
+# ---------------------------------------------------------------------------
+# Keyed affine permutations of the vocabulary
+# ---------------------------------------------------------------------------
 
-    It is one generator re-seeded in place (setting a state costs far less
-    than building ``PCG64(seed)``), so finish with each before the next.
-    """
-    state_hi, state_lo, inc_hi, inc_lo = (part.tolist() for part in pcg64_states(seeds))
-    rng = generator(0)
-    bit_generator = rng.bit_generator
-    for s_hi, s_lo, c_hi, c_lo in zip(state_hi, state_lo, inc_hi, inc_lo):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": s_hi << 64 | s_lo, "inc": c_hi << 64 | c_lo},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+# splitmix64 of the tags t = 1, 2, 3 that key the hashes of u, c and a.
+_AFFINE_TAGS = tuple(splitmix64(tag) for tag in (1, 2, 3))
+
+
+def units_mod(vocab_size: int) -> np.ndarray:
+    """The residues in 0..V-1 coprime to V, ascending: the multipliers a for
+    which w -> (a*w + c) mod V is a permutation."""
+    residues = np.arange(vocab_size, dtype=np.int64)
+    return residues[np.gcd(residues, vocab_size) == 1]
+
+
+def affine_key(seed: int, vocab_size: int, units: np.ndarray) -> tuple[float, int, int]:
+    """The (u, a, c) of a key seed: u = ((h_1 >> 11) + 0.5) 2^-53,
+    c = floor(h_2 V / 2^64) and a = units[floor(h_3 |units| / 2^64)], where
+    h_t = splitmix64(seed ^ splitmix64(t)) and ``units = units_mod(V)``."""
+    h_u, h_c, h_a = (splitmix64(seed ^ tag) for tag in _AFFINE_TAGS)
+    u = ((h_u >> 11) + 0.5) * 2.0**-53
+    return u, int(units[h_a * units.size >> 64]), h_c * vocab_size >> 64
+
+
+def affine_keys(seeds, vocab_size: int, units: np.ndarray):
+    """``affine_key`` of each seed in a uint64 array, as (u, a, c) arrays."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    h_u, h_c, h_a = (splitmix64_array(seeds ^ np.uint64(tag)) for tag in _AFFINE_TAGS)
+    u = ((h_u >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    a = units[_mulhi64(h_a, np.uint64(units.size)).astype(np.int64)]
+    return u, a, _mulhi64(h_c, np.uint64(vocab_size)).astype(np.int64)

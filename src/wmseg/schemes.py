@@ -3,10 +3,10 @@
 A scheme couples a token choice to a pseudo-random key so that, on
 unwatermarked positions (token independent of key), the scored pivot
 follows a fixed null law, while on watermarked positions its mean is
-elevated. Each scheme class holds its key (drawn from a given generator),
-how the pivots of a token array come from per-position key seeds, its
-decoder, pivot, score, a sampler for the score's null law, the CDF of a sum
-of k null scores, and the exact mean of that same law:
+elevated. Each scheme class holds its key (derived from a 64-bit key
+seed), how the pivots of a token array come from per-position key seeds in
+array operations, its decoder, pivot, score, a sampler for the score's null
+law, the CDF of a sum of k null scores, and the exact mean of that same law:
 
 * ``Gumbel``    — exponential-race decoder ``argmax_w log(U_w)/P_w``; the
                   pivot is the winning coordinate ``U_token`` (Uniform(0,1)
@@ -21,6 +21,15 @@ of k null scores, and the exact mean of that same law:
                   tokens; the pivot is the green-membership indicator,
                   Bernoulli(|G|/V) under the null; the score is identity,
                   so a block of k null scores sums to a Binomial(k, |G|/V).
+
+A gumbel key is V uniforms drawn from PCG64 seeded with the key seed. An
+inverse or red_green key is a uniform ``u`` and a keyed affine permutation:
+token w has rank ``(a*w + c) mod V``, where ``u``, the unit ``a`` and the
+shift ``c`` come from splitmix64 hashes of the seed (``keys.affine_key``).
+Inverse decodes through the ranks and red_green's green subset is the
+tokens of rank below ``floor(green_frac * V)``. Under the null a token's
+rank is uniform on 0..V-1 to within 2^-64, as under a uniformly drawn
+permutation, so the null laws above hold.
 
 ``SchemeSpec`` is the scheme as named on the wire (id plus parameters) and
 forwards every operation to its scheme's class. Decoders are deterministic
@@ -37,7 +46,7 @@ from typing import Union
 import numpy as np
 from scipy.special import bdtr, gammainc
 
-from .keys import generator, generators, group_by_seed, uniform_open, uniform_open_at
+from .keys import affine_key, affine_keys, generator, uniform_open, uniform_open_at, units_mod
 
 # Lattice step h onto which Inverse.block_sum_cdf rounds each null score up.
 INVERSE_STEP = 2.0 ** -11
@@ -145,11 +154,12 @@ PseudoKey = Union[GumbelKey, InverseKey, RedGreenKey]
 class _Scheme:
     """What every scheme class provides, for one validated ``SchemeSpec``.
 
-    ``key(rng)`` draws a key from a generator in the state of
-    ``generator(seed)``; ``pivot`` takes a token or a token array already
-    bounds-checked by the caller; ``block_sum_cdf(k)`` returns the CDF of a
-    sum of k null scores; ``params`` names the ``SchemeSpec`` fields the
-    scheme reads beyond the vocabulary size.
+    ``key(seed)`` derives the key of a 64-bit key seed; ``pivots(tokens,
+    seeds)`` is ``pivot(tokens[i], key(seeds[i]))`` for every position, in
+    array operations with no key built; ``pivot`` takes a token or a token
+    array already bounds-checked by the caller; ``block_sum_cdf(k)`` returns
+    the CDF of a sum of k null scores; ``params`` names the ``SchemeSpec``
+    fields the scheme reads beyond the vocabulary size.
     """
 
     params: tuple[str, ...] = ()
@@ -158,24 +168,32 @@ class _Scheme:
     def __init__(self, spec: "SchemeSpec"):
         self.vocab_size = spec.vocab_size
 
-    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """Pivot of each token under the key of the seed at its position.
 
-        Each distinct seed's key is drawn once, from one generator re-seeded
-        in place, and its positions are gathered with one array index.
-        """
-        out = np.empty(tokens.size, dtype=float)
-        distinct, positions = group_by_seed(seeds)
-        for rng, at in zip(generators(distinct), positions):
-            out[at] = self.pivot(tokens[at], self.key(rng))
-        return out
+class _AffineKeyed(_Scheme):
+    """A scheme whose key is a uniform ``u`` and a keyed affine permutation
+    of the vocabulary: token w has rank ``(a*w + c) mod V`` (``keys.affine_key``).
+    """
+
+    def __init__(self, spec: "SchemeSpec"):
+        super().__init__(spec)
+        self.units = units_mod(self.vocab_size)
+
+    def _key(self, seed: int) -> tuple[float, np.ndarray]:
+        """The key uniform and the rank of every token."""
+        u, a, c = affine_key(seed, self.vocab_size, self.units)
+        return u, (a * np.arange(self.vocab_size) + c) % self.vocab_size
+
+    def _ranks(self, tokens: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The key uniform at each position and the rank of its token."""
+        u, a, c = affine_keys(seeds, self.vocab_size, self.units)
+        return u, (a * tokens + c) % self.vocab_size
 
 
 class Gumbel(_Scheme):
     null_mean = 1.0
 
-    def key(self, rng: np.random.Generator) -> GumbelKey:
-        return GumbelKey(uniforms=uniform_open(rng, self.vocab_size))
+    def key(self, seed: int) -> GumbelKey:
+        return GumbelKey(uniforms=uniform_open(generator(seed), self.vocab_size))
 
     @staticmethod
     def pivots(tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -224,16 +242,20 @@ class Gumbel(_Scheme):
         return lambda q: float(gammainc(k, q)) if q > 0 else 0.0
 
 
-class Inverse(_Scheme):
+class Inverse(_AffineKeyed):
     def __init__(self, spec: "SchemeSpec"):
         super().__init__(spec)
         # E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2, averaged over g = k/(V-1).
         v = self.vocab_size
         self.null_mean = 1.0 - (2 * v - 1) / (6.0 * (v - 1))
 
-    def key(self, rng: np.random.Generator) -> InverseKey:
-        u = float(uniform_open(rng))
-        return InverseKey(u=u, perm=rng.permutation(self.vocab_size))
+    def key(self, seed: int) -> InverseKey:
+        u, perm = self._key(seed)
+        return InverseKey(u=u, perm=perm)
+
+    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        u, rank = self._ranks(tokens, seeds)
+        return np.abs(u - rank / (self.vocab_size - 1))
 
     @staticmethod
     def decode(probs: np.ndarray, key: InverseKey) -> int:
@@ -301,7 +323,7 @@ class Inverse(_Scheme):
         return cdf
 
 
-class RedGreen(_Scheme):
+class RedGreen(_AffineKeyed):
     params = ("green_frac", "bias")
 
     def __init__(self, spec: "SchemeSpec"):
@@ -316,10 +338,13 @@ class RedGreen(_Scheme):
         self.green_weight = math.exp(spec.bias)
         self.null_mean = self.n_green / self.vocab_size
 
-    def key(self, rng: np.random.Generator) -> RedGreenKey:
-        green = np.zeros(self.vocab_size, dtype=bool)
-        green[rng.permutation(self.vocab_size)[: self.n_green]] = True
-        return RedGreenKey(green=green, u=float(uniform_open(rng)))
+    def key(self, seed: int) -> RedGreenKey:
+        """The green subset is the ``n_green`` tokens of lowest rank."""
+        u, perm = self._key(seed)
+        return RedGreenKey(green=perm < self.n_green, u=u)
+
+    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        return self._ranks(tokens, seeds)[1] < self.n_green
 
     def decode(self, probs: np.ndarray, key: RedGreenKey) -> int:
         """Sample from the NTP re-weighted by exp(bias) on the green subset.
@@ -418,7 +443,7 @@ class SchemeSpec:
         return self._scheme.null_mean
 
     def key_at(self, seed: int) -> PseudoKey:
-        return self._scheme.key(generator(seed))
+        return self._scheme.key(seed)
 
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         """Pivots of a bounds-checked token array, each under the key of the

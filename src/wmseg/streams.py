@@ -11,13 +11,12 @@ A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
 Generation derives each key once per distinct context, to decode with it;
 positions that share a context share one key object. The verifier calls no
-``SchemeSpec.key_at``: ``score_tokens`` derives every position's key seed in
-one array pass and lets the scheme read its pivots through the counter layer
-of ``keys``. For gumbel it builds no length-V key and no generator: each
-token's coordinate comes from PCG64 jump-ahead. Inverse and red_green still
-draw their (u, permutation of V) once per distinct context, from one
-re-seeded generator. Generation scores through ``score_tokens`` too, so
-both give the same bits.
+``SchemeSpec.key_at`` and builds no key and no generator, for any scheme:
+``score_tokens`` derives every position's key seed in one array pass and
+the scheme reads its pivots from the seeds through ``keys``, by PCG64
+jump-ahead for gumbel and by keyed affine ranks for inverse and red_green.
+Generation scores through ``score_tokens`` too, so it draws no key twice
+and both give the same bits.
 """
 
 from __future__ import annotations

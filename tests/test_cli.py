@@ -206,6 +206,43 @@ def test_segment_rejects_nan_pivot_scores(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"pivot_score": 4.0}, "stored pivot_score 4.0 at t=1 differs"),
+    ({"token": 100}, "token 100 outside vocabulary of 100"),
+], ids=["forged-scores", "token-outside-vocabulary"])
+def test_segment_rescores_the_stored_tokens(edit, message, tmp_path, capsys):
+    stream, cert, out = tmp_path / "stream.jsonl", tmp_path / "cert.json", tmp_path / "result.json"
+    assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0
+    assert cli_main(["calibrate", "--n", "300", "--block-len", "20", "--out", str(cert)]) == 0
+    argv = ["segment", "--stream", str(stream), "--cert", str(cert), "--out", str(out)]
+    assert cli_main(argv) == 0
+    out.unlink()
+    header, *lines = stream.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records[:100]:
+        record.update(edit)
+    stream.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("estimate, message", [
+    ({"k_hat": 1}, "missing result key(s): 'segments'"),
+    ({"segments": [{"left": 60, "rigth": 110}]}, "unknown result segment key(s): 'rigth'"),
+], ids=["no-segments", "misspelled-segment-key"])
+def test_evaluate_names_a_missing_or_unknown_result_key(estimate, message, tmp_path, capsys):
+    stream, result, out = tmp_path / "stream.jsonl", tmp_path / "result.json", tmp_path / "eval.csv"
+    assert cli_main(["generate", "--n", "200", "--segments", "50-120", "--out", str(stream)]) == 0
+    result.write_text(json.dumps(estimate), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["evaluate", "--truth", str(stream), "--est", str(result), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_bench_is_not_a_command(tmp_path):
     out = tmp_path / "bench.csv"
     assert cli_main(["bench", "--n-list", "1000", "--reps", "1", "--out", str(out)]) == 1

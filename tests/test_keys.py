@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import stats
 
 from wmseg.keys import (
     CONTEXT_SENTINEL,
+    affine_key,
+    affine_keys,
     generator,
-    generators,
     group_by_seed,
     key_seed,
     key_seeds,
@@ -15,7 +19,9 @@ from wmseg.keys import (
     splitmix64,
     uniform_open,
     uniform_open_at,
+    units_mod,
 )
+from wmseg.schemes import SchemeSpec
 
 # The counter layer does wrapping uint64/uint32 arithmetic; a numpy overflow
 # warning would mean an operation ran on scalars and may not have wrapped.
@@ -104,18 +110,46 @@ def test_uniform_open_at_equals_the_coordinate_of_uniform_open(vocab):
     assert np.array_equal(uniform_open_at(np.array(seeds, dtype=np.uint64), index), expected)
 
 
-def test_generators_replay_fresh_generators_in_turn():
-    # Three uint32 draws leave half a 64-bit word buffered; re-seeding the
-    # shared generator must drop it, as a fresh one starts without it.
-    for seed, rng in zip(EDGE_SEEDS, generators(EDGE_SEEDS)):
-        fresh = generator(seed)
-        for draw in (lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
-                     lambda g: uniform_open(g), lambda g: g.permutation(50)):
-            assert np.array_equal(draw(rng), draw(fresh))
-
-
 def test_group_by_seed_lists_the_positions_of_each_distinct_seed():
     seeds = np.array([7, 3, 7, 9, 3, 7], dtype=np.uint64)
     distinct, positions = group_by_seed(seeds)
     assert distinct.tolist() == [3, 7, 9]
     assert [p.tolist() for p in positions] == [[1, 4], [0, 2, 5], [3]]
+
+
+AFFINE_VOCABS = (2, 3, 20, 997, 1000, 1024)
+
+
+@pytest.mark.parametrize("vocab", AFFINE_VOCABS)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_affine_keys_permute_the_vocabulary(vocab, seed):
+    u, a, c = affine_key(seed, vocab, units_mod(vocab))
+    assert 0.0 < u <= 1.0 and 0 <= c < vocab
+    assert math.gcd(a, vocab) == 1
+    perm = SchemeSpec("inverse", vocab).key_at(seed).perm
+    assert np.array_equal(np.sort(perm), np.arange(vocab))
+    red_green = SchemeSpec("red_green", vocab, green_frac=0.5)
+    assert np.count_nonzero(red_green.key_at(seed).green) == vocab // 2
+
+
+def test_units_mod_are_the_residues_coprime_to_v():
+    for vocab in AFFINE_VOCABS:
+        expected = [r for r in range(vocab) if math.gcd(r, vocab) == 1]
+        assert units_mod(vocab).tolist() == expected
+
+
+@pytest.mark.parametrize("vocab", (20, 1000))
+def test_a_fixed_tokens_affine_rank_is_uniform(vocab):
+    token = 7
+    _, a, c = affine_keys(np.arange(20_000, dtype=np.uint64), vocab, units_mod(vocab))
+    counts = np.bincount((a * token + c) % vocab, minlength=vocab)
+    assert stats.chisquare(counts).pvalue > 0.01
+
+
+@pytest.mark.parametrize("vocab", AFFINE_VOCABS)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_affine_key_equals_affine_keys(vocab, seeds):
+    seeds = [*EDGE_SEEDS, *seeds]
+    units = units_mod(vocab)
+    u, a, c = affine_keys(np.array(seeds, dtype=np.uint64), vocab, units)
+    assert [affine_key(seed, vocab, units) for seed in seeds] == list(zip(u, a, c))

@@ -22,14 +22,16 @@ law, the CDF of a sum of k null scores, and the exact mean of that same law:
                   Bernoulli(|G|/V) under the null; the score is identity,
                   so a block of k null scores sums to a Binomial(k, |G|/V).
 
-A gumbel key is V uniforms drawn from PCG64 seeded with the key seed. An
-inverse or red_green key is a uniform ``u`` and a keyed affine permutation:
-token w has rank ``(a*w + c) mod V``, where ``u``, the unit ``a`` and the
-shift ``c`` come from splitmix64 hashes of the seed (``keys.affine_key``).
-Inverse decodes through the ranks and red_green's green subset is the
-tokens of rank below ``floor(green_frac * V)``. Under the null a token's
-rank is uniform on 0..V-1 to within 2^-64, as under a uniformly drawn
-permutation, so the null laws above hold.
+Every key is read from keyed splitmix64 hashes of its 64-bit key seed
+(``keys``). A gumbel key is V uniforms, coordinate w hashed under its own
+tag, so a token drawn independently of the key reads a Uniform(0,1)
+coordinate. An inverse or red_green key is a uniform ``u`` and a keyed
+affine permutation: token w has rank ``(a*w + c) mod V``, where ``u``, the
+unit ``a`` and the shift ``c`` come from three more hashes
+(``keys.affine_key``). Inverse decodes through the ranks and red_green's
+green subset is the tokens of rank below ``floor(green_frac * V)``. Under
+the null a token's rank is uniform on 0..V-1 to within 2^-64, as under a
+uniformly drawn permutation, so the null laws above hold.
 
 ``SchemeSpec`` is the scheme as named on the wire (id plus parameters) and
 forwards every operation to its scheme's class. Decoders are deterministic
@@ -46,7 +48,7 @@ from typing import Union
 import numpy as np
 from scipy.special import bdtr, gammainc
 
-from .keys import affine_key, affine_keys, generator, uniform_open, uniform_open_at, units_mod
+from .keys import affine_key, affine_keys, coordinate_tags, splitmix64_array, unit, units_mod
 
 # Lattice step h onto which Inverse.block_sum_cdf rounds each null score up.
 INVERSE_STEP = 2.0 ** -11
@@ -190,16 +192,21 @@ class _AffineKeyed(_Scheme):
 
 
 class Gumbel(_Scheme):
+    """Coordinate w of a key is ``unit(splitmix64(seed ^ tags[w]))`` over the
+    hashed coordinate tags ``keys.coordinate_tags(V)``."""
+
     null_mean = 1.0
 
-    def key(self, seed: int) -> GumbelKey:
-        return GumbelKey(uniforms=uniform_open(generator(seed), self.vocab_size))
+    def __init__(self, spec: "SchemeSpec"):
+        super().__init__(spec)
+        self.tags = coordinate_tags(self.vocab_size)
 
-    @staticmethod
-    def pivots(tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """Coordinate ``token`` of each seed's key, by counter: no key and no
-        generator is built."""
-        return uniform_open_at(seeds, tokens)
+    def key(self, seed: int) -> GumbelKey:
+        return GumbelKey(uniforms=unit(splitmix64_array(np.uint64(seed) ^ self.tags)))
+
+    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+        """Coordinate ``token`` of each seed's key: one hash per position."""
+        return unit(splitmix64_array(seeds ^ self.tags[tokens]))
 
     @staticmethod
     def decode(probs: np.ndarray, key: GumbelKey) -> int:

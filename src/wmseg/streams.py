@@ -13,10 +13,9 @@ Generation derives each key once per distinct context, to decode with it;
 positions that share a context share one key object. The verifier calls no
 ``SchemeSpec.key_at`` and builds no key and no generator, for any scheme:
 ``score_tokens`` derives every position's key seed in one array pass and
-the scheme reads its pivots from the seeds through ``keys``, by PCG64
-jump-ahead for gumbel and by keyed affine ranks for inverse and red_green.
-Generation scores through ``score_tokens`` too, so it draws no key twice
-and both give the same bits.
+the scheme reads its pivots from the seeds through the keyed hashes of
+``keys``, one per position. Generation scores through ``score_tokens`` too,
+so it draws no key twice and both give the same bits.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .keys import (
     TAG_NTP,
     TAG_NULL_DRAW,
     generator,
-    group_by_seed,
     key_seed,
     key_seeds,
     mix,
@@ -213,25 +211,6 @@ def _key_seeds(tokens: np.ndarray, master_seed: int) -> np.ndarray:
     if tokens.size == 0:
         raise ValueError("token sequence is empty")
     return key_seeds(master_seed, np.concatenate(([CONTEXT_SENTINEL], tokens[:-1])))
-
-
-def reconstruct_keys(
-    tokens: Sequence[int], master_seed: int, scheme: SchemeSpec
-) -> tuple[PseudoKey, ...]:
-    """Re-derive the per-position keys from tokens and the master seed.
-
-    This is the verifier's view: composing it with ``generate_stream`` gives
-    back the generator's key sequence exactly. Keys are derived once per
-    distinct context, and positions that share a context share the key
-    object.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    keys: list[PseudoKey | None] = [None] * tokens.size
-    for seed, positions in zip(*group_by_seed(_key_seeds(tokens, master_seed))):
-        key = scheme.key_at(int(seed))
-        for i in positions.tolist():
-            keys[i] = key
-    return tuple(keys)
 
 
 def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) -> PivotSeries:

@@ -1,4 +1,5 @@
-"""Closed forms of the schemes' laws that only the tests compare against."""
+"""Closed forms of the schemes' laws that only the tests compare against,
+and the open-interval uniform draws of their Monte Carlo checks."""
 
 import math
 
@@ -6,6 +7,12 @@ import numpy as np
 from scipy.special import digamma
 
 from wmseg.schemes import validate_probs
+
+
+def uniform_open(rng: np.random.Generator, size=None):
+    """Uniform draws strictly inside (0, 1), on the half-shifted 2^52 grid
+    of ``keys.unit``, so logs stay finite."""
+    return (rng.integers(0, 1 << 52, size=size) + 0.5) * 2.0**-52
 
 
 def gumbel_watermarked_score_mean(probs: np.ndarray) -> float:

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmseg import keys, schemes, streams
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, key_seed
 from wmseg.schemes import SCHEME_IDS, SchemeSpec
@@ -24,7 +23,6 @@ from wmseg.streams import (
     Substitution,
     apply_edits,
     generate_stream,
-    reconstruct_keys,
     score_tokens,
 )
 
@@ -70,84 +68,88 @@ def test_score_tokens_matches_the_per_position_definition(case):
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
 def test_reconstructed_keys_match_per_position_keys(scheme_id):
-    scheme = SchemeSpec(scheme_id, 20)
-    tokens = np.random.default_rng(1).integers(0, 20, 300)
-    prevs = [CONTEXT_SENTINEL, *tokens[:-1].tolist()]
-    for key, prev in zip(reconstruct_keys(tokens, 9, scheme), prevs):
-        expected = scheme.key_at(key_seed(9, prev))
+    """The keys generation shares per context are those a verifier
+    reconstructs per position from the tokens and the master seed."""
+    spec = StreamSpec(300, Segments([(50, 250)], n=300), SchemeSpec(scheme_id, 20), NtpModel(), 9)
+    stream = generate_stream(spec)
+    prevs = [CONTEXT_SENTINEL, *stream.tokens[:-1].tolist()]
+    for key, prev in zip(stream.keys, prevs):
+        expected = spec.scheme.key_at(key_seed(spec.seed, prev))
         for name, value in vars(expected).items():
             assert np.array_equal(getattr(key, name), value)
 
 
 # ---------------------------------------------------------------------------
-# Golden outputs of generate_stream, computed with per-position key
-# derivation: SHA-256 of tokens, of pivots.scores and of every position's key
-# arrays (int64 / float64 / bool bytes). They pin numpy's PCG64, Dirichlet and
-# permutation bit streams as well as this package's key scheme: PCG64 draws
-# for gumbel keys, keyed affine permutations for inverse and red_green keys.
+# Golden outputs of generate_stream: SHA-256 of tokens, of pivots.scores and
+# of every position's key arrays (int64 / float64 / bool bytes). They pin
+# numpy's PCG64, Dirichlet and permutation bit streams, which draw the NTPs
+# and the unwatermarked tokens, as well as this package's keys: keyed
+# splitmix64 hashes per coordinate for gumbel, keyed affine permutations for
+# inverse and red_green, and every key uniform on the 2^52 grid of
+# ``keys.unit``.
 # ---------------------------------------------------------------------------
 
 NTPS = {"dirichlet": NtpModel(kind="dirichlet"), "zipf": NtpModel(kind="zipf")}
 GOLDEN = {
     ("gumbel", "dirichlet", 20): (
-        "517a4747d69e497fa7ecc81a461c141cc446d3caae23d468ec6f8302415f2b38",
-        "1320e65d26f11e3e68deb40142c3c49fd0ff79816a967488d704788102bb57c2",
-        "9a6949bcccf5f1ab60cf3a49029fd4124ca21ee5496bce1e2786d1a8efb07099",
+        "bc9ccc41d1fc1a9bf9d12f6c3591e4c63568e86ee746838d2b1ec019371e8307",
+        "7dfcfa43d5f99e22838c392edc79fe7ded4188e22f5696fd90665d6489fd92b2",
+        "3e24b6de8094fe36ee0428d0cdb00a3ac3aaf21e9e99084de9440c4156da8b4b",
     ),
     ("gumbel", "dirichlet", 1000): (
-        "376043de38adb2d35453d70aed303e81be62ea9466e75756ae9fb50061a4b528",
-        "0423bfcd9c5d662e93e9359319bea00479508c6a119bc4620db31d4b321bdeaa",
-        "6a9be63bc34c186346bb65e8e983bf43f4486e47a4a239cb90547e1b06754169",
+        "0d7cbddc9812482af7f79a832698726b8d22f0968ac4960df498525a76569d2d",
+        "8e6a08cde392c52cebbfc485b437d6e818eb5b6c8018f9cc1e1626cd3dcb7457",
+        "b223927ddda77aa088af27a4ac78246e18c7af6853f0cba0a719f3a8a7cae69c",
     ),
     ("gumbel", "zipf", 20): (
-        "35356d10cc84798b257cdcf22d6834a17ca64e6c80b4a174d5c9de6ad11996d9",
-        "81eb9ecfd6a58762abbf85d23355472b7db30450895133a98c1019ad416cfc95",
-        "fcfbce03fa9b518fa2a701d24aab4ebea133330b4cfc0257a68a5608eb97262d",
+        "ecc0ceefaefcf9aff9779624c845f74f804007739894d1e22647831098de946c",
+        "ca31522ee10c4f84600e4d4fd80c4f25a46632c8d1debb972dfb5e9a0191b92e",
+        "1a1961f1f0a1fa08b5cd22cbee76355436226b70366c63bc175bddf19aa7c554",
     ),
     ("gumbel", "zipf", 1000): (
-        "56db9fc0fe8e972cba2b76d851507f7e668d848a865e7e7004b561345f980ffa",
-        "5cf3d9268fc3fccf8f146c8d43582c59a1901224975127a17c0bd9021e3fb085",
-        "8c8851029419757cd7b4a05be611871a2cfe745636d85b5dcb361b9c97d25698",
+        "56d708abad62dc87e37eadc424b4316918dbd66b4ff36697e5ef6038cc717f07",
+        "a5d9328853806e96f98b80d839db09361e4c6c9972ba555987bf155e2c901ba2",
+        "45a51226fff54cf5a37afa7637f9f66a920976477dcca0aa70a75b001e339271",
     ),
     ("inverse", "dirichlet", 20): (
         "4098320edefa54348cb014d1570ab02ee68734baaf5f21f478ea878633dff697",
-        "4499e0814d3b3bb251bb58de93830418bedf0929bae7669beb8b5f548d0ad4b2",
-        "60eb3f8f9c279f00b049f2d835d93e4e50fd52a3398729dd60f1ca7f61168abf",
+        "1761c63f0c223124068ebd5839afed56b7d3de0d25b05ae4ff3c4e3b427811f4",
+        "a08117f73a1ff13c712824377acb2bff20d3865a8c79fb1a125886c54cbeb753",
     ),
     ("inverse", "dirichlet", 1000): (
         "dc2dd8feef099973f0dd74d954ca5bacaae0ad0a03fe654ceb22e0694ace8bdc",
-        "c7d2b5620ae5db870d35fefea100f1113144364ce9029e27c67f2c723d218b7e",
-        "fffdc6629b3724dd274f2422080aa29a00451f5859b381212d394f9d049d77a4",
+        "5869bbee11cbb01310e1cce566c0517558c0d826710dfe32f07aab49b344ee41",
+        "8d8dea1cca2342ae79e45dc4024598ea6cdb4a85cadc78a4ad857464dbb4035d",
     ),
     ("inverse", "zipf", 20): (
         "3d6bad098c3ba3c8f4288ad1bf164c704cbf7c7b4d10eccce6e4c99dce706551",
-        "9d529e18976fd54d67dafa4883cb7005ab09df1b23adf6c45e7d94ba002723f9",
-        "e9d7ccb1594592fdb48ffa78ad14be119bfd289e8ee579d87a252365875e6aeb",
+        "8b168d118df6fbc7575665016a3f5ef0a4c1dd86deed74ffd9f79a59c690e6fc",
+        "e1cec6206e8ab2a93a49133a90cdae253d0e27f5179d97525f3b056686b65bcf",
     ),
     ("inverse", "zipf", 1000): (
         "24c5db75e2e580c8019cbf24e0d848b2d1aa2b328acc5757394d75700e767895",
-        "92d38d682c63765317583fa8cbd5eb60b5e302ad21b7483f98c4efa5c502dfe9",
-        "94ed5b35dddf46c7cfe755904119f5fb541ddb65c42769f182b5495bfa22cb07",
+        "e30f9595f97645c323dbaef489bb242914f9811733832f2297d3fa3f83db2895",
+        "2afb0b3b3c95c5319f0c1495bb6bbb3c6d611afe118132b95649767478928d40",
     ),
     ("red_green", "dirichlet", 20): (
         "da2887a5ce674d6cb70d0580d6e95872440a5ded95b5d1be01e427f7719503ef",
         "b7829d1691400e50cf25177f5c5922990eb29665524149590655cdff930d1cd2",
-        "083c425dbeea821ba5d0b5672d7da778ddb30366ac6fc5fba5469ffb6ce14ae4",
+        "436b68a61bae5d39ebfb292477792e51741d8d089bdb8985b5c470cced126c52",
     ),
     ("red_green", "dirichlet", 1000): (
         "ddb44bcc9ad53333d0198830f94e766e10b437d3b8ca4738a7d841dd4fd0f17a",
         "cd227db6bd7a8474e8e8c151a6723aa09024bdf3b6616447eb69b51d602eca39",
-        "4e72f507e6d9423d9511eb2076f50f4416c1ce1baad079bf095217b675a52b85",
+        "b94871cb4febeb8af7022f405277fe87a3540b471d0589f4098ff29fe9bd69f8",
     ),
     ("red_green", "zipf", 20): (
         "9cb46f5ee8f969206ca82a5d9fb344041b3605dc88be392042dd4a0a6d6d23de",
         "091526a879937b33c632b4f177e9115f6aeaabab2ff27bfeb61381c99a5a8434",
-        "c4c8fd502a07cefccdc916f81a3cb3e24004afa8ca195e688cfb5b370fe02fa8",
+        "62176c33ca1ca704b00c4f45ac4d14f9cab1b1a88e50e002114b0952cb9cb621",
     ),
     ("red_green", "zipf", 1000): (
         "7c581b2144ac27296cea8095dca3c845c280b6a6447e1dc6a8940a471a296164",
         "c6142d4441c08df859a4c3542173989b0bdbfa881c792cb08b567bef7ce076e3",
-        "b4cdc671f95e5158c2380e1592a2b20f3a9b9551de3d8534c9ff69fa8eb61f2f",
+        "a420fb4350a5341438039899bdcc8d9d5f4734b90754e5ce7282fc2bcf3f078c",
     ),
 }
 
@@ -205,17 +207,25 @@ def test_score_tokens_derives_at_most_one_key_per_context(scheme_id, key_at_call
 
 @pytest.fixture
 def generator_calls(monkeypatch):
-    """Seeds passed to ``keys.generator`` under every name it is called by."""
+    """Seeds of every PCG64 bit generator built, by ``keys.generator`` or
+    any other caller."""
     calls = []
-    original = keys.generator
+    original = np.random.PCG64
 
-    def counting(seed):
+    def counting(seed=None):
         calls.append(seed)
         return original(seed)
 
-    for module in (keys, schemes, streams):
-        monkeypatch.setattr(module, "generator", counting)
+    monkeypatch.setattr(np.random, "PCG64", counting)
     return calls
+
+
+def test_generate_stream_builds_only_the_ntp_and_null_draw_generators(generator_calls):
+    spec = StreamSpec(
+        600, Segments([(100, 400)], n=600), SchemeSpec("gumbel", 20), NtpModel(), seed=3
+    )
+    generate_stream(spec)
+    assert len(generator_calls) == 2
 
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
@@ -244,13 +254,11 @@ def test_generate_stream_derives_one_key_per_distinct_context(scheme_id, key_at_
     assert len(key_at_calls) == len(contexts)
 
 
-@pytest.mark.parametrize("derive", ("generate", "reconstruct"))
+@pytest.mark.parametrize("derive", ("generate",))
 def test_positions_with_one_context_share_one_key_object(derive):
     spec = StreamSpec(400, Segments([(50, 300)], n=400), SchemeSpec("gumbel", 20), NtpModel(), 4)
     stream = generate_stream(spec)
     keys = stream.keys
-    if derive == "reconstruct":
-        keys = reconstruct_keys(stream.tokens, spec.seed, spec.scheme)
     prevs = [CONTEXT_SENTINEL, *stream.tokens[:-1].tolist()]
     first = {}
     for i, prev in enumerate(prevs):

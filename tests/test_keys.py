@@ -6,29 +6,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from scheme_theory import uniform_open
 from wmseg.keys import (
     CONTEXT_SENTINEL,
     affine_key,
     affine_keys,
     generator,
-    group_by_seed,
     key_seed,
     key_seeds,
     mix,
-    pcg64_states,
     splitmix64,
-    uniform_open,
-    uniform_open_at,
+    unit,
     units_mod,
 )
 from wmseg.schemes import SchemeSpec
 
-# The counter layer does wrapping uint64/uint32 arithmetic; a numpy overflow
-# warning would mean an operation ran on scalars and may not have wrapped.
+# The keyed hashes do wrapping uint64 arithmetic; a numpy overflow warning
+# would mean an operation ran on scalars and may not have wrapped.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-# SeedSequence reads a seed below 2^32 as one 32-bit entropy word and a
-# larger one as two, so the edge seeds sit on both sides of each word.
+# Seeds at the ends of the 64-bit range and on both sides of the 32- and
+# 63-bit boundaries, where a hash that dropped or sign-extended the high
+# word, or a float conversion of it, would first go wrong.
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 
@@ -80,41 +79,28 @@ def test_key_seeds_equal_key_seed(master):
     assert seeds.tolist() == [key_seed(master, c) for c in contexts.tolist()]
 
 
-def _numpy_pcg64_states(seeds):
-    states = (np.random.PCG64(seed).state["state"] for seed in seeds)
-    return [(state["state"], state["inc"]) for state in states]
-
-
-def _counter_pcg64_states(seeds):
-    state_hi, state_lo, inc_hi, inc_lo = (part.tolist() for part in pcg64_states(seeds))
-    return [(s_hi << 64 | s_lo, c_hi << 64 | c_lo)
-            for s_hi, s_lo, c_hi, c_lo in zip(state_hi, state_lo, inc_hi, inc_lo)]
-
-
-def test_pcg64_states_equal_numpy_seeding_at_entropy_word_edges():
-    assert _counter_pcg64_states(EDGE_SEEDS) == _numpy_pcg64_states(EDGE_SEEDS)
-
-
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=20))
-def test_pcg64_states_equal_numpy_seeding(seeds):
-    assert _counter_pcg64_states(seeds) == _numpy_pcg64_states(seeds)
+def test_unit_lies_strictly_inside_the_unit_interval():
+    top = 2**64 - 1
+    assert unit(0) > 0.0 and unit(top) < 1.0
+    assert unit(np.array([0, top], dtype=np.uint64)).tolist() == [unit(0), unit(top)]
 
 
 @pytest.mark.parametrize("vocab", (2, 20, 1000, 50_000))
-def test_uniform_open_at_equals_the_coordinate_of_uniform_open(vocab):
-    rng = np.random.default_rng(vocab)
-    seeds = [*EDGE_SEEDS, *rng.integers(0, 2**64 - 1, 24, dtype=np.uint64, endpoint=True).tolist()]
-    index = rng.integers(0, vocab, len(seeds))
-    index[:3] = 0, vocab - 1, vocab - 1
-    expected = [uniform_open(generator(seed), vocab)[i] for seed, i in zip(seeds, index.tolist())]
-    assert np.array_equal(uniform_open_at(np.array(seeds, dtype=np.uint64), index), expected)
+def test_gumbel_key_coordinate_equals_pivots(vocab):
+    scheme = SchemeSpec("gumbel", vocab)
+    for seed in (0, 2**64 - 1):
+        uniforms = scheme.key_at(seed).uniforms
+        for token in (0, vocab - 1):
+            pivot = scheme.pivots(np.array([token]), np.array([seed], dtype=np.uint64))
+            assert uniforms[token] == pivot[0]
 
 
-def test_group_by_seed_lists_the_positions_of_each_distinct_seed():
-    seeds = np.array([7, 3, 7, 9, 3, 7], dtype=np.uint64)
-    distinct, positions = group_by_seed(seeds)
-    assert distinct.tolist() == [3, 7, 9]
-    assert [p.tolist() for p in positions] == [[1, 4], [0, 2, 5], [3]]
+def test_a_fixed_gumbel_coordinate_is_uniform_over_key_seeds():
+    scheme = SchemeSpec("gumbel", 1000)
+    seeds = np.arange(20_000, dtype=np.uint64)
+    pivots = scheme.pivots(np.full(seeds.size, 7), seeds)
+    counts = np.bincount((pivots * 20).astype(np.int64), minlength=20)
+    assert stats.chisquare(counts).pvalue > 0.01
 
 
 AFFINE_VOCABS = (2, 3, 20, 997, 1000, 1024)
@@ -124,7 +110,7 @@ AFFINE_VOCABS = (2, 3, 20, 997, 1000, 1024)
 @given(seed=st.integers(0, 2**64 - 1))
 def test_affine_keys_permute_the_vocabulary(vocab, seed):
     u, a, c = affine_key(seed, vocab, units_mod(vocab))
-    assert 0.0 < u <= 1.0 and 0 <= c < vocab
+    assert 0.0 < u < 1.0 and 0 <= c < vocab
     assert math.gcd(a, vocab) == 1
     perm = SchemeSpec("inverse", vocab).key_at(seed).perm
     assert np.array_equal(np.sort(perm), np.arange(vocab))

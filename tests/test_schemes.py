@@ -11,8 +11,9 @@ from scheme_theory import (
     gumbel_separation_lower_bound,
     gumbel_watermarked_score_mean,
     inverse_null_pivot_cdf,
+    uniform_open,
 )
-from wmseg.keys import generator, uniform_open
+from wmseg.keys import generator
 from wmseg.schemes import (
     SCHEME_IDS,
     GumbelKey,

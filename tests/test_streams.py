@@ -9,7 +9,7 @@ from scipy import stats
 
 from scheme_theory import gumbel_separation_lower_bound
 from wmseg.intervals import Segments
-from wmseg.keys import generator
+from wmseg.keys import CONTEXT_SENTINEL, generator, key_seed
 from wmseg.schemes import GumbelKey, SchemeSpec
 from wmseg.streams import (
     Deletion,
@@ -21,7 +21,6 @@ from wmseg.streams import (
     cap_probs,
     generate_stream,
     read_stream_jsonl,
-    reconstruct_keys,
     score_tokens,
     write_stream_jsonl,
 )
@@ -182,20 +181,27 @@ class TestGenerateStream:
 
 
 class TestReconstructKeys:
+    """The verifier's view: every position's key is ``key_at`` of the key
+    seed of its previous token under the master seed."""
+
+    @staticmethod
+    def keys_of(tokens, master_seed, scheme):
+        prevs = [CONTEXT_SENTINEL, *np.asarray(tokens)[:-1].tolist()]
+        return [scheme.key_at(key_seed(master_seed, prev)) for prev in prevs]
+
     def test_round_trip_with_generation(self):
         spec = make_spec(n=80, segments=[(20, 50)], seed=9)
         stream = generate_stream(spec)
-        rebuilt = reconstruct_keys(stream.tokens, spec.seed, spec.scheme)
-        assert len(rebuilt) == len(stream.keys)
-        for ka, kb in zip(stream.keys, rebuilt):
-            assert np.array_equal(ka.uniforms, kb.uniforms)
+        rebuilt = self.keys_of(stream.tokens, spec.seed, spec.scheme)
+        scores = [spec.scheme.pivot_score(int(t), key) for t, key in zip(stream.tokens, rebuilt)]
+        assert np.array_equal(stream.pivots.scores, scores)
 
     def test_editing_the_previous_token_changes_the_key(self):
         spec = make_spec(n=10, seed=10)
         stream = generate_stream(spec)
         tokens = stream.tokens.copy()
         tokens[4] = (tokens[4] + 1) % spec.vocab_size
-        rebuilt = reconstruct_keys(tokens, spec.seed, spec.scheme)
+        rebuilt = self.keys_of(tokens, spec.seed, spec.scheme)
         # position 6 (index 5) hashes token 5; all its uniforms move
         assert not np.any(np.isclose(rebuilt[5].uniforms, stream.keys[5].uniforms))
         assert np.array_equal(rebuilt[4].uniforms, stream.keys[4].uniforms)
@@ -203,14 +209,12 @@ class TestReconstructKeys:
     def test_different_master_seeds_disagree_everywhere(self):
         tokens = np.arange(1000) % 50
         scheme = SchemeSpec("gumbel", vocab_size=50)
-        keys_a = reconstruct_keys(tokens, 1, scheme)
-        keys_b = reconstruct_keys(tokens, 2, scheme)
-        for ka, kb in zip(keys_a, keys_b):
+        for ka, kb in zip(self.keys_of(tokens, 1, scheme), self.keys_of(tokens, 2, scheme)):
             assert not np.any(ka.uniforms == kb.uniforms)
 
     def test_empty_tokens_rejected(self):
         with pytest.raises(ValueError):
-            reconstruct_keys([], 0, GUMBEL)
+            score_tokens([], 0, GUMBEL)
 
 
 # ---------------------------------------------------------------------------

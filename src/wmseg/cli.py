@@ -5,13 +5,13 @@ sets only scheme gumbel, vocab size 100, generate seed 0 and the model label).
 A ``--config`` JSON file may set any option of its command by name (flags
 win); for ``experiment`` it is the plan itself, plus an optional ``out``.
 
-``segment`` rescores the stream's tokens under its seed and scheme and
-rejects a file whose stored ``pivot_score`` values differ from them.
+``segment`` scores the stream file's tokens under its seed and scheme; the
+file stores no scores.
 
 Exit codes: 0 success, 1 validation error (bad arguments, unknown config or
-plan keys, or inconsistent inputs such as a certificate built for another
-null law than the stream's, or stored scores that its tokens do not give),
-2 I/O error (missing or unreadable files).
+plan keys, a malformed stream file, or inconsistent inputs such as a
+certificate built for another null law than the stream's), 2 I/O error
+(missing or unreadable files).
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .calibration import CertMismatch, ThresholdCert, calibrate_threshold
 from .harness import ExperimentPlan, run_experiment
@@ -170,23 +168,15 @@ def _cmd_calibrate(opts: _Options) -> int:
 
 
 def _cmd_segment(opts: _Options) -> int:
-    path = opts.require("stream")
-    stream = read_stream_jsonl(path)
-    stored = stream.series.scores
-    rescored = score_tokens(stream.tokens, stream.seed, stream.scheme).scores
-    differ = np.flatnonzero(stored != rescored)
-    if differ.size:
-        i = int(differ[0])
-        raise ValueError(f"{path}: stored pivot_score {float(stored[i])!r} at t={i + 1} differs "
-                         f"from {float(rescored[i])!r}, the score of its token under the "
-                         f"stream's seed and scheme")
+    stream = read_stream_jsonl(opts.require("stream"))
+    series = score_tokens(stream.tokens, stream.seed, stream.scheme)
     cert = ThresholdCert.load(opts.require("cert"))
     law = SchemeSpec.from_json(cert.scheme_params)
     if (law.scheme_id, law.null_mean) != (stream.scheme.scheme_id, stream.scheme.null_mean):
         raise CertMismatch(f"certificate null law {cert.scheme_params} differs from the "
                            f"stream's {stream.scheme.to_json()}")
     config = SegmenterConfig(cert=cert, **opts.given("rho", "gamma", "discard_c", "pad"))
-    result = segment_series(stream.series, config)
+    result = segment_series(series, config)
     Path(opts.require("out")).write_text(
         json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8"
     )
@@ -204,10 +194,9 @@ def _cmd_evaluate(opts: _Options) -> int:
     check_keys(est_data, _RESULT_KEYS, "result", required=("segments",))
     for seg in est_data["segments"]:
         check_keys(seg, _SEGMENT_KEYS, "result segment", required=_SEGMENT_KEYS)
-    estimate = Segments(
-        [(seg["left"], seg["right"]) for seg in est_data["segments"]], n=stream.series.n
-    )
-    report = evaluate(stream.true_segments, estimate, stream.series.n)
+    n = stream.tokens.size
+    estimate = Segments([(seg["left"], seg["right"]) for seg in est_data["segments"]], n=n)
+    report = evaluate(stream.true_segments, estimate, n)
     row = report.csv_row(
         str(opts.get("model_label", "synthetic")), stream.scheme.scheme_id, "wmseg"
     )

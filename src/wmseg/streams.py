@@ -5,7 +5,9 @@ constrained model class, a pseudo-random key derived by hashing the previous
 token with the master seed (context window of one token), and either a
 decoded token (inside a planted segment) or an independent sample from the
 NTP (outside). The scored pivots of the resulting stream are what the
-segmenter consumes; a JSONL file format carries them between tools.
+segmenter consumes. A JSONL stream file carries the tokens between tools, with
+the seed and scheme that score them: a header record, then one body record
+holding the token list, which the verifier rescores.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
@@ -279,7 +281,7 @@ def apply_edits(tokens: Sequence[int], edits: Sequence[Edit]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSONL stream files: one header record, then one record per token
+# JSONL stream files: one header record, then one body record of the tokens
 # ---------------------------------------------------------------------------
 
 
@@ -287,7 +289,6 @@ def apply_edits(tokens: Sequence[int], edits: Sequence[Edit]) -> np.ndarray:
 class StreamFile:
     """Contents of a stream JSONL file, as read back by consumers."""
 
-    series: PivotSeries
     true_segments: Segments
     tokens: np.ndarray
     seed: int
@@ -299,6 +300,7 @@ _HEADER_KEYS = ("n", "scheme", "mu0", "seed", "true_segments", "scheme_params")
 
 
 def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
+    """Write the header record, then the body record ``{"tokens": [...]}``."""
     spec = stream.spec
     header = {
         "n": spec.n,
@@ -310,39 +312,45 @@ def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for i in range(spec.n):
-            record = {
-                "t": i + 1,
-                "token": int(stream.tokens[i]),
-                "pivot_score": float(stream.pivots.scores[i]),
-            }
-            fh.write(json.dumps(record) + "\n")
+        fh.write(json.dumps({"tokens": stream.tokens.tolist()}) + "\n")
 
 
 def read_stream_jsonl(path: str | Path) -> StreamFile:
     """Read a stream file written by ``write_stream_jsonl``.
 
-    The file must hold exactly ``n`` token records whose ``t`` values are
-    1..n, each once; anything else raises ValueError instead of leaving
-    slots wrapped or unset. The header must hold exactly the keys the writer
-    puts there; an unknown or missing one raises ValueError naming it. The
-    series takes its null mean and scheme id from ``scheme_params``; a
-    header ``scheme`` or ``mu0`` that disagrees with them raises ValueError.
+    The file holds exactly two records, the header and the body. The header
+    must hold exactly the keys the writer puts there and the body only
+    ``tokens``; an unknown or missing key raises ValueError naming it, as do
+    a token count other than the header's ``n``, a token that is not a JSON
+    integer, a record after the body and a file of per-token records. A
+    header ``scheme`` or ``mu0`` that disagrees with ``scheme_params``
+    raises ValueError. The verifier scores the tokens (``score_tokens``).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        body = json.loads(fh.readline() or "{}")
+        trailing = fh.read().strip()
     check_keys(header, _HEADER_KEYS, "stream header", required=_HEADER_KEYS)
+    if {"t", "token"} & set(body):  # the second line of a file in the old format
+        raise ValueError(f"{path}: per-token `t`/`token` records are no longer read; "
+                         f"regenerate the stream")
+    check_keys(body, ("tokens",), "stream body", required=("tokens",))
+    if trailing:
+        raise ValueError(f"{path}: records follow the body record")
     n = int(header["n"])
-    if len(lines) != n:
-        raise ValueError(f"{path}: header says n={n} but the file has {len(lines)} token records")
-    records = json.loads("[" + ",".join(lines) + "]")
-    t = np.array([record["t"] for record in records], dtype=np.int64)
-    order = np.argsort(t, kind="stable")
-    if not np.array_equal(t[order], np.arange(1, n + 1)):
-        raise ValueError(f"{path}: token records must carry each t in 1..{n} exactly once")
-    tokens = np.array([record["token"] for record in records], dtype=np.int64)[order]
-    scores = np.array([record["pivot_score"] for record in records], dtype=float)[order]
+    tokens = body["tokens"]
+    if not isinstance(tokens, list):
+        raise ValueError(f"{path}: body tokens must be a JSON list, not {type(tokens).__name__}")
+    if len(tokens) != n:
+        raise ValueError(f"{path}: header says n={n} but the body has {len(tokens)} tokens")
+    # type(), not isinstance(): a JSON true reads as a bool, an int subclass.
+    if set(map(type, tokens)) - {int}:
+        i = next(i for i, token in enumerate(tokens) if type(token) is not int)
+        raise ValueError(f"{path}: token {tokens[i]!r} at t={i + 1} is not an integer")
+    try:
+        tokens = np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{path}: a token lies outside the int64 range") from None
     scheme = SchemeSpec.from_json(header["scheme_params"])
     if header["scheme"] != scheme.scheme_id:
         raise ValueError(
@@ -354,9 +362,7 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
             f"{path}: header mu0={header['mu0']!r} differs from the null mean "
             f"{scheme.null_mean!r} of its scheme_params"
         )
-    series = PivotSeries(scores=scores, null_mean=scheme.null_mean, scheme_id=scheme.scheme_id)
     return StreamFile(
-        series=series,
         true_segments=Segments(header["true_segments"], n=n),
         tokens=tokens,
         seed=int(header["seed"]),

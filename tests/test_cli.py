@@ -191,41 +191,43 @@ def test_segment_names_a_missing_certificate_key(tmp_path, capsys):
     assert "missing certificate key(s): 'b'" in capsys.readouterr().err
 
 
-def test_segment_rejects_nan_pivot_scores(tmp_path):
-    stream, cert, out = tmp_path / "stream.jsonl", tmp_path / "cert.json", tmp_path / "result.json"
-    assert cli_main(["generate", "--n", "400", "--segments", "100-300", "--seed", "2",
-                     "--out", str(stream)]) == 0
-    assert cli_main(["calibrate", "--n", "400", "--block-len", "20", "--out", str(cert)]) == 0
-    header, *lines = stream.read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
-    for record in records[99:300]:
-        record["pivot_score"] = float("nan")
-    stream.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
-    argv = ["segment", "--stream", str(stream), "--cert", str(cert), "--out", str(out)]
-    assert cli_main(argv) == 1
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("edit, message", [
-    ({"pivot_score": 4.0}, "stored pivot_score 4.0 at t=1 differs"),
-    ({"token": 100}, "token 100 outside vocabulary of 100"),
-], ids=["forged-scores", "token-outside-vocabulary"])
-def test_segment_rescores_the_stored_tokens(edit, message, tmp_path, capsys):
+def _generated_and_segmented(tmp_path):
+    """A generated stream and certificate that segment accepts, the segment
+    argv and its output path (removed again), and the stream's two lines."""
     stream, cert, out = tmp_path / "stream.jsonl", tmp_path / "cert.json", tmp_path / "result.json"
     assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0
     assert cli_main(["calibrate", "--n", "300", "--block-len", "20", "--out", str(cert)]) == 0
     argv = ["segment", "--stream", str(stream), "--cert", str(cert), "--out", str(out)]
     assert cli_main(argv) == 0
     out.unlink()
-    header, *lines = stream.read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
-    for record in records[:100]:
-        record.update(edit)
-    stream.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    header, body = stream.read_text(encoding="utf-8").splitlines()
+    return stream, argv, out, header, json.loads(body)
+
+
+@pytest.mark.parametrize("token, message", [
+    (100, "token 100 outside vocabulary of 100"),
+    (1.5, "token 1.5 at t=1 is not an integer"),
+    (float("nan"), "token nan at t=1 is not an integer"),
+], ids=["token-outside-vocabulary", "non-integer-token", "nan-token"])
+def test_segment_rescores_the_stored_tokens(token, message, tmp_path, capsys):
+    stream, argv, out, header, body = _generated_and_segmented(tmp_path)
+    body["tokens"][:100] = [token] * 100
+    stream.write_text("\n".join([header, json.dumps(body)]) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert cli_main(argv) == 1
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_segment_rejects_the_old_per_token_format(tmp_path, capsys):
+    stream, argv, out, header, body = _generated_and_segmented(tmp_path)
+    records = [{"t": t, "token": token, "pivot_score": 1.0}
+               for t, token in enumerate(body["tokens"], start=1)]
+    stream.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert "per-token `t`/`token` records are no longer read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("estimate, message", [

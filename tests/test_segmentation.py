@@ -409,3 +409,48 @@ class TestSegmentSeries:
         data = result.to_json()
         assert set(data) == {"k_hat", "segments", "d_tilde", "trace"}
         assert all(set(seg) == {"left", "right"} for seg in data["segments"])
+
+
+def test_multiple_segments_are_found_consistently():
+    """The abstract claims consistency in detecting multiple watermarked
+    segments in one text: as n grows, the segment count is found with rising
+    probability and the endpoints' error shrinks relative to n.
+
+    I.i.d. gumbel scores: Exp(1) under the null and, inside the planted
+    segments [0.2n, 0.35n] and [0.6n, 0.8n], the max of three Exp(1) draws.
+    Blocks of ceil(sqrt(n)) tokens, alpha 0.05, 100 reps per n.
+
+    The bounds were set from binomial slack at the reference rates of 0.84,
+    0.98 and 1.00 for k_hat = 2 at n = 1k, 4k and 16k, before the test ran.
+    A share may fall below an earlier one by at most 0.03 (3 of 100 reps),
+    twice the standard error of the difference of the 4k and 16k shares. At
+    16k the share must reach 0.95; a Binomial(100, 0.98) count, at the 4k
+    rate, falls below 95 with probability 0.016. The worst endpoint error
+    over the reps with k_hat = 2 (reference 90th percentiles 40, 38 and 33
+    tokens, 0.040, 0.0095 and 0.0021 of n) must fall, as a fraction of n,
+    from each n to the next, and stay within twice the largest reference,
+    80 tokens, at 16k: a fraction that falls only as fast as the padding
+    n^(0.5 + gamma) would pass the first bound but not this one.
+    """
+    reps, shares, errors = 100, [], []
+    for n in (1000, 4000, 16000):
+        block_len = math.ceil(math.sqrt(n))
+        config = SegmenterConfig(cert=calibrate_threshold(GUMBEL, n, block_len, 0.05))
+        truth = [(n // 5 + 1, 7 * n // 20), (3 * n // 5 + 1, 4 * n // 5)]
+        rng = np.random.default_rng(n)
+        worst = []
+        for _ in range(reps):
+            x = rng.standard_exponential(n)
+            for left, right in truth:
+                x[left - 1 : right] = rng.standard_exponential((3, right - left + 1)).max(axis=0)
+            found = segment_series(series_of(x), config).segments
+            if len(found) == len(truth):
+                worst.append(max(abs(got - want) for est, true in zip(found, truth)
+                                 for got, want in zip(est, true)))
+        shares.append(len(worst) / reps)
+        errors.append(np.percentile(worst, 90) / n)
+    assert all(later >= earlier - 0.03 for i, earlier in enumerate(shares)
+               for later in shares[i + 1:]), shares
+    assert shares[-1] >= 0.95, shares
+    assert errors[0] > errors[1] > errors[2], errors
+    assert errors[2] * 16000 <= 80, errors

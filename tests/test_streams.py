@@ -288,71 +288,97 @@ class TestStreamJsonl:
         path = tmp_path / "stream.jsonl"
         write_stream_jsonl(path, stream)
         back = read_stream_jsonl(path)
-        assert back.series.n == 60
-        assert np.array_equal(back.series.scores, stream.pivots.scores)
+        assert back.tokens.dtype == np.int64
         assert np.array_equal(back.tokens, stream.tokens)
-        assert back.series.null_mean == spec.scheme.null_mean
         assert back.true_segments.to_pairs() == [[10, 30]]
         assert back.seed == 11
         assert back.scheme == spec.scheme
+        rescored = score_tokens(back.tokens, back.seed, back.scheme)
+        assert np.array_equal(rescored.scores, stream.pivots.scores)
 
     def test_header_carries_the_contract_fields(self, tmp_path):
         spec = make_spec(n=5, seed=12)
+        stream = generate_stream(spec)
         path = tmp_path / "s.jsonl"
-        write_stream_jsonl(path, generate_stream(spec))
+        write_stream_jsonl(path, stream)
         lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
+        assert len(lines) == 2
+        header, body = map(json.loads, lines)
         assert set(header) == {"n", "scheme", "mu0", "seed", "true_segments", "scheme_params"}
         assert header["n"] == 5
         assert header["scheme"] == "gumbel"
-        record = json.loads(lines[1])
-        assert set(record) == {"t", "token", "pivot_score"}
-        assert record["t"] == 1
-        assert len(lines) == 6
+        assert body == {"tokens": stream.tokens.tolist()}
 
-    def _records(self, tmp_path):
+    def _parts(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_stream_jsonl(path, generate_stream(make_spec(n=6, seed=13)))
-        lines = path.read_text().splitlines()
-        return path, lines[0], [json.loads(line) for line in lines[1:]]
+        header, body = path.read_text().splitlines()
+        return path, header, json.loads(body)
 
     @staticmethod
-    def _write(path, header, records):
+    def _write(path, header, *records):
         path.write_text("\n".join([header, *map(json.dumps, records)]) + "\n")
 
-    def test_t_zero_is_rejected(self, tmp_path):
-        # t=0 used to wrap silently into the last slot.
-        path, header, records = self._records(tmp_path)
-        records[5]["t"] = 0
-        self._write(path, header, records)
-        with pytest.raises(ValueError, match="exactly once"):
-            read_stream_jsonl(path)
-
-    def test_duplicate_t_is_rejected(self, tmp_path):
-        # A duplicate t used to leave one slot of the arrays uninitialised.
-        path, header, records = self._records(tmp_path)
-        records[3]["t"] = 2
-        self._write(path, header, records)
-        with pytest.raises(ValueError, match="exactly once"):
-            read_stream_jsonl(path)
-
-    def test_missing_t_is_rejected(self, tmp_path):
-        path, header, records = self._records(tmp_path)
-        records[2]["t"] = 7
-        self._write(path, header, records)
-        with pytest.raises(ValueError, match="exactly once"):
-            read_stream_jsonl(path)
-
     def test_truncated_file_is_rejected(self, tmp_path):
-        path, header, records = self._records(tmp_path)
-        self._write(path, header, records[:4])
-        with pytest.raises(ValueError, match="n=6 but the file has 4 token records"):
+        path, header, body = self._parts(tmp_path)
+        self._write(path, header, {"tokens": body["tokens"][:4]})
+        with pytest.raises(ValueError, match="n=6 but the body has 4 tokens"):
+            read_stream_jsonl(path)
+
+    def test_a_token_count_above_n_is_rejected(self, tmp_path):
+        path, header, body = self._parts(tmp_path)
+        self._write(path, header, {"tokens": body["tokens"] + [0]})
+        with pytest.raises(ValueError, match="n=6 but the body has 7 tokens"):
             read_stream_jsonl(path)
 
     def test_extra_records_are_rejected(self, tmp_path):
-        path, header, records = self._records(tmp_path)
-        self._write(path, header, records + [dict(records[0], t=7)])
-        with pytest.raises(ValueError, match="n=6 but the file has 7 token records"):
+        path, header, body = self._parts(tmp_path)
+        self._write(path, header, body, body)
+        with pytest.raises(ValueError, match="records follow the body record"):
+            read_stream_jsonl(path)
+
+    def test_a_header_without_a_body_is_rejected(self, tmp_path):
+        path, header, _ = self._parts(tmp_path)
+        self._write(path, header)
+        with pytest.raises(ValueError, match="missing stream body key\\(s\\): 'tokens'"):
+            read_stream_jsonl(path)
+
+    def test_unknown_body_key_is_rejected(self, tmp_path):
+        path, header, body = self._parts(tmp_path)
+        self._write(path, header, {**body, "scores": [1.0] * 6})
+        with pytest.raises(ValueError, match="unknown stream body key\\(s\\): 'scores'"):
+            read_stream_jsonl(path)
+
+    def test_the_old_per_token_format_is_rejected(self, tmp_path):
+        path, header, body = self._parts(tmp_path)
+        records = [{"t": t, "token": token, "pivot_score": 1.0}
+                   for t, token in enumerate(body["tokens"], start=1)]
+        self._write(path, header, *records)
+        with pytest.raises(ValueError, match="per-token `t`/`token` records are no longer read"):
+            read_stream_jsonl(path)
+
+    @pytest.mark.parametrize("token", [1.5, 3.0, True, "3", None, float("nan")],
+                             ids=["float", "integral-float", "bool", "string", "null", "nan"])
+    def test_a_non_integer_token_is_rejected(self, token, tmp_path):
+        # Each of these used to read silently as an integer token, or to fail
+        # with a message that did not name the token.
+        path, header, body = self._parts(tmp_path)
+        body["tokens"][2] = token
+        self._write(path, header, body)
+        with pytest.raises(ValueError, match=f"token {token!r} at t=3 is not an integer"):
+            read_stream_jsonl(path)
+
+    def test_tokens_that_are_not_a_list_are_rejected(self, tmp_path):
+        path, header, _ = self._parts(tmp_path)
+        self._write(path, header, {"tokens": 6})
+        with pytest.raises(ValueError, match="body tokens must be a JSON list, not int"):
+            read_stream_jsonl(path)
+
+    def test_a_token_beyond_int64_is_rejected(self, tmp_path):
+        path, header, body = self._parts(tmp_path)
+        body["tokens"][0] = 2**63
+        self._write(path, header, body)
+        with pytest.raises(ValueError, match="outside the int64 range"):
             read_stream_jsonl(path)
 
     @staticmethod
@@ -369,10 +395,10 @@ class TestStreamJsonl:
             read_stream_jsonl(path)
 
     def test_missing_header_key_is_named(self, tmp_path):
-        path, header, records = self._records(tmp_path)
+        path, header, body = self._parts(tmp_path)
         header = json.loads(header)
         del header["n"]
-        self._write(path, json.dumps(header), records)
+        self._write(path, json.dumps(header), body)
         with pytest.raises(ValueError, match="missing stream header key\\(s\\): 'n'"):
             read_stream_jsonl(path)
 
@@ -395,12 +421,6 @@ class TestStreamJsonl:
         inverse = SchemeSpec("inverse", vocab_size=3)
         path = self._with_header(tmp_path, inverse, {"mu0": inverse.null_mean * (1 + 1e-14)})
         back = read_stream_jsonl(path)
-        assert back.series.null_mean == inverse.null_mean
-        assert back.series.scheme_id == "inverse"
-
-    def test_records_in_any_order_read_back_by_t(self, tmp_path):
-        path, header, records = self._records(tmp_path)
-        self._write(path, header, records[::-1])
-        back = read_stream_jsonl(path)
-        assert back.tokens.tolist() == [r["token"] for r in records]
-        assert back.series.scores.tolist() == [r["pivot_score"] for r in records]
+        series = score_tokens(back.tokens, back.seed, back.scheme)
+        assert series.null_mean == inverse.null_mean
+        assert series.scheme_id == "inverse"

@@ -261,6 +261,35 @@ class TestExactLaw:
         se = (spread / 0.02) * math.sqrt(alpha * level / reps)
         assert abs(cert.q - mc_q) < 3 * se
 
+    @pytest.mark.parametrize("vocab", [2, 20, 1000])
+    @pytest.mark.parametrize("k", [1, 8, 32, 64, 99, 100, 125, 127])
+    def test_inverse_lattice_law_matches_direct_convolution(self, vocab, k):
+        # Round each score *up* onto the lattice and convolve k copies by
+        # repeated squaring: the law block_sum_cdf states, built without its
+        # code. k covers both sides of 100 and the powers of two.
+        lattice = np.arange(round(1 / INVERSE_STEP) + 1) * INVERSE_STEP
+        pmf_up = np.diff(1.0 - inverse_null_pivot_cdf(1.0 - lattice, vocab), prepend=0.0)
+        oracle = np.cumsum(k_fold(pmf_up, k))
+        cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
+        table = np.array([cdf(j * INVERSE_STEP) for j in range(oracle.size + 1)])
+        assert np.max(np.abs(table[:-1] - oracle)) <= 1e-13
+        assert table[-1] == table[-2] and abs(table[-1] - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("vocab, n, b, alpha, j", [
+        (1000, 1000, 32, 0.05, 51307),
+        (1000, 4000, 64, 0.05, 99082),
+        (1000, 16000, 127, 0.05, 191112),
+        (20, 16000, 127, 0.01, 191529),
+        (2, 1000, 32, 0.05, 42521),
+        (1000, 4096, 64, 0.05, 99115),  # b divides n: one table serves every block
+        (100, 10000, 100, 0.05, 151664),  # k = 100 exactly
+    ])
+    def test_inverse_thresholds_stay_on_their_lattice_points(self, vocab, n, b, alpha, j):
+        # Golden q = j·h: a faster way to build the same table must not move
+        # any threshold by even one lattice step.
+        cert = calibrate_threshold(SchemeSpec("inverse", vocab), n, b, alpha)
+        assert cert.q == j * INVERSE_STEP
+
     def test_inverse_lattice_law_keeps_the_null_mean(self):
         for vocab in (2, 3, 20, 1000):
             scheme = SchemeSpec("inverse", vocab)

@@ -103,17 +103,27 @@ def read_fields(data: dict, readers: dict, what: str, required=()) -> dict:
     return {name: readers[name](value) for name, value in data.items()}
 
 
-def inverse_cdf(weights: np.ndarray, u: float) -> int:
-    """The first index whose cumulative weight reaches ``u`` times the total."""
-    cdf = np.cumsum(weights)
-    return min(int(np.searchsorted(cdf, u * cdf[-1], side="left")), cdf.size - 1)
+def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each row of ``weights``, the first index whose cumulative weight
+    reaches ``u`` of that row times the row's total, clipped to the last
+    index: ``count(cdf < u * cdf[-1])``, which is ``searchsorted(cdf,
+    u * cdf[-1], side="left")`` on the nondecreasing cdf of each row."""
+    cdf = np.cumsum(weights, axis=1)
+    below = np.count_nonzero(cdf < (u * cdf[:, -1])[:, None], axis=1)
+    return np.minimum(below, cdf.shape[1] - 1)
 
 
-def _check_decodable(probs: np.ndarray, key_size: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
-    if probs.shape != (key_size,):
-        raise InvalidDistribution("probability vector and key size differ")
-    if np.any(probs < 0) or not np.any(probs > 0):
+def check_decodable(probs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Check an NTP vector, shape (V,), or a block of NTP rows, shape
+    (count, V), for decoding: no negative or NaN entry and positive mass in
+    every row. Raise InvalidDistribution otherwise. The checked copy holds
+    +0.0 where ``probs`` holds -0.0, so that a zero entry never wins the
+    gumbel decoder's log(U)/P."""
+    probs = np.asarray(probs, dtype=float) + 0.0
+    if probs.shape != shape:
+        raise InvalidDistribution(f"probabilities of shape {probs.shape} differ from "
+                                  f"the key size, {shape}")
+    if not np.all(probs >= 0) or not np.all(np.any(probs > 0, axis=-1)):
         raise InvalidDistribution("invalid probability vector")
     return probs
 
@@ -159,7 +169,8 @@ class _Scheme:
 
     ``key(seed)`` derives the key of a 64-bit key seed; ``pivots(tokens,
     seeds)`` is ``pivot(tokens[i], key(seeds[i]))`` for every position, in
-    array operations with no key built; ``pivot`` takes a token or a token
+    array operations with no key built; ``decode`` takes an NTP vector
+    already passed by ``check_decodable`` and ``pivot`` a token or a token
     array already bounds-checked by the caller; ``block_sum_cdf(k)`` returns
     the CDF of a sum of k null scores; ``params`` names the ``SchemeSpec``
     fields the scheme reads beyond the vocabulary size.
@@ -211,16 +222,14 @@ class Gumbel(_Scheme):
 
     @staticmethod
     def decode(probs: np.ndarray, key: GumbelKey) -> int:
-        """Token maximizing log(U_w)/P_w; zero-probability tokens never win.
+        """Token maximizing log(U_w)/P_w; tokens of probability +0.0, the
+        only zero that ``check_decodable`` passes on, never win.
 
         Ties break toward the lowest token index (measure-zero under
         continuous keys, but keeps the decoder a pure function).
         """
-        probs = _check_decodable(probs, key.uniforms.size)
-        ratios = np.full(probs.shape, -np.inf)
-        live = probs > 0
-        ratios[live] = np.log(key.uniforms[live]) / probs[live]
-        return int(np.argmax(ratios))
+        with np.errstate(divide="ignore"):  # log(U_w)/0 = -inf: U_w < 1 by keys.unit
+            return int(np.argmax(np.log(key.uniforms) / probs))
 
     @staticmethod
     def pivot(token, key: GumbelKey):
@@ -273,7 +282,6 @@ class Inverse(_AffineKeyed):
         rank-ordered cumulative mass reaches the key uniform.
         """
         perm = key.perm
-        probs = _check_decodable(probs, perm.size)
         by_rank = np.empty_like(probs)
         by_rank[perm] = probs
         cdf = np.cumsum(by_rank)
@@ -371,8 +379,8 @@ class RedGreen(_AffineKeyed):
         bias = 0 reproduces the NTP exactly; the draw itself comes from the
         key's uniform, keeping the decoder deterministic given (probs, key).
         """
-        probs = _check_decodable(probs, key.green.size)
-        return inverse_cdf(np.where(key.green, probs * self.green_weight, probs), key.u)
+        weights = np.where(key.green, probs * self.green_weight, probs)
+        return int(inverse_cdf(weights[None], np.array([key.u]))[0])
 
     @staticmethod
     def pivot(token, key: RedGreenKey):
@@ -470,6 +478,13 @@ class SchemeSpec:
         return self._scheme.pivots(tokens, seeds)
 
     def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
+        """The token the scheme emits for the NTP vector ``probs`` under
+        ``key``; an unusable vector raises InvalidDistribution."""
+        return self.decode_row(check_decodable(probs, (self.vocab_size,)), key)
+
+    def decode_row(self, probs: np.ndarray, key: PseudoKey) -> int:
+        """``decode`` of one row of an NTP block that ``check_decodable``
+        has passed, without checking it again."""
         return self._scheme.decode(probs, key)
 
     def pivot(self, token: int, key: PseudoKey) -> float:

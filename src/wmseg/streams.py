@@ -1,23 +1,35 @@
 """Synthetic mixed-source token streams with planted watermarked intervals.
 
-The generator emits, per position, a next-token probability vector from a
-constrained model class, a pseudo-random key derived by hashing the previous
-token with the master seed (context window of one token), and either a
-decoded token (inside a planted segment) or an independent sample from the
-NTP (outside). The scored pivots of the resulting stream are what the
-segmenter consumes. A JSONL stream file carries the tokens between tools, with
-the seed and scheme that score them: a header record, then one body record
-holding the token list, which the verifier rescores.
+Every position of a stream has a next-token probability (NTP) vector from a
+constrained model class and a pseudo-random key derived by hashing the
+previous token with the master seed (context window of one token). Its
+token is the scheme's decode of (NTP, key) inside a planted segment and an
+independent sample from the NTP outside. The scored pivots of the resulting
+stream are what the segmenter consumes. A JSONL stream file carries the
+tokens between tools, with the seed and scheme that score them: a header
+record, then one body record holding the token list, which the verifier
+rescores.
+
+Generation works on blocks of positions, each holding at most 2^15 NTP
+entries (32 rows at V=1000). One ``NtpModel.sample`` call draws the NTP
+rows of a block and one check validates them. The positions outside the
+segments need no key: they take their tokens from one array of null
+uniforms through one row-wise ``inverse_cdf``. Only the positions inside a
+segment run one at a time, since each decodes with the key of the token
+before it. Every draw is taken in position order from the same two
+generators, so the tokens, keys and pivots are the bits a loop over single
+positions gives, whatever the block size.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
-Generation derives each key once per distinct context, to decode with it;
-positions that share a context share one key object. The verifier calls no
-``SchemeSpec.key_at`` and builds no key and no generator, for any scheme:
-``score_tokens`` derives every position's key seed in one array pass and
-the scheme reads its pivots from the seeds through the keyed hashes of
-``keys``, one per position. Generation scores through ``score_tokens`` too,
-so it draws no key twice and both give the same bits.
+Generation derives each key once per distinct context, to decode with it
+and to list it in ``Stream.keys``; positions that share a context share one
+key object. The verifier calls no ``SchemeSpec.key_at`` and builds no key
+and no generator, for any scheme: ``score_tokens`` derives every position's
+key seed in one array pass and the scheme reads its pivots from the seeds
+through the keyed hashes of ``keys``, one per position. Generation scores
+through ``score_tokens`` too, so it draws no key twice and both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -40,11 +52,13 @@ from .keys import (
     key_seeds,
     mix,
 )
-from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_keys, check_tokens,
-                      inverse_cdf, read_fields, validate_probs)
+from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_decodable, check_keys,
+                      check_tokens, inverse_cdf, read_fields, validate_probs)
 
 NTP_KINDS = ("dirichlet", "zipf", "fixed")
 _REJECTION_LIMIT = 10_000
+# Most NTP entries in one block of generated positions: 32 rows at V=1000.
+_BLOCK_ENTRIES = 2**15
 
 
 def cap_probs(probs: np.ndarray, delta: float) -> np.ndarray:
@@ -77,6 +91,7 @@ class NtpModel:
     ``dirichlet`` draws concentration-alpha vectors (rejection-sampled into
     the cap, then capped outright after 10^4 failures); ``zipf`` permutes a
     capped power-law shape; ``fixed`` cycles through user-supplied vectors.
+    ``sample`` returns the vectors of a block of consecutive positions.
     """
 
     kind: str = "dirichlet"
@@ -98,21 +113,50 @@ class NtpModel:
                 if probs.max() > 1.0 - self.delta_cap + 1e-12:
                     raise ValueError("fixed NTP vector violates the probability cap")
 
-    def sample(self, rng: np.random.Generator, vocab_size: int, position: int = 0) -> np.ndarray:
-        cap = 1.0 - self.delta_cap
+    def sample(self, rng: np.random.Generator, vocab_size: int, start: int,
+               count: int) -> np.ndarray:
+        """The NTP vectors of positions start, ..., start + count - 1, as
+        ``(count, vocab_size)`` rows.
+
+        ``fixed`` row j is vector ``(start + j) mod len(vectors)``. The other
+        kinds draw from ``rng`` in position order, so the rows of a stream
+        do not depend on how its positions are cut into calls. A dirichlet
+        position takes the first of its candidates within the cap, or
+        ``cap_probs`` of its 10^4-th. A cap that admits no vector raises
+        ValueError, and one that admits only the uniform vector
+        (``(1 - delta_cap) * vocab_size == 1``) gives uniform rows; neither
+        draws from ``rng``.
+        """
         if self.kind == "fixed":
-            return np.asarray(self.vectors[position % len(self.vectors)], dtype=float)
+            vectors = np.asarray(self.vectors, dtype=float)
+            return vectors[(start + np.arange(count)) % len(vectors)]
+        cap = 1.0 - self.delta_cap
+        if cap * vocab_size < 1.0 - 1e-12:  # the tolerance of cap_probs
+            raise ValueError(f"cap {cap} infeasible for vocabulary of {vocab_size}")
+        if cap * vocab_size <= 1.0 + 1e-12:
+            return np.full((count, vocab_size), 1.0 / vocab_size)
         if self.kind == "zipf":
             base = np.arange(1, vocab_size + 1, dtype=float) ** -self.exponent
             base /= base.sum()
             if base.max() > cap:
                 base = cap_probs(base, self.delta_cap)
-            return base[rng.permutation(vocab_size)]
-        for _ in range(_REJECTION_LIMIT):
-            probs = rng.dirichlet(np.full(vocab_size, self.concentration))
-            if probs.max() <= cap:
-                return probs
-        return cap_probs(probs, self.delta_cap)
+            return np.array([base[rng.permutation(vocab_size)] for _ in range(count)])
+        # Every row takes at least one candidate, so drawing one candidate per
+        # row still to fill draws none beyond the last one the rows take.
+        alpha = np.full(vocab_size, self.concentration)
+        rows = np.empty((count, vocab_size))
+        candidates = rng.dirichlet(alpha, size=count)
+        filled = rejected = 0  # rejected: consecutive candidates of the current row
+        while True:
+            for candidate, fits in zip(candidates, (candidates.max(axis=1) <= cap).tolist()):
+                if fits or rejected == _REJECTION_LIMIT - 1:
+                    rows[filled] = candidate if fits else cap_probs(candidate, self.delta_cap)
+                    filled, rejected = filled + 1, 0
+                else:
+                    rejected += 1
+            if filled == count:
+                return rows
+            candidates = rng.dirichlet(alpha, size=count - filled)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "delta_cap": self.delta_cap}
@@ -180,31 +224,44 @@ def generate_stream(spec: StreamSpec) -> Stream:
 
     Inside a planted segment the token is the scheme's decode of (NTP, key);
     outside it is sampled from the NTP independently of the key, which is
-    exactly the coupling the pivot statistics detect. Each distinct context
-    derives its key once, so positions with the same previous token share
-    one key object in ``Stream.keys``. The pivots are then scored by the
-    verifier's own scorer, ``score_tokens``, so both give the same bits.
+    exactly the coupling the pivot statistics detect. The positions run in
+    blocks of at most ``_BLOCK_ENTRIES`` NTP entries: a block's NTP rows come
+    from one ``NtpModel.sample`` call and pass ``check_decodable`` once; its
+    positions outside the segments take their tokens from one
+    ``rng_null.random`` array through one ``inverse_cdf``; and its positions
+    inside, in order, decode their rows with ``SchemeSpec.decode_row`` under
+    the key of the token before. Each distinct context derives its key
+    once, so positions with the same previous token share one key object in
+    ``Stream.keys``. The pivots are then scored by the verifier's own
+    scorer, ``score_tokens``, so both give the same bits.
     """
-    scheme = spec.scheme
+    scheme, n, vocab_size = spec.scheme, spec.n, spec.vocab_size
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
-    inside = spec.true_segments.mask(spec.n)
-
-    tokens = np.empty(spec.n, dtype=np.int64)
-    keys: list[PseudoKey] = []
+    inside = spec.true_segments.mask(n)
     key_of: dict[int, PseudoKey] = {}
-    prev = CONTEXT_SENTINEL
-    for i in range(spec.n):
-        probs = spec.ntp_model.sample(rng_ntp, spec.vocab_size, position=i)
+
+    def key_after(prev: int) -> PseudoKey:
         key = key_of.get(prev)
         if key is None:
             key = key_of[prev] = scheme.key_at(key_seed(spec.seed, prev))
-        token = scheme.decode(probs, key) if inside[i] else inverse_cdf(probs, rng_null.random())
-        tokens[i] = token
-        keys.append(key)
-        prev = token
+        return key
+
+    tokens = np.empty(n, dtype=np.int64)
+    block_rows = max(1, _BLOCK_ENTRIES // vocab_size)
+    for start in range(0, n, block_rows):
+        count = min(block_rows, n - start)
+        probs = check_decodable(spec.ntp_model.sample(rng_ntp, vocab_size, start, count),
+                                (count, vocab_size))
+        block, marked = tokens[start:start + count], inside[start:start + count]
+        null = ~marked
+        block[null] = inverse_cdf(probs[null], rng_null.random(np.count_nonzero(null)))
+        for j in np.flatnonzero(marked).tolist():
+            prev = int(tokens[start + j - 1]) if start + j else CONTEXT_SENTINEL
+            block[j] = scheme.decode_row(probs[j], key_after(prev))
+    keys = tuple(map(key_after, [CONTEXT_SENTINEL, *tokens[:-1].tolist()]))
     series = score_tokens(tokens, spec.seed, scheme)
-    return Stream(spec=spec, tokens=tokens, keys=tuple(keys), pivots=series)
+    return Stream(spec=spec, tokens=tokens, keys=keys, pivots=series)
 
 
 def _key_seeds(tokens: np.ndarray, master_seed: int) -> np.ndarray:

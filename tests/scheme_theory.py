@@ -1,5 +1,6 @@
 """Closed forms of the schemes' laws that only the tests compare against,
-and the open-interval uniform draws of their Monte Carlo checks."""
+the open-interval uniform draws of their Monte Carlo checks, and the
+one-row inverse CDF that the row-wise ``schemes.inverse_cdf`` is held to."""
 
 import math
 
@@ -13,6 +14,13 @@ def uniform_open(rng: np.random.Generator, size=None):
     """Uniform draws strictly inside (0, 1), on the half-shifted 2^52 grid
     of ``keys.unit``, so logs stay finite."""
     return (rng.integers(0, 1 << 52, size=size) + 0.5) * 2.0**-52
+
+
+def inverse_cdf_1d(weights, u: float) -> int:
+    """The first index whose cumulative weight reaches ``u`` times the
+    total, clipped to the last index, by binary search on one row."""
+    cdf = np.cumsum(weights)
+    return min(int(np.searchsorted(cdf, u * cdf[-1], side="left")), cdf.size - 1)
 
 
 def gumbel_watermarked_score_mean(probs: np.ndarray) -> float:

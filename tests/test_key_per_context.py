@@ -1,8 +1,10 @@
-"""Keys derived once per distinct context: equivalence, golden outputs and
-call counts.
+"""Keys derived once per distinct context, streams generated in blocks:
+equivalence, golden outputs and call counts.
 
 Verifier scoring and generation derive each key once per distinct previous
-token. These tests hold them to the per-position definition, bit for bit.
+token, and generation draws its NTP rows and null tokens a block of
+positions at a time. These tests hold both to the per-position definition,
+bit for bit.
 """
 
 import hashlib
@@ -12,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scheme_theory import inverse_cdf_1d
+from wmseg import streams
 from wmseg.intervals import Segments
-from wmseg.keys import CONTEXT_SENTINEL, key_seed
+from wmseg.keys import CONTEXT_SENTINEL, TAG_NTP, TAG_NULL_DRAW, generator, key_seed, mix
 from wmseg.schemes import SCHEME_IDS, SchemeSpec
 from wmseg.streams import (
     Deletion,
@@ -22,6 +26,7 @@ from wmseg.streams import (
     StreamSpec,
     Substitution,
     apply_edits,
+    cap_probs,
     generate_stream,
     score_tokens,
 )
@@ -35,6 +40,93 @@ def reference_scores(tokens, seed, scheme):
         out[i] = scheme.pivot_score(int(t), scheme.key_at(key_seed(seed, prev)))
         prev = int(t)
     return out
+
+
+def reference_ntp(model, rng, vocab_size, position):
+    """Per-position definition of ``NtpModel.sample``: one NTP vector."""
+    if model.kind == "fixed":
+        return np.asarray(model.vectors[position % len(model.vectors)], dtype=float)
+    if model.kind == "zipf":
+        base = np.arange(1, vocab_size + 1, dtype=float) ** -model.exponent
+        base /= base.sum()
+        if base.max() > 1.0 - model.delta_cap:
+            base = cap_probs(base, model.delta_cap)
+        return base[rng.permutation(vocab_size)]
+    for _ in range(streams._REJECTION_LIMIT):
+        probs = rng.dirichlet(np.full(vocab_size, model.concentration))
+        if probs.max() <= 1.0 - model.delta_cap:
+            return probs
+    return cap_probs(probs, model.delta_cap)
+
+
+def reference_stream(spec):
+    """Per-position definition of ``generate_stream``: one NTP draw, one key
+    and one token per position. Returns the tokens, scores and keys."""
+    scheme = spec.scheme
+    rng_ntp = generator(mix(spec.seed, TAG_NTP))
+    rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
+    inside = spec.true_segments.mask(spec.n)
+    tokens, keys = [], []
+    prev = CONTEXT_SENTINEL
+    for i in range(spec.n):
+        probs = reference_ntp(spec.ntp_model, rng_ntp, spec.vocab_size, i)
+        key = scheme.key_at(key_seed(spec.seed, prev))
+        if inside[i]:
+            prev = scheme.decode(probs, key)
+        else:
+            prev = inverse_cdf_1d(probs, rng_null.random())
+        tokens.append(prev)
+        keys.append(key)
+    return np.array(tokens), reference_scores(tokens, spec.seed, scheme), keys
+
+
+def ntp_models(vocab_size):
+    """Dirichlet at a small and a moderate concentration, zipf, and fixed
+    vectors of this vocabulary size within the default cap."""
+    rng = np.random.default_rng(vocab_size)
+    vectors = tuple(tuple(cap_probs(rng.dirichlet(np.ones(vocab_size)), 0.5)) for _ in range(3))
+    return {
+        "dirichlet-0.05": NtpModel(kind="dirichlet", concentration=0.05),
+        "dirichlet-0.3": NtpModel(kind="dirichlet", concentration=0.3),
+        "zipf": NtpModel(kind="zipf"),
+        "fixed": NtpModel(kind="fixed", vectors=vectors),
+    }
+
+
+def assert_matches_reference(spec, stream):
+    tokens, scores, keys = reference_stream(spec)
+    assert np.array_equal(stream.tokens, tokens)
+    assert np.array_equal(stream.pivots.scores, scores)
+    assert len(stream.keys) == len(keys)
+    for got, expected in zip(stream.keys, keys):
+        for name, value in vars(expected).items():
+            assert np.array_equal(getattr(got, name), value)
+
+
+@pytest.mark.parametrize("ntp", ("dirichlet-0.05", "dirichlet-0.3", "zipf", "fixed"))
+@pytest.mark.parametrize("vocab_size", (3, 20, 1000))
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_generate_stream_matches_the_per_position_reference(scheme_id, vocab_size, ntp,
+                                                            monkeypatch):
+    n = 300
+    spec = StreamSpec(n, Segments([(40, 140), (200, 260)], n=n), SchemeSpec(scheme_id, vocab_size),
+                      ntp_models(vocab_size)[ntp], seed=vocab_size + 11)
+    assert_matches_reference(spec, generate_stream(spec))
+    # Blocks of 64 entries: 1 to 21 rows, so most streams span many blocks.
+    monkeypatch.setattr(streams, "_BLOCK_ENTRIES", 64)
+    assert_matches_reference(spec, generate_stream(spec))
+
+
+@pytest.mark.parametrize("block_entries", (2**15, 16))
+def test_the_dirichlet_cap_fallback_matches_the_reference(block_entries, monkeypatch):
+    """At V=3 and concentration 0.05 most candidates exceed the cap, so with
+    the rejection limit at 3 most positions take ``cap_probs`` of their third
+    candidate, and runs of rejections cross the batches of candidates."""
+    monkeypatch.setattr(streams, "_REJECTION_LIMIT", 3)
+    monkeypatch.setattr(streams, "_BLOCK_ENTRIES", block_entries)
+    spec = StreamSpec(200, Segments([(30, 120)], n=200), SchemeSpec("gumbel", 3),
+                      NtpModel(kind="dirichlet", concentration=0.05), seed=17)
+    assert_matches_reference(spec, generate_stream(spec))
 
 
 @st.composite

@@ -10,6 +10,7 @@ from scheme_theory import (
     capped_extremal_probs,
     gumbel_separation_lower_bound,
     gumbel_watermarked_score_mean,
+    inverse_cdf_1d,
     inverse_null_pivot_cdf,
     uniform_open,
 )
@@ -22,6 +23,7 @@ from wmseg.schemes import (
     PivotSeries,
     RedGreenKey,
     SchemeSpec,
+    inverse_cdf,
 )
 
 N_MC = 100_000
@@ -66,6 +68,14 @@ class TestGumbelDecode:
         probs = np.array([0.0, 0.5, 0.5, 0.0])
         for seed in range(50):
             assert scheme.decode(probs, scheme.key_at(seed)) in (1, 2)
+
+    def test_negative_zero_never_wins_and_nan_is_rejected(self):
+        scheme = SchemeSpec("gumbel", 4)
+        probs = np.array([-0.0, 0.5, 0.5, -0.0])
+        for seed in range(50):
+            assert scheme.decode(probs, scheme.key_at(seed)) in (1, 2)
+        with pytest.raises(InvalidDistribution):
+            scheme.decode(np.array([np.nan, 0.5, 0.5, 0.0]), scheme.key_at(1))
 
     def test_deterministic_given_inputs(self):
         scheme = SchemeSpec("gumbel", 20)
@@ -235,6 +245,34 @@ class TestInversePivot:
         with pytest.raises(ValueError):
             INVERSE.score(1.1)
         assert INVERSE.score(0.25) == 0.75
+
+
+# ---------------------------------------------------------------------------
+# Row-wise inverse CDF (red_green decoding and generation's null tokens)
+# ---------------------------------------------------------------------------
+
+
+class TestInverseCdf:
+    @pytest.mark.parametrize("weights, u, expected", [
+        ((0.2, 0.3, 0.5), 0.0, 0),              # u = 0 takes the first index
+        ((0.0, 0.0, 1.0), 0.0, 0),              # ... even at zero weight
+        ((1.0, 1.0, 2.0), 0.5, 1),              # u * total = cdf[1] = 2: ties go left
+        ((0.0, 1.0, 0.0, 1.0), 0.5, 1),         # a zero-weight token after the tie is skipped
+        ((0.5, 0.5, 0.0, 0.0), 1.0, 1),         # u = 1 stops at the last positive weight
+        # u * total above cdf[-1]: count(cdf < u * total) is V, clipped to V - 1.
+        # (For u <= 1 the product never exceeds cdf[-1]; only u > 1 gets here.)
+        ((0.1, 0.2, 0.7), float(np.nextafter(1.0, 2.0)), 2),
+    ], ids=["u=0", "u=0-zero-weight", "tie", "zero-weights", "u=1", "clip"])
+    def test_edge_rows_match_the_one_row_form(self, weights, u, expected):
+        got = inverse_cdf(np.array([weights]), np.array([u]))
+        assert got.tolist() == [inverse_cdf_1d(np.array(weights), u)] == [expected]
+
+    def test_a_block_matches_the_one_row_form_row_by_row(self, rng):
+        weights = rng.random((300, 7)) * (rng.random((300, 7)) < 0.6)  # zero-weight tokens
+        u = rng.random(300)
+        u[:30] = 0.0
+        got = inverse_cdf(weights, u)
+        assert got.tolist() == [inverse_cdf_1d(w, x) for w, x in zip(weights, u)]
 
 
 # ---------------------------------------------------------------------------

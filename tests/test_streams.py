@@ -74,16 +74,14 @@ class TestNtpModel:
     def test_dirichlet_respects_the_cap(self):
         rng = generator(5)
         model = NtpModel(kind="dirichlet", delta_cap=0.6, concentration=0.3)
-        for _ in range(300):
-            probs = model.sample(rng, 40)
+        for probs in model.sample(rng, 40, 0, 300):
             assert probs.max() <= 0.4 + 1e-9
             assert math.isclose(probs.sum(), 1.0, abs_tol=1e-9)
 
     def test_zipf_is_a_capped_permuted_power_law(self):
         rng = generator(6)
         model = NtpModel(kind="zipf", delta_cap=0.5, exponent=2.0)
-        a = model.sample(rng, 10)
-        b = model.sample(rng, 10)
+        a, b = model.sample(rng, 10, 0, 2)
         assert math.isclose(a.sum(), 1.0, abs_tol=1e-9)
         assert a.max() <= 0.5 + 1e-9
         assert np.allclose(np.sort(a), np.sort(b))  # same shape, different order
@@ -95,8 +93,27 @@ class TestNtpModel:
         with pytest.raises(ValueError):
             NtpModel(kind="fixed", delta_cap=0.5, vectors=((0.9, 0.1),))
         rng = generator(7)
-        assert np.allclose(model.sample(rng, 3, position=0), [0.5, 0.5, 0.0])
-        assert np.allclose(model.sample(rng, 3, position=3), [0.25, 0.25, 0.5])
+        assert np.allclose(model.sample(rng, 3, 0, 1), [[0.5, 0.5, 0.0]])
+        assert np.allclose(model.sample(rng, 3, 3, 1), [[0.25, 0.25, 0.5]])
+
+    @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
+    @pytest.mark.parametrize("vocab_size, delta_cap", ((2, 0.5), (4, 0.75), (10, 0.9)))
+    def test_a_cap_admitting_only_uniform_draws_nothing(self, kind, vocab_size, delta_cap):
+        # (1 - delta_cap) * V == 1: the uniform vector is the only admissible
+        # NTP, which dirichlet used to reach through 10^4 draws per position.
+        rng = generator(8)
+        state = rng.bit_generator.state
+        rows = NtpModel(kind=kind, delta_cap=delta_cap).sample(rng, vocab_size, 0, 1000)
+        assert np.array_equal(rows, np.full((1000, vocab_size), 1.0 / vocab_size))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
+    def test_an_infeasible_cap_raises_before_drawing(self, kind):
+        rng = generator(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="infeasible for vocabulary of 2"):
+            NtpModel(kind=kind, delta_cap=0.6).sample(rng, 2, 0, 5)
+        assert rng.bit_generator.state == state
 
     def test_fixed_cap_boundary_is_allowed(self):
         NtpModel(kind="fixed", delta_cap=0.5, vectors=((0.5, 0.5),))

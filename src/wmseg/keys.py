@@ -44,6 +44,9 @@ TAG_REPLICATION = 0x05
 CONTEXT_SENTINEL = -1
 
 _U32 = np.uint64(0xFFFFFFFF)
+# (shift, multiplier) of the two xorshift-multiply rounds of splitmix64.
+_SPLITMIX_ROUNDS = ((np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+                    (np.uint64(27), np.uint64(0x94D049BB133111EB)))
 
 
 def splitmix64(x: int) -> int:
@@ -55,11 +58,20 @@ def splitmix64(x: int) -> int:
 
 
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """``splitmix64`` of each entry of a uint64 array (wrapping arithmetic)."""
+    """``splitmix64`` of each entry of a uint64 array (wrapping arithmetic).
+
+    The input is copied once and left unchanged; every later step works in
+    place on the copy and one shift buffer.
+    """
     x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    shifted = np.empty_like(x)
+    for shift, multiplier in _SPLITMIX_ROUNDS:
+        np.right_shift(x, shift, out=shifted)
+        x ^= shifted
+        x *= multiplier
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
+    return x
 
 
 def mix(*parts: int) -> int:
@@ -109,8 +121,15 @@ def unit(h):
     """The uniform of a 64-bit hash (an int or a uint64 array):
     ((h >> 12) + 0.5) 2^-52. Every point of this half-shifted 2^52 grid is a
     float64, so the value lies strictly inside (0, 1) and logs stay finite.
+    An array is converted to float once, then shifted and scaled in place;
+    each step is exact, so both forms give the same bits.
     """
-    return ((h >> 12) + 0.5) * 2.0**-52
+    if not isinstance(h, np.ndarray):
+        return ((h >> 12) + 0.5) * 2.0**-52
+    out = (h >> np.uint64(12)).astype(np.float64)
+    out += 0.5
+    out *= 2.0**-52
+    return out
 
 
 def _mulhi64(x, y):

@@ -10,15 +10,20 @@ tokens between tools, with the seed and scheme that score them: a header
 record, then one body record holding the token list, which the verifier
 rescores.
 
-Generation works on blocks of positions, each holding at most 2^15 NTP
-entries (32 rows at V=1000). One ``NtpModel.sample`` call draws the NTP
-rows of a block and one check validates them. The positions outside the
-segments need no key: they take their tokens from one array of null
-uniforms through one row-wise ``inverse_cdf``. Only the positions inside a
-segment run one at a time, since each decodes with the key of the token
-before it. Every draw is taken in position order from the same two
-generators, so the tokens, keys and pivots are the bits a loop over single
-positions gives, whatever the block size.
+Generation draws NTP rows only for the positions inside a segment, which
+decode with them. Each position's row is drawn independently of every other
+draw, and the token of a position outside the segments reads only its own
+row and a fresh uniform, so that token is Categorical(E[row]) and
+independent of the rest of the stream. ``NtpModel.null_tokens`` draws it
+from that mean directly: the ``dirichlet`` and ``zipf`` row laws are
+exchangeable over the tokens, so their mean is uniform and the null tokens
+are one ``integers(0, V)`` array, while a ``fixed`` row is its own mean and
+keeps its per-position ``inverse_cdf``. The positions inside the segments
+run in blocks of at most 2^15 NTP entries (32 rows at V=1000): one
+``NtpModel.sample`` call draws the rows of a block and one check validates
+them, then its positions decode one at a time, since each decodes with the
+key of the token before it. Every draw is taken in position order from the
+two generators, so the outputs do not depend on the block size.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
@@ -53,7 +58,7 @@ from .keys import (
     mix,
 )
 from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_decodable, check_keys,
-                      check_tokens, inverse_cdf, read_fields, validate_probs)
+                      check_tokens, read_fields, validate_probs)
 
 NTP_KINDS = ("dirichlet", "zipf", "fixed")
 _REJECTION_LIMIT = 10_000
@@ -91,7 +96,15 @@ class NtpModel:
     ``dirichlet`` draws concentration-alpha vectors (rejection-sampled into
     the cap, then capped outright after 10^4 failures); ``zipf`` permutes a
     capped power-law shape; ``fixed`` cycles through user-supplied vectors.
-    ``sample`` returns the vectors of a block of consecutive positions.
+    ``sample`` returns the vectors of given positions, for decoding;
+    ``null_tokens`` returns tokens drawn from them independently of any key
+    without drawing a vector.
+
+    The law of a ``dirichlet`` or ``zipf`` vector is exchangeable over the
+    tokens: the Dirichlet is symmetric, the cap test and ``cap_probs`` are
+    permutation-equivariant, a zipf vector is the capped shape under a
+    uniform permutation, and the uniform-only cap gives the uniform vector.
+    Its mean is thus the uniform vector. A ``fixed`` vector is its own mean.
     """
 
     kind: str = "dirichlet"
@@ -105,6 +118,11 @@ class NtpModel:
             raise ValueError(f"unknown NTP model kind {self.kind!r}")
         if not 0.0 < self.delta_cap < 1.0:
             raise ValueError("delta_cap must lie in (0, 1)")
+        if not (math.isfinite(self.concentration) and self.concentration > 0.0):
+            raise ValueError(f"concentration must be finite and positive, "
+                             f"not {self.concentration!r}")
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"exponent must be finite, not {self.exponent!r}")
         if self.kind == "fixed":
             if not self.vectors:
                 raise ValueError("fixed NTP model needs at least one vector")
@@ -113,26 +131,33 @@ class NtpModel:
                 if probs.max() > 1.0 - self.delta_cap + 1e-12:
                     raise ValueError("fixed NTP vector violates the probability cap")
 
-    def sample(self, rng: np.random.Generator, vocab_size: int, start: int,
-               count: int) -> np.ndarray:
-        """The NTP vectors of positions start, ..., start + count - 1, as
-        ``(count, vocab_size)`` rows.
+    def _check_cap(self, vocab_size: int) -> float:
+        """The cap 1 - delta_cap; ValueError if it admits no vector of size V."""
+        cap = 1.0 - self.delta_cap
+        if cap * vocab_size < 1.0 - 1e-12:  # the tolerance of cap_probs
+            raise ValueError(f"cap {cap} infeasible for vocabulary of {vocab_size}")
+        return cap
 
-        ``fixed`` row j is vector ``(start + j) mod len(vectors)``. The other
-        kinds draw from ``rng`` in position order, so the rows of a stream
-        do not depend on how its positions are cut into calls. A dirichlet
-        position takes the first of its candidates within the cap, or
-        ``cap_probs`` of its 10^4-th. A cap that admits no vector raises
+    def sample(self, rng: np.random.Generator, vocab_size: int,
+               positions: np.ndarray) -> np.ndarray:
+        """The NTP vectors of the given increasing positions, as
+        ``(len(positions), vocab_size)`` rows.
+
+        ``fixed`` row j is vector ``positions[j] mod len(vectors)``. The
+        other kinds draw one vector per position from ``rng``, in order, so
+        the rows do not depend on how the positions are cut into calls. A
+        dirichlet position takes the first of its candidates within the cap,
+        or ``cap_probs`` of its 10^4-th. A cap that admits no vector raises
         ValueError, and one that admits only the uniform vector
         (``(1 - delta_cap) * vocab_size == 1``) gives uniform rows; neither
         draws from ``rng``.
         """
+        positions = np.asarray(positions, dtype=np.int64)
+        count = positions.size
         if self.kind == "fixed":
             vectors = np.asarray(self.vectors, dtype=float)
-            return vectors[(start + np.arange(count)) % len(vectors)]
-        cap = 1.0 - self.delta_cap
-        if cap * vocab_size < 1.0 - 1e-12:  # the tolerance of cap_probs
-            raise ValueError(f"cap {cap} infeasible for vocabulary of {vocab_size}")
+            return vectors[positions % len(vectors)]
+        cap = self._check_cap(vocab_size)
         if cap * vocab_size <= 1.0 + 1e-12:
             return np.full((count, vocab_size), 1.0 / vocab_size)
         if self.kind == "zipf":
@@ -157,6 +182,34 @@ class NtpModel:
             if filled == count:
                 return rows
             candidates = rng.dirichlet(alpha, size=count - filled)
+
+    def null_tokens(self, rng: np.random.Generator, vocab_size: int,
+                    positions: np.ndarray) -> np.ndarray:
+        """Tokens at the given increasing positions, each drawn from its
+        position's NTP vector independently of every other draw.
+
+        Such a token is Categorical(E[vector]), so no vector is drawn: a
+        ``dirichlet`` or ``zipf`` token is uniform on 0..V-1, one
+        ``rng.integers`` array, and a ``fixed`` token is the ``inverse_cdf``
+        of its position's vector at one ``rng.random`` uniform per position,
+        in order. A cap that admits no vector raises ValueError, as in
+        ``sample``.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        if self.kind != "fixed":
+            self._check_cap(vocab_size)
+            return rng.integers(0, vocab_size, positions.size)
+        # inverse_cdf row by row, with one cdf per vector instead of a row
+        # per position: count(cdf < u * total) is searchsorted(cdf, u * total).
+        cdfs = np.cumsum(check_decodable(np.asarray(self.vectors, dtype=float),
+                                         (len(self.vectors), vocab_size)), axis=1)
+        which = positions % len(cdfs)
+        targets = rng.random(positions.size) * cdfs[which, -1]
+        tokens = np.empty(positions.size, dtype=np.int64)
+        for j, cdf in enumerate(cdfs):
+            at = which == j
+            tokens[at] = np.searchsorted(cdf, targets[at], side="left")
+        return np.minimum(tokens, vocab_size - 1)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "delta_cap": self.delta_cap}
@@ -224,13 +277,16 @@ def generate_stream(spec: StreamSpec) -> Stream:
 
     Inside a planted segment the token is the scheme's decode of (NTP, key);
     outside it is sampled from the NTP independently of the key, which is
-    exactly the coupling the pivot statistics detect. The positions run in
-    blocks of at most ``_BLOCK_ENTRIES`` NTP entries: a block's NTP rows come
-    from one ``NtpModel.sample`` call and pass ``check_decodable`` once; its
-    positions outside the segments take their tokens from one
-    ``rng_null.random`` array through one ``inverse_cdf``; and its positions
-    inside, in order, decode their rows with ``SchemeSpec.decode_row`` under
-    the key of the token before. Each distinct context derives its key
+    exactly the coupling the pivot statistics detect. Generation runs in two
+    phases. First every position outside the segments takes its token from
+    ``NtpModel.null_tokens``, in position order, with no NTP vector drawn:
+    each position's vector is drawn independently of every other draw and
+    only that position's token reads it, so the token is Categorical of the
+    vector's mean. Then the positions inside the segments run in blocks of
+    at most ``_BLOCK_ENTRIES`` NTP entries: a block's rows come from one
+    ``NtpModel.sample`` call and pass ``check_decodable`` once, and its
+    positions, in order, decode their rows with ``SchemeSpec.decode_row``
+    under the key of the token before. Each distinct context derives its key
     once, so positions with the same previous token share one key object in
     ``Stream.keys``. The pivots are then scored by the verifier's own
     scorer, ``score_tokens``, so both give the same bits.
@@ -248,17 +304,17 @@ def generate_stream(spec: StreamSpec) -> Stream:
         return key
 
     tokens = np.empty(n, dtype=np.int64)
+    null = np.flatnonzero(~inside)
+    tokens[null] = spec.ntp_model.null_tokens(rng_null, vocab_size, null)
+    marked = np.flatnonzero(inside)
     block_rows = max(1, _BLOCK_ENTRIES // vocab_size)
-    for start in range(0, n, block_rows):
-        count = min(block_rows, n - start)
-        probs = check_decodable(spec.ntp_model.sample(rng_ntp, vocab_size, start, count),
-                                (count, vocab_size))
-        block, marked = tokens[start:start + count], inside[start:start + count]
-        null = ~marked
-        block[null] = inverse_cdf(probs[null], rng_null.random(np.count_nonzero(null)))
-        for j in np.flatnonzero(marked).tolist():
-            prev = int(tokens[start + j - 1]) if start + j else CONTEXT_SENTINEL
-            block[j] = scheme.decode_row(probs[j], key_after(prev))
+    for start in range(0, marked.size, block_rows):
+        positions = marked[start:start + block_rows]
+        probs = check_decodable(spec.ntp_model.sample(rng_ntp, vocab_size, positions),
+                                (positions.size, vocab_size))
+        for i, row in zip(positions.tolist(), probs):
+            prev = int(tokens[i - 1]) if i else CONTEXT_SENTINEL
+            tokens[i] = scheme.decode_row(row, key_after(prev))
     keys = tuple(map(key_after, [CONTEXT_SENTINEL, *tokens[:-1].tolist()]))
     series = score_tokens(tokens, spec.seed, scheme)
     return Stream(spec=spec, tokens=tokens, keys=keys, pivots=series)

@@ -59,6 +59,15 @@ def test_unknown_scheme_is_a_validation_error(tmp_path):
     assert cli_main(argv) == 1
 
 
+def test_a_bad_ntp_parameter_is_a_validation_error(tmp_path):
+    """A null-only stream draws no NTP row, so the model must reject the
+    parameter when it is built."""
+    out = tmp_path / "bad-ntp.jsonl"
+    argv = ["generate", "--n", "300", "--concentration", "0", "--seed", "1", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+
+
 def test_missing_stream_file_is_an_io_error(tmp_path):
     argv = ["segment", "--stream", str(tmp_path / "missing.jsonl"),
             "--cert", str(tmp_path / "cert.json"), "--out", str(tmp_path / "result.json")]

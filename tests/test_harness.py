@@ -29,10 +29,10 @@ PLAN = ExperimentPlan(
 )
 
 # SHA-256 of json.dumps(rows). It pins generation (gumbel keys from keyed
-# splitmix64 hashes, numpy's NTP draws), calibration and the segmenter;
-# calibrating once per (b, alpha) must give the bits of calibrating at every
-# grid point.
-ROWS_DIGEST = "6acd42fcf5d0d7972ba9e1b5e63b8b2026ce8c04ea6c4001cb5b6c78a44aa9d4"
+# splitmix64 hashes, numpy's draws of the NTP rows and the unwatermarked
+# tokens), calibration and the segmenter; calibrating once per (b, alpha)
+# must give the bits of calibrating at every grid point.
+ROWS_DIGEST = "aa76d9826e9fb1fb616259773e964bb00ea314f4b0d86af452e819335cd08134"
 
 
 def test_rows_are_pinned():

@@ -2,9 +2,9 @@
 equivalence, golden outputs and call counts.
 
 Verifier scoring and generation derive each key once per distinct previous
-token, and generation draws its NTP rows and null tokens a block of
-positions at a time. These tests hold both to the per-position definition,
-bit for bit.
+token, and generation draws the null tokens in one call and the NTP rows of
+the watermarked positions a block at a time. These tests hold both to the
+per-position definition, bit for bit.
 """
 
 import hashlib
@@ -60,21 +60,28 @@ def reference_ntp(model, rng, vocab_size, position):
 
 
 def reference_stream(spec):
-    """Per-position definition of ``generate_stream``: one NTP draw, one key
-    and one token per position. Returns the tokens, scores and keys."""
-    scheme = spec.scheme
+    """Per-position definition of ``generate_stream``: one key and one token
+    per position, with an NTP draw only at the positions inside a segment.
+    A position outside takes its token from the mean NTP vector: the next
+    entry of one ``rng_null.integers(0, V, k)`` array for dirichlet and
+    zipf, whose mean is uniform, or ``inverse_cdf_1d`` of its fixed vector at
+    one ``rng_null.random()``. Returns the tokens, scores and keys."""
+    scheme, model, vocab_size = spec.scheme, spec.ntp_model, spec.vocab_size
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
     inside = spec.true_segments.mask(spec.n)
+    if model.kind != "fixed":
+        uniform_tokens = iter(rng_null.integers(0, vocab_size, np.count_nonzero(~inside)).tolist())
     tokens, keys = [], []
     prev = CONTEXT_SENTINEL
     for i in range(spec.n):
-        probs = reference_ntp(spec.ntp_model, rng_ntp, spec.vocab_size, i)
         key = scheme.key_at(key_seed(spec.seed, prev))
         if inside[i]:
-            prev = scheme.decode(probs, key)
+            prev = scheme.decode(reference_ntp(model, rng_ntp, vocab_size, i), key)
+        elif model.kind == "fixed":
+            prev = inverse_cdf_1d(reference_ntp(model, None, vocab_size, i), rng_null.random())
         else:
-            prev = inverse_cdf_1d(probs, rng_null.random())
+            prev = next(uniform_tokens)
         tokens.append(prev)
         keys.append(key)
     return np.array(tokens), reference_scores(tokens, spec.seed, scheme), keys
@@ -174,74 +181,106 @@ def test_reconstructed_keys_match_per_position_keys(scheme_id):
 # ---------------------------------------------------------------------------
 # Golden outputs of generate_stream: SHA-256 of tokens, of pivots.scores and
 # of every position's key arrays (int64 / float64 / bool bytes). They pin
-# numpy's PCG64, Dirichlet and permutation bit streams, which draw the NTPs
-# and the unwatermarked tokens, as well as this package's keys: keyed
-# splitmix64 hashes per coordinate for gumbel, keyed affine permutations for
-# inverse and red_green, and every key uniform on the 2^52 grid of
-# ``keys.unit``.
+# numpy's PCG64 bit streams: the Dirichlet and permutation draws of the NTP
+# rows inside the segments, the bounded-integer draws of the unwatermarked
+# dirichlet and zipf tokens, and the uniforms of the unwatermarked fixed-NTP
+# tokens. They also pin this package's keys: keyed splitmix64 hashes per
+# coordinate for gumbel, keyed affine permutations for inverse and
+# red_green, and every key uniform on the 2^52 grid of ``keys.unit``. The
+# fixed-NTP digests also held when every position drew its NTP row, since
+# a fixed row is its own mean.
 # ---------------------------------------------------------------------------
 
-NTPS = {"dirichlet": NtpModel(kind="dirichlet"), "zipf": NtpModel(kind="zipf")}
 GOLDEN = {
     ("gumbel", "dirichlet", 20): (
-        "bc9ccc41d1fc1a9bf9d12f6c3591e4c63568e86ee746838d2b1ec019371e8307",
-        "7dfcfa43d5f99e22838c392edc79fe7ded4188e22f5696fd90665d6489fd92b2",
-        "3e24b6de8094fe36ee0428d0cdb00a3ac3aaf21e9e99084de9440c4156da8b4b",
+        "e712ab3358722b9a269018bf066ed626d6d074f0ed18225f212bd0b38424818e",
+        "923429efb0697ad463248846971cc64f9ef9f96c009f6147e58104bbfc767786",
+        "85ab58104aa47ec295256bde4010c576fe7ceab20b1593b2c965001748856420",
     ),
     ("gumbel", "dirichlet", 1000): (
-        "0d7cbddc9812482af7f79a832698726b8d22f0968ac4960df498525a76569d2d",
-        "8e6a08cde392c52cebbfc485b437d6e818eb5b6c8018f9cc1e1626cd3dcb7457",
-        "b223927ddda77aa088af27a4ac78246e18c7af6853f0cba0a719f3a8a7cae69c",
+        "0f2ecbf8bf5246ddeb12877df856d75a86e9dfbe953d9251a56bbaf1bb18601e",
+        "60be6ed82a665b074b09362ce242dbddf3a90eab8cf562475fcc742755baf419",
+        "05c860c5e488d0a9c02aaf629f3b6b3b35dd068da158052df45d60ba8ff75f2f",
+    ),
+    ("gumbel", "fixed", 20): (
+        "73aed4d6a5c9e0a7635acb38ed95d2bcc36393d6f53abfda5b56776f5d880933",
+        "d1d60f48d9361bbb51bd323f7c55f2473db41a611be873c562ca849d4d0bd6d2",
+        "9ba8c13abfcc048f192ed0e4c2854924d6035f853626f8cfa73a67e87475dbe9",
+    ),
+    ("gumbel", "fixed", 1000): (
+        "6dc48bc3f7d5a2939f9ec168f2d8f61266a007928fcc60dfa6733453105c05ee",
+        "4f4db8667490f4edbf877121e79e03d01d9814aa441c2e55068750136a54a15a",
+        "f279a3330c6b6757365cf975720f957ed995076b2589891a2c2fdd35dee8ec39",
     ),
     ("gumbel", "zipf", 20): (
-        "ecc0ceefaefcf9aff9779624c845f74f804007739894d1e22647831098de946c",
-        "ca31522ee10c4f84600e4d4fd80c4f25a46632c8d1debb972dfb5e9a0191b92e",
-        "1a1961f1f0a1fa08b5cd22cbee76355436226b70366c63bc175bddf19aa7c554",
+        "d58d89a8ebcabda2fcef4113dc081abc4ec0362b7361c4bce43a40eb1899871e",
+        "ed58a562c1e50104b28e0b608e2c3fad594f4081de3ccaa60b21f76cd6ffe1e0",
+        "6f8480d3ec5f16b961786a88bf43c20972abd4221a9fd6fd590847d648cffbac",
     ),
     ("gumbel", "zipf", 1000): (
-        "56d708abad62dc87e37eadc424b4316918dbd66b4ff36697e5ef6038cc717f07",
-        "a5d9328853806e96f98b80d839db09361e4c6c9972ba555987bf155e2c901ba2",
-        "45a51226fff54cf5a37afa7637f9f66a920976477dcca0aa70a75b001e339271",
+        "b88341649be8a8ce51401908bce27014c9ec40d2bd241a129f8de01642c2148f",
+        "bdcd8716a732c4d98b1cd6889a375c187b3b6c3d9e5b7a499c5662aa3023196d",
+        "a0117bddb4eca0b0f83c179af7a676ee0c19c3a27c2173fdfdbb89f2c749b977",
     ),
     ("inverse", "dirichlet", 20): (
-        "4098320edefa54348cb014d1570ab02ee68734baaf5f21f478ea878633dff697",
-        "1761c63f0c223124068ebd5839afed56b7d3de0d25b05ae4ff3c4e3b427811f4",
-        "a08117f73a1ff13c712824377acb2bff20d3865a8c79fb1a125886c54cbeb753",
+        "360a84afcd4dcdd213510470f52fb84edbe47666482fd5240bf2c63961b3aa4a",
+        "2d852b333905ec3cd0ab39fb23af1d18ae639a7de29704efb8e0f4413e490e55",
+        "81ff62c31adefc98d6356e07bcca5be8cedff06f9dc6df4ac13f6324e4764ca7",
     ),
     ("inverse", "dirichlet", 1000): (
-        "dc2dd8feef099973f0dd74d954ca5bacaae0ad0a03fe654ceb22e0694ace8bdc",
-        "5869bbee11cbb01310e1cce566c0517558c0d826710dfe32f07aab49b344ee41",
-        "8d8dea1cca2342ae79e45dc4024598ea6cdb4a85cadc78a4ad857464dbb4035d",
+        "7d9a64b059edbe1110098774b5c133788922f56a2d9e08fad45f2e01fca47fc9",
+        "03fa8c9cb3aae0494ecb818da67c6d3d3a0f1914b366b935f2768863e8211a87",
+        "06f23b584dad5b0747a4257a2fb7920438f8210cdffa48663f0a84e9ba7e092b",
+    ),
+    ("inverse", "fixed", 20): (
+        "8f2bd2456ebb046c076c48b719bd44be311fca60d380d4081b8c9ed447754686",
+        "bfc04463f01a19d38d7a8d73710b410d0035f9c86860b478401ebd00d1d49764",
+        "efa2332c125f32d33f58758f082aaea0fb866e6c08ccf1124da9ca4513b790b8",
+    ),
+    ("inverse", "fixed", 1000): (
+        "649ea528a453f3afdc1472e3900072dfbeba31367b6f27a0721822f264fcb5b4",
+        "ef33356625e010905cd901473fd5f4d2b4418cb8de457e2fde0edeb973f473bd",
+        "2cd72cd1e40e66f67e4db891f09214778ed15910f9ada7eeac0a5d3c72ce2fbc",
     ),
     ("inverse", "zipf", 20): (
-        "3d6bad098c3ba3c8f4288ad1bf164c704cbf7c7b4d10eccce6e4c99dce706551",
-        "8b168d118df6fbc7575665016a3f5ef0a4c1dd86deed74ffd9f79a59c690e6fc",
-        "e1cec6206e8ab2a93a49133a90cdae253d0e27f5179d97525f3b056686b65bcf",
+        "26e7cf3d40f0ba5c673a2363120dd3994d5c8af14635f6e829a21b88733e3178",
+        "b6e4f231601d977bf08f76ffc71753e8e5f15c2e46913e943b55ca2cef842e89",
+        "e0aafe27e0b92d20da8d71321592a6939d90c62c4a3e125b1e445c5033a62a44",
     ),
     ("inverse", "zipf", 1000): (
-        "24c5db75e2e580c8019cbf24e0d848b2d1aa2b328acc5757394d75700e767895",
-        "e30f9595f97645c323dbaef489bb242914f9811733832f2297d3fa3f83db2895",
-        "2afb0b3b3c95c5319f0c1495bb6bbb3c6d611afe118132b95649767478928d40",
+        "b75a3c5c5b325f500a3abc2be69620c53787b4c5a2506a630d97d7601efc11be",
+        "935744e13999399feb64db45c5e62b14bfbd919cf46f1ec15c510b9ac3b0c0c9",
+        "042cefd5bcad708402e8d60c37b8af238e86d39ad58c493a08be9cbe0c82154d",
     ),
     ("red_green", "dirichlet", 20): (
-        "da2887a5ce674d6cb70d0580d6e95872440a5ded95b5d1be01e427f7719503ef",
-        "b7829d1691400e50cf25177f5c5922990eb29665524149590655cdff930d1cd2",
-        "436b68a61bae5d39ebfb292477792e51741d8d089bdb8985b5c470cced126c52",
+        "5db1418fca6372f7e9504daad9dfdba19efc626ac89c7fac59bfa24ea44d8a5e",
+        "8bc32825d7362a2146d08d211512334125515c9de7ce350f06cd76118f7979db",
+        "874b366a0a904ab03b476fb004141c9e96ec5f835a0494ec01d9cca0265bb91d",
     ),
     ("red_green", "dirichlet", 1000): (
-        "ddb44bcc9ad53333d0198830f94e766e10b437d3b8ca4738a7d841dd4fd0f17a",
-        "cd227db6bd7a8474e8e8c151a6723aa09024bdf3b6616447eb69b51d602eca39",
-        "b94871cb4febeb8af7022f405277fe87a3540b471d0589f4098ff29fe9bd69f8",
+        "5e7f1325a7d9cc8256d13600989269eb21431fbe1d57c223d059e07aa385108e",
+        "3ec637456e77b5860debf3ff49561de621ee44f3a9ca3d16394c0933621ce492",
+        "a4d807056610f326730e8dc539105900e522e8943518a6f21eb6ba4e560b8106",
+    ),
+    ("red_green", "fixed", 20): (
+        "691725f232beaa828160b8fa15a35b19c96969a2240976e572e2163737d2f3a3",
+        "2831b36df2a9523c6d3e1c8b80bdca6325837d155a2e19b9fb40b88a593c8a8d",
+        "23ff3b56efa99bf3d4930255901d609dd7e78cb99f2127f05d47d2b108ec4481",
+    ),
+    ("red_green", "fixed", 1000): (
+        "2e14aa41b923c6aca1845b2b73bcff4900683fdc5ab0491a5229432ba496ff3f",
+        "5ff0f1e29291ecb7d459c2f6493ace20adcee3920d4358f4ea0401ccaa8516c8",
+        "38ba46d1da8b7a0d5cc8315778745c2bbafb4a321d3b7d70eb37ccf6d92d1b47",
     ),
     ("red_green", "zipf", 20): (
-        "9cb46f5ee8f969206ca82a5d9fb344041b3605dc88be392042dd4a0a6d6d23de",
-        "091526a879937b33c632b4f177e9115f6aeaabab2ff27bfeb61381c99a5a8434",
-        "62176c33ca1ca704b00c4f45ac4d14f9cab1b1a88e50e002114b0952cb9cb621",
+        "00ef2ecfb897fdeadec59a9ec937c312a25dccb27d97d4b6c004261af70dcf16",
+        "6665adc8178b128e7d0786e81ac1e8808173377b3c7ccc88fe374784b8361748",
+        "b64970cd9d4768dc37ec79e5e2c815fea2bf8794ff4dee4e1b6f933cdb4dc538",
     ),
     ("red_green", "zipf", 1000): (
-        "7c581b2144ac27296cea8095dca3c845c280b6a6447e1dc6a8940a471a296164",
-        "c6142d4441c08df859a4c3542173989b0bdbfa881c792cb08b567bef7ce076e3",
-        "a420fb4350a5341438039899bdcc8d9d5f4734b90754e5ce7282fc2bcf3f078c",
+        "371cd7119acb1ffc41b0fdffe4028856d7b005b1ca43517acd92672e4efdfefc",
+        "ab4d31df62037d01e2f1fa18f3095f49104213f9fe2a4d2622d61e318f4e9c6e",
+        "80c5f5383ca1a088f618f9395ec9512d46051a000dd3f083c39ddbf48e8d7637",
     ),
 }
 
@@ -253,11 +292,20 @@ def _sha256(*arrays) -> str:
     return h.hexdigest()
 
 
+def golden_ntp(ntp, vocab):
+    """The NTP model of a golden case; ``fixed`` cycles three rotations of a
+    1/w law."""
+    if ntp == "fixed":
+        base = cap_probs(1.0 / np.arange(1, vocab + 1), 0.5)
+        return NtpModel(kind="fixed", vectors=tuple(tuple(np.roll(base, 7 * k)) for k in range(3)))
+    return NtpModel(kind=ntp)
+
+
 def golden_spec(scheme_id, ntp, vocab):
     n = 300
     return StreamSpec(
-        n, Segments([(40, 140), (200, 260)], n=n), SchemeSpec(scheme_id, vocab), NTPS[ntp],
-        seed=vocab + 7,
+        n, Segments([(40, 140), (200, 260)], n=n), SchemeSpec(scheme_id, vocab),
+        golden_ntp(ntp, vocab), seed=vocab + 7,
     )
 
 

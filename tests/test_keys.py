@@ -16,6 +16,7 @@ from wmseg.keys import (
     key_seeds,
     mix,
     splitmix64,
+    splitmix64_array,
     unit,
     units_mod,
 )
@@ -35,6 +36,15 @@ def test_splitmix64_is_stable():
     # Reference values from the canonical splitmix64 sequence seeded at 0.
     assert splitmix64(0) == 0xE220A8397B1DCDAF
     assert splitmix64(splitmix64(0)) != splitmix64(0)
+
+
+def test_splitmix64_array_equals_the_scalar_hash_and_keeps_its_input():
+    seeds = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+    before = seeds.copy()
+    hashed = splitmix64_array(seeds)
+    assert np.array_equal(seeds, before)
+    assert hashed.dtype == np.uint64
+    assert hashed.tolist() == [splitmix64(int(x)) for x in before]
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1))

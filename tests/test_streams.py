@@ -10,7 +10,7 @@ from scipy import stats
 from scheme_theory import gumbel_separation_lower_bound
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, generator, key_seed
-from wmseg.schemes import GumbelKey, SchemeSpec
+from wmseg.schemes import GumbelKey, SchemeSpec, inverse_cdf
 from wmseg.streams import (
     Deletion,
     Insertion,
@@ -74,14 +74,14 @@ class TestNtpModel:
     def test_dirichlet_respects_the_cap(self):
         rng = generator(5)
         model = NtpModel(kind="dirichlet", delta_cap=0.6, concentration=0.3)
-        for probs in model.sample(rng, 40, 0, 300):
+        for probs in model.sample(rng, 40, np.arange(300)):
             assert probs.max() <= 0.4 + 1e-9
             assert math.isclose(probs.sum(), 1.0, abs_tol=1e-9)
 
     def test_zipf_is_a_capped_permuted_power_law(self):
         rng = generator(6)
         model = NtpModel(kind="zipf", delta_cap=0.5, exponent=2.0)
-        a, b = model.sample(rng, 10, 0, 2)
+        a, b = model.sample(rng, 10, np.arange(2))
         assert math.isclose(a.sum(), 1.0, abs_tol=1e-9)
         assert a.max() <= 0.5 + 1e-9
         assert np.allclose(np.sort(a), np.sort(b))  # same shape, different order
@@ -93,8 +93,10 @@ class TestNtpModel:
         with pytest.raises(ValueError):
             NtpModel(kind="fixed", delta_cap=0.5, vectors=((0.9, 0.1),))
         rng = generator(7)
-        assert np.allclose(model.sample(rng, 3, 0, 1), [[0.5, 0.5, 0.0]])
-        assert np.allclose(model.sample(rng, 3, 3, 1), [[0.25, 0.25, 0.5]])
+        assert np.allclose(model.sample(rng, 3, [0]), [[0.5, 0.5, 0.0]])
+        assert np.allclose(model.sample(rng, 3, [3]), [[0.25, 0.25, 0.5]])
+        assert np.allclose(model.sample(rng, 3, [1, 2, 5]),
+                           [[0.25, 0.25, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
 
     @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
     @pytest.mark.parametrize("vocab_size, delta_cap", ((2, 0.5), (4, 0.75), (10, 0.9)))
@@ -103,17 +105,52 @@ class TestNtpModel:
         # NTP, which dirichlet used to reach through 10^4 draws per position.
         rng = generator(8)
         state = rng.bit_generator.state
-        rows = NtpModel(kind=kind, delta_cap=delta_cap).sample(rng, vocab_size, 0, 1000)
+        rows = NtpModel(kind=kind, delta_cap=delta_cap).sample(rng, vocab_size, np.arange(1000))
         assert np.array_equal(rows, np.full((1000, vocab_size), 1.0 / vocab_size))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
-    def test_an_infeasible_cap_raises_before_drawing(self, kind):
+    @pytest.mark.parametrize("draw", ("sample", "null_tokens"))
+    def test_an_infeasible_cap_raises_before_drawing(self, kind, draw):
         rng = generator(9)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="infeasible for vocabulary of 2"):
-            NtpModel(kind=kind, delta_cap=0.6).sample(rng, 2, 0, 5)
+            getattr(NtpModel(kind=kind, delta_cap=0.6), draw)(rng, 2, np.arange(5))
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
+    def test_a_null_only_stream_under_an_infeasible_cap_raises(self, kind):
+        spec = make_spec(n=50, scheme=SchemeSpec("gumbel", 2), ntp=NtpModel(kind, delta_cap=0.6))
+        with pytest.raises(ValueError, match="infeasible for vocabulary of 2"):
+            generate_stream(spec)
+
+    @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
+    def test_null_tokens_are_uniform_under_exchangeable_ntps(self, kind):
+        """The mean of an exchangeable NTP law is uniform, so a null-only
+        stream's tokens are uniform; so are those of the per-row rule, which
+        draws each position's row and then a token from it."""
+        model, vocab_size, n = NtpModel(kind=kind), 20, 20_000
+        spec = make_spec(n=n, seed=10, scheme=SchemeSpec("gumbel", vocab_size), ntp=model)
+        per_row = inverse_cdf(model.sample(generator(11), vocab_size, np.arange(n)),
+                              generator(12).random(n))
+        for tokens in (generate_stream(spec).tokens, per_row):
+            assert stats.chisquare(np.bincount(tokens, minlength=vocab_size)).pvalue > 0.01
+
+    def test_fixed_vectors_must_match_the_vocabulary(self):
+        model = NtpModel(kind="fixed", vectors=((0.5, 0.5),))
+        with pytest.raises(ValueError, match="differ from the key size"):
+            generate_stream(make_spec(n=20, scheme=SchemeSpec("gumbel", 3), ntp=model))
+
+    @pytest.mark.parametrize("field, value", (
+        ("concentration", 0.0), ("concentration", -1.0), ("concentration", math.nan),
+        ("concentration", math.inf), ("exponent", math.nan), ("exponent", -math.inf),
+    ))
+    @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
+    def test_bad_parameters_are_rejected_when_the_model_is_built(self, kind, field, value):
+        with pytest.raises(ValueError, match=field):
+            NtpModel(kind=kind, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            NtpModel.from_json({"kind": kind, field: value})
 
     def test_fixed_cap_boundary_is_allowed(self):
         NtpModel(kind="fixed", delta_cap=0.5, vectors=((0.5, 0.5),))

@@ -34,11 +34,20 @@ PLAN = ExperimentPlan(
 # must give the bits of calibrating at every grid point.
 ROWS_DIGEST = "aa76d9826e9fb1fb616259773e964bb00ea314f4b0d86af452e819335cd08134"
 
+# SHA-256 of json.dumps(rows[:PLAN.replications + 2]): the first grid point's
+# run, mean and median rows.
+FIRST_POINT_DIGEST = "62bb78bc9fb6de38bae8b4a0c6edf70042e3d27b2a1a44713f274eac8ab4c36b"
+
 
 def test_rows_are_pinned():
     rows = run_experiment(PLAN)
     assert len(rows) == len(PLAN.grid()) * (PLAN.replications + 2) == 96
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == ROWS_DIGEST
+
+
+def test_first_grid_points_rows_are_pinned():
+    rows = run_experiment(PLAN)[:PLAN.replications + 2]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FIRST_POINT_DIGEST
 
 
 def test_calibrates_once_per_block_len_and_alpha(monkeypatch):

@@ -1,8 +1,12 @@
 """Experiment runner: replicated grids over generated streams.
 
-Everything here is seed-deterministic: stream seeds derive from the plan
-seed and the (grid point, replication) pair, thresholds come from the exact
-null law, and rows are written in grid order.
+Every grid field (block length, rho, alpha, gamma) is a segmenter setting,
+so each replication generates one stream and segments it at every grid
+point. Each grid point still sees one independent stream per replication,
+so its rows keep their law; differences between grid points are paired and
+carry no stream-to-stream noise. Everything is seed-deterministic: a stream
+seed derives from the plan seed and the replication, thresholds come from
+the exact null law, and rows are written in grid order.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ EXPERIMENT_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A replicated grid experiment over one stream template. ``mc_reps``
+    """A replicated grid experiment over one stream template: each of the
+    ``replications`` streams is segmented at every grid point. ``mc_reps``
     is still read and written but changes nothing: calibration is exact."""
 
     n: int
@@ -107,30 +112,27 @@ def _read_grid(grid: dict) -> dict:
             for key, values in grid.items()}
 
 
-def _run_once(plan: ExperimentPlan, cert: ThresholdCert, grid_index: int, rep: int,
-              rho: float, gamma: float) -> EvalReport:
-    spec = StreamSpec(
-        n=plan.n,
-        true_segments=plan.true_segments,
-        scheme=plan.scheme,
-        ntp_model=plan.ntp_model,
-        seed=mix(plan.seed, TAG_REPLICATION, grid_index, rep),
-    )
-    stream = generate_stream(spec)
-    config = SegmenterConfig(cert=cert, rho=rho, gamma=gamma, discard_c=plan.discard_c)
-    start = time.perf_counter()
-    result = segment_series(stream.pivots, config)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    return evaluate(
-        plan.true_segments,
-        result.segments,
-        plan.n,
-        runtime_ms=elapsed_ms if plan.include_timing else None,
-    )
+def _segment_everywhere(plan: ExperimentPlan, certs: dict[tuple[int, float], ThresholdCert],
+                        rep: int) -> list[EvalReport]:
+    """Generate replication ``rep``'s stream and evaluate it at every grid point."""
+    # The 0 is the first grid point's slot in the seed.
+    spec = StreamSpec(n=plan.n, true_segments=plan.true_segments, scheme=plan.scheme,
+                      ntp_model=plan.ntp_model, seed=mix(plan.seed, TAG_REPLICATION, 0, rep))
+    pivots = generate_stream(spec).pivots  # hold no Stream (nor its keys) past this line
+    reports = []
+    for b, rho, alpha, gamma in plan.grid():
+        config = SegmenterConfig(cert=certs[b, alpha], rho=rho, gamma=gamma,
+                                 discard_c=plan.discard_c)
+        start = time.perf_counter()
+        result = segment_series(pivots, config)
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        reports.append(evaluate(plan.true_segments, result.segments, plan.n,
+                                runtime_ms=elapsed_ms if plan.include_timing else None))
+    return reports
 
 
 def _aggregate_row(kind: str, b: int, rho: float, alpha: float, gamma: float,
-                   reports: list[EvalReport], model: str, scheme_id: str,
+                   reports: tuple[EvalReport, ...], model: str, scheme_id: str,
                    reduce_fn) -> list[str]:
     agg = EvalReport(
         iou=reduce_fn([r.iou for r in reports]),
@@ -169,10 +171,10 @@ def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
                    jobs: int = 1) -> list[list[str]]:
     """Run the grid experiment; returns (and optionally writes) all CSV rows.
 
-    Per grid point and replication: generate a stream, segment it against
-    the certificate for that grid point's (block length, alpha), and
-    evaluate. Each (block length, alpha) is calibrated once per call.
-    Aggregate mean and median rows follow each grid point's runs.
+    Each (block length, alpha) is calibrated once per call. Per replication:
+    generate one stream, then segment it against every grid point's
+    certificate and evaluate. The rows then follow in grid order: each grid
+    point's runs, then their mean and median.
 
     Replications run in order on the calling thread; ``jobs`` must be 1.
     The keyword goes away once the benchmark stops passing it.
@@ -180,15 +182,11 @@ def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
     if jobs != 1:
         raise ValueError("run_experiment runs replications in order; jobs must be 1")
     model = plan.ntp_model.describe()
-    certs: dict[tuple[int, float], ThresholdCert] = {}
+    certs = {key: calibrate_threshold(plan.scheme, plan.n, *key)
+             for key in dict.fromkeys((b, alpha) for b, _, alpha, _ in plan.grid())}
+    by_rep = [_segment_everywhere(plan, certs, rep) for rep in range(plan.replications)]
     rows: list[list[str]] = []
-    for grid_index, (b, rho, alpha, gamma) in enumerate(plan.grid()):
-        if (b, alpha) not in certs:
-            certs[b, alpha] = calibrate_threshold(plan.scheme, plan.n, b, alpha)
-        reports = [
-            _run_once(plan, certs[b, alpha], grid_index, rep, rho, gamma)
-            for rep in range(plan.replications)
-        ]
+    for (b, rho, alpha, gamma), reports in zip(plan.grid(), zip(*by_rep)):
         for rep, report in enumerate(reports):
             rows.append(_format_row("run", b, rho, alpha, gamma, rep, report,
                                     model, plan.scheme.scheme_id))

@@ -7,11 +7,14 @@ import json
 import pytest
 
 from wmseg import harness
+from wmseg.calibration import calibrate_threshold
 from wmseg.harness import ExperimentPlan, run_experiment
 from wmseg.intervals import Segments
+from wmseg.keys import TAG_REPLICATION, mix
+from wmseg.metrics import evaluate
 from wmseg.schemes import SchemeSpec
-from wmseg.segmentation import SegmenterConfig
-from wmseg.streams import NtpModel
+from wmseg.segmentation import SegmenterConfig, segment_series
+from wmseg.streams import NtpModel, StreamSpec, generate_stream
 
 PLAN = ExperimentPlan(
     n=600,
@@ -30,9 +33,10 @@ PLAN = ExperimentPlan(
 
 # SHA-256 of json.dumps(rows). It pins generation (gumbel keys from keyed
 # splitmix64 hashes, numpy's draws of the NTP rows and the unwatermarked
-# tokens), calibration and the segmenter; calibrating once per (b, alpha)
-# must give the bits of calibrating at every grid point.
-ROWS_DIGEST = "aa76d9826e9fb1fb616259773e964bb00ea314f4b0d86af452e819335cd08134"
+# tokens), calibration and the segmenter. Generation runs once per
+# replication and every grid point segments those streams; calibrating once
+# per (b, alpha) must give the bits of calibrating at every grid point.
+ROWS_DIGEST = "718888fc0ad9fc22e1eb09e3c33d5d3451900ce49f334be0937215accf16bc80"
 
 # SHA-256 of json.dumps(rows[:PLAN.replications + 2]): the first grid point's
 # run, mean and median rows.
@@ -48,6 +52,36 @@ def test_rows_are_pinned():
 def test_first_grid_points_rows_are_pinned():
     rows = run_experiment(PLAN)[:PLAN.replications + 2]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == FIRST_POINT_DIGEST
+
+
+def test_generates_each_replications_stream_once(monkeypatch):
+    seeds = []
+    generate = harness.generate_stream
+
+    def counting(spec):
+        seeds.append(spec.seed)
+        return generate(spec)
+
+    monkeypatch.setattr(harness, "generate_stream", counting)
+    run_experiment(PLAN)
+    assert len(seeds) == PLAN.replications == 2 and len(set(seeds)) == 2
+
+
+def test_every_grid_point_segments_the_replications_streams():
+    streams = [generate_stream(StreamSpec(PLAN.n, PLAN.true_segments, PLAN.scheme, PLAN.ntp_model,
+                                          seed=mix(PLAN.seed, TAG_REPLICATION, 0, rep)))
+               for rep in range(PLAN.replications)]
+    rows = iter(run_experiment(PLAN))
+    for b, rho, alpha, gamma in PLAN.grid():
+        cert = calibrate_threshold(PLAN.scheme, PLAN.n, b, alpha)
+        config = SegmenterConfig(cert=cert, rho=rho, gamma=gamma, discard_c=PLAN.discard_c)
+        for rep, stream in enumerate(streams):
+            result = segment_series(stream.pivots, config)
+            report = evaluate(PLAN.true_segments, result.segments, PLAN.n)
+            assert next(rows) == harness._format_row(
+                "run", b, rho, alpha, gamma, rep, report, PLAN.ntp_model.describe(),
+                PLAN.scheme.scheme_id)
+        assert [next(rows)[0] for _ in range(2)] == ["aggregate-mean", "aggregate-median"]
 
 
 def test_calibrates_once_per_block_len_and_alpha(monkeypatch):

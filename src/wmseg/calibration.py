@@ -6,21 +6,19 @@ exceeds it with probability at most alpha. Null scores are i.i.d., so with
 m blocks of which the last holds r <= b tokens, the maximum has the CDF
 F_b(q)^(m-1) F_r(q), where F_k is the scheme's CDF of a sum of k null
 scores. The threshold is the smallest q at which that CDF reaches
-1 - alpha; it ships as a certificate alongside its calibration inputs.
-``simulate_max_block_sums`` draws the same maximum by Monte Carlo, as the
-reference the exact laws are tested against.
+1 - alpha. ``calibrate_threshold`` returns it as a ``ThresholdCert`` with
+its calibration inputs, computed when a stream is segmented; the segmenter
+screens with it and its trace records it. ``simulate_max_block_sums`` draws
+the same maximum by Monte Carlo, as the reference the exact laws are tested
+against.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-from .schemes import read_fields
 
 _CHUNK_BUDGET = 4_000_000  # draws per simulation chunk, keeps memory flat
 
@@ -38,11 +36,8 @@ class ThresholdCert:
     """A calibrated screening threshold plus the inputs that produced it.
 
     ``q`` is the (1 - alpha)-quantile of the maximum block sum over
-    ceil(n / block_len) blocks of i.i.d. null scores. ``method`` says how it
-    was found: ``"exact"`` from the scheme's null law (``mc_reps`` and
-    ``seed`` are then 0, as nothing was drawn), or ``"mc"`` as an order
-    statistic of ``mc_reps`` simulated maxima, which is how certificates
-    without a ``method`` key were made.
+    ceil(n / block_len) blocks of i.i.d. null scores, found exactly from the
+    scheme's null law.
     """
 
     q: float
@@ -51,13 +46,6 @@ class ThresholdCert:
     block_len: int
     scheme_id: str
     scheme_params: dict
-    mc_reps: int
-    seed: int
-    method: str = "mc"
-
-    def __post_init__(self):
-        if self.method not in ("exact", "mc"):
-            raise ValueError(f"certificate method {self.method!r} is neither 'exact' nor 'mc'")
 
     def to_json(self) -> dict:
         return {
@@ -67,32 +55,7 @@ class ThresholdCert:
             "b": self.block_len,
             "scheme": self.scheme_id,
             "scheme_params": self.scheme_params,
-            "mc_reps": self.mc_reps,
-            "seed": self.seed,
-            "method": self.method,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ThresholdCert":
-        """Read ``to_json`` output; an unknown or missing key, or a ``scheme``
-        other than the id in ``scheme_params``, raises ValueError. Without a
-        ``method`` key the certificate reads as ``"mc"``."""
-        readers = {"q": float, "alpha": float, "n": int, "b": int, "scheme": str,
-                   "scheme_params": dict, "mc_reps": int, "seed": int, "method": str}
-        fields = read_fields(data, readers, "certificate",
-                             required=[key for key in readers if key != "method"])
-        fields["block_len"], fields["scheme_id"] = fields.pop("b"), fields.pop("scheme")
-        if fields["scheme_id"] != fields["scheme_params"].get("id"):
-            raise ValueError(f"certificate scheme {fields['scheme_id']!r} differs from its "
-                             f"scheme_params {fields['scheme_params']}")
-        return cls(**fields)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ThresholdCert":
-        return cls.from_json(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def block_starts(n: int, block_len: int) -> np.ndarray:
@@ -143,8 +106,7 @@ def calibrate_threshold(
     full = scheme.block_sum_cdf(block_len)
     last = full if last_len == block_len else scheme.block_sum_cdf(last_len)
     q = _smallest_covering_q(lambda x: full(x) ** (blocks - 1) * last(x), 1.0 - alpha)
-    return ThresholdCert(q, alpha, n, block_len, scheme.scheme_id, scheme.to_json(),
-                         mc_reps=0, seed=0, method="exact")
+    return ThresholdCert(q, alpha, n, block_len, scheme.scheme_id, scheme.to_json())
 
 
 def _smallest_covering_q(cover, level: float) -> float:

@@ -1,17 +1,18 @@
-"""Command-line interface: generate, calibrate, segment, evaluate, experiment.
+"""Command-line interface: generate, segment, evaluate, experiment.
 
 Options left unset take the defaults of the library call they feed (the CLI
 sets only scheme gumbel, vocab size 100, generate seed 0 and the model label).
 A ``--config`` JSON file may set any option of its command by name (flags
 win); for ``experiment`` it is the plan itself, plus an optional ``out``.
 
-``segment`` scores the stream file's tokens under its seed and scheme; the
-file stores no scores.
+``segment`` scores the stream file's tokens under its seed and scheme (the
+file stores no scores), calibrates the screening threshold for
+``--block-len`` and ``--alpha`` from that scheme's own null law, and
+segments the scores; its trace records the certificate it screened with.
 
-Exit codes: 0 success, 1 validation error (bad arguments, unknown config or
-plan keys, a malformed stream file, or inconsistent inputs such as a
-certificate built for another null law than the stream's), 2 I/O error
-(missing or unreadable files).
+Exit codes: 0 success, 1 validation error (bad arguments, a missing
+required option, unknown config or plan keys, a malformed stream file, or a
+value of the wrong JSON type), 2 I/O error (missing or unreadable files).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from .calibration import CertMismatch, ThresholdCert, calibrate_threshold
+from .calibration import calibrate_threshold
 from .harness import ExperimentPlan, run_experiment
 from .intervals import Segments
 from .metrics import EVAL_COLUMNS, evaluate, format_csv
@@ -57,20 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--concentration", type=float, default=None)
     p.add_argument("--exponent", type=float, default=None)
 
-    p = sub.add_parser("calibrate", help="calibrate a screening threshold")
-    common(p)
-    p.add_argument("--scheme", type=str, default=None)
-    p.add_argument("--vocab-size", type=int, default=None)
-    p.add_argument("--green-frac", type=float, default=None)
-    p.add_argument("--bias", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--block-len", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-
-    p = sub.add_parser("segment", help="segment a stream with a certificate")
+    p = sub.add_parser("segment", help="calibrate a threshold for a stream and segment it")
     common(p)
     p.add_argument("--stream", type=str, default=None)
-    p.add_argument("--cert", type=str, default=None)
+    p.add_argument("--block-len", type=int, default=None)
+    p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--discard-c", type=float, default=None)
@@ -156,25 +148,11 @@ def _cmd_generate(opts: _Options) -> int:
     return 0
 
 
-def _cmd_calibrate(opts: _Options) -> int:
-    cert = calibrate_threshold(
-        _scheme_from(opts),
-        n=int(opts.require("n")),
-        block_len=int(opts.require("block_len")),
-        **opts.given("alpha"),
-    )
-    cert.save(opts.require("out"))
-    return 0
-
-
 def _cmd_segment(opts: _Options) -> int:
+    block_len = int(opts.require("block_len"))
     stream = read_stream_jsonl(opts.require("stream"))
     series = score_tokens(stream.tokens, stream.seed, stream.scheme)
-    cert = ThresholdCert.load(opts.require("cert"))
-    law = SchemeSpec.from_json(cert.scheme_params)
-    if (law.scheme_id, law.null_mean) != (stream.scheme.scheme_id, stream.scheme.null_mean):
-        raise CertMismatch(f"certificate null law {cert.scheme_params} differs from the "
-                           f"stream's {stream.scheme.to_json()}")
+    cert = calibrate_threshold(stream.scheme, series.n, block_len, **opts.given("alpha"))
     config = SegmenterConfig(cert=cert, **opts.given("rho", "gamma", "discard_c", "pad"))
     result = segment_series(series, config)
     Path(opts.require("out")).write_text(
@@ -224,7 +202,6 @@ def _cmd_experiment(opts: _Options) -> int:
 
 _HANDLERS = {
     "generate": _cmd_generate,
-    "calibrate": _cmd_calibrate,
     "segment": _cmd_segment,
     "evaluate": _cmd_evaluate,
     "experiment": _cmd_experiment,

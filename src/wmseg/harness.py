@@ -20,7 +20,7 @@ from .calibration import DEFAULT_ALPHA, DEFAULT_MC_REPS, ThresholdCert, calibrat
 from .intervals import Segments
 from .keys import TAG_REPLICATION, mix
 from .metrics import EVAL_COLUMNS, EvalReport, evaluate, format_csv
-from .schemes import SchemeSpec, check_keys, read_fields
+from .schemes import SchemeSpec, json_bool, json_float, json_int, read_fields
 from .segmentation import SegmenterConfig, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream
 
@@ -94,22 +94,24 @@ class ExperimentPlan:
         ``grid.block_len`` are required, other keys left out take the field
         defaults."""
         fields = read_fields(data, {
-            "n": int, "true_segments": Segments, "scheme": SchemeSpec.from_json,
-            "ntp_model": NtpModel.from_json, "replications": int, "grid": _read_grid,
-            "discard_c": float, "mc_reps": int, "seed": int, "include_timing": bool,
+            "n": json_int, "true_segments": Segments, "scheme": SchemeSpec.from_json,
+            "ntp_model": NtpModel.from_json, "replications": json_int, "grid": _read_grid,
+            "discard_c": json_float, "mc_reps": json_int, "seed": json_int,
+            "include_timing": json_bool,
         }, "plan", required=("n", "scheme", "ntp_model", "grid"))
         return cls(**fields.pop("grid", {}), **fields)
 
 
-# Plan JSON grid key -> (ExperimentPlan field, element type).
-_GRID_FIELDS = {"block_len": ("block_lens", int), "rho": ("rhos", float),
-                "alpha": ("alphas", float), "gamma": ("gammas", float)}
+# Plan JSON grid key -> (ExperimentPlan field, element reader).
+_GRID_FIELDS = {"block_len": ("block_lens", json_int), "rho": ("rhos", json_float),
+                "alpha": ("alphas", json_float), "gamma": ("gammas", json_float)}
 
 
 def _read_grid(grid: dict) -> dict:
-    check_keys(grid, _GRID_FIELDS, "grid", required=("block_len",))
-    return {_GRID_FIELDS[key][0]: tuple(map(_GRID_FIELDS[key][1], values))
-            for key, values in grid.items()}
+    readers = {key: lambda values, read=read: tuple(map(read, values))
+               for key, (_, read) in _GRID_FIELDS.items()}
+    fields = read_fields(grid, readers, "grid", required=("block_len",))
+    return {_GRID_FIELDS[key][0]: values for key, values in fields.items()}
 
 
 def _segment_everywhere(plan: ExperimentPlan, certs: dict[tuple[int, float], ThresholdCert],

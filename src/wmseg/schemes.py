@@ -97,10 +97,38 @@ def check_keys(data: dict, known, what: str, required=()) -> None:
 
 
 def read_fields(data: dict, readers: dict, what: str, required=()) -> dict:
-    """Each key of ``data`` converted by its reader; unknown keys and missing
-    ``required`` keys raise ValueError naming the JSON key."""
+    """Each key of ``data`` converted by its reader; unknown keys, missing
+    ``required`` keys and a TypeError of a reader raise ValueError naming
+    the JSON key."""
     check_keys(data, readers, what, required)
-    return {name: readers[name](value) for name, value in data.items()}
+    fields = {}
+    for name, value in data.items():
+        try:
+            fields[name] = readers[name](value)
+        except TypeError as exc:
+            raise ValueError(f"{what} key {name!r}: {exc}") from None
+    return fields
+
+
+# Strict readers of JSON values: each returns its value only if it already
+# has the JSON type, and raises TypeError otherwise. type() rather than
+# isinstance(): bool is an int subclass, and true is not a number.
+def json_int(value) -> int:
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not a JSON integer")
+    return value
+
+
+def json_float(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def json_bool(value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"{value!r} is not a JSON boolean")
+    return value
 
 
 def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -517,7 +545,8 @@ class SchemeSpec:
         """Read ``to_json`` output; ``id`` and ``vocab_size`` are required,
         other keys left out take the field defaults."""
         fields = read_fields(
-            data, {"id": str, "vocab_size": int, "green_frac": float, "bias": float}, "scheme",
+            data, {"id": str, "vocab_size": json_int, "green_frac": json_float,
+                   "bias": json_float}, "scheme",
             required=("id", "vocab_size"),
         )
         return cls(fields.pop("id"), **fields)

@@ -71,10 +71,11 @@ def min_run_blocks(n: int, block_len: int, discard_c: float) -> int:
 
 @dataclass(frozen=True)
 class StageTrace:
-    """Everything the pipeline decided on the way to its output."""
+    """Everything the pipeline decided on the way to its output, and the
+    certificate it screened with."""
 
     block_sums: np.ndarray
-    threshold: float
+    cert: ThresholdCert
     selected_blocks: np.ndarray  # 0-based block indices
     kept_runs: tuple[Interval, ...]  # 0-based inclusive block runs
     regions: Segments  # enlarged candidate regions, token units
@@ -84,11 +85,16 @@ class StageTrace:
     min_run_blocks: int
     pad: int
 
+    @property
+    def threshold(self) -> float:
+        return self.cert.q
+
     def summary(self) -> dict:
         return {
             "n_blocks": int(self.block_sums.size),
             "block_sums": [float(x) for x in self.block_sums],
             "threshold": self.threshold,
+            "certificate": self.cert.to_json(),
             "selected_blocks": [int(k) + 1 for k in self.selected_blocks],
             "kept_runs_blocks": [[a + 1, b + 1] for a, b in self.kept_runs],
             "regions": self.regions.to_pairs(),
@@ -298,7 +304,7 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
         ]
     trace = StageTrace(
         block_sums=sums,
-        threshold=cert.q,
+        cert=cert,
         selected_blocks=selected,
         kept_runs=tuple(kept),
         regions=regions,

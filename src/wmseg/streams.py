@@ -58,7 +58,7 @@ from .keys import (
     mix,
 )
 from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_decodable, check_keys,
-                      check_tokens, read_fields, validate_probs)
+                      check_tokens, json_float, json_int, read_fields, validate_probs)
 
 NTP_KINDS = ("dirichlet", "zipf", "fixed")
 _REJECTION_LIMIT = 10_000
@@ -225,7 +225,8 @@ class NtpModel:
     def from_json(cls, data: dict) -> "NtpModel":
         """Read ``to_json`` output; keys left out take the field defaults."""
         return cls(**read_fields(data, {
-            "kind": str, "delta_cap": float, "concentration": float, "exponent": float,
+            "kind": str, "delta_cap": json_float, "concentration": json_float,
+            "exponent": json_float,
             "vectors": lambda vectors: tuple(tuple(v) for v in vectors),
         }, "ntp_model"))
 
@@ -344,56 +345,6 @@ def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) ->
 
 
 # ---------------------------------------------------------------------------
-# Edits
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Substitution:
-    position: int  # 1-based
-    token: int
-
-
-@dataclass(frozen=True)
-class Insertion:
-    position: int  # new token ends up at this 1-based position
-    token: int
-
-
-@dataclass(frozen=True)
-class Deletion:
-    position: int  # 1-based
-
-
-Edit = Substitution | Insertion | Deletion
-
-
-def apply_edits(tokens: Sequence[int], edits: Sequence[Edit]) -> np.ndarray:
-    """Apply substitutions, insertions and deletions in order.
-
-    Positions refer to the sequence as it stands when each edit applies, so
-    a deletion shifts everything after it left by one.
-    """
-    out = list(np.asarray(tokens, dtype=np.int64))
-    for edit in edits:
-        if isinstance(edit, Substitution):
-            if not 1 <= edit.position <= len(out):
-                raise IndexError(f"substitution position {edit.position} out of bounds")
-            out[edit.position - 1] = edit.token
-        elif isinstance(edit, Insertion):
-            if not 1 <= edit.position <= len(out) + 1:
-                raise IndexError(f"insertion position {edit.position} out of bounds")
-            out.insert(edit.position - 1, edit.token)
-        elif isinstance(edit, Deletion):
-            if not 1 <= edit.position <= len(out):
-                raise IndexError(f"deletion position {edit.position} out of bounds")
-            del out[edit.position - 1]
-        else:
-            raise TypeError(f"unknown edit {edit!r}")
-    return np.asarray(out, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
 # JSONL stream files: one header record, then one body record of the tokens
 # ---------------------------------------------------------------------------
 
@@ -408,8 +359,10 @@ class StreamFile:
     scheme: SchemeSpec
 
 
-# Every key of a stream file's header record, each required on reading.
-_HEADER_KEYS = ("n", "scheme", "mu0", "seed", "true_segments", "scheme_params")
+# Every key of a stream file's header record, each required on reading, and
+# its reader.
+_HEADER_READERS = {"n": json_int, "scheme": str, "mu0": json_float, "seed": json_int,
+                   "true_segments": Segments, "scheme_params": SchemeSpec.from_json}
 
 
 def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
@@ -434,8 +387,10 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
     The file holds exactly two records, the header and the body. The header
     must hold exactly the keys the writer puts there and the body only
     ``tokens``; an unknown or missing key raises ValueError naming it, as do
-    a token count other than the header's ``n``, a token that is not a JSON
-    integer, a record after the body and a file of per-token records. A
+    a header value of another JSON type than the writer's (a ``seed`` of
+    7.0, "7" or true), a token count other than the header's ``n``, a token
+    that is not a JSON integer, a record after the body and a file of
+    per-token records. A
     header ``scheme`` or ``mu0`` that disagrees with ``scheme_params``
     raises ValueError. The verifier scores the tokens (``score_tokens``).
     """
@@ -443,14 +398,14 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
         header = json.loads(fh.readline())
         body = json.loads(fh.readline() or "{}")
         trailing = fh.read().strip()
-    check_keys(header, _HEADER_KEYS, "stream header", required=_HEADER_KEYS)
+    fields = read_fields(header, _HEADER_READERS, "stream header", required=_HEADER_READERS)
     if {"t", "token"} & set(body):  # the second line of a file in the old format
         raise ValueError(f"{path}: per-token `t`/`token` records are no longer read; "
                          f"regenerate the stream")
     check_keys(body, ("tokens",), "stream body", required=("tokens",))
     if trailing:
         raise ValueError(f"{path}: records follow the body record")
-    n = int(header["n"])
+    n, scheme = fields["n"], fields["scheme_params"]
     tokens = body["tokens"]
     if not isinstance(tokens, list):
         raise ValueError(f"{path}: body tokens must be a JSON list, not {type(tokens).__name__}")
@@ -464,20 +419,19 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
         tokens = np.array(tokens, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{path}: a token lies outside the int64 range") from None
-    scheme = SchemeSpec.from_json(header["scheme_params"])
-    if header["scheme"] != scheme.scheme_id:
+    if fields["scheme"] != scheme.scheme_id:
         raise ValueError(
-            f"{path}: header scheme {header['scheme']!r} differs from "
+            f"{path}: header scheme {fields['scheme']!r} differs from "
             f"scheme_params scheme {scheme.scheme_id!r}"
         )
-    if not math.isclose(float(header["mu0"]), scheme.null_mean, rel_tol=1e-12):
+    if not math.isclose(fields["mu0"], scheme.null_mean, rel_tol=1e-12):
         raise ValueError(
-            f"{path}: header mu0={header['mu0']!r} differs from the null mean "
+            f"{path}: header mu0={fields['mu0']!r} differs from the null mean "
             f"{scheme.null_mean!r} of its scheme_params"
         )
     return StreamFile(
-        true_segments=Segments(header["true_segments"], n=n),
+        true_segments=Segments(fields["true_segments"], n=n),
         tokens=tokens,
-        seed=int(header["seed"]),
+        seed=fields["seed"],
         scheme=scheme,
     )

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -105,42 +106,16 @@ class TestCalibrateThreshold:
                                    alpha=0.05, mc_reps=500, seed=6)
         assert cert.q == 3.0  # max block sum is the full block, not the stub tail
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         cert = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=2000, seed=7)
-        path = tmp_path / "cert.json"
-        cert.save(path)
-        assert ThresholdCert.load(path) == cert
         data = cert.to_json()
-        assert set(data) == {"q", "alpha", "n", "b", "scheme", "scheme_params",
-                             "mc_reps", "seed", "method"}
-
-    def test_from_json_rejects_unknown_keys(self):
-        data = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=1000).to_json()
-        with pytest.raises(ValueError, match="unknown certificate key.*'quantile'"):
-            ThresholdCert.from_json({**data, "quantile": 0.9})
-
-    def test_from_json_rejects_a_scheme_other_than_its_params_id(self):
-        data = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=1000).to_json()
-        with pytest.raises(ValueError, match="'inverse'.*'gumbel'"):
-            ThresholdCert.from_json({**data, "scheme": "inverse"})
-
-    def test_from_json_names_a_missing_key(self):
-        data = calibrate_threshold(GUMBEL, 200, 15, 0.1).to_json()
-        del data["b"]
-        with pytest.raises(ValueError, match="missing certificate key.*'b'"):
-            ThresholdCert.from_json(data)
+        assert json.loads(json.dumps(data)) == data
+        assert set(data) == {"q", "alpha", "n", "b", "scheme", "scheme_params"}
+        assert (data["q"], data["b"], data["scheme_params"]) == (cert.q, 15, GUMBEL.to_json())
 
     def test_new_certificates_are_exact_and_record_no_draws(self):
         cert = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=5000, seed=3)
-        assert (cert.method, cert.mc_reps, cert.seed) == ("exact", 0, 0)
         assert cert == calibrate_threshold(GUMBEL, 200, 15, 0.1)
-
-    def test_a_certificate_without_method_reads_as_mc(self):
-        data = calibrate_threshold(GUMBEL, 200, 15, 0.1).to_json()
-        del data["method"]
-        assert ThresholdCert.from_json({**data, "mc_reps": 10_000, "seed": 4}).method == "mc"
-        with pytest.raises(ValueError, match="'bootstrap'"):
-            ThresholdCert.from_json({**data, "method": "bootstrap"})
 
 
 class TestNullFprEstimate:

@@ -5,24 +5,25 @@ import json
 
 import pytest
 
+from wmseg.calibration import calibrate_threshold
 from wmseg.cli import cli_main
 from wmseg.harness import EXPERIMENT_COLUMNS, ExperimentPlan
 from wmseg.intervals import Segments
 from wmseg.metrics import EVAL_COLUMNS
 from wmseg.schemes import SCHEME_IDS, SchemeSpec
-from wmseg.streams import NtpModel, StreamSpec, generate_stream, write_stream_jsonl
+from wmseg.streams import (NtpModel, StreamSpec, generate_stream, read_stream_jsonl,
+                           write_stream_jsonl)
 
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
 def test_generate_calibrate_segment_evaluate(scheme_id, tmp_path):
-    stream, cert = tmp_path / "stream.jsonl", tmp_path / "cert.json"
+    stream = tmp_path / "stream.jsonl"
     result, trace, report = tmp_path / "result.json", tmp_path / "trace.json", tmp_path / "eval.csv"
     scheme = ["--scheme", scheme_id, "--vocab-size", "50"]
     steps = (
         ["generate", *scheme, "--n", "600", "--segments", "200-400", "--seed", "3",
          "--out", str(stream)],
-        ["calibrate", *scheme, "--n", "600", "--block-len", "30", "--out", str(cert)],
-        ["segment", "--stream", str(stream), "--cert", str(cert), "--out", str(result),
+        ["segment", "--stream", str(stream), "--block-len", "30", "--out", str(result),
          "--trace", str(trace)],
         ["evaluate", "--truth", str(stream), "--est", str(result), "--out", str(report)],
     )
@@ -37,21 +38,36 @@ def test_generate_calibrate_segment_evaluate(scheme_id, tmp_path):
     assert row[EVAL_COLUMNS.index("scheme")] == scheme_id
 
 
-@pytest.mark.parametrize("flags, config", [
-    (["--mc-reps", "2000"], None),
-    (["--seed", "3"], None),
-    ([], {"mc_reps": 2000}),
-], ids=["mc-reps-flag", "seed-flag", "mc-reps-config"])
-def test_calibrate_takes_no_monte_carlo_knobs(flags, config, tmp_path):
-    # Calibration is exact: a draw count or seed would be accepted and ignored.
-    cert = tmp_path / "cert.json"
-    argv = ["calibrate", "--n", "300", "--block-len", "20", "--out", str(cert), *flags]
-    if config is not None:
-        path = tmp_path / "calibrate.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
-        argv += ["--config", str(path)]
-    assert cli_main(argv) == 1
-    assert not cert.exists()
+def test_segment_calibrates_on_the_streams_own_null_law(tmp_path):
+    """The certificate in the trace is the one calibrated from the stream's
+    scheme, here a red_green law with a green fraction other than the default."""
+    stream, out, trace = tmp_path / "stream.jsonl", tmp_path / "result.json", tmp_path / "t.json"
+    assert cli_main(["generate", "--scheme", "red_green", "--vocab-size", "40",
+                     "--green-frac", "0.25", "--n", "400", "--segments", "100-250",
+                     "--seed", "11", "--out", str(stream)]) == 0
+    assert cli_main(["segment", "--stream", str(stream), "--block-len", "20", "--alpha", "0.1",
+                     "--out", str(out), "--trace", str(trace)]) == 0
+    scheme = read_stream_jsonl(stream).scheme
+    assert scheme.green_frac == 0.25
+    expected = calibrate_threshold(scheme, 400, 20, 0.1).to_json()
+    written = json.loads(trace.read_text(encoding="utf-8"))
+    assert written["certificate"] == expected
+    assert written["threshold"] == expected["q"]
+
+
+def test_segment_without_a_block_length_is_a_validation_error(tmp_path, capsys):
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
+    assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0
+    capsys.readouterr()
+    assert cli_main(["segment", "--stream", str(stream), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "missing required option --block-len" in capsys.readouterr().err
+
+
+def test_calibrate_is_not_a_command(tmp_path):
+    out = tmp_path / "cert.json"
+    assert cli_main(["calibrate", "--n", "300", "--block-len", "20", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_unknown_scheme_is_a_validation_error(tmp_path):
@@ -69,8 +85,8 @@ def test_a_bad_ntp_parameter_is_a_validation_error(tmp_path):
 
 
 def test_missing_stream_file_is_an_io_error(tmp_path):
-    argv = ["segment", "--stream", str(tmp_path / "missing.jsonl"),
-            "--cert", str(tmp_path / "cert.json"), "--out", str(tmp_path / "result.json")]
+    argv = ["segment", "--stream", str(tmp_path / "missing.jsonl"), "--block-len", "20",
+            "--out", str(tmp_path / "result.json")]
     assert cli_main(argv) == 2
 
 
@@ -79,7 +95,7 @@ def test_missing_stream_file_is_an_io_error(tmp_path):
     (SchemeSpec("red_green", vocab_size=20), {"scheme": "gumbel"}),
 ], ids=["stale-mu0", "scheme-mismatch"])
 def test_segment_rejects_a_header_that_contradicts_scheme_params(scheme, header, tmp_path):
-    stream, cert = tmp_path / "stream.jsonl", tmp_path / "cert.json"
+    stream = tmp_path / "stream.jsonl"
     write_stream_jsonl(stream, generate_stream(StreamSpec(
         n=100, true_segments=Segments(), scheme=scheme,
         ntp_model=NtpModel(kind="dirichlet"), seed=5,
@@ -87,10 +103,7 @@ def test_segment_rejects_a_header_that_contradicts_scheme_params(scheme, header,
     first, *body = stream.read_text(encoding="utf-8").splitlines()
     stream.write_text("\n".join([json.dumps({**json.loads(first), **header}), *body]) + "\n",
                       encoding="utf-8")
-    params = ["--scheme", scheme.scheme_id, "--vocab-size", str(scheme.vocab_size)]
-    assert cli_main(["calibrate", *params, "--n", "100", "--block-len", "10",
-                     "--out", str(cert)]) == 0
-    argv = ["segment", "--stream", str(stream), "--cert", str(cert),
+    argv = ["segment", "--stream", str(stream), "--block-len", "10",
             "--out", str(tmp_path / "result.json")]
     assert cli_main(argv) == 1
 
@@ -136,7 +149,7 @@ def test_experiment_rejects_an_unknown_plan_key(tmp_path):
     assert out.exists()
 
 
-@pytest.mark.parametrize("command", ["calibrate", "experiment"])
+@pytest.mark.parametrize("command", ["segment", "experiment"])
 def test_a_config_that_is_not_a_json_object_is_a_validation_error(command, tmp_path):
     config, out = tmp_path / "config.json", tmp_path / "out"
     config.write_text("[]", encoding="utf-8")
@@ -144,20 +157,13 @@ def test_a_config_that_is_not_a_json_object_is_a_validation_error(command, tmp_p
     assert not out.exists()
 
 
-def _stream_and_cert(tmp_path, stream_scheme, cert_params):
-    stream, cert = tmp_path / "stream.jsonl", tmp_path / "cert.json"
+def test_segment_config_takes_only_segment_options(tmp_path):
+    stream = tmp_path / "stream.jsonl"
     write_stream_jsonl(stream, generate_stream(StreamSpec(
-        n=400, true_segments=Segments(), scheme=stream_scheme,
+        n=400, true_segments=Segments(), scheme=SchemeSpec("gumbel", 50),
         ntp_model=NtpModel(), seed=11,
     )))
-    assert cli_main(["calibrate", *cert_params, "--n", "400", "--block-len", "20",
-                     "--out", str(cert)]) == 0
-    return ["segment", "--stream", str(stream), "--cert", str(cert)]
-
-
-def test_segment_config_takes_only_segment_options(tmp_path):
-    argv = _stream_and_cert(tmp_path, SchemeSpec("gumbel", 50),
-                            ["--scheme", "gumbel", "--vocab-size", "50"])
+    argv = ["segment", "--stream", str(stream), "--block-len", "20"]
     config, out = tmp_path / "segment.json", tmp_path / "result.json"
     config.write_text(json.dumps({"rh0": 0.3}), encoding="utf-8")
     assert cli_main([*argv, "--config", str(config), "--out", str(out)]) == 1
@@ -167,46 +173,12 @@ def test_segment_config_takes_only_segment_options(tmp_path):
     assert json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))["pad"] == 7
 
 
-@pytest.mark.parametrize("cert_params, code", [
-    (["--green-frac", "0.25"], 1),
-    (["--green-frac", "0.5", "--bias", "4.0"], 0),
-], ids=["other-null-law", "same-null-law-other-bias"])
-def test_segment_rejects_a_certificate_for_another_null_law(cert_params, code, tmp_path):
-    argv = _stream_and_cert(tmp_path, SchemeSpec("red_green", 40, green_frac=0.5),
-                            ["--scheme", "red_green", "--vocab-size", "40", *cert_params])
-    out = tmp_path / "result.json"
-    assert cli_main([*argv, "--out", str(out)]) == code
-    assert out.exists() == (code == 0)
-
-
-def test_segment_reads_a_certificate_without_method_as_monte_carlo(tmp_path):
-    argv = _stream_and_cert(tmp_path, SchemeSpec("gumbel", 50),
-                            ["--scheme", "gumbel", "--vocab-size", "50"])
-    cert = tmp_path / "cert.json"
-    data = json.loads(cert.read_text(encoding="utf-8"))
-    assert data.pop("method") == "exact"
-    cert.write_text(json.dumps({**data, "mc_reps": 10_000, "seed": 1}), encoding="utf-8")
-    assert cli_main([*argv, "--out", str(tmp_path / "result.json")]) == 0
-
-
-def test_segment_names_a_missing_certificate_key(tmp_path, capsys):
-    argv = _stream_and_cert(tmp_path, SchemeSpec("gumbel", 50),
-                            ["--scheme", "gumbel", "--vocab-size", "50"])
-    cert = tmp_path / "cert.json"
-    data = json.loads(cert.read_text(encoding="utf-8"))
-    del data["b"]
-    cert.write_text(json.dumps(data), encoding="utf-8")
-    assert cli_main([*argv, "--out", str(tmp_path / "result.json")]) == 1
-    assert "missing certificate key(s): 'b'" in capsys.readouterr().err
-
-
 def _generated_and_segmented(tmp_path):
-    """A generated stream and certificate that segment accepts, the segment
-    argv and its output path (removed again), and the stream's two lines."""
-    stream, cert, out = tmp_path / "stream.jsonl", tmp_path / "cert.json", tmp_path / "result.json"
+    """A generated stream that segment accepts, the segment argv and its
+    output path (removed again), and the stream's two lines."""
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
     assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0
-    assert cli_main(["calibrate", "--n", "300", "--block-len", "20", "--out", str(cert)]) == 0
-    argv = ["segment", "--stream", str(stream), "--cert", str(cert), "--out", str(out)]
+    argv = ["segment", "--stream", str(stream), "--block-len", "20", "--out", str(out)]
     assert cli_main(argv) == 0
     out.unlink()
     header, body = stream.read_text(encoding="utf-8").splitlines()

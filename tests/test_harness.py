@@ -138,3 +138,31 @@ def test_plan_from_json_names_a_missing_key(edit, key):
     data = {name: value for name, value in data.items() if value is not None}
     with pytest.raises(ValueError, match=f"missing .*'{key}'"):
         ExperimentPlan.from_json(data)
+
+
+@pytest.mark.parametrize("edit, key", [
+    ({"include_timing": "false"}, "include_timing"),
+    ({"include_timing": 0}, "include_timing"),
+    ({"replications": 2.9}, "replications"),
+    ({"n": 600.7}, "n"),
+    ({"seed": True}, "seed"),
+    ({"discard_c": "0.5"}, "discard_c"),
+    ({"grid": {"block_len": [30.0]}}, "block_len"),
+    ({"grid": {"block_len": [30], "alpha": [True]}}, "alpha"),
+    ({"scheme": {"id": "gumbel", "vocab_size": 50.0}}, "vocab_size"),
+    ({"ntp_model": {"kind": "dirichlet", "concentration": "0.7"}}, "concentration"),
+], ids=["string-bool", "int-bool", "float-replications", "float-n", "bool-seed",
+        "string-discard-c", "float-block-len", "bool-alpha", "float-vocab-size",
+        "string-concentration"])
+def test_plan_from_json_rejects_a_value_of_another_json_type(edit, key):
+    # Each of these used to be coerced: "false" read as True, 2.9
+    # replications as 2 and n=600.7 as 600.
+    with pytest.raises(ValueError, match=f"key '{key}': .* is not a JSON"):
+        ExperimentPlan.from_json({**PLAN.to_json(), **edit})
+
+
+def test_plan_from_json_reads_a_json_integer_as_a_float():
+    plan = ExperimentPlan.from_json({**PLAN.to_json(), "discard_c": 1,
+                                     "grid": {"block_len": [30], "alpha": [1]}})
+    assert type(plan.discard_c) is float and plan.discard_c == 1.0
+    assert plan.alphas == (1.0,) and type(plan.alphas[0]) is float

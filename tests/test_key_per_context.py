@@ -14,18 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edits import Deletion, Insertion, Substitution, apply_edits
 from scheme_theory import inverse_cdf_1d
 from wmseg import streams
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, TAG_NTP, TAG_NULL_DRAW, generator, key_seed, mix
 from wmseg.schemes import SCHEME_IDS, SchemeSpec
 from wmseg.streams import (
-    Deletion,
-    Insertion,
     NtpModel,
     StreamSpec,
-    Substitution,
-    apply_edits,
     cap_probs,
     generate_stream,
     score_tokens,

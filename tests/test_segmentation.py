@@ -30,7 +30,7 @@ def open_cert(n, block_len, q=-1e18):
     """A certificate with an arbitrary threshold, for driving stages directly."""
     return ThresholdCert(
         q=q, alpha=0.05, n=n, block_len=block_len, scheme_id="gumbel",
-        scheme_params=GUMBEL.to_json(), mc_reps=10_000, seed=0,
+        scheme_params=GUMBEL.to_json(),
     )
 
 
@@ -378,6 +378,8 @@ class TestSegmentSeries:
                                                            trace.min_run_blocks))
         assert np.array_equal(trace.selected_blocks,
                               screen_blocks(trace.block_sums, trace.threshold))
+        assert trace.cert is cert and trace.threshold == cert.q
+        assert trace.summary()["certificate"] == cert.to_json()
         for (wl, wr), region in zip(trace.windows, trace.regions):
             assert region[0] <= wl[0] <= wl[1] <= region[1]
             assert region[0] <= wr[0] <= wr[1] <= region[1]

@@ -7,17 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from edits import Deletion, Insertion, Substitution, apply_edits
 from scheme_theory import gumbel_separation_lower_bound
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, generator, key_seed
-from wmseg.schemes import GumbelKey, SchemeSpec, inverse_cdf
+from wmseg.schemes import SCHEME_IDS, GumbelKey, SchemeSpec, inverse_cdf
 from wmseg.streams import (
-    Deletion,
-    Insertion,
     NtpModel,
     StreamSpec,
-    Substitution,
-    apply_edits,
     cap_probs,
     generate_stream,
     read_stream_jsonl,
@@ -330,6 +327,34 @@ class TestApplyEdits:
         assert intact.mean() - 3.0 * intact.std(ddof=1) / 20.0 > 1.3
 
 
+@given(scheme_id=st.sampled_from(SCHEME_IDS), vocab=st.sampled_from((2, 20, 1000)),
+       data=st.data())
+@settings(max_examples=100)
+def test_an_edit_changes_at_most_the_two_pivots_next_to_it(scheme_id, vocab, data):
+    """Every key reads one token of context, so one substitution, insertion
+    or deletion at position p can change only the rescored pivots at p and
+    p + 1 of the edited sequence. Every other pivot equals the original one
+    at its shifted position, bit for bit. This fails if a key ever reads a
+    wider context."""
+    scheme = SchemeSpec(scheme_id, vocab)
+    token = st.integers(0, vocab - 1)
+    tokens = np.asarray(data.draw(st.lists(token, min_size=2, max_size=200)), dtype=np.int64)
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    kind = data.draw(st.sampled_from((Substitution, Insertion, Deletion)))
+    if kind is Insertion:
+        edit = Insertion(data.draw(st.integers(1, tokens.size + 1)), data.draw(token))
+    elif kind is Substitution:
+        edit = Substitution(data.draw(st.integers(1, tokens.size)), data.draw(token))
+    else:
+        edit = Deletion(data.draw(st.integers(1, tokens.size)))
+    before = score_tokens(tokens, seed, scheme).scores
+    after = score_tokens(apply_edits(tokens, [edit]), seed, scheme).scores
+    shift = {Substitution: 0, Insertion: 1, Deletion: -1}[kind]
+    here = edit.position - 1  # 0-based index of the edit in the edited sequence
+    kept = np.array([j for j in range(after.size) if not here <= j <= here + 1], dtype=int)
+    assert np.array_equal(after[kept], before[np.where(kept > here, kept - shift, kept)])
+
+
 # ---------------------------------------------------------------------------
 # JSONL interchange
 # ---------------------------------------------------------------------------
@@ -469,6 +494,24 @@ class TestStreamJsonl:
             tmp_path, SchemeSpec("red_green", vocab_size=20), {"scheme": "gumbel"}
         )
         with pytest.raises(ValueError, match="'gumbel'.*'red_green'"):
+            read_stream_jsonl(path)
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"seed": 7.9}, "seed"),
+        ({"seed": "7"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"n": 6.0}, "n"),
+        ({"n": "6"}, "n"),
+        ({"mu0": "1.0"}, "mu0"),
+        ({"mu0": False}, "mu0"),
+        ({"scheme_params": {"id": "gumbel", "vocab_size": 100.0}}, "vocab_size"),
+    ], ids=["float-seed", "string-seed", "bool-seed", "float-n", "string-n", "string-mu0",
+            "bool-mu0", "float-vocab-size"])
+    def test_a_header_value_of_another_json_type_is_rejected(self, fields, key, tmp_path):
+        # Each of these used to be coerced: a seed of 7.9 or "7" scored the
+        # tokens under seed 7, and true under seed 1.
+        path = self._with_header(tmp_path, GUMBEL, fields)
+        with pytest.raises(ValueError, match=f"key '{key}': .* is not a JSON"):
             read_stream_jsonl(path)
 
     def test_series_takes_the_null_mean_of_scheme_params(self, tmp_path):

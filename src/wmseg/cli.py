@@ -3,7 +3,9 @@
 Options left unset take the defaults of the library call they feed (the CLI
 sets only scheme gumbel, vocab size 100, generate seed 0 and the model label).
 A ``--config`` JSON file may set any option of its command by name (flags
-win); for ``experiment`` it is the plan itself, plus an optional ``out``.
+win), a numeric option only with a value of its flag's JSON type (a
+``block_len`` of 20.5 is an error, not 20); for ``experiment`` it is the
+plan itself, plus an optional ``out``.
 
 ``segment`` scores the stream file's tokens under its seed and scheme (the
 file stores no scores), calibrates the screening threshold for
@@ -26,7 +28,7 @@ from .calibration import calibrate_threshold
 from .harness import ExperimentPlan, run_experiment
 from .intervals import Segments
 from .metrics import EVAL_COLUMNS, evaluate, format_csv
-from .schemes import SchemeSpec, check_keys
+from .schemes import SchemeSpec, check_keys, json_float, json_int, read_fields
 from .segmentation import SegmenterConfig, segment_series
 from .streams import (NtpModel, StreamSpec, generate_stream, read_stream_jsonl, score_tokens,
                       write_stream_jsonl)
@@ -34,6 +36,14 @@ from .streams import (NtpModel, StreamSpec, generate_stream, read_stream_jsonl, 
 # The keys of ``SegmentationResult.to_json``, as ``evaluate`` reads them.
 _RESULT_KEYS = ("k_hat", "segments", "d_tilde", "trace")
 _SEGMENT_KEYS = ("left", "right")
+# Readers of the --config values of numeric options: a value must already
+# have its flag's JSON type, so a block_len of 20.5, true or "20" is an
+# error rather than b=20. Flags are typed by argparse.
+_CONFIG_READERS = {
+    **dict.fromkeys(("seed", "n", "vocab_size", "block_len", "pad"), json_int),
+    **dict.fromkeys(("green_frac", "bias", "delta_cap", "concentration", "exponent",
+                     "alpha", "rho", "gamma", "discard_c"), json_float),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,8 +105,9 @@ class _Options:
         if not isinstance(self.config, dict):
             raise ValueError(f"{self.args['config']}: config must be a JSON object")
         if args.command != "experiment":  # an experiment config is the plan
-            check_keys(self.config, self.args.keys() - {"command", "config"},
-                       f"{args.command} config")
+            readers = {name: _CONFIG_READERS.get(name, _as_is)
+                       for name in self.args.keys() - {"command", "config"}}
+            self.config = read_fields(self.config, readers, f"{args.command} config")
 
     def get(self, name: str, default=None):
         value = self.args.get(name)
@@ -113,6 +124,10 @@ class _Options:
         if value is None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         return value
+
+
+def _as_is(value):
+    return value
 
 
 def _parse_segments(text: str | None, n: int) -> Segments:
@@ -132,7 +147,7 @@ def _scheme_from(opts: _Options) -> SchemeSpec:
 
 
 def _cmd_generate(opts: _Options) -> int:
-    n = int(opts.require("n"))
+    n = opts.require("n")
     scheme = _scheme_from(opts)
     ntp = opts.given("delta_cap", "concentration", "exponent")
     if opts.get("ntp") is not None:
@@ -142,14 +157,14 @@ def _cmd_generate(opts: _Options) -> int:
         true_segments=_parse_segments(opts.get("segments"), n),
         scheme=scheme,
         ntp_model=NtpModel.from_json(ntp),
-        seed=int(opts.get("seed", 0)),
+        seed=opts.get("seed", 0),
     )
     write_stream_jsonl(opts.require("out"), generate_stream(spec))
     return 0
 
 
 def _cmd_segment(opts: _Options) -> int:
-    block_len = int(opts.require("block_len"))
+    block_len = opts.require("block_len")
     stream = read_stream_jsonl(opts.require("stream"))
     series = score_tokens(stream.tokens, stream.seed, stream.scheme)
     cert = calibrate_threshold(stream.scheme, series.n, block_len, **opts.given("alpha"))

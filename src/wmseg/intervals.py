@@ -15,13 +15,14 @@ class Segments:
     """An ordered set of disjoint inclusive intervals over token positions.
 
     Positions are 1-based everywhere outside numpy internals; ``(3, 5)``
-    covers tokens 3, 4 and 5. Construction sorts and rejects overlaps.
+    covers tokens 3, 4 and 5. Construction sorts and rejects overlaps; an
+    end that is not a Python or numpy integer raises TypeError.
     """
 
     intervals: tuple[Interval, ...]
 
     def __init__(self, intervals: Iterable[Iterable[int]] = (), n: int | None = None):
-        pairs = sorted((int(l), int(r)) for l, r in intervals)
+        pairs = sorted((_end(l), _end(r)) for l, r in intervals)
         for left, right in pairs:
             if not 1 <= left <= right:
                 raise ValueError(f"invalid interval [{left}, {right}]")
@@ -60,6 +61,18 @@ class Segments:
 
     def to_pairs(self) -> list[list[int]]:
         return [[l, r] for l, r in self.intervals]
+
+
+def _end(value) -> int:
+    """An interval end as a Python int: a Python or numpy integer, never a
+    bool (true is no position) and never a float (100.7 is not rounded).
+    Anything else raises TypeError, which a JSON reader (``read_fields``)
+    reports under its key."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise TypeError(f"interval end {value!r} is not an integer")
 
 
 def interval_overlap(iv: Interval, segments: Segments) -> int:

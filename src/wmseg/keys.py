@@ -19,11 +19,14 @@ with no key and no generator built:
 * Inverse and red_green keys are a uniform ``u`` and a keyed affine
   permutation of the vocabulary: token w has rank ``(a*w + c) mod V``, with
   ``a`` a unit mod V. ``affine_key`` derives (u, a, c) from h_1, h_2 and
-  h_3 and ``affine_keys`` does the same over an array of seeds. ``c`` is
-  the high word of a 64x64-bit product, so it is uniform on 0..V-1 to
-  within 2^-64 per value, and so is the rank of any fixed token, whatever
-  ``a``. A pivot's null law, which depends on one token's rank alone, is
-  thus that of a uniformly drawn permutation.
+  h_3 and ``affine_keys`` does the same over an array of seeds, hashing
+  every seed under the three tags in one pass over a stacked (3, n) array.
+  ``c`` is the high word of the 128-bit product h_2 * V, so it is uniform on
+  0..V-1 to within 2^-64 per value, and so is the rank of any fixed token,
+  whatever ``a``. A pivot's null law, which depends on one token's rank
+  alone, is thus that of a uniformly drawn permutation. ``SchemeSpec``
+  admits only V < 2^32, so both multipliers fit in 32 bits and the high
+  word is exact in uint64 arithmetic (``mulhi``).
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ def generator(seed: int) -> np.random.Generator:
 # u, c and a. Gumbel coordinate w takes tag 4 + w, so no two hashes of one
 # seed share a tag.
 _AFFINE_TAGS = tuple(splitmix64(tag) for tag in (1, 2, 3))
+_AFFINE_TAG_ROWS = np.array(_AFFINE_TAGS, dtype=np.uint64)
 
 
 def unit(h):
@@ -132,12 +136,25 @@ def unit(h):
     return out
 
 
-def _mulhi64(x, y):
-    """High 64 bits of the 128-bit products x * y (x an array)."""
-    x0, x1, y0, y1 = x & _U32, x >> np.uint64(32), y & _U32, y >> np.uint64(32)
-    p01, p10 = x0 * y1, x1 * y0
-    mid = ((x0 * y0) >> np.uint64(32)) + (p01 & _U32) + (p10 & _U32)
-    return x1 * y1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+def mulhi(h: np.ndarray, m) -> np.ndarray:
+    """floor(h * m / 2^64) for a uint64 array h and multipliers m < 2^32
+    (an int, or a uint64 array that broadcasts against h).
+
+    With h = hi * 2^32 + lo, floor(h m / 2^64) = (hi m + (lo m >> 32)) >> 32
+    exactly, since floor((A + r) / N) = floor((A + floor(r)) / N) for
+    integers A and N. Every partial product fits in 64 bits: hi m and lo m
+    are below 2^64 - 2^32 and their sum below (2^32 - 1) 2^32, so nothing
+    wraps.
+    """
+    m = np.asarray(m, dtype=np.uint64)
+    out = h >> np.uint64(32)
+    out *= m
+    low = h & _U32
+    low *= m
+    low >>= np.uint64(32)
+    out += low
+    out >>= np.uint64(32)
+    return out
 
 
 def coordinate_tags(vocab_size: int) -> np.ndarray:
@@ -162,8 +179,15 @@ def affine_key(seed: int, vocab_size: int, units: np.ndarray) -> tuple[float, in
 
 
 def affine_keys(seeds, vocab_size: int, units: np.ndarray):
-    """``affine_key`` of each seed in a uint64 array, as (u, a, c) arrays."""
+    """``affine_key`` of each seed in a uint64 array, as (u, a, c) arrays.
+
+    One ``splitmix64_array`` call hashes the seeds against all three tags,
+    stacked as the rows of a (3, *seeds.shape) array, and one ``mulhi``
+    call scales h_2 by V and h_3 by |units| (both below 2^32).
+    """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    h_u, h_c, h_a = (splitmix64_array(seeds ^ np.uint64(tag)) for tag in _AFFINE_TAGS)
-    a = units[_mulhi64(h_a, np.uint64(units.size)).astype(np.int64)]
-    return unit(h_u), a, _mulhi64(h_c, np.uint64(vocab_size)).astype(np.int64)
+    rows = (3,) + (1,) * seeds.ndim
+    hashes = splitmix64_array(seeds ^ _AFFINE_TAG_ROWS.reshape(rows))
+    scales = np.array([vocab_size, units.size], dtype=np.uint64).reshape((2,) + rows[1:])
+    c, index = mulhi(hashes[1:], scales).astype(np.int64)
+    return unit(hashes[0]), units[index], c

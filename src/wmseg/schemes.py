@@ -41,6 +41,7 @@ key.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -193,7 +194,8 @@ PseudoKey = Union[GumbelKey, InverseKey, RedGreenKey]
 
 
 class _Scheme:
-    """What every scheme class provides, for one validated ``SchemeSpec``.
+    """What every scheme class provides, for one validated vocabulary size
+    and the values of the ``params`` it names.
 
     ``key(seed)`` derives the key of a 64-bit key seed; ``pivots(tokens,
     seeds)`` is ``pivot(tokens[i], key(seeds[i]))`` for every position, in
@@ -201,14 +203,16 @@ class _Scheme:
     already passed by ``check_decodable`` and ``pivot`` a token or a token
     array already bounds-checked by the caller; ``block_sum_cdf(k)`` returns
     the CDF of a sum of k null scores; ``params`` names the ``SchemeSpec``
-    fields the scheme reads beyond the vocabulary size.
+    fields the scheme reads beyond the vocabulary size, in the order its
+    constructor takes them. Its arrays are read-only, since equal specs
+    share one instance (``SchemeSpec``).
     """
 
     params: tuple[str, ...] = ()
     null_mean: float
 
-    def __init__(self, spec: "SchemeSpec"):
-        self.vocab_size = spec.vocab_size
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
 
 
 class _AffineKeyed(_Scheme):
@@ -216,9 +220,9 @@ class _AffineKeyed(_Scheme):
     of the vocabulary: token w has rank ``(a*w + c) mod V`` (``keys.affine_key``).
     """
 
-    def __init__(self, spec: "SchemeSpec"):
-        super().__init__(spec)
-        self.units = units_mod(self.vocab_size)
+    def __init__(self, vocab_size: int):
+        super().__init__(vocab_size)
+        self.units = _read_only(units_mod(vocab_size))
 
     def _key(self, seed: int) -> tuple[float, np.ndarray]:
         """The key uniform and the rank of every token."""
@@ -237,9 +241,9 @@ class Gumbel(_Scheme):
 
     null_mean = 1.0
 
-    def __init__(self, spec: "SchemeSpec"):
-        super().__init__(spec)
-        self.tags = coordinate_tags(self.vocab_size)
+    def __init__(self, vocab_size: int):
+        super().__init__(vocab_size)
+        self.tags = _read_only(coordinate_tags(vocab_size))
 
     def key(self, seed: int) -> GumbelKey:
         return GumbelKey(uniforms=unit(splitmix64_array(np.uint64(seed) ^ self.tags)))
@@ -288,8 +292,8 @@ class Gumbel(_Scheme):
 
 
 class Inverse(_AffineKeyed):
-    def __init__(self, spec: "SchemeSpec"):
-        super().__init__(spec)
+    def __init__(self, vocab_size: int):
+        super().__init__(vocab_size)
         # E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2, averaged over g = k/(V-1).
         v = self.vocab_size
         self.null_mean = 1.0 - (2 * v - 1) / (6.0 * (v - 1))
@@ -381,16 +385,17 @@ class Inverse(_AffineKeyed):
 class RedGreen(_AffineKeyed):
     params = ("green_frac", "bias")
 
-    def __init__(self, spec: "SchemeSpec"):
-        super().__init__(spec)
-        if not 0.0 < spec.green_frac < 1.0:
+    def __init__(self, vocab_size: int, green_frac: float, bias: float):
+        super().__init__(vocab_size)
+        if not 0.0 < green_frac < 1.0:
             raise ValueError("green fraction must lie in (0, 1)")
-        self.n_green = math.floor(spec.green_frac * spec.vocab_size)
+        self.n_green = math.floor(green_frac * vocab_size)
         if self.n_green < 1:
             raise ValueError("green subset would be empty; increase vocab or fraction")
-        if spec.bias < 0:
-            raise ValueError("bias must be nonnegative")
-        self.green_weight = math.exp(spec.bias)
+        # A NaN bias fails every comparison, so test for a finite value first.
+        if not (math.isfinite(bias) and bias >= 0):
+            raise ValueError(f"bias must be finite and nonnegative, not {bias!r}")
+        self.green_weight = math.exp(bias)
         self.null_mean = self.n_green / self.vocab_size
 
     def key(self, seed: int) -> RedGreenKey:
@@ -431,6 +436,18 @@ class RedGreen(_AffineKeyed):
 
 SCHEMES: dict[str, type[_Scheme]] = {"gumbel": Gumbel, "inverse": Inverse, "red_green": RedGreen}
 SCHEME_IDS = tuple(SCHEMES)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=16)
+def _scheme_object(scheme_id: str, vocab_size: int, *params) -> _Scheme:
+    """The one scheme instance of (scheme, V, params); a constructor that
+    raises caches nothing."""
+    return SCHEMES[scheme_id](vocab_size, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +496,13 @@ class SchemeSpec:
     calibration solves on ``block_sum_cdf``, the law of a block of null
     scores; ``null_scores`` draws from the same score law and ``null_mean``
     is its exact mean.
+
+    The vocabulary size lies in [2, 2^32): the affine keys scale 64-bit
+    hashes by V with a 32-bit multiply-high (``keys.mulhi``), and a larger V
+    would only ask for a 32 GiB table per scheme. Specs equal in the fields
+    their scheme reads share one read-only scheme object from a small LRU
+    cache, so rebuilding a spec per stream file costs no ``units_mod`` or
+    ``coordinate_tags`` pass.
     """
 
     scheme_id: str
@@ -489,9 +513,11 @@ class SchemeSpec:
     def __post_init__(self):
         if self.scheme_id not in SCHEMES:
             raise ValueError(f"unsupported scheme {self.scheme_id!r}")
-        if self.vocab_size < 2:
-            raise ValueError("vocabulary must have at least 2 entries")
-        object.__setattr__(self, "_scheme", SCHEMES[self.scheme_id](self))
+        if not 2 <= self.vocab_size < 2**32:
+            raise ValueError(f"vocab_size must lie in [2, 2**32), not {self.vocab_size!r}")
+        params = (getattr(self, name) for name in SCHEMES[self.scheme_id].params)
+        scheme = _scheme_object(self.scheme_id, self.vocab_size, *params)
+        object.__setattr__(self, "_scheme", scheme)
 
     @property
     def null_mean(self) -> float:

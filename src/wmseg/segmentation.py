@@ -238,30 +238,32 @@ def localize_segment(
         raise ValueError("empty search space: left window starts after right window ends")
 
     adjusted = np.asarray(scores, dtype=float)[d_left - 1 : d_right] - (null_mean + rho * signal)
-    prefix = np.concatenate(([0.0], np.cumsum(adjusted)))
+    prefix = np.empty(adjusted.size + 1)
+    prefix[0] = 0.0
+    np.cumsum(adjusted, out=prefix[1:])
 
-    # Local 0-based offsets within the region.
-    s_off = np.arange(wl_lo - d_left, wl_hi - d_left + 1)
-    t_off = np.arange(wr_lo - d_left, wr_hi - d_left + 1)
+    # Both windows are contiguous: starts at local 0-based offsets s_lo..s_hi
+    # of the region, ends at t_lo..t_hi.
+    s_lo, s_hi = wl_lo - d_left, wl_hi - d_left
+    t_lo, t_hi = wr_lo - d_left, wr_hi - d_left
 
     # For each candidate start s, the inside mass is prefix[t+1] - prefix[s];
     # sweep ends with a running minimum over admissible prefix[s], preferring
     # the latest argmin (narrower interval) on exact ties.
-    start_vals = prefix[s_off]
+    start_vals = prefix[s_lo : s_hi + 1]
     run_min = np.minimum.accumulate(start_vals)
     latest_argmin = np.maximum.accumulate(
         np.where(start_vals == run_min, np.arange(start_vals.size), -1)
     )
 
-    n_admissible = np.minimum(np.searchsorted(s_off, t_off, side="right"), s_off.size)
-    valid = n_admissible >= 1  # needs some start s <= t
-    if not np.any(valid):
-        raise ValueError("empty search space: no start precedes any end")
-
-    k = n_admissible[valid] - 1
-    ends = t_off[valid]
-    inside = prefix[ends + 1] - run_min[k]
-    starts = s_off[latest_argmin[k]]
+    # An end t needs some start s <= t, and its last admissible start is
+    # window index min(t - s_lo, |left| - 1). Some end has one, since
+    # wl_lo <= wr_hi was checked above.
+    first_end = max(t_lo, s_lo)
+    ends = np.arange(first_end, t_hi + 1)
+    k = np.minimum(ends - s_lo, start_vals.size - 1)
+    inside = prefix[first_end + 1 : t_hi + 2] - run_min[k]
+    starts = latest_argmin[k] + s_lo
 
     best_inside = inside.max()
     top = inside == best_inside

@@ -173,6 +173,53 @@ def test_segment_config_takes_only_segment_options(tmp_path):
     assert json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))["pad"] == 7
 
 
+@pytest.mark.parametrize("key, value", [
+    ("block_len", 20.5), ("block_len", True), ("block_len", "20"),
+    ("pad", 7.0), ("discard_c", True), ("rho", "0.3"),
+], ids=["float-block-len", "bool-block-len", "string-block-len", "float-pad", "bool-discard-c",
+        "string-rho"])
+def test_segment_config_values_must_have_their_flags_json_type(key, value, tmp_path, capsys):
+    # Each of these used to be coerced: a block_len of 20.5 segmented with
+    # b=20, true with b=1 and "20" with b=20, and a discard_c of true ran as 1.
+    stream, argv, out, _, _ = _generated_and_segmented(tmp_path)
+    config = tmp_path / "segment.json"
+    config.write_text(json.dumps({"block_len": 20, key: value}), encoding="utf-8")
+    argv = ["segment", "--stream", str(stream), "--config", str(config), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert f"segment config key '{key}': {value!r} is not a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", 300.0), ("n", True), ("n", "300"), ("seed", 1.5), ("seed", "1"), ("seed", True),
+], ids=["float-n", "bool-n", "string-n", "float-seed", "string-seed", "bool-seed"])
+def test_generate_config_values_must_have_their_flags_json_type(key, value, tmp_path, capsys):
+    config, out = tmp_path / "generate.json", tmp_path / "stream.jsonl"
+    config.write_text(json.dumps({"n": 300, "seed": 1, key: value}), encoding="utf-8")
+    assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"generate config key '{key}': {value!r} is not a JSON" in capsys.readouterr().err
+
+
+def test_config_values_of_the_flags_json_type_are_read(tmp_path):
+    config, stream = tmp_path / "generate.json", tmp_path / "stream.jsonl"
+    config.write_text(json.dumps({"n": 300, "seed": 4, "scheme": "red_green", "bias": 1}),
+                      encoding="utf-8")
+    assert cli_main(["generate", "--config", str(config), "--out", str(stream)]) == 0
+    written = read_stream_jsonl(stream)
+    assert written.seed == 4 and written.tokens.size == 300 and written.scheme.bias == 1.0
+
+
+@pytest.mark.parametrize("bias", ["nan", "inf"])
+def test_generate_rejects_a_non_finite_bias(bias, tmp_path, capsys):
+    out = tmp_path / "stream.jsonl"
+    argv = ["generate", "--scheme", "red_green", "--bias", bias, "--n", "300",
+            "--segments", "50-150", "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert "bias must be finite and nonnegative" in capsys.readouterr().err
+
+
 def _generated_and_segmented(tmp_path):
     """A generated stream that segment accepts, the segment argv and its
     output path (removed again), and the stream's two lines."""

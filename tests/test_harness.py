@@ -161,6 +161,13 @@ def test_plan_from_json_rejects_a_value_of_another_json_type(edit, key):
         ExperimentPlan.from_json({**PLAN.to_json(), **edit})
 
 
+@pytest.mark.parametrize("segments, bad", [([[100.7, 200]], "100.7"), ([[100.7, True]], "100.7")],
+                         ids=["float-end", "float-and-bool-ends"])
+def test_plan_from_json_names_a_non_integer_segment_end(segments, bad):
+    with pytest.raises(ValueError, match=f"key 'true_segments': interval end {bad} is not"):
+        ExperimentPlan.from_json({**PLAN.to_json(), "true_segments": segments})
+
+
 def test_plan_from_json_reads_a_json_integer_as_a_float():
     plan = ExperimentPlan.from_json({**PLAN.to_json(), "discard_c": 1,
                                      "grid": {"block_len": [30], "alpha": [1]}})

@@ -15,6 +15,7 @@ from wmseg.keys import (
     key_seed,
     key_seeds,
     mix,
+    mulhi,
     splitmix64,
     splitmix64_array,
     unit,
@@ -149,3 +150,22 @@ def test_affine_key_equals_affine_keys(vocab, seeds):
     units = units_mod(vocab)
     u, a, c = affine_keys(np.array(seeds, dtype=np.uint64), vocab, units)
     assert [affine_key(seed, vocab, units) for seed in seeds] == list(zip(u, a, c))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 20, 997, 1000, 2**31, 2**32 - 1))
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_mulhi_is_the_high_word_of_the_128_bit_product(m, hashes):
+    hashes = [*EDGE_SEEDS, 2**32 + 1, 2**64 - 2**32, *hashes]
+    got = mulhi(np.array(hashes, dtype=np.uint64), m)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [h * m >> 64 for h in hashes]
+
+
+def test_affine_keys_of_a_seed_matrix_are_its_rows_keys():
+    # The K x n seeds of a keyed certificate hash in one call too.
+    seeds = np.arange(12, dtype=np.uint64).reshape(3, 4) * np.uint64(0x9E3779B97F4A7C15)
+    units = units_mod(1000)
+    whole = affine_keys(seeds, 1000, units)
+    for row in range(3):
+        for got, expected in zip(whole, affine_keys(seeds[row], 1000, units)):
+            assert np.array_equal(got[row], expected)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,30 @@ def random_segments(rng, n, max_intervals=4) -> Segments:
         pairs.append((left, right))
         pos = right + 2
     return Segments(pairs, n=n)
+
+
+# ---------------------------------------------------------------------------
+# Segments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair, bad", [
+    ((100.7, 200), "100.7"), ((100.7, True), "100.7"), ((100, True), "True"),
+    ((100.0, 200), "100.0"), (("100", 200), "'100'"),
+    ((100, np.float64(200)), repr(np.float64(200))),
+], ids=["float-left", "float-left-bool-right", "bool-right", "integral-float", "string",
+        "numpy-float"])
+def test_segments_reject_an_end_that_is_not_an_integer(pair, bad):
+    # [[100.7, 200]] used to read as [[100, 200]], and [[100.7, true]] failed
+    # as "invalid interval [100, 1]".
+    with pytest.raises(TypeError, match=f"^interval end {re.escape(bad)} is not an integer$"):
+        Segments([pair], n=300)
+
+
+def test_segments_take_python_and_numpy_integer_ends():
+    segs = Segments([(np.int64(3), np.int32(9)), (20, np.uint16(30))], n=40)
+    assert segs.intervals == ((3, 9), (20, 30))
+    assert all(type(end) is int for pair in segs for end in pair)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -335,6 +336,16 @@ class TestRedGreen:
         with pytest.raises(ValueError):
             SchemeSpec("red_green", 4, green_frac=0.5, bias=-1.0)
 
+    @pytest.mark.parametrize("bias", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_a_non_finite_bias_is_rejected(self, bias):
+        # A NaN or infinite bias used to pass and weight every green token by
+        # nan or inf, so each in-segment token decoded to one and the same token.
+        with pytest.raises(ValueError, match=f"bias must be finite and nonnegative, not {bias}"):
+            SchemeSpec("red_green", 50, bias=bias)
+        with pytest.raises(ValueError, match="bias must be finite"):
+            SchemeSpec.from_json({"id": "red_green", "vocab_size": 50, "bias": bias})
+
 
 # ---------------------------------------------------------------------------
 # Cross-scheme invariants
@@ -456,3 +467,30 @@ def test_null_mean_matches_exact_oracle(scheme_id):
         assert math.isclose(got, exact_null_mean(scheme_id, vocab), rel_tol=1e-12), vocab
     with pytest.raises(ValueError):
         SchemeSpec(scheme_id, 1)
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_a_vocabulary_of_2_to_the_32_is_rejected(scheme_id):
+    # Built, it would ask units_mod or coordinate_tags for a 32 GiB table.
+    message = re.escape("vocab_size must lie in [2, 2**32), not 4294967296")
+    with pytest.raises(ValueError, match=message):
+        SchemeSpec(scheme_id, 2**32)
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_equal_specs_share_one_read_only_scheme_object(scheme_id):
+    first, second = SchemeSpec(scheme_id, 1000), SchemeSpec.from_json({"id": scheme_id,
+                                                                       "vocab_size": 1000})
+    assert first._scheme is second._scheme
+    assert SchemeSpec(scheme_id, 999)._scheme is not first._scheme
+    table = first._scheme.tags if scheme_id == "gumbel" else first._scheme.units
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1
+
+
+def test_red_green_specs_share_a_scheme_object_only_with_equal_params():
+    base = SchemeSpec("red_green", 100, green_frac=0.5, bias=2.0)
+    assert SchemeSpec("red_green", 100, green_frac=0.5, bias=2.0)._scheme is base._scheme
+    assert SchemeSpec("red_green", 100, green_frac=0.5, bias=1.0)._scheme is not base._scheme
+    assert SchemeSpec("red_green", 100, green_frac=0.3, bias=2.0)._scheme is not base._scheme
+    assert SchemeSpec("inverse", 100)._scheme is not base._scheme

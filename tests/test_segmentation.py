@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localize_reference import reference_localize_segment
 from wmseg.calibration import CertMismatch, ThresholdCert, calibrate_threshold
 from wmseg.intervals import Segments
 from wmseg.schemes import PivotSeries, SchemeSpec
@@ -241,6 +243,57 @@ class TestLocalizeSegment:
             naive = naive_estimate(x, 1.0, rho, signal)
             scan = localize_segment(x, (1, n), (1, n), (1, n), 1.0, rho, signal)
             assert naive == scan
+
+
+@st.composite
+def localize_inputs(draw, windows):
+    """Arguments of ``localize_segment`` over a random region: integer-valued
+    scores with a dyadic penalty, which is 1 half of the time (exact sums with
+    many zero steps, so ties are common), or float scores; and two windows
+    laid out as ``windows`` names."""
+    n = draw(st.integers(2, 40))
+    if draw(st.booleans()):
+        scores = draw(st.lists(st.sampled_from([0, 1, 1, 2]), min_size=n, max_size=n))
+        null_mean, rho = draw(st.sampled_from([0.0, 0.5])), 0.5
+        signal = draw(st.sampled_from([1.0, 2.0]))
+    else:
+        scores = draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n))
+        null_mean = draw(st.floats(0.0, 2.0))
+        rho, signal = draw(st.floats(0.05, 0.9)), draw(st.floats(1e-6, 3.0))
+    d_left = draw(st.integers(1, n - 1))
+    d_right = draw(st.integers(d_left + 1, n))
+    # a <= b < c <= d inside the region.
+    b = draw(st.integers(d_left, d_right - 1))
+    a, c = draw(st.integers(d_left, b)), draw(st.integers(b + 1, d_right))
+    d = draw(st.integers(c, d_right))
+    layout = {
+        "disjoint": ((a, b), (c, d)),
+        "overlapping": ((a, c), (b, d)),
+        "identical": ((a, d), (a, d)),
+        "right-inside-left": ((a, d), (b, c)),
+        "left-after-right": ((c, d), (a, b)),
+        "outside-region": ((d_left - 1, b), (c, d)) if d_left > 1 else ((a, b), (c, d_right + 1)),
+    }[windows]
+    return (np.array(scores, dtype=float), (d_left, d_right), *layout, null_mean, rho, signal)
+
+
+WINDOW_LAYOUTS = ("disjoint", "overlapping", "identical", "right-inside-left",
+                  "left-after-right", "outside-region")
+
+
+@pytest.mark.parametrize("windows", WINDOW_LAYOUTS)
+@given(data=st.data())
+def test_localize_segment_equals_the_gather_reference(windows, data):
+    args = data.draw(localize_inputs(windows))
+    try:
+        expected = reference_localize_segment(*args)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            localize_segment(*args)
+        assert windows in ("left-after-right", "outside-region")
+    else:
+        assert localize_segment(*args) == expected
+        assert windows not in ("left-after-right", "outside-region")
 
 
 class TestNaiveEstimate:

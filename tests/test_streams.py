@@ -514,6 +514,20 @@ class TestStreamJsonl:
         with pytest.raises(ValueError, match=f"key '{key}': .* is not a JSON"):
             read_stream_jsonl(path)
 
+    @pytest.mark.parametrize("segments", [[[2.5, 4]], [[2.5, True]]], ids=["float", "bool"])
+    def test_a_non_integer_segment_end_is_named(self, segments, tmp_path):
+        path = self._with_header(tmp_path, GUMBEL, {"true_segments": segments})
+        with pytest.raises(ValueError,
+                           match="key 'true_segments': interval end 2.5 is not an integer"):
+            read_stream_jsonl(path)
+
+    def test_a_nan_bias_in_the_header_is_rejected(self, tmp_path):
+        red_green = SchemeSpec("red_green", vocab_size=50)
+        path = self._with_header(tmp_path, red_green,
+                                 {"scheme_params": {**red_green.to_json(), "bias": math.nan}})
+        with pytest.raises(ValueError, match="bias must be finite and nonnegative, not nan"):
+            read_stream_jsonl(path)
+
     def test_series_takes_the_null_mean_of_scheme_params(self, tmp_path):
         inverse = SchemeSpec("inverse", vocab_size=3)
         path = self._with_header(tmp_path, inverse, {"mu0": inverse.null_mean * (1 + 1e-14)})

@@ -4,8 +4,9 @@ Options left unset take the defaults of the library call they feed (the CLI
 sets only scheme gumbel, vocab size 100, generate seed 0 and the model label).
 A ``--config`` JSON file may set any option of its command by name (flags
 win), a numeric option only with a value of its flag's JSON type (a
-``block_len`` of 20.5 is an error, not 20); for ``experiment`` it is the
-plan itself, plus an optional ``out``.
+``block_len`` of 20.5 is an error, not 20) and ``segments`` only as the
+string the flag takes, ``L-R,L-R`` with integer ends; for ``experiment`` it
+is the plan itself, plus an optional ``out``.
 
 ``segment`` scores the stream file's tokens under its seed and scheme (the
 file stores no scores), calibrates the screening threshold for
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -36,13 +38,27 @@ from .streams import (NtpModel, StreamSpec, generate_stream, read_stream_jsonl, 
 # The keys of ``SegmentationResult.to_json``, as ``evaluate`` reads them.
 _RESULT_KEYS = ("k_hat", "segments", "d_tilde", "trace")
 _SEGMENT_KEYS = ("left", "right")
-# Readers of the --config values of numeric options: a value must already
-# have its flag's JSON type, so a block_len of 20.5, true or "20" is an
-# error rather than b=20. Flags are typed by argparse.
+_SEGMENTS_FORM = "L-R,L-R"
+# One chunk of a segments string: two unsigned integer ends around a dash.
+_SEGMENT_CHUNK = re.compile(r"\s*([0-9]+)\s*-\s*([0-9]+)\s*")
+
+
+def _segments_text(value) -> str:
+    """The --config reader of ``segments``: a JSON string, as on the command line."""
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a JSON string of the form {_SEGMENTS_FORM}")
+    return value
+
+
+# Readers of the --config values of numeric options and of segments: a
+# value must already have its flag's JSON type, so a block_len of 20.5, true
+# or "20" is an error rather than b=20, and segments are a string such as
+# "100-200,325-400", not a list of pairs. Flags are typed by argparse.
 _CONFIG_READERS = {
     **dict.fromkeys(("seed", "n", "vocab_size", "block_len", "pad"), json_int),
     **dict.fromkeys(("green_frac", "bias", "delta_cap", "concentration", "exponent",
                      "alpha", "rho", "gamma", "discard_c"), json_float),
+    "segments": _segments_text,
 }
 
 
@@ -131,12 +147,17 @@ def _as_is(value):
 
 
 def _parse_segments(text: str | None, n: int) -> Segments:
+    """The segments of an ``L-R,L-R`` string: 1-based inclusive integer
+    ends, each chunk ``L-R``; no text means no segments."""
     if not text:
         return Segments()
     pairs = []
-    for chunk in str(text).split(","):
-        left, right = chunk.strip().split("-")
-        pairs.append((int(left), int(right)))
+    for chunk in text.split(","):
+        match = _SEGMENT_CHUNK.fullmatch(chunk)
+        if match is None:
+            raise ValueError(f"segments {text!r}: {chunk!r} is not L-R with integer ends "
+                             f"(the form is {_SEGMENTS_FORM})")
+        pairs.append((int(match[1]), int(match[2])))
     return Segments(pairs, n=n)
 
 

@@ -4,7 +4,8 @@ All randomness in the package flows from 64-bit seeds mixed with splitmix64,
 so every run is exactly reproducible and verifier-side key reconstruction
 only needs the token sequence and the master seed. ``key_seed`` gives the
 seed of a position's key; ``key_seeds`` is the same over an array of
-contexts.
+contexts. Both fold the context onto the seed of (master_seed, TAG_KEY),
+which ``key_seed`` caches per master seed.
 
 Every key is read from keyed hashes h_t = splitmix64(seed ^ splitmix64(t))
 of its seed, one per tag t, and every key uniform is ``unit(h_t)``, on the
@@ -30,6 +31,8 @@ with no key and no generator built:
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -85,14 +88,23 @@ def mix(*parts: int) -> int:
     return state
 
 
+@functools.lru_cache(maxsize=16)
+def _key_seed_prefix(master_seed: int) -> int:
+    """``mix(master_seed, TAG_KEY)``, the part of every key seed of a stream
+    that does not depend on the context."""
+    return mix(master_seed, TAG_KEY)
+
+
 def key_seed(master_seed: int, prev_token: int) -> int:
     """Seed of the pseudo-random key at a position, from its predecessor token.
 
     Context window is a single token; the first position passes
     CONTEXT_SENTINEL. Anyone holding the master seed can recompute this from
-    the token sequence alone.
+    the token sequence alone. The value is ``mix(master_seed, TAG_KEY,
+    prev_token + 1)``; ``mix`` folds its parts in order, so the context folds
+    last onto the cached ``_key_seed_prefix`` of the master seed.
     """
-    return mix(master_seed, TAG_KEY, prev_token + 1)
+    return splitmix64(_key_seed_prefix(master_seed) ^ splitmix64((prev_token + 1) & _MASK64))
 
 
 def key_seeds(master_seed: int, prev_tokens: np.ndarray) -> np.ndarray:

@@ -27,18 +27,21 @@ two generators, so the outputs do not depend on the block size.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
-Generation derives each key once per distinct context, to decode with it
-and to list it in ``Stream.keys``; positions that share a context share one
-key object. The verifier calls no ``SchemeSpec.key_at`` and builds no key
-and no generator, for any scheme: ``score_tokens`` derives every position's
-key seed in one array pass and the scheme reads its pivots from the seeds
-through the keyed hashes of ``keys``, one per position. Generation scores
-through ``score_tokens`` too, so it draws no key twice and both give the
-same bits.
+Generation derives a key only for the context of a position inside a
+segment, once per distinct context, and decodes with it. ``Stream.keys``
+derives the keys of the other contexts when it is first read, into the same
+memo, so positions that share a context share one key object; a caller that
+reads only the tokens or the pivots never pays for them. The verifier calls
+no ``SchemeSpec.key_at`` and builds no key and no generator, for any
+scheme: ``score_tokens`` derives every position's key seed in one array
+pass and the scheme reads its pivots from the seeds through the keyed
+hashes of ``keys``, one per position. Generation scores through
+``score_tokens`` too, so it draws no key twice and both give the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -147,10 +150,11 @@ class NtpModel:
         other kinds draw one vector per position from ``rng``, in order, so
         the rows do not depend on how the positions are cut into calls. A
         dirichlet position takes the first of its candidates within the cap,
-        or ``cap_probs`` of its 10^4-th. A cap that admits no vector raises
-        ValueError, and one that admits only the uniform vector
-        (``(1 - delta_cap) * vocab_size == 1``) gives uniform rows; neither
-        draws from ``rng``.
+        or ``cap_probs`` of its 10^4-th; when every position's first
+        candidate fits, the block of candidates is returned as drawn. A cap
+        that admits no vector raises ValueError, and one that admits only
+        the uniform vector (``(1 - delta_cap) * vocab_size == 1``) gives
+        uniform rows; neither draws from ``rng``.
         """
         positions = np.asarray(positions, dtype=np.int64)
         count = positions.size
@@ -166,22 +170,36 @@ class NtpModel:
             if base.max() > cap:
                 base = cap_probs(base, self.delta_cap)
             return np.array([base[rng.permutation(vocab_size)] for _ in range(count)])
-        # Every row takes at least one candidate, so drawing one candidate per
-        # row still to fill draws none beyond the last one the rows take.
         alpha = np.full(vocab_size, self.concentration)
-        rows = np.empty((count, vocab_size))
         candidates = rng.dirichlet(alpha, size=count)
+        fits = candidates.max(axis=1) <= cap
+        if fits.all():  # every row takes its first candidate
+            return candidates
+        return self._capped_rows(rng, alpha, candidates, fits)
+
+    def _capped_rows(self, rng: np.random.Generator, alpha: np.ndarray,
+                     candidates: np.ndarray, fits: np.ndarray) -> np.ndarray:
+        """``sample``'s dirichlet rows when some of their first candidates,
+        one per row, exceed the cap (``fits`` is false there): each row takes
+        the first of its candidates within the cap, or ``cap_probs`` of its
+        10^4-th. Every row takes at least one candidate, so drawing one
+        candidate per row still to fill draws none beyond the last one the
+        rows take."""
+        cap = 1.0 - self.delta_cap
+        count = len(candidates)
+        rows = np.empty_like(candidates)
         filled = rejected = 0  # rejected: consecutive candidates of the current row
         while True:
-            for candidate, fits in zip(candidates, (candidates.max(axis=1) <= cap).tolist()):
-                if fits or rejected == _REJECTION_LIMIT - 1:
-                    rows[filled] = candidate if fits else cap_probs(candidate, self.delta_cap)
+            for candidate, fit in zip(candidates, fits.tolist()):
+                if fit or rejected == _REJECTION_LIMIT - 1:
+                    rows[filled] = candidate if fit else cap_probs(candidate, self.delta_cap)
                     filled, rejected = filled + 1, 0
                 else:
                     rejected += 1
             if filled == count:
                 return rows
             candidates = rng.dirichlet(alpha, size=count - filled)
+            fits = candidates.max(axis=1) <= cap
 
     def null_tokens(self, rng: np.random.Generator, vocab_size: int,
                     positions: np.ndarray) -> np.ndarray:
@@ -263,18 +281,42 @@ class StreamSpec:
         return self.scheme.vocab_size
 
 
+def _key_after(spec: StreamSpec, key_of: dict[int, PseudoKey], prev: int) -> PseudoKey:
+    """The key of a position whose previous token is ``prev``
+    (CONTEXT_SENTINEL at the first position), derived once per context into
+    the memo ``key_of``."""
+    key = key_of.get(prev)
+    if key is None:
+        key = key_of[prev] = spec.scheme.key_at(key_seed(spec.seed, prev))
+    return key
+
+
 @dataclass(frozen=True)
 class Stream:
-    """A generated stream: tokens, per-position keys, and scored pivots."""
+    """A generated stream: tokens, scored pivots and per-position keys.
+
+    ``keys`` is derived on first read. Generation leaves in ``_key_of`` the
+    keys it decoded with, one per context of a position inside a segment;
+    the first read of ``keys`` derives the contexts still missing into the
+    same memo, so positions that share a context share one key object and
+    no key is derived twice.
+    """
 
     spec: StreamSpec
     tokens: np.ndarray
-    keys: tuple[PseudoKey, ...]
     pivots: PivotSeries
+    _key_of: dict[int, PseudoKey] = field(default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def keys(self) -> tuple[PseudoKey, ...]:
+        """Every position's key: that of the token before it, or of
+        CONTEXT_SENTINEL at the first position."""
+        return tuple(_key_after(self.spec, self._key_of, prev)
+                     for prev in [CONTEXT_SENTINEL, *self.tokens[:-1].tolist()])
 
 
 def generate_stream(spec: StreamSpec) -> Stream:
-    """Generate tokens, keys and scored pivots for a stream spec.
+    """Generate the tokens and scored pivots of a stream spec.
 
     Inside a planted segment the token is the scheme's decode of (NTP, key);
     outside it is sampled from the NTP independently of the key, which is
@@ -287,23 +329,17 @@ def generate_stream(spec: StreamSpec) -> Stream:
     at most ``_BLOCK_ENTRIES`` NTP entries: a block's rows come from one
     ``NtpModel.sample`` call and pass ``check_decodable`` once, and its
     positions, in order, decode their rows with ``SchemeSpec.decode_row``
-    under the key of the token before. Each distinct context derives its key
-    once, so positions with the same previous token share one key object in
-    ``Stream.keys``. The pivots are then scored by the verifier's own
-    scorer, ``score_tokens``, so both give the same bits.
+    under the key of the token before. Each context of such a position
+    derives its key once; no other key is derived here. ``Stream.keys``
+    derives the rest, once per context, when it is first read. The pivots
+    are scored by the verifier's own scorer, ``score_tokens``, so both give
+    the same bits.
     """
     scheme, n, vocab_size = spec.scheme, spec.n, spec.vocab_size
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
     inside = spec.true_segments.mask(n)
     key_of: dict[int, PseudoKey] = {}
-
-    def key_after(prev: int) -> PseudoKey:
-        key = key_of.get(prev)
-        if key is None:
-            key = key_of[prev] = scheme.key_at(key_seed(spec.seed, prev))
-        return key
-
     tokens = np.empty(n, dtype=np.int64)
     null = np.flatnonzero(~inside)
     tokens[null] = spec.ntp_model.null_tokens(rng_null, vocab_size, null)
@@ -315,10 +351,9 @@ def generate_stream(spec: StreamSpec) -> Stream:
                                 (positions.size, vocab_size))
         for i, row in zip(positions.tolist(), probs):
             prev = int(tokens[i - 1]) if i else CONTEXT_SENTINEL
-            tokens[i] = scheme.decode_row(row, key_after(prev))
-    keys = tuple(map(key_after, [CONTEXT_SENTINEL, *tokens[:-1].tolist()]))
-    series = score_tokens(tokens, spec.seed, scheme)
-    return Stream(spec=spec, tokens=tokens, keys=keys, pivots=series)
+            tokens[i] = scheme.decode_row(row, _key_after(spec, key_of, prev))
+    return Stream(spec=spec, tokens=tokens, pivots=score_tokens(tokens, spec.seed, scheme),
+                  _key_of=key_of)
 
 
 def _key_seeds(tokens: np.ndarray, master_seed: int) -> np.ndarray:

@@ -290,3 +290,35 @@ def test_evaluate_to_stdout_quotes_a_label_with_a_comma(tmp_path, capsys):
     assert tuple(header) == EVAL_COLUMNS
     assert len(row) == len(EVAL_COLUMNS)
     assert row[EVAL_COLUMNS.index("model")] == "llama,7b"
+
+
+@pytest.mark.parametrize("segments", ["100", "100-200,", "100-200.5", "100-200-300", "a-b",
+                                      "100-200,,225-250"])
+def test_generate_names_segments_that_are_not_l_r_pairs(segments, tmp_path, capsys):
+    out = tmp_path / "stream.jsonl"
+    argv = ["generate", "--n", "300", "--segments", segments, "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"segments {segments!r}:" in err and "L-R,L-R" in err
+
+
+@pytest.mark.parametrize("segments", [[[100, 200]], 5, "100", "100-200.5", "-5-10", None, True],
+                         ids=["pair-list", "integer", "one-end", "float-end", "negative-end",
+                              "null", "bool"])
+def test_generate_config_segments_must_be_an_l_r_string(segments, tmp_path, capsys):
+    config, out = tmp_path / "generate.json", tmp_path / "stream.jsonl"
+    config.write_text(json.dumps({"n": 300, "segments": segments}), encoding="utf-8")
+    assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "segments" in err and "L-R,L-R" in err
+
+
+@pytest.mark.parametrize("segments", ["100-200,225-250", " 100 - 200 , 225-250 "])
+def test_generate_reads_l_r_segments_from_flag_and_config(segments, tmp_path):
+    config, out = tmp_path / "generate.json", tmp_path / "stream.jsonl"
+    config.write_text(json.dumps({"n": 300, "segments": segments}), encoding="utf-8")
+    for argv in (["--segments", segments], ["--config", str(config)]):
+        assert cli_main(["generate", "--n", "300", *argv, "--out", str(out)]) == 0
+        assert read_stream_jsonl(out).true_segments.to_pairs() == [[100, 200], [225, 250]]

@@ -133,6 +133,37 @@ def test_the_dirichlet_cap_fallback_matches_the_reference(block_entries, monkeyp
     assert_matches_reference(spec, generate_stream(spec))
 
 
+def test_the_reference_tests_reach_both_dirichlet_paths(monkeypatch):
+    """``NtpModel.sample`` returns a dirichlet block as drawn when every
+    first candidate fits the cap, and otherwise fills it row by row in
+    ``_capped_rows``. The reference tests above hold both paths to the
+    per-position definition: run their dirichlet cases at V=3 and 20 and
+    count the paths they take. The NTP draws do not depend on the scheme,
+    so gumbel stands for all three."""
+    samples, fallbacks = [], []
+    sample, capped_rows = NtpModel.sample, NtpModel._capped_rows
+
+    def counting_sample(self, *args):
+        samples.append(self.kind)
+        return sample(self, *args)
+
+    def counting_capped_rows(self, *args):
+        fallbacks.append(self.kind)
+        return capped_rows(self, *args)
+
+    monkeypatch.setattr(NtpModel, "sample", counting_sample)
+    monkeypatch.setattr(NtpModel, "_capped_rows", counting_capped_rows)
+    for vocab_size in (3, 20):
+        for ntp in ("dirichlet-0.05", "dirichlet-0.3"):
+            with pytest.MonkeyPatch.context() as inner:
+                test_generate_stream_matches_the_per_position_reference(
+                    "gumbel", vocab_size, ntp, inner)
+    for block_entries in (2**15, 16):
+        with pytest.MonkeyPatch.context() as inner:
+            test_the_dirichlet_cap_fallback_matches_the_reference(block_entries, inner)
+    assert samples.count("dirichlet") > len(fallbacks) > 0
+
+
 @st.composite
 def edited_streams(draw):
     """A random token array for a random scheme and V, then a few in-range
@@ -383,12 +414,35 @@ def test_score_tokens_calls_no_key_at_and_at_most_one_generator(
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
 def test_generate_stream_derives_one_key_per_distinct_context(scheme_id, key_at_calls):
-    spec = StreamSpec(
-        600, Segments([(100, 400)], n=600), SchemeSpec(scheme_id, 20), NtpModel(), seed=3
-    )
+    """Generation derives the key of each distinct context of a position
+    inside a segment once, and no other key. The first read of ``keys``
+    derives each remaining distinct context once; a second derives none."""
+    for vocab_size in (20, 1000):
+        spec = StreamSpec(600, Segments([(100, 400)], n=600), SchemeSpec(scheme_id, vocab_size),
+                          NtpModel(), seed=3)
+        key_at_calls.clear()
+        stream = generate_stream(spec)
+        prevs = np.array([CONTEXT_SENTINEL, *stream.tokens[:-1].tolist()])
+        decoding = set(prevs[spec.true_segments.mask(spec.n)].tolist())
+        assert sorted(key_at_calls) == sorted(key_seed(spec.seed, prev) for prev in decoding)
+        key_at_calls.clear()
+        keys = stream.keys
+        rest = set(prevs.tolist()) - decoding
+        assert CONTEXT_SENTINEL in rest
+        assert sorted(key_at_calls) == sorted(key_seed(spec.seed, prev) for prev in rest)
+        key_at_calls.clear()
+        assert stream.keys is keys
+        assert key_at_calls == []
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_a_stream_without_segments_derives_no_key_until_its_keys_are_read(scheme_id,
+                                                                        key_at_calls):
+    spec = StreamSpec(300, Segments(), SchemeSpec(scheme_id, 50), NtpModel(), seed=5)
     stream = generate_stream(spec)
-    contexts = {CONTEXT_SENTINEL, *stream.tokens[:-1].tolist()}
-    assert len(key_at_calls) == len(contexts)
+    assert key_at_calls == []
+    assert len(stream.keys) == spec.n
+    assert len(key_at_calls) == len({CONTEXT_SENTINEL, *stream.tokens[:-1].tolist()})
 
 
 @pytest.mark.parametrize("derive", ("generate",))

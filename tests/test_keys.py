@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from scheme_theory import uniform_open
+from wmseg import keys
 from wmseg.keys import (
     CONTEXT_SENTINEL,
+    TAG_KEY,
     affine_key,
     affine_keys,
     generator,
@@ -63,6 +65,22 @@ def test_key_seed_depends_on_master_and_context():
     seeds_b = {key_seed(2, p) for p in range(-1, 100)}
     assert len(seeds_a) == 101
     assert not seeds_a & seeds_b
+
+
+@given(masters=st.lists(st.integers(0, 2**80), min_size=keys._key_seed_prefix.cache_info().maxsize,
+                        max_size=40, unique=True),
+       contexts=st.lists(st.integers(CONTEXT_SENTINEL, 2**32), min_size=1, max_size=4))
+def test_key_seed_is_the_mix_of_master_tag_and_context(masters, contexts):
+    """``key_seed`` folds the context onto its cached prefix of the master
+    seed. Master seeds include 0 and seeds above 2^64 (whose low 64 bits
+    are 0 and 7), contexts include CONTEXT_SENTINEL, and the calls cycle
+    twice through more distinct master seeds than the cache holds, so
+    prefixes are evicted, recomputed and reused."""
+    masters = [0, 2**64, 2**64 + 7, *masters]
+    for _ in range(2):
+        for prev in (CONTEXT_SENTINEL, *contexts):
+            for master in masters:
+                assert key_seed(master, prev) == mix(master, TAG_KEY, prev + 1)
 
 
 def test_sentinel_context_gives_a_valid_seed():

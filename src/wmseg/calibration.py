@@ -8,9 +8,12 @@ F_b(q)^(m-1) F_r(q), where F_k is the scheme's CDF of a sum of k null
 scores. The threshold is the smallest q at which that CDF reaches
 1 - alpha. ``calibrate_threshold`` returns it as a ``ThresholdCert`` with
 its calibration inputs, computed when a stream is segmented; the segmenter
-screens with it and its trace records it. ``simulate_max_block_sums`` draws
-the same maximum by Monte Carlo, as the reference the exact laws are tested
-against.
+screens with it and its trace records it. Bisection reads F_b and F_r only
+at the points it probes, and neither is tabulated: gumbel and red_green
+evaluate closed forms, and inverse sums its lattice law from the few bins
+of its spectrum above 1e-16 (``schemes.Inverse.block_sum_cdf``).
+``simulate_max_block_sums`` draws the same maximum by Monte Carlo, as the
+reference the exact laws are tested against.
 """
 
 from __future__ import annotations
@@ -117,6 +120,15 @@ def _smallest_covering_q(cover, level: float) -> float:
     the inverse lattice). Nonnegative floats sort as their bit patterns, so
     bisecting the patterns lands on the exact float in 63 steps, at a jump
     of a step CDF as well as at the root of a continuous one.
+
+    The inverse lattice law is summed from a truncated spectrum, so it is
+    nondecreasing only to within rounding: it may fall by about 1e-15
+    between neighbouring lattice points. Bisection still returns a q with
+    cover(q) >= level whose float neighbour below falls short. That q is
+    the smallest one only if cover does not reach level at a smaller q and
+    fall back below it by rounding, which needs level to lie within about
+    1e-15 of cover there; it did not happen on the tests' inverse reference
+    grid, where every threshold equals the one of the full FFT table.
     """
     if cover(0.0) >= level:
         return 0.0

@@ -15,7 +15,10 @@ law, the CDF of a sum of k null scores, and the exact mean of that same law:
 * ``Inverse``   — inverse-CDF decoder over a permuted vocabulary; the pivot
                   is ``|U - rank(token)/(V-1)|`` with the rank uniform on
                   the V-point grid under the null; score ``h(y) = 1 - y``,
-                  with null mean exactly ``1 - (2V-1)/(6(V-1))``.
+                  with null mean exactly ``1 - (2V-1)/(6(V-1))``. A block
+                  sum's CDF is that of the scores rounded up onto a
+                  lattice of step 2^-11, summed at each point asked for
+                  from the few bins of its spectrum above 1e-16.
 * ``RedGreen``  — sampling from the NTP re-weighted by ``exp(bias)`` on a
                   key-selected green subset of ``floor(green_frac * V)``
                   tokens; the pivot is the green-membership indicator,
@@ -54,6 +57,8 @@ from .keys import affine_key, affine_keys, coordinate_tags, splitmix64_array, un
 
 # Lattice step h onto which Inverse.block_sum_cdf rounds each null score up.
 INVERSE_STEP = 2.0 ** -11
+# Inverse.block_sum_cdf drops the spectrum bins of a block sum below this.
+INVERSE_BAND_EPS = 1e-16
 
 
 class InvalidDistribution(ValueError):
@@ -342,42 +347,96 @@ class Inverse(_AffineKeyed):
 
     def block_sum_cdf(self, k: int):
         """CDF of the sum of k null scores, each first rounded *up* onto the
-        lattice of step h = ``INVERSE_STEP``.
+        lattice of step h = ``INVERSE_STEP``, for a float or an array of q.
 
         A score's CDF is P(1 - |U - g| <= x) = 2 T(1 - x) / V, where
         T(y) = sum_g max(g - y, 0) over the grid g = i/(V-1) is piecewise
         linear in y. The rounded sum is the k-fold convolution of that mass
-        function on 1/h + 1 points: square-and-multiply over the bits of k
-        raises its spectrum to the k-th power, on the first 5-smooth FFT
-        length of at least k/h + 1, the values 0, h, ..., k a sum can take
-        (a shorter circular convolution would wrap the top ones onto the
-        bottom). Rounding up never lowers a sum, so this CDF lies at or
-        below the exact one and a threshold solved on it covers at least
-        1 - alpha; each sum grows by less than k·h, so that threshold
-        exceeds the exact one by at most b·h for blocks of b tokens (0.0625
-        at b = 128). FFT rounding moves the CDF by under 1e-13 (tested up to
-        k = 127 in ``test_inverse_lattice_law_matches_direct_convolution``).
+        function p on 1/h + 1 points. Its spectrum P = rfft(p) is taken on
+        the first 5-smooth length L of at least k/h + 1, the values 0, h,
+        ..., k a sum can take (a shorter circular convolution would wrap the
+        top ones onto the bottom). P^k is the spectrum of the sum, and it is
+        band-limited: at V = 1000 and k = 127 only 65 of its 131073 bins
+        exceed 1e-16. So only the bins f with |P(f)| > eps^(1/k), eps =
+        ``INVERSE_BAND_EPS``, are raised to the k-th power (square-and-
+        multiply over the bits of k), giving S(f), and the CDF at lattice
+        point j is summed from them directly, with no table:
+
+            F(j) = [S(0)(j+1) + 2 Re sum_f A_f (w^(f(j+1)) - 1)] / L,
+            A_f = S(f) / (2i sin(pi f/L) e^(i pi f/L)),  w = e^(2 pi i/L),
+
+        the Nyquist bin's A halved. The phases f(j+1) are reduced mod L in
+        integer arithmetic; A_f is never divided by the cancelling
+        w^f - 1. A dropped bin has |S(f)| <= eps, so all of them together
+        move F by at most eps (ln L + 1), about 1.3e-15 at k = 127. F is
+        clipped to [0, 1] and is exactly 1 from j = k/h on, where every sum
+        lies. Rounding up never lowers a sum, so this CDF lies at or below
+        the exact one and a threshold solved on it covers at least 1 -
+        alpha; each sum grows by less than k·h, so that threshold exceeds
+        the exact one by at most b·h for blocks of b tokens (0.0625 at b =
+        128). Floating-point rounding moves F by under 1e-13 and lets it
+        fall by under 1e-14 between neighbouring lattice points (tested up
+        to k = 300 in ``test_calibration.py``).
+
+        The returned CDF keeps the value of each lattice point it was
+        asked for at a float q, since bisection asks for the same cell
+        many times; it keeps nothing between calls of ``block_sum_cdf``. An
+        array of q is summed in one pass: with (j+1) = aB + c, w^(f(j+1))
+        = w^(faB) w^(fc), so one complex matrix product over the distinct
+        a and c serves every point.
         """
         steps, v1 = round(1.0 / INVERSE_STEP), self.vocab_size - 1
         y = 1.0 - np.arange(steps + 1) * INVERSE_STEP
         below = np.floor(y * v1)  # grid points i <= below have g <= y
         tail = (v1 * (v1 + 1) - below * (below + 1)) / (2 * v1) - y * (v1 - below)
         pmf = np.diff(2.0 * tail / self.vocab_size, prepend=0.0)
-        size = steps * k + 1
-        fft_len = next_fast_len(size, real=True)
+        top = steps * k  # the lattice index of the largest sum, k
+        fft_len = next_fast_len(top + 1, real=True)
         power = np.fft.rfft(pmf, fft_len)
-        spectrum = power.copy()
+        bins = np.flatnonzero(np.abs(power[1:]) > INVERSE_BAND_EPS ** (1.0 / k)) + 1
+        base = power[bins]
+        spectrum = base.copy()
         for bit in bin(k)[3:]:  # the bits of k below its leading 1
             spectrum *= spectrum
             if bit == "1":
-                spectrum *= power
-        del power  # before irfft allocates its output, to hold the peak memory down
-        table = np.fft.irfft(spectrum, fft_len)[:size]
-        np.minimum(np.cumsum(np.maximum(table, 0.0, out=table), out=table), 1.0, out=table)
+                spectrum *= base
+        half = np.pi * bins / fft_len
+        coef = spectrum / (2j * np.sin(half) * np.exp(1j * half))
+        coef[2 * bins == fft_len] /= 2  # the Nyquist bin has no mirror image
+        mass, offset = power[0].real ** k, coef.sum()
 
-        def cdf(q: float) -> float:
-            j = math.floor(q / INVERSE_STEP)  # lattice points at or below q
-            return float(table[min(j, size - 1)]) if j >= 0 else 0.0
+        def twiddle(phases: np.ndarray) -> np.ndarray:
+            return np.exp((2j * np.pi / fft_len) * (phases % fft_len))
+
+        def through(count, sums):
+            """F(count - 1) from the sums of A_f w^(f count) over the kept bins."""
+            return np.clip((mass * count + 2.0 * (sums - offset).real) / fft_len, 0.0, 1.0)
+
+        def through_each(count: np.ndarray) -> np.ndarray:
+            """``through`` at every count of an int64 array, with count = aB + c."""
+            width = math.isqrt(int(count.max())) + 1
+            a, c = np.divmod(count, width)
+            a, a_at = np.unique(a, return_inverse=True)
+            c, c_at = np.unique(c, return_inverse=True)
+            sums = (coef * twiddle(np.outer(a * width, bins))) @ twiddle(np.outer(bins, c))
+            return through(count, sums[a_at, c_at])
+
+        memo: dict[int, float] = {}
+
+        def cdf(q):
+            j = np.floor(np.asarray(q, dtype=float) / INVERSE_STEP)  # last lattice point <= q
+            if j.ndim == 0:
+                if not 0 <= j < top:
+                    return 1.0 if j >= top else 0.0
+                j = int(j)
+                if j not in memo:
+                    memo[j] = float(through(j + 1, coef @ twiddle(bins * (j + 1))))
+                return memo[j]
+            out = (j >= top).astype(float)
+            inside = (j >= 0) & (j < top)
+            if inside.any():
+                out[inside] = through_each(j[inside].astype(np.int64) + 1)
+            return out
 
         return cdf
 

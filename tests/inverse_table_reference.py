@@ -1,0 +1,38 @@
+"""The inverse lattice law as it stood before it was read from its
+band-limited spectrum: the full CDF table of a sum of k null scores, built
+by one rfft, square-and-multiply on every bin, an irfft and a clamped
+cumulative sum. Every threshold ``calibrate_threshold`` finds must be the
+one this table gives."""
+
+import math
+
+import numpy as np
+from scipy.fft import next_fast_len
+
+from wmseg.schemes import INVERSE_STEP
+
+
+def reference_block_sum_cdf(vocab_size: int, k: int):
+    """q -> P(sum of k null scores, each rounded up onto the lattice of step
+    h, is at most q), read from a table of its values at 0, h, ..., k."""
+    steps, v1 = round(1.0 / INVERSE_STEP), vocab_size - 1
+    y = 1.0 - np.arange(steps + 1) * INVERSE_STEP
+    below = np.floor(y * v1)  # grid points i <= below have g <= y
+    tail = (v1 * (v1 + 1) - below * (below + 1)) / (2 * v1) - y * (v1 - below)
+    pmf = np.diff(2.0 * tail / vocab_size, prepend=0.0)
+    size = steps * k + 1
+    fft_len = next_fast_len(size, real=True)
+    power = np.fft.rfft(pmf, fft_len)
+    spectrum = power.copy()
+    for bit in bin(k)[3:]:  # the bits of k below its leading 1
+        spectrum *= spectrum
+        if bit == "1":
+            spectrum *= power
+    table = np.fft.irfft(spectrum, fft_len)[:size]
+    np.minimum(np.cumsum(np.maximum(table, 0.0, out=table), out=table), 1.0, out=table)
+
+    def cdf(q: float) -> float:
+        j = math.floor(q / INVERSE_STEP)  # lattice points at or below q
+        return float(table[min(j, size - 1)]) if j >= 0 else 0.0
+
+    return cdf

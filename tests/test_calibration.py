@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 from scipy.signal import fftconvolve
 
+from inverse_table_reference import reference_block_sum_cdf
 from scheme_theory import inverse_null_pivot_cdf
 from wmseg import calibration
 from wmseg.calibration import (
@@ -175,6 +176,19 @@ def k_fold(pmf, k):
     return np.clip(out, 0.0, None)
 
 
+def assert_inverse_lattice_law_matches_direct_convolution(vocab, k):
+    """Round each score *up* onto the lattice and convolve k copies by
+    repeated squaring: the law block_sum_cdf states, built without its code,
+    against the CDF evaluated once on every lattice point and one past."""
+    lattice = np.arange(round(1 / INVERSE_STEP) + 1) * INVERSE_STEP
+    pmf_up = np.diff(1.0 - inverse_null_pivot_cdf(1.0 - lattice, vocab), prepend=0.0)
+    oracle = np.cumsum(k_fold(pmf_up, k))
+    cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
+    table = cdf(np.arange(oracle.size + 1) * INVERSE_STEP)
+    assert np.max(np.abs(table[:-1] - oracle)) <= 1e-13
+    assert table[-1] == table[-2] and abs(table[-1] - 1.0) <= 1e-13
+
+
 class TestExactLaw:
     """calibrate_threshold against oracles that share none of its code."""
 
@@ -239,16 +253,30 @@ class TestExactLaw:
     @pytest.mark.parametrize("vocab", [2, 20, 1000])
     @pytest.mark.parametrize("k", [1, 8, 32, 64, 99, 100, 125, 127])
     def test_inverse_lattice_law_matches_direct_convolution(self, vocab, k):
-        # Round each score *up* onto the lattice and convolve k copies by
-        # repeated squaring: the law block_sum_cdf states, built without its
-        # code. k covers both sides of 100 and the powers of two.
-        lattice = np.arange(round(1 / INVERSE_STEP) + 1) * INVERSE_STEP
-        pmf_up = np.diff(1.0 - inverse_null_pivot_cdf(1.0 - lattice, vocab), prepend=0.0)
-        oracle = np.cumsum(k_fold(pmf_up, k))
+        # k covers both sides of 100 and the powers of two.
+        assert_inverse_lattice_law_matches_direct_convolution(vocab, k)
+
+    def test_inverse_lattice_law_matches_direct_convolution_past_256(self):
+        assert_inverse_lattice_law_matches_direct_convolution(1000, 300)
+
+    @pytest.mark.parametrize("vocab", [2, 20, 1000])
+    @pytest.mark.parametrize("k", [8, 127, 300])
+    def test_inverse_lattice_law_is_nondecreasing(self, vocab, k):
+        # The law is summed from the bins of its spectrum above 1e-16, so it
+        # may fall between neighbouring lattice points by rounding only.
         cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
-        table = np.array([cdf(j * INVERSE_STEP) for j in range(oracle.size + 1)])
-        assert np.max(np.abs(table[:-1] - oracle)) <= 1e-13
-        assert table[-1] == table[-2] and abs(table[-1] - 1.0) <= 1e-13
+        table = cdf(np.arange(round(k / INVERSE_STEP) + 2) * INVERSE_STEP)
+        assert np.diff(table).min() >= -1e-14
+        assert table[0] >= 0.0 and table[-2] == table[-1] == 1.0
+
+    def test_inverse_law_reaches_one_at_the_largest_sum(self):
+        # A sum of k rounded-up scores never exceeds k, so every tail is
+        # certified: even alpha = 1e-15 has a threshold, at most b.
+        cdf = SchemeSpec("inverse", 1000).block_sum_cdf(127)
+        assert cdf(127.0) == cdf(1e300) == 1.0
+        assert np.all(cdf(np.array([127.0, 128.0, 1e300])) == 1.0)
+        tiny = calibrate_threshold(SchemeSpec("inverse", 1000), 16000, 127, 1e-15)
+        assert 93.31640625 < tiny.q <= 127.0
 
     @pytest.mark.parametrize("vocab, n, b, alpha, j", [
         (1000, 1000, 32, 0.05, 51307),
@@ -256,21 +284,37 @@ class TestExactLaw:
         (1000, 16000, 127, 0.05, 191112),
         (20, 16000, 127, 0.01, 191529),
         (2, 1000, 32, 0.05, 42521),
-        (1000, 4096, 64, 0.05, 99115),  # b divides n: one table serves every block
+        (1000, 4096, 64, 0.05, 99115),  # b divides n: one law serves every block
         (100, 10000, 100, 0.05, 151664),  # k = 100 exactly
     ])
     def test_inverse_thresholds_stay_on_their_lattice_points(self, vocab, n, b, alpha, j):
-        # Golden q = j·h: a faster way to build the same table must not move
+        # Golden q = j·h: a faster way to evaluate the same law must not move
         # any threshold by even one lattice step.
         cert = calibrate_threshold(SchemeSpec("inverse", vocab), n, b, alpha)
         assert cert.q == j * INVERSE_STEP
 
+    @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
+    def test_inverse_thresholds_match_the_table_reference(self, vocab):
+        # The full FFT table that the band-limited law replaced gives the
+        # same threshold, to the bit, at every (n, b, alpha): b = ceil(sqrt(n))
+        # and half and twice that, so most last blocks are short.
+        scheme = SchemeSpec("inverse", vocab)
+        for n in (300, 1000, 2500, 4000, 9000, 16000):
+            root = math.ceil(math.sqrt(n))
+            for b in (root // 2, root, 2 * root):
+                m = math.ceil(n / b)
+                full = reference_block_sum_cdf(vocab, b)
+                last = reference_block_sum_cdf(vocab, n - (m - 1) * b)
+                for alpha in (0.01, 0.05, 0.1):
+                    expected = calibration._smallest_covering_q(
+                        lambda x: full(x) ** (m - 1) * last(x), 1 - alpha)
+                    assert calibrate_threshold(scheme, n, b, alpha).q == expected, (n, b, alpha)
+
     def test_inverse_lattice_law_keeps_the_null_mean(self):
         for vocab in (2, 3, 20, 1000):
             scheme = SchemeSpec("inverse", vocab)
-            cdf = scheme.block_sum_cdf(1)
             lattice = np.arange(round(1 / INVERSE_STEP) + 1) * INVERSE_STEP
-            mass = np.diff([cdf(q) for q in lattice], prepend=0.0)
+            mass = np.diff(scheme.block_sum_cdf(1)(lattice), prepend=0.0)
             mean = float(mass @ lattice)
             assert scheme.null_mean <= mean <= scheme.null_mean + INVERSE_STEP
 

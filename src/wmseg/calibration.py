@@ -11,7 +11,10 @@ its calibration inputs, computed when a stream is segmented; the segmenter
 screens with it and its trace records it. Bisection reads F_b and F_r only
 at the points it probes, and neither is tabulated: gumbel and red_green
 evaluate closed forms, and inverse sums its lattice law from the few bins
-of its spectrum above 1e-16 (``schemes.Inverse.block_sum_cdf``).
+of its spectrum above 1e-16, located from a coarse spectrum of a few
+thousand points (``schemes.Inverse.block_sum_cdf``). Bisection runs on the
+bit patterns of nonnegative floats, read through ``struct``, about 64
+probes per threshold.
 ``simulate_max_block_sums`` draws the same maximum by Monte Carlo, as the
 reference the exact laws are tested against.
 """
@@ -19,6 +22,7 @@ reference the exact laws are tested against.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +137,9 @@ def _smallest_covering_q(cover, level: float) -> float:
     if cover(0.0) >= level:
         return 0.0
     def as_float(bits: int) -> float:
-        return float(np.int64(bits).view(np.float64))
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
 
-    lo, hi = 0, int(np.float64(1e300).view(np.int64))
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1e300))[0]
     if not cover(as_float(hi)) >= level:
         raise ValueError(f"the null law does not reach coverage {level}")
     while hi - lo > 1:

@@ -18,7 +18,8 @@ law, the CDF of a sum of k null scores, and the exact mean of that same law:
                   with null mean exactly ``1 - (2V-1)/(6(V-1))``. A block
                   sum's CDF is that of the scores rounded up onto a
                   lattice of step 2^-11, summed at each point asked for
-                  from the few bins of its spectrum above 1e-16.
+                  from the few bins of its spectrum above 1e-16, which a
+                  coarse spectrum of a few thousand points locates.
 * ``RedGreen``  — sampling from the NTP re-weighted by ``exp(bias)`` on a
                   key-selected green subset of ``floor(green_frac * V)``
                   tokens; the pivot is the green-membership indicator,
@@ -302,6 +303,18 @@ class Inverse(_AffineKeyed):
         # E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2, averaged over g = k/(V-1).
         v = self.vocab_size
         self.null_mean = 1.0 - (2 * v - 1) / (6.0 * (v - 1))
+        # The mass function p of one null score rounded up onto the lattice
+        # 0, h, ..., 1: P(score <= 1 - y) = 2 T(y) / V, T as in block_sum_cdf.
+        steps, v1 = round(1.0 / INVERSE_STEP), v - 1
+        y = 1.0 - np.arange(steps + 1) * INVERSE_STEP
+        below = np.floor(y * v1)  # grid points i <= below have g <= y
+        tail = (v1 * (v1 + 1) - below * (below + 1)) / (2 * v1) - y * (v1 - below)
+        self.pmf = _read_only(np.diff(2.0 * tail / v, prepend=0.0))
+        # D, the mean absolute deviation of p in lattice steps: |P(theta)| is
+        # D-Lipschitz in theta (see block_sum_cdf).
+        lattice = np.arange(steps + 1)
+        spread = np.abs(lattice - (lattice * self.pmf).sum()) * self.pmf
+        self.spread = float(spread.sum())
 
     def key(self, seed: int) -> InverseKey:
         u, perm = self._key(seed)
@@ -345,6 +358,30 @@ class Inverse(_AffineKeyed):
         eta = rng.integers(0, self.vocab_size, size) / (self.vocab_size - 1)
         return 1.0 - np.abs(u - eta)
 
+    def band(self, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(L, bins, P[bins]): the spectrum length L a sum of k null scores
+        needs, the bins f in [1, L/2] of P = rfft(pmf, L) with |P(f)| >
+        eps^(1/k), and P at those bins. They are found as ``block_sum_cdf``
+        describes, from a coarse rfft of length M, and the rfft of length L
+        runs only when 4M >= L."""
+        fft_len = next_fast_len(round(k / INVERSE_STEP) + 1, real=True)
+        thr = INVERSE_BAND_EPS ** (1.0 / k)
+        least = max(2 * self.pmf.size, math.ceil(4 * math.pi * self.spread / thr))
+        coarse_len = next_fast_len(min(least, fft_len), real=True)
+        if 4 * coarse_len >= fft_len:
+            power = np.fft.rfft(self.pmf, fft_len)
+            bins = np.flatnonzero(np.abs(power[1:]) > thr) + 1
+            return fft_len, bins, power[bins]
+        coarse = np.abs(np.fft.rfft(self.pmf, coarse_len))
+        near = np.flatnonzero(coarse > thr - self.spread * math.pi / coarse_len)
+        # The fine bins f with |f/L - g/M| <= 1/(2M), in integer arithmetic.
+        first = np.maximum(-(-fft_len * (2 * near - 1) // (2 * coarse_len)), 1)
+        last = np.minimum(fft_len * (2 * near + 1) // (2 * coarse_len), fft_len // 2)
+        bins = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in zip(first, last)]))
+        values = _spectrum_at(self.pmf, bins, fft_len)
+        inside = np.abs(values) > thr
+        return fft_len, bins[inside], values[inside]
+
     def block_sum_cdf(self, k: int):
         """CDF of the sum of k null scores, each first rounded *up* onto the
         lattice of step h = ``INVERSE_STEP``, for a float or an array of q.
@@ -357,18 +394,18 @@ class Inverse(_AffineKeyed):
         ..., k a sum can take (a shorter circular convolution would wrap the
         top ones onto the bottom). P^k is the spectrum of the sum, and it is
         band-limited: at V = 1000 and k = 127 only 65 of its 131073 bins
-        exceed 1e-16. So only the bins f with |P(f)| > eps^(1/k), eps =
-        ``INVERSE_BAND_EPS``, are raised to the k-th power (square-and-
+        exceed 1e-16. So only the bins f with |P(f)| > thr = eps^(1/k), eps
+        = ``INVERSE_BAND_EPS``, are raised to the k-th power (square-and-
         multiply over the bits of k), giving S(f), and the CDF at lattice
         point j is summed from them directly, with no table:
 
             F(j) = [S(0)(j+1) + 2 Re sum_f A_f (w^(f(j+1)) - 1)] / L,
             A_f = S(f) / (2i sin(pi f/L) e^(i pi f/L)),  w = e^(2 pi i/L),
 
-        the Nyquist bin's A halved. The phases f(j+1) are reduced mod L in
-        integer arithmetic; A_f is never divided by the cancelling
-        w^f - 1. A dropped bin has |S(f)| <= eps, so all of them together
-        move F by at most eps (ln L + 1), about 1.3e-15 at k = 127. F is
+        the Nyquist bin's A halved, and S(0) = (sum p)^k. The phases f(j+1)
+        are reduced mod L in integer arithmetic; A_f is never divided by the
+        cancelling w^f - 1. A dropped bin has |S(f)| <= eps, so all of them
+        together move F by at most eps (ln L + 1), about 1.3e-15 at k = 127. F is
         clipped to [0, 1] and is exactly 1 from j = k/h on, where every sum
         lies. Rounding up never lowers a sum, so this CDF lies at or below
         the exact one and a threshold solved on it covers at least 1 -
@@ -378,6 +415,23 @@ class Inverse(_AffineKeyed):
         fall by under 1e-14 between neighbouring lattice points (tested up
         to k = 300 in ``test_calibration.py``).
 
+        The band is found without the rfft of length L (``band``), which
+        would take 2048k points to keep a few dozen. p has mean index mu and
+        mean absolute deviation D = ``spread`` in lattice steps (405 at V =
+        1000), so e^(i mu theta) P(theta) has derivative at most D in
+        modulus, and |P| moves by at most D pi/M within half a spacing of a
+        length-M grid. One rfft of p on the first 5-smooth length M of at
+        least max(2 len(p), 4 pi D / thr), about 5.4k-8.6k for k from 125
+        to 1000, gives the coarse bins with |P| > thr - D pi/M >= 3 thr/4;
+        every band bin lies within half a coarse spacing of one of them. P
+        is summed directly at the fine bins within that distance
+        (``_spectrum_at``), as two short nested sums that stay within 1e-15
+        of the rfft, in ``einsum`` loops rather than a BLAS product, which
+        may start a thread pool that costs more than the sums. The bins
+        above thr are kept. When 4M >= L, which depends on k and V only (k up
+        to about 32), the rfft of length L costs about as little as the
+        coarse one, and the bins are read from it.
+
         The returned CDF keeps the value of each lattice point it was
         asked for at a float q, since bisection asks for the same cell
         many times; it keeps nothing between calls of ``block_sum_cdf``. An
@@ -385,16 +439,8 @@ class Inverse(_AffineKeyed):
         = w^(faB) w^(fc), so one complex matrix product over the distinct
         a and c serves every point.
         """
-        steps, v1 = round(1.0 / INVERSE_STEP), self.vocab_size - 1
-        y = 1.0 - np.arange(steps + 1) * INVERSE_STEP
-        below = np.floor(y * v1)  # grid points i <= below have g <= y
-        tail = (v1 * (v1 + 1) - below * (below + 1)) / (2 * v1) - y * (v1 - below)
-        pmf = np.diff(2.0 * tail / self.vocab_size, prepend=0.0)
-        top = steps * k  # the lattice index of the largest sum, k
-        fft_len = next_fast_len(top + 1, real=True)
-        power = np.fft.rfft(pmf, fft_len)
-        bins = np.flatnonzero(np.abs(power[1:]) > INVERSE_BAND_EPS ** (1.0 / k)) + 1
-        base = power[bins]
+        top = round(k / INVERSE_STEP)  # the lattice index of the largest sum, k
+        fft_len, bins, base = self.band(k)
         spectrum = base.copy()
         for bit in bin(k)[3:]:  # the bits of k below its leading 1
             spectrum *= spectrum
@@ -403,7 +449,7 @@ class Inverse(_AffineKeyed):
         half = np.pi * bins / fft_len
         coef = spectrum / (2j * np.sin(half) * np.exp(1j * half))
         coef[2 * bins == fft_len] /= 2  # the Nyquist bin has no mirror image
-        mass, offset = power[0].real ** k, coef.sum()
+        mass, offset = self.pmf.sum() ** k, coef.sum()
 
         def twiddle(phases: np.ndarray) -> np.ndarray:
             return np.exp((2j * np.pi / fft_len) * (phases % fft_len))
@@ -495,6 +541,28 @@ class RedGreen(_AffineKeyed):
 
 SCHEMES: dict[str, type[_Scheme]] = {"gumbel": Gumbel, "inverse": Inverse, "red_green": RedGreen}
 SCHEME_IDS = tuple(SCHEMES)
+
+
+def _spectrum_at(pmf: np.ndarray, bins: np.ndarray, fft_len: int) -> np.ndarray:
+    """``np.fft.rfft(pmf, fft_len)[bins]`` by direct sums.
+
+    With j = aB + c and B = isqrt(len(pmf)) + 1, e^(-2 pi i f j/L) =
+    e^(-2 pi i f aB/L) e^(-2 pi i f c/L), so each bin takes about 2B
+    exponentials instead of len(pmf); the phases are reduced mod L in
+    integer arithmetic. The sum runs over c and then over a: one pass over
+    all aB + c terms drifts up to 2.5e-15 from the rfft, where the two short
+    nested sums stay within 1e-15.
+    """
+    width = math.isqrt(pmf.size) + 1
+    grid = np.zeros(-(-pmf.size // width) * width)
+    grid[: pmf.size] = pmf
+    grid = grid.reshape(-1, width)  # grid[a, c] = pmf[a * width + c]
+
+    def twiddle(steps: np.ndarray) -> np.ndarray:
+        return np.exp((-2j * np.pi / fft_len) * (np.outer(bins, steps) % fft_len))
+
+    inner = np.einsum("fc,ac->fa", twiddle(np.arange(width)), grid)
+    return np.einsum("fa,fa->f", twiddle(np.arange(grid.shape[0]) * width), inner)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

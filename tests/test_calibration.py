@@ -1,12 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.signal import fftconvolve
 
-from inverse_table_reference import reference_block_sum_cdf
+from inverse_table_reference import reference_band, reference_block_sum_cdf
 from scheme_theory import inverse_null_pivot_cdf
 from wmseg import calibration
 from wmseg.calibration import (
@@ -15,7 +16,7 @@ from wmseg.calibration import (
     calibrate_threshold,
     simulate_max_block_sums,
 )
-from wmseg.schemes import INVERSE_STEP, SchemeSpec
+from wmseg.schemes import INVERSE_STEP, Inverse, SchemeSpec
 
 GUMBEL = SchemeSpec("gumbel", vocab_size=100)
 
@@ -286,12 +287,45 @@ class TestExactLaw:
         (2, 1000, 32, 0.05, 42521),
         (1000, 4096, 64, 0.05, 99115),  # b divides n: one law serves every block
         (100, 10000, 100, 0.05, 151664),  # k = 100 exactly
+        (1000, 100000, 317, 0.05, 463180),  # last block r = 145
+        (1000, 1000000, 1000, 0.05, 1424143),
     ])
     def test_inverse_thresholds_stay_on_their_lattice_points(self, vocab, n, b, alpha, j):
         # Golden q = j·h: a faster way to evaluate the same law must not move
         # any threshold by even one lattice step.
         cert = calibrate_threshold(SchemeSpec("inverse", vocab), n, b, alpha)
         assert cert.q == j * INVERSE_STEP
+
+    @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
+    @pytest.mark.parametrize("k", [1, 8, 32, 125, 127, 300, 1000])
+    def test_inverse_band_matches_the_full_rfft(self, vocab, k, monkeypatch):
+        # k = 1 and 8 at every V, and k = 32 at V < 1000, take the 4M >= L
+        # fallback and read the bins from the full rfft; the other cells
+        # find them from the coarse spectrum and sum P at them directly.
+        fallback = k < 32 or (k == 32 and vocab < 1000)
+        ref_len, ref_bins, ref_values = reference_band(vocab, k)
+        lengths = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+        fft_len, bins, values = Inverse(vocab).band(k)
+        if fallback:
+            assert lengths == [ref_len]
+        else:
+            assert len(lengths) == 1 and 4 * lengths[0] < ref_len
+        assert fft_len == ref_len and bins.tolist() == ref_bins.tolist()
+        assert np.max(np.abs(values - ref_values)) <= 1e-15
+
+    def test_inverse_law_stays_small_at_large_k(self):
+        # The full rfft at k = 1000 has L = 2073600 points, about 26 MB at
+        # its peak. The band finder's coarse rfft has 5400.
+        scheme = SchemeSpec("inverse", 1000)
+        tracemalloc.start()
+        try:
+            scheme.block_sum_cdf(1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
 
     @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
     def test_inverse_thresholds_match_the_table_reference(self, vocab):

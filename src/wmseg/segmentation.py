@@ -43,8 +43,8 @@ class SegmenterConfig:
             raise ValueError("rho must lie in [0.05, 0.9]")
         if not 0.0 < self.gamma < 0.5:
             raise ValueError("gamma must lie in (0, 1/2)")
-        if self.discard_c <= 0:
-            raise ValueError("discard_c must be positive")
+        if not (math.isfinite(self.discard_c) and self.discard_c > 0):
+            raise ValueError(f"discard_c must be finite and positive, not {self.discard_c!r}")
         # type() rather than isinstance(): bool is an int subclass, not a pad.
         if self.pad != "auto" and (type(self.pad) is not int or self.pad < 0):
             raise ValueError("pad must be 'auto' or a nonnegative integer")

@@ -61,7 +61,34 @@ def test_segment_without_a_block_length_is_a_validation_error(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(["segment", "--stream", str(stream), "--out", str(out)]) == 1
     assert not out.exists()
-    assert "missing required option --block-len" in capsys.readouterr().err
+    assert "--block-len" in capsys.readouterr().err
+
+
+def test_a_missing_required_flag_fails_before_any_file_is_read(tmp_path):
+    """Without --out, segment exits 1 (validation) before it opens the
+    missing stream, which would exit 2 (I/O)."""
+    argv = ["segment", "--stream", str(tmp_path / "missing.jsonl"), "--block-len", "20"]
+    assert cli_main(argv) == 1
+
+
+@pytest.mark.parametrize("command, config, argv", [
+    ("generate", {"seed": 2}, ["--n", "300"]),
+    ("segment", {"rho": 0.3}, ["--stream", "{stream}", "--block-len", "20"]),
+    ("evaluate", {"model_label": "llama"}, ["--truth", "{stream}", "--est", "{result}"]),
+], ids=["generate", "segment", "evaluate"])
+def test_config_is_not_an_option_of_generate_segment_or_evaluate(command, config, argv,
+                                                                  tmp_path, capsys):
+    stream, result = tmp_path / "stream.jsonl", tmp_path / "result.json"
+    assert cli_main(["generate", "--n", "300", "--segments", "100-200", "--seed", "1",
+                     "--out", str(stream)]) == 0
+    result.write_text(json.dumps({"segments": [{"left": 110, "right": 190}]}), encoding="utf-8")
+    config_path, out = tmp_path / "config.json", tmp_path / "out"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [arg.format(stream=stream, result=result) for arg in argv]
+    capsys.readouterr()
+    assert cli_main([command, *argv, "--config", str(config_path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_calibrate_is_not_a_command(tmp_path):
@@ -136,7 +163,7 @@ def test_experiment_is_byte_reproducible_and_has_no_jobs_or_cache_flags(tmp_path
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_experiment_rejects_an_unknown_plan_key(tmp_path):
+def test_experiment_rejects_an_unknown_plan_key(tmp_path, capsys):
     plan = {"n": 300, "scheme": {"id": "gumbel", "vocab_size": 50}, "ntp_model": {},
             "grid": {"block_len": [20]}, "mc_reps": 500, "replicatons": 2}
     config, out = tmp_path / "plan.json", tmp_path / "rows.csv"
@@ -144,70 +171,60 @@ def test_experiment_rejects_an_unknown_plan_key(tmp_path):
     assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 1
     assert not out.exists()
     del plan["replicatons"]
+    # The plan file holds only plan keys; the output path is --out's alone.
     config.write_text(json.dumps({**plan, "out": str(out)}), encoding="utf-8")
-    assert cli_main(["experiment", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "unknown plan key(s): 'out'" in capsys.readouterr().err
+    config.write_text(json.dumps(plan), encoding="utf-8")
+    assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 0
     assert out.exists()
 
 
-@pytest.mark.parametrize("command", ["segment", "experiment"])
-def test_a_config_that_is_not_a_json_object_is_a_validation_error(command, tmp_path):
+def test_a_config_that_is_not_a_json_object_is_a_validation_error(tmp_path):
     config, out = tmp_path / "config.json", tmp_path / "out"
     config.write_text("[]", encoding="utf-8")
-    assert cli_main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 1
     assert not out.exists()
 
 
-def test_segment_config_takes_only_segment_options(tmp_path):
+def test_segment_option_flags_reach_the_trace(tmp_path):
     stream = tmp_path / "stream.jsonl"
     write_stream_jsonl(stream, generate_stream(StreamSpec(
         n=400, true_segments=Segments(), scheme=SchemeSpec("gumbel", 50),
         ntp_model=NtpModel(), seed=11,
     )))
-    argv = ["segment", "--stream", str(stream), "--block-len", "20"]
-    config, out = tmp_path / "segment.json", tmp_path / "result.json"
-    config.write_text(json.dumps({"rh0": 0.3}), encoding="utf-8")
-    assert cli_main([*argv, "--config", str(config), "--out", str(out)]) == 1
+    argv = ["segment", "--stream", str(stream), "--block-len", "20", "--rho", "0.3", "--pad", "7",
+            "--out", str(tmp_path / "result.json"), "--trace", str(tmp_path / "t.json")]
+    assert cli_main(argv) == 0
+    trace = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+    assert trace["pad"] == 7
+
+
+@pytest.mark.parametrize("argv", [
+    ["segment", "--block-len", "20.5"],
+    ["segment", "--block-len", "20", "--pad", "7.0"],
+    ["generate", "--n", "300.0"],
+    ["generate", "--n", "300", "--seed", "1.5"],
+], ids=["float-block-len", "float-pad", "float-n", "float-seed"])
+def test_flag_values_of_the_wrong_type_are_validation_errors(argv, tmp_path):
+    """An integer flag given a float is an error, not truncated: a block
+    length of 20.5 is never read as 20."""
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "out"
+    assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0
+    stream_flag = ["--stream", str(stream)] if argv[0] == "segment" else []
+    assert cli_main([*argv, *stream_flag, "--out", str(out)]) == 1
     assert not out.exists()
-    config.write_text(json.dumps({"rho": 0.3, "pad": 7, "out": str(out)}), encoding="utf-8")
-    assert cli_main([*argv, "--config", str(config), "--trace", str(tmp_path / "t.json")]) == 0
-    assert json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))["pad"] == 7
 
 
-@pytest.mark.parametrize("key, value", [
-    ("block_len", 20.5), ("block_len", True), ("block_len", "20"),
-    ("pad", 7.0), ("discard_c", True), ("rho", "0.3"),
-], ids=["float-block-len", "bool-block-len", "string-block-len", "float-pad", "bool-discard-c",
-        "string-rho"])
-def test_segment_config_values_must_have_their_flags_json_type(key, value, tmp_path, capsys):
-    # Each of these used to be coerced: a block_len of 20.5 segmented with
-    # b=20, true with b=1 and "20" with b=20, and a discard_c of true ran as 1.
+def test_segment_rejects_a_non_finite_discard_c(tmp_path, capsys):
     stream, argv, out, _, _ = _generated_and_segmented(tmp_path)
-    config = tmp_path / "segment.json"
-    config.write_text(json.dumps({"block_len": 20, key: value}), encoding="utf-8")
-    argv = ["segment", "--stream", str(stream), "--config", str(config), "--out", str(out)]
-    assert cli_main(argv) == 1
+    capsys.readouterr()
+    assert cli_main([*argv, "--discard-c", "inf"]) == 1
     assert not out.exists()
-    assert f"segment config key '{key}': {value!r} is not a JSON" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key, value", [
-    ("n", 300.0), ("n", True), ("n", "300"), ("seed", 1.5), ("seed", "1"), ("seed", True),
-], ids=["float-n", "bool-n", "string-n", "float-seed", "string-seed", "bool-seed"])
-def test_generate_config_values_must_have_their_flags_json_type(key, value, tmp_path, capsys):
-    config, out = tmp_path / "generate.json", tmp_path / "stream.jsonl"
-    config.write_text(json.dumps({"n": 300, "seed": 1, key: value}), encoding="utf-8")
-    assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 1
-    assert not out.exists()
-    assert f"generate config key '{key}': {value!r} is not a JSON" in capsys.readouterr().err
-
-
-def test_config_values_of_the_flags_json_type_are_read(tmp_path):
-    config, stream = tmp_path / "generate.json", tmp_path / "stream.jsonl"
-    config.write_text(json.dumps({"n": 300, "seed": 4, "scheme": "red_green", "bias": 1}),
-                      encoding="utf-8")
-    assert cli_main(["generate", "--config", str(config), "--out", str(stream)]) == 0
-    written = read_stream_jsonl(stream)
-    assert written.seed == 4 and written.tokens.size == 300 and written.scheme.bias == 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: discard_c must be finite") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bias", ["nan", "inf"])
@@ -293,32 +310,18 @@ def test_evaluate_to_stdout_quotes_a_label_with_a_comma(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("segments", ["100", "100-200,", "100-200.5", "100-200-300", "a-b",
-                                      "100-200,,225-250"])
+                                      "100-200,,225-250", "-5-10"])
 def test_generate_names_segments_that_are_not_l_r_pairs(segments, tmp_path, capsys):
     out = tmp_path / "stream.jsonl"
-    argv = ["generate", "--n", "300", "--segments", segments, "--out", str(out)]
+    argv = ["generate", "--n", "300", f"--segments={segments}", "--out", str(out)]
     assert cli_main(argv) == 1
     assert not out.exists()
     err = capsys.readouterr().err
     assert f"segments {segments!r}:" in err and "L-R,L-R" in err
 
 
-@pytest.mark.parametrize("segments", [[[100, 200]], 5, "100", "100-200.5", "-5-10", None, True],
-                         ids=["pair-list", "integer", "one-end", "float-end", "negative-end",
-                              "null", "bool"])
-def test_generate_config_segments_must_be_an_l_r_string(segments, tmp_path, capsys):
-    config, out = tmp_path / "generate.json", tmp_path / "stream.jsonl"
-    config.write_text(json.dumps({"n": 300, "segments": segments}), encoding="utf-8")
-    assert cli_main(["generate", "--config", str(config), "--out", str(out)]) == 1
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "segments" in err and "L-R,L-R" in err
-
-
 @pytest.mark.parametrize("segments", ["100-200,225-250", " 100 - 200 , 225-250 "])
-def test_generate_reads_l_r_segments_from_flag_and_config(segments, tmp_path):
-    config, out = tmp_path / "generate.json", tmp_path / "stream.jsonl"
-    config.write_text(json.dumps({"n": 300, "segments": segments}), encoding="utf-8")
-    for argv in (["--segments", segments], ["--config", str(config)]):
-        assert cli_main(["generate", "--n", "300", *argv, "--out", str(out)]) == 0
-        assert read_stream_jsonl(out).true_segments.to_pairs() == [[100, 200], [225, 250]]
+def test_generate_reads_l_r_segments_from_the_flag(segments, tmp_path):
+    out = tmp_path / "stream.jsonl"
+    assert cli_main(["generate", "--n", "300", "--segments", segments, "--out", str(out)]) == 0
+    assert read_stream_jsonl(out).true_segments.to_pairs() == [[100, 200], [225, 250]]

@@ -339,6 +339,9 @@ class TestSegmentSeries:
             SegmenterConfig(cert=cert, rho=0.01)
         with pytest.raises(ValueError):
             SegmenterConfig(cert=cert, gamma=0.6)
+        for discard_c in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="discard_c"):
+                SegmenterConfig(cert=cert, discard_c=discard_c)
         with pytest.raises(ValueError):
             SegmenterConfig(cert=cert, pad=-1)
         with pytest.raises(ValueError):

@@ -204,24 +204,41 @@ def test_segment_option_flags_reach_the_trace(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["segment", "--block-len", "20.5"],
+    ["segment", "--block-len", "true"],
+    ["segment", "--block-len", "twenty"],
     ["segment", "--block-len", "20", "--pad", "7.0"],
+    ["segment", "--block-len", "20", "--discard-c", "true"],
+    ["segment", "--block-len", "20", "--rho", "0.3x"],
     ["generate", "--n", "300.0"],
+    ["generate", "--n", "true"],
+    ["generate", "--n", "three-hundred"],
     ["generate", "--n", "300", "--seed", "1.5"],
-], ids=["float-block-len", "float-pad", "float-n", "float-seed"])
-def test_flag_values_of_the_wrong_type_are_validation_errors(argv, tmp_path):
-    """An integer flag given a float is an error, not truncated: a block
-    length of 20.5 is never read as 20."""
+    ["generate", "--n", "300", "--seed", "true"],
+    ["generate", "--n", "300", "--seed", "one"],
+    ["generate", "--n", "300", "--vocab-size", "100.0"],
+], ids=["float-block-len", "bool-block-len", "string-block-len", "float-pad", "bool-discard-c",
+        "string-rho", "float-n", "bool-n", "string-n", "float-seed", "bool-seed", "string-seed",
+        "float-vocab-size"])
+def test_flag_values_of_the_wrong_type_are_validation_errors(argv, tmp_path, capsys):
+    """An integer flag given a float, or a numeric flag given a word, is an
+    error that names the flag, not a coercion: a block length of 20.5 is
+    never read as 20, nor ``true`` as 1."""
     stream, out = tmp_path / "stream.jsonl", tmp_path / "out"
     assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0
     stream_flag = ["--stream", str(stream)] if argv[0] == "segment" else []
+    capsys.readouterr()
     assert cli_main([*argv, *stream_flag, "--out", str(out)]) == 1
     assert not out.exists()
+    flag, value = argv[-2:]
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid" in err and repr(value) in err
 
 
-def test_segment_rejects_a_non_finite_discard_c(tmp_path, capsys):
+@pytest.mark.parametrize("discard_c", ["inf", "-inf", "nan"])
+def test_segment_rejects_a_non_finite_discard_c(discard_c, tmp_path, capsys):
     stream, argv, out, _, _ = _generated_and_segmented(tmp_path)
     capsys.readouterr()
-    assert cli_main([*argv, "--discard-c", "inf"]) == 1
+    assert cli_main([*argv, f"--discard-c={discard_c}"]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: discard_c must be finite") and "Traceback" not in err
@@ -310,7 +327,7 @@ def test_evaluate_to_stdout_quotes_a_label_with_a_comma(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("segments", ["100", "100-200,", "100-200.5", "100-200-300", "a-b",
-                                      "100-200,,225-250", "-5-10"])
+                                      "100-200,,225-250", "-5-10", "[[100, 200]]"])
 def test_generate_names_segments_that_are_not_l_r_pairs(segments, tmp_path, capsys):
     out = tmp_path / "stream.jsonl"
     argv = ["generate", "--n", "300", f"--segments={segments}", "--out", str(out)]

@@ -11,10 +11,10 @@ its calibration inputs, computed when a stream is segmented; the segmenter
 screens with it and its trace records it. Bisection reads F_b and F_r only
 at the points it probes, and neither is tabulated: gumbel and red_green
 evaluate closed forms, and inverse sums its lattice law from the few bins
-of its spectrum above 1e-16, located from a coarse spectrum of a few
-thousand points (``schemes.Inverse.block_sum_cdf``). Bisection runs on the
-bit patterns of nonnegative floats, read through ``struct``, about 64
-probes per threshold.
+of its spectrum above 1e-16, all below a bin that the total variation of
+its mass function bounds (``schemes.Inverse.block_sum_cdf``). Bisection
+runs on the bit patterns of nonnegative floats, read through ``struct``,
+about 64 probes per threshold.
 ``simulate_max_block_sums`` draws the same maximum by Monte Carlo, as the
 reference the exact laws are tested against.
 """

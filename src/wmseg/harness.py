@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .calibration import DEFAULT_ALPHA, DEFAULT_MC_REPS, ThresholdCert, calibrate_threshold
 from .intervals import Segments
-from .keys import TAG_REPLICATION, mix
+from .keys import TAG_REPLICATION, check_seed, mix
 from .metrics import EVAL_COLUMNS, EvalReport, evaluate, format_csv
 from .schemes import SchemeSpec, json_bool, json_float, json_int, read_fields
 from .segmentation import SegmenterConfig, segment_series
@@ -64,6 +64,7 @@ class ExperimentPlan:
             raise ValueError("need at least one replication")
         if not (self.block_lens and self.rhos and self.alphas and self.gammas):
             raise ValueError("empty parameter grid")
+        check_seed(self.seed)
 
     def grid(self) -> list[tuple[int, float, float, float]]:
         return [

@@ -88,6 +88,15 @@ def mix(*parts: int) -> int:
     return state
 
 
+def check_seed(seed: int) -> int:
+    """Return a stream seed if it lies in [0, 2^64), and raise ValueError
+    otherwise: ``mix`` reduces every part mod 2^64, so seeds -1 and 2^64 - 1
+    would hold one key stream."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), not {seed!r}")
+    return seed
+
+
 @functools.lru_cache(maxsize=16)
 def _key_seed_prefix(master_seed: int) -> int:
     """``mix(master_seed, TAG_KEY)``, the part of every key seed of a stream

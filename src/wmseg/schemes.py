@@ -18,8 +18,9 @@ law, the CDF of a sum of k null scores, and the exact mean of that same law:
                   with null mean exactly ``1 - (2V-1)/(6(V-1))``. A block
                   sum's CDF is that of the scores rounded up onto a
                   lattice of step 2^-11, summed at each point asked for
-                  from the few bins of its spectrum above 1e-16, which a
-                  coarse spectrum of a few thousand points locates.
+                  from the few bins of its spectrum above 1e-16, all of
+                  them below a bin that the mass function's total
+                  variation bounds.
 * ``RedGreen``  — sampling from the NTP re-weighted by ``exp(bias)`` on a
                   key-selected green subset of ``floor(green_frac * V)``
                   tokens; the pivot is the green-membership indicator,
@@ -129,7 +130,11 @@ def json_int(value) -> int:
 def json_float(value) -> float:
     if type(value) not in (int, float):
         raise TypeError(f"{value!r} is not a JSON number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range, about 1.8e308
+        raise TypeError(f"an integer of {len(str(abs(value)))} digits is too large "
+                        "for a float") from None
 
 
 def json_bool(value) -> bool:
@@ -310,11 +315,9 @@ class Inverse(_AffineKeyed):
         below = np.floor(y * v1)  # grid points i <= below have g <= y
         tail = (v1 * (v1 + 1) - below * (below + 1)) / (2 * v1) - y * (v1 - below)
         self.pmf = _read_only(np.diff(2.0 * tail / v, prepend=0.0))
-        # D, the mean absolute deviation of p in lattice steps: |P(theta)| is
-        # D-Lipschitz in theta (see block_sum_cdf).
-        lattice = np.arange(steps + 1)
-        spread = np.abs(lattice - (lattice * self.pmf).sum()) * self.pmf
-        self.spread = float(spread.sum())
+        # The total variation of p, zero past both ends, bounds |P(theta)|
+        # away from theta = 0 (see block_sum_cdf).
+        self.variation = float(np.abs(np.diff(self.pmf, prepend=0.0, append=0.0)).sum())
 
     def key(self, seed: int) -> InverseKey:
         u, perm = self._key(seed)
@@ -361,26 +364,22 @@ class Inverse(_AffineKeyed):
     def band(self, k: int) -> tuple[int, np.ndarray, np.ndarray]:
         """(L, bins, P[bins]): the spectrum length L a sum of k null scores
         needs, the bins f in [1, L/2] of P = rfft(pmf, L) with |P(f)| >
-        eps^(1/k), and P at those bins. They are found as ``block_sum_cdf``
-        describes, from a coarse rfft of length M, and the rfft of length L
-        runs only when 4M >= L."""
+        eps^(1/k), and P at those bins. Every such bin lies in 1..top by the
+        bound in ``block_sum_cdf``; P at 1..top is a slice of the rfft of
+        length L, or direct sums (``_spectrum_at``) where those cost less."""
         fft_len = next_fast_len(round(k / INVERSE_STEP) + 1, real=True)
         thr = INVERSE_BAND_EPS ** (1.0 / k)
-        least = max(2 * self.pmf.size, math.ceil(4 * math.pi * self.spread / thr))
-        coarse_len = next_fast_len(min(least, fft_len), real=True)
-        if 4 * coarse_len >= fft_len:
-            power = np.fft.rfft(self.pmf, fft_len)
-            bins = np.flatnonzero(np.abs(power[1:]) > thr) + 1
-            return fft_len, bins, power[bins]
-        coarse = np.abs(np.fft.rfft(self.pmf, coarse_len))
-        near = np.flatnonzero(coarse > thr - self.spread * math.pi / coarse_len)
-        # The fine bins f with |f/L - g/M| <= 1/(2M), in integer arithmetic.
-        first = np.maximum(-(-fft_len * (2 * near - 1) // (2 * coarse_len)), 1)
-        last = np.minimum(fft_len * (2 * near + 1) // (2 * coarse_len), fft_len // 2)
-        bins = np.unique(np.concatenate([np.arange(a, b + 1) for a, b in zip(first, last)]))
-        values = _spectrum_at(self.pmf, bins, fft_len)
-        inside = np.abs(values) > thr
-        return fft_len, bins[inside], values[inside]
+        # The last bin where variation / (2 sin(pi f/L)) can exceed thr, plus
+        # one for rounding: all of them when that bound never drops to thr.
+        reach = math.asin(min(self.variation / (2 * thr), 1.0))
+        top = min(math.floor(fft_len * reach / math.pi) + 1, fft_len // 2)
+        # Direct sums cost about len(p) per bin, the rfft about 3 per point.
+        if top * self.pmf.size < 3 * fft_len:
+            values = _spectrum_at(self.pmf, np.arange(1, top + 1), fft_len)
+        else:
+            values = np.fft.rfft(self.pmf, fft_len)[1 : top + 1]
+        inside = np.flatnonzero(np.abs(values) > thr)
+        return fft_len, inside + 1, values[inside]
 
     def block_sum_cdf(self, k: int):
         """CDF of the sum of k null scores, each first rounded *up* onto the
@@ -415,22 +414,18 @@ class Inverse(_AffineKeyed):
         fall by under 1e-14 between neighbouring lattice points (tested up
         to k = 300 in ``test_calibration.py``).
 
-        The band is found without the rfft of length L (``band``), which
-        would take 2048k points to keep a few dozen. p has mean index mu and
-        mean absolute deviation D = ``spread`` in lattice steps (405 at V =
-        1000), so e^(i mu theta) P(theta) has derivative at most D in
-        modulus, and |P| moves by at most D pi/M within half a spacing of a
-        length-M grid. One rfft of p on the first 5-smooth length M of at
-        least max(2 len(p), 4 pi D / thr), about 5.4k-8.6k for k from 125
-        to 1000, gives the coarse bins with |P| > thr - D pi/M >= 3 thr/4;
-        every band bin lies within half a coarse spacing of one of them. P
-        is summed directly at the fine bins within that distance
-        (``_spectrum_at``), as two short nested sums that stay within 1e-15
-        of the rfft, in ``einsum`` loops rather than a BLAS product, which
-        may start a thread pool that costs more than the sums. The bins
-        above thr are kept. When 4M >= L, which depends on k and V only (k up
-        to about 32), the rfft of length L costs about as little as the
-        coarse one, and the bins are read from it.
+        The band lies below one bin, ``top``, that a bound gives (``band``).
+        Summation by parts gives (1 - e^(-i theta)) P(theta) = sum_j (p_j -
+        p_(j-1)) e^(-i j theta) with p zero past both ends, so |P(theta)|
+        <= TV / (2 sin(theta/2)) on (0, pi], where TV = ``variation`` is the
+        total variation of p (2h at V = 2, 4h at V = 1000). Every band bin
+        f thus has sin(pi f/L) < TV / (2 thr) and lies in 1..top, top about
+        L TV / (2 pi thr): 109 bins at V = 1000 and k = 127, 64 of them kept.
+        When top len(p) < 3L (k above about 20), P is summed directly at
+        1..top (``_spectrum_at``), as two short nested sums that stay within
+        1.1e-15 of the rfft, in ``einsum`` loops rather than a BLAS product,
+        which may start a thread pool that costs more than the sums.
+        Otherwise the rfft of length L costs less, and P is sliced from it.
 
         The returned CDF keeps the value of each lattice point it was
         asked for at a float q, since bisection asks for the same cell
@@ -551,7 +546,7 @@ def _spectrum_at(pmf: np.ndarray, bins: np.ndarray, fft_len: int) -> np.ndarray:
     exponentials instead of len(pmf); the phases are reduced mod L in
     integer arithmetic. The sum runs over c and then over a: one pass over
     all aB + c terms drifts up to 2.5e-15 from the rfft, where the two short
-    nested sums stay within 1e-15.
+    nested sums stay within 1.1e-15 (1.03e-15 at V = 2 and k = 844-854).
     """
     width = math.isqrt(pmf.size) + 1
     grid = np.zeros(-(-pmf.size // width) * width)

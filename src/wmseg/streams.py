@@ -55,6 +55,7 @@ from .keys import (
     CONTEXT_SENTINEL,
     TAG_NTP,
     TAG_NULL_DRAW,
+    check_seed,
     generator,
     key_seed,
     key_seeds,
@@ -275,6 +276,7 @@ class StreamSpec:
         if self.n < 1:
             raise ValueError("stream length must be positive")
         Segments(self.true_segments.intervals, n=self.n)  # bounds check
+        check_seed(self.seed)
 
     @property
     def vocab_size(self) -> int:
@@ -423,11 +425,12 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
     must hold exactly the keys the writer puts there and the body only
     ``tokens``; an unknown or missing key raises ValueError naming it, as do
     a header value of another JSON type than the writer's (a ``seed`` of
-    7.0, "7" or true), a token count other than the header's ``n``, a token
-    that is not a JSON integer, a record after the body and a file of
-    per-token records. A
-    header ``scheme`` or ``mu0`` that disagrees with ``scheme_params``
-    raises ValueError. The verifier scores the tokens (``score_tokens``).
+    7.0, "7" or true), a seed outside [0, 2^64), a number too large for a
+    float, a token count other than the header's ``n``, a token that is
+    not a JSON integer, a record after the body and a file of per-token
+    records. A header ``scheme`` or ``mu0`` that disagrees with
+    ``scheme_params`` raises ValueError. The verifier scores the tokens
+    (``score_tokens``).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
@@ -467,6 +470,6 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
     return StreamFile(
         true_segments=Segments(fields["true_segments"], n=n),
         tokens=tokens,
-        seed=fields["seed"],
+        seed=check_seed(fields["seed"]),
         scheme=scheme,
     )

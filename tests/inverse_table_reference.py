@@ -6,9 +6,10 @@ built by one rfft, square-and-multiply on every bin, an irfft and a
 clamped cumulative sum. Every threshold ``calibrate_threshold`` finds must
 be the one this table gives.
 
-``reference_band`` is the band as it stood before it was found from a
-coarse spectrum: every bin of that full-length rfft above eps^(1/k), with
-its value. ``Inverse.band`` must keep the same bins and values.
+``reference_band`` is the band read from that full-length rfft: every bin
+above eps^(1/k), with its value. ``Inverse.band``, which evaluates P only
+at the bins below the bound its total variation gives, must keep the same
+bins and values.
 """
 
 import math

@@ -7,9 +7,9 @@ import pytest
 from scipy import stats
 from scipy.signal import fftconvolve
 
-from inverse_table_reference import reference_band, reference_block_sum_cdf
+from inverse_table_reference import reference_band, reference_block_sum_cdf, reference_spectrum
 from scheme_theory import inverse_null_pivot_cdf
-from wmseg import calibration
+from wmseg import calibration, schemes
 from wmseg.calibration import (
     ThresholdCert,
     block_starts,
@@ -297,27 +297,35 @@ class TestExactLaw:
         assert cert.q == j * INVERSE_STEP
 
     @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
-    @pytest.mark.parametrize("k", [1, 8, 32, 125, 127, 300, 1000])
+    @pytest.mark.parametrize("k", [8, 32, 127, 300])
+    def test_inverse_spectrum_lies_under_the_variation_bound(self, vocab, k):
+        # Summation by parts: (1 - e^(-i theta)) P(theta) is the spectrum of
+        # the differences of p, so |P| <= TV(p) / (2 sin(theta/2)), the bound
+        # that confines Inverse.band's bins to 1..top.
+        fft_len, power = reference_spectrum(vocab, k)
+        f = np.arange(1, fft_len // 2 + 1)
+        bound = Inverse(vocab).variation / (2 * np.sin(np.pi * f / fft_len))
+        assert np.all(np.abs(power[f]) <= bound + 1e-15)
+
+    @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
+    @pytest.mark.parametrize("k", [1, 8, 16, 20, 25, 32, 125, 127, 300, 1000])
     def test_inverse_band_matches_the_full_rfft(self, vocab, k, monkeypatch):
-        # k = 1 and 8 at every V, and k = 32 at V < 1000, take the 4M >= L
-        # fallback and read the bins from the full rfft; the other cells
-        # find them from the coarse spectrum and sum P at them directly.
-        fallback = k < 32 or (k == 32 and vocab < 1000)
+        # Small k reads P at 1..top from the rfft of length L and large k
+        # sums it directly; k = 16, 20 and 25 lie where the two cost alike.
         ref_len, ref_bins, ref_values = reference_band(vocab, k)
-        lengths = []
-        rfft = np.fft.rfft
+        lengths, direct = [], []
+        rfft, spectrum_at = np.fft.rfft, schemes._spectrum_at
         monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+        monkeypatch.setattr(schemes, "_spectrum_at",
+                            lambda *args: direct.append(args) or spectrum_at(*args))
         fft_len, bins, values = Inverse(vocab).band(k)
-        if fallback:
-            assert lengths == [ref_len]
-        else:
-            assert len(lengths) == 1 and 4 * lengths[0] < ref_len
+        assert lengths == ([] if direct else [ref_len]) and len(direct) <= 1
         assert fft_len == ref_len and bins.tolist() == ref_bins.tolist()
         assert np.max(np.abs(values - ref_values)) <= 1e-15
 
     def test_inverse_law_stays_small_at_large_k(self):
         # The full rfft at k = 1000 has L = 2073600 points, about 26 MB at
-        # its peak. The band finder's coarse rfft has 5400.
+        # its peak. The band is summed directly at its 669 candidate bins.
         scheme = SchemeSpec("inverse", 1000)
         tracemalloc.start()
         try:

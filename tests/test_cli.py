@@ -182,6 +182,23 @@ def test_experiment_rejects_an_unknown_plan_key(tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"discard_c": 10**400}, "plan key 'discard_c': an integer of 401 digits is too large"),
+    ({"seed": -1}, "seed must lie in [0, 2**64), not -1"),
+], ids=["huge-discard-c", "negative-seed"])
+def test_experiment_rejects_a_plan_number_out_of_range(edit, message, tmp_path, capsys):
+    # A 400-digit discard_c used to end in an OverflowError traceback, and
+    # seed -1 to run the replications of seed 2^64 - 1.
+    plan = {"n": 300, "scheme": {"id": "gumbel", "vocab_size": 50}, "ntp_model": {},
+            "grid": {"block_len": [20]}, **edit}
+    config, out = tmp_path / "plan.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps(plan), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_a_config_that_is_not_a_json_object_is_a_validation_error(tmp_path):
     config, out = tmp_path / "config.json", tmp_path / "out"
     config.write_text("[]", encoding="utf-8")
@@ -202,27 +219,33 @@ def test_segment_option_flags_reach_the_trace(tmp_path):
     assert trace["pad"] == 7
 
 
-@pytest.mark.parametrize("argv", [
-    ["segment", "--block-len", "20.5"],
-    ["segment", "--block-len", "true"],
-    ["segment", "--block-len", "twenty"],
-    ["segment", "--block-len", "20", "--pad", "7.0"],
-    ["segment", "--block-len", "20", "--discard-c", "true"],
-    ["segment", "--block-len", "20", "--rho", "0.3x"],
-    ["generate", "--n", "300.0"],
-    ["generate", "--n", "true"],
-    ["generate", "--n", "three-hundred"],
-    ["generate", "--n", "300", "--seed", "1.5"],
-    ["generate", "--n", "300", "--seed", "true"],
-    ["generate", "--n", "300", "--seed", "one"],
-    ["generate", "--n", "300", "--vocab-size", "100.0"],
+_SEED_RANGE = "error: seed must lie in [0, 2**64), not {value}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["segment", "--block-len", "20.5"], None),
+    (["segment", "--block-len", "true"], None),
+    (["segment", "--block-len", "twenty"], None),
+    (["segment", "--block-len", "20", "--pad", "7.0"], None),
+    (["segment", "--block-len", "20", "--discard-c", "true"], None),
+    (["segment", "--block-len", "20", "--rho", "0.3x"], None),
+    (["generate", "--n", "300.0"], None),
+    (["generate", "--n", "true"], None),
+    (["generate", "--n", "three-hundred"], None),
+    (["generate", "--n", "300", "--seed", "1.5"], None),
+    (["generate", "--n", "300", "--seed", "true"], None),
+    (["generate", "--n", "300", "--seed", "one"], None),
+    (["generate", "--n", "300", "--vocab-size", "100.0"], None),
+    (["generate", "--n", "300", "--seed", "-1"], _SEED_RANGE),
+    (["generate", "--n", "300", "--seed", str(2**64)], _SEED_RANGE),
 ], ids=["float-block-len", "bool-block-len", "string-block-len", "float-pad", "bool-discard-c",
         "string-rho", "float-n", "bool-n", "string-n", "float-seed", "bool-seed", "string-seed",
-        "float-vocab-size"])
-def test_flag_values_of_the_wrong_type_are_validation_errors(argv, tmp_path, capsys):
+        "float-vocab-size", "negative-seed", "seed-of-2-64"])
+def test_flag_values_of_the_wrong_type_are_validation_errors(argv, message, tmp_path, capsys):
     """An integer flag given a float, or a numeric flag given a word, is an
     error that names the flag, not a coercion: a block length of 20.5 is
-    never read as 20, nor ``true`` as 1."""
+    never read as 20, nor ``true`` as 1. A seed outside [0, 2^64) is an
+    error too: -1 used to write the stream of 2^64 - 1, and 2^64 that of 0."""
     stream, out = tmp_path / "stream.jsonl", tmp_path / "out"
     assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0
     stream_flag = ["--stream", str(stream)] if argv[0] == "segment" else []
@@ -231,7 +254,10 @@ def test_flag_values_of_the_wrong_type_are_validation_errors(argv, tmp_path, cap
     assert not out.exists()
     flag, value = argv[-2:]
     err = capsys.readouterr().err
-    assert f"argument {flag}: invalid" in err and repr(value) in err
+    if message is None:
+        assert f"argument {flag}: invalid" in err and repr(value) in err
+    else:
+        assert err.strip() == message.format(value=value)
 
 
 @pytest.mark.parametrize("discard_c", ["inf", "-inf", "nan"])

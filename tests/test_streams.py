@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -512,6 +513,22 @@ class TestStreamJsonl:
         # tokens under seed 7, and true under seed 1.
         path = self._with_header(tmp_path, GUMBEL, fields)
         with pytest.raises(ValueError, match=f"key '{key}': .* is not a JSON"):
+            read_stream_jsonl(path)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2-64"])
+    def test_a_header_seed_outside_64_bits_is_rejected(self, seed, tmp_path):
+        # Seeds are reduced mod 2^64, so a header seed of 2^64 used to score
+        # the tokens under seed 0.
+        path = self._with_header(tmp_path, GUMBEL, {"seed": seed})
+        message = f"seed must lie in [0, 2**64), not {seed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_stream_jsonl(path)
+
+    def test_a_header_number_beyond_the_float_range_is_named(self, tmp_path):
+        # It used to escape read_stream_jsonl as an OverflowError.
+        path = self._with_header(tmp_path, GUMBEL, {"mu0": 10**400})
+        with pytest.raises(ValueError,
+                           match="key 'mu0': an integer of 401 digits is too large for a float"):
             read_stream_jsonl(path)
 
     @pytest.mark.parametrize("segments", [[[2.5, 4]], [[2.5, True]]], ids=["float", "bool"])

@@ -41,7 +41,8 @@ uniformly drawn permutation, so the null laws above hold.
 ``SchemeSpec`` is the scheme as named on the wire (id plus parameters) and
 forwards every operation to its scheme's class. Decoders are deterministic
 functions of (probs, key, params); all sampling randomness lives inside the
-key.
+key. A scheme's ``decoder(seed)`` does the work of one key once (gumbel's V
+logs, inverse's token of each rank, red_green's weight scale), then decodes rows.
 """
 
 from __future__ import annotations
@@ -143,27 +144,19 @@ def json_bool(value) -> bool:
     return value
 
 
-def inverse_cdf(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each row of ``weights``, the first index whose cumulative weight
-    reaches ``u`` of that row times the row's total, clipped to the last
-    index: ``count(cdf < u * cdf[-1])``, which is ``searchsorted(cdf,
-    u * cdf[-1], side="left")`` on the nondecreasing cdf of each row."""
-    cdf = np.cumsum(weights, axis=1)
-    below = np.count_nonzero(cdf < (u * cdf[:, -1])[:, None], axis=1)
-    return np.minimum(below, cdf.shape[1] - 1)
-
-
 def check_decodable(probs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Check an NTP vector, shape (V,), or a block of NTP rows, shape
     (count, V), for decoding: no negative or NaN entry and positive mass in
-    every row. Raise InvalidDistribution otherwise. The checked copy holds
-    +0.0 where ``probs`` holds -0.0, so that a zero entry never wins the
-    gumbel decoder's log(U)/P."""
-    probs = np.asarray(probs, dtype=float) + 0.0
+    every row. Raise InvalidDistribution otherwise. If the least entry is 0,
+    the only case with a -0.0, the result is a copy with +0.0 there, so
+    that a zero entry never wins the gumbel decoder's log(U)/P; else ``probs``."""
+    probs = np.asarray(probs, dtype=float)
     if probs.shape != shape:
         raise InvalidDistribution(f"probabilities of shape {probs.shape} differ from "
                                   f"the key size, {shape}")
-    if not np.all(probs >= 0) or not np.all(np.any(probs > 0, axis=-1)):
+    low = probs.min()  # NaN if any entry is NaN
+    probs = probs + 0.0 if low == 0 else probs
+    if not (low > 0 or low == 0 and np.all(np.any(probs > 0, axis=-1))):
         raise InvalidDistribution("invalid probability vector")
     return probs
 
@@ -210,9 +203,11 @@ class _Scheme:
 
     ``key(seed)`` derives the key of a 64-bit key seed; ``pivots(tokens,
     seeds)`` is ``pivot(tokens[i], key(seeds[i]))`` for every position, in
-    array operations with no key built; ``decode`` takes an NTP vector
-    already passed by ``check_decodable`` and ``pivot`` a token or a token
-    array already bounds-checked by the caller; ``block_sum_cdf(k)`` returns
+    array operations with no key built; ``decoder_of(key)`` is the decoder
+    of a key, the function NTP row -> token, which does the key's own work
+    once and takes rows already passed by ``check_decodable``, and
+    ``decoder(seed)`` is that of ``key(seed)``; ``pivot`` takes a token or a
+    token array already bounds-checked by the caller; ``block_sum_cdf(k)`` returns
     the CDF of a sum of k null scores; ``params`` names the ``SchemeSpec``
     fields the scheme reads beyond the vocabulary size, in the order its
     constructor takes them. Its arrays are read-only, since equal specs
@@ -224,6 +219,9 @@ class _Scheme:
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
+
+    def decoder(self, seed: int):
+        return self.decoder_of(self.key(seed))
 
 
 class _AffineKeyed(_Scheme):
@@ -263,16 +261,23 @@ class Gumbel(_Scheme):
         """Coordinate ``token`` of each seed's key: one hash per position."""
         return unit(splitmix64_array(seeds ^ self.tags[tokens]))
 
+    def decoder(self, seed: int):
+        """``decoder_of(key(seed))``, the logs taken in place in the new key."""
+        log_u = self.key(seed).uniforms
+        np.log(log_u, out=log_u)
+        return lambda probs: int((log_u / probs).argmax())
+
     @staticmethod
-    def decode(probs: np.ndarray, key: GumbelKey) -> int:
-        """Token maximizing log(U_w)/P_w; tokens of probability +0.0, the
-        only zero that ``check_decodable`` passes on, never win.
+    def decoder_of(key: GumbelKey):
+        """Token maximizing log(U_w)/P_w, from the V logs taken once;
+        tokens of probability +0.0, the only zero that ``check_decodable``
+        passes on, never win.
 
         Ties break toward the lowest token index (measure-zero under
         continuous keys, but keeps the decoder a pure function).
         """
-        with np.errstate(divide="ignore"):  # log(U_w)/0 = -inf: U_w < 1 by keys.unit
-            return int(np.argmax(np.log(key.uniforms) / probs))
+        log_u = np.log(key.uniforms)
+        return lambda probs: int((log_u / probs).argmax())
 
     @staticmethod
     def pivot(token, key: GumbelKey):
@@ -328,18 +333,17 @@ class Inverse(_AffineKeyed):
         return np.abs(u - rank / (self.vocab_size - 1))
 
     @staticmethod
-    def decode(probs: np.ndarray, key: InverseKey) -> int:
+    def decoder_of(key: InverseKey):
         """Generalized-inverse sampling through the key's permuted CDF.
 
         Returns the token whose rank is the smallest index at which the
-        rank-ordered cumulative mass reaches the key uniform.
+        rank-ordered cumulative mass reaches the key uniform. The token of
+        each rank, ``order[perm] = arange(V)``, is found once per key.
         """
-        perm = key.perm
-        by_rank = np.empty_like(probs)
-        by_rank[perm] = probs
-        cdf = np.cumsum(by_rank)
-        rank = min(int(np.searchsorted(cdf, key.u, side="left")), probs.size - 1)
-        return int(np.flatnonzero(perm == rank)[0])
+        order = np.empty_like(key.perm)
+        order[key.perm] = np.arange(order.size)
+        u, last = key.u, order.size - 1
+        return lambda probs: int(order[min(int(probs[order].cumsum().searchsorted(u)), last)])
 
     @staticmethod
     def pivot(token, key: InverseKey):
@@ -431,8 +435,9 @@ class Inverse(_AffineKeyed):
         asked for at a float q, since bisection asks for the same cell
         many times; it keeps nothing between calls of ``block_sum_cdf``. An
         array of q is summed in one pass: with (j+1) = aB + c, w^(f(j+1))
-        = w^(faB) w^(fc), so one complex matrix product over the distinct
-        a and c serves every point.
+        = w^(faB) w^(fc), so one product over the distinct a and c serves
+        every point. Only its real part is summed, in ``einsum`` loops as in
+        ``_spectrum_at``, where a BLAS product may start a thread pool.
         """
         top = round(k / INVERSE_STEP)  # the lattice index of the largest sum, k
         fft_len, bins, base = self.band(k)
@@ -459,7 +464,9 @@ class Inverse(_AffineKeyed):
             a, c = np.divmod(count, width)
             a, a_at = np.unique(a, return_inverse=True)
             c, c_at = np.unique(c, return_inverse=True)
-            sums = (coef * twiddle(np.outer(a * width, bins))) @ twiddle(np.outer(bins, c))
+            left, right = coef * twiddle(np.outer(a * width, bins)), twiddle(np.outer(bins, c))
+            sums = np.einsum("af,fc->ac", np.hstack([left.real, -left.imag]),
+                             np.vstack([right.real, right.imag]))
             return through(count, sums[a_at, c_at])
 
         memo: dict[int, float] = {}
@@ -506,14 +513,22 @@ class RedGreen(_AffineKeyed):
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         return self._ranks(tokens, seeds)[1] < self.n_green
 
-    def decode(self, probs: np.ndarray, key: RedGreenKey) -> int:
-        """Sample from the NTP re-weighted by exp(bias) on the green subset.
+    def decoder_of(self, key: RedGreenKey):
+        """Sample from the NTP re-weighted by exp(bias) on the green subset:
+        the first token whose cumulative weight reaches u times the total,
+        clipped to the last token, with the key's weight scale (exp(bias)
+        on green, 1.0 elsewhere) built once.
 
         bias = 0 reproduces the NTP exactly; the draw itself comes from the
         key's uniform, keeping the decoder deterministic given (probs, key).
         """
-        weights = np.where(key.green, probs * self.green_weight, probs)
-        return int(inverse_cdf(weights[None], np.array([key.u]))[0])
+        scale, u, last = np.where(key.green, self.green_weight, 1.0), key.u, self.vocab_size - 1
+
+        def decode(probs: np.ndarray) -> int:
+            cdf = (probs * scale).cumsum()
+            return min(int(cdf.searchsorted(u * cdf[-1])), last)
+
+        return decode
 
     @staticmethod
     def pivot(token, key: RedGreenKey):
@@ -656,12 +671,16 @@ class SchemeSpec:
     def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
         """The token the scheme emits for the NTP vector ``probs`` under
         ``key``; an unusable vector raises InvalidDistribution."""
-        return self.decode_row(check_decodable(probs, (self.vocab_size,)), key)
+        probs = check_decodable(probs, (self.vocab_size,))
+        with np.errstate(divide="ignore", over="ignore"):
+            return self._scheme.decoder_of(key)(probs)
 
-    def decode_row(self, probs: np.ndarray, key: PseudoKey) -> int:
-        """``decode`` of one row of an NTP block that ``check_decodable``
-        has passed, without checking it again."""
-        return self._scheme.decode(probs, key)
+    def decoder(self, seed: int):
+        """``decode`` under the key of ``seed``, as a function of an NTP row
+        that ``check_decodable`` has passed, with the key's own work done once.
+        Call it inside ``np.errstate(divide="ignore", over="ignore")``: gumbel's
+        log(U)/P is -inf where P is +0.0 or denormal, and that token never wins."""
+        return self._scheme.decoder(seed)
 
     def pivot(self, token: int, key: PseudoKey) -> float:
         """Pivot of one token under one key; a token outside the vocabulary

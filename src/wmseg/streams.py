@@ -18,7 +18,7 @@ independent of the rest of the stream. ``NtpModel.null_tokens`` draws it
 from that mean directly: the ``dirichlet`` and ``zipf`` row laws are
 exchangeable over the tokens, so their mean is uniform and the null tokens
 are one ``integers(0, V)`` array, while a ``fixed`` row is its own mean and
-keeps its per-position ``inverse_cdf``. The positions inside the segments
+keeps its per-position inverse-CDF draw. The positions inside the segments
 run in blocks of at most 2^15 NTP entries (32 rows at V=1000): one
 ``NtpModel.sample`` call draws the rows of a block and one check validates
 them, then its positions decode one at a time, since each decodes with the
@@ -27,16 +27,18 @@ two generators, so the outputs do not depend on the block size.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
-Generation derives a key only for the context of a position inside a
-segment, once per distinct context, and decodes with it. ``Stream.keys``
-derives the keys of the other contexts when it is first read, into the same
-memo, so positions that share a context share one key object; a caller that
-reads only the tokens or the pivots never pays for them. The verifier calls
-no ``SchemeSpec.key_at`` and builds no key and no generator, for any
-scheme: ``score_tokens`` derives every position's key seed in one array
-pass and the scheme reads its pivots from the seeds through the keyed
-hashes of ``keys``, one per position. Generation scores through
-``score_tokens`` too, so it draws no key twice and both give the same bits.
+Generation builds a decoder (``SchemeSpec.decoder``) only for the context
+of a position inside a segment, once per distinct context, so a decoder's
+work for its key (gumbel's V logs, for one) is paid once per context; it
+calls no ``SchemeSpec.key_at``. ``Stream.keys`` derives every context's key
+when it is first read, once per distinct context, so positions that share
+a context share one key object; a caller that reads only the tokens or the
+pivots never pays for them. The verifier calls no ``SchemeSpec.key_at``
+and builds no key and no generator, for any scheme: ``score_tokens``
+derives every position's key seed in one array pass and the scheme reads
+its pivots from the seeds through the keyed hashes of ``keys``, one per
+position. Generation scores through ``score_tokens`` too, so both give
+the same bits.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -209,17 +211,16 @@ class NtpModel:
 
         Such a token is Categorical(E[vector]), so no vector is drawn: a
         ``dirichlet`` or ``zipf`` token is uniform on 0..V-1, one
-        ``rng.integers`` array, and a ``fixed`` token is the ``inverse_cdf``
-        of its position's vector at one ``rng.random`` uniform per position,
-        in order. A cap that admits no vector raises ValueError, as in
-        ``sample``.
+        ``rng.integers`` array, and a ``fixed`` token is the first index
+        whose cumulative mass reaches one ``rng.random`` uniform times the
+        vector's total, one uniform per position, in order. A cap that
+        admits no vector raises ValueError, as in ``sample``.
         """
         positions = np.asarray(positions, dtype=np.int64)
         if self.kind != "fixed":
             self._check_cap(vocab_size)
             return rng.integers(0, vocab_size, positions.size)
-        # inverse_cdf row by row, with one cdf per vector instead of a row
-        # per position: count(cdf < u * total) is searchsorted(cdf, u * total).
+        # One cdf per vector instead of a row per position.
         cdfs = np.cumsum(check_decodable(np.asarray(self.vectors, dtype=float),
                                          (len(self.vectors), vocab_size)), axis=1)
         which = positions % len(cdfs)
@@ -283,38 +284,27 @@ class StreamSpec:
         return self.scheme.vocab_size
 
 
-def _key_after(spec: StreamSpec, key_of: dict[int, PseudoKey], prev: int) -> PseudoKey:
-    """The key of a position whose previous token is ``prev``
-    (CONTEXT_SENTINEL at the first position), derived once per context into
-    the memo ``key_of``."""
-    key = key_of.get(prev)
-    if key is None:
-        key = key_of[prev] = spec.scheme.key_at(key_seed(spec.seed, prev))
-    return key
-
-
 @dataclass(frozen=True)
 class Stream:
     """A generated stream: tokens, scored pivots and per-position keys.
 
-    ``keys`` is derived on first read. Generation leaves in ``_key_of`` the
-    keys it decoded with, one per context of a position inside a segment;
-    the first read of ``keys`` derives the contexts still missing into the
-    same memo, so positions that share a context share one key object and
-    no key is derived twice.
+    ``keys`` is derived on first read, one key per distinct context, so
+    positions that share a context share one key object. Generation keeps
+    no key: it decodes through per-context decoders, which it drops.
     """
 
     spec: StreamSpec
     tokens: np.ndarray
     pivots: PivotSeries
-    _key_of: dict[int, PseudoKey] = field(default_factory=dict, repr=False, compare=False)
 
     @functools.cached_property
     def keys(self) -> tuple[PseudoKey, ...]:
         """Every position's key: that of the token before it, or of
         CONTEXT_SENTINEL at the first position."""
-        return tuple(_key_after(self.spec, self._key_of, prev)
-                     for prev in [CONTEXT_SENTINEL, *self.tokens[:-1].tolist()])
+        contexts = [CONTEXT_SENTINEL, *self.tokens[:-1].tolist()]
+        key_of = {prev: self.spec.scheme.key_at(key_seed(self.spec.seed, prev))
+                  for prev in dict.fromkeys(contexts)}
+        return tuple(map(key_of.__getitem__, contexts))
 
 
 def generate_stream(spec: StreamSpec) -> Stream:
@@ -330,18 +320,19 @@ def generate_stream(spec: StreamSpec) -> Stream:
     vector's mean. Then the positions inside the segments run in blocks of
     at most ``_BLOCK_ENTRIES`` NTP entries: a block's rows come from one
     ``NtpModel.sample`` call and pass ``check_decodable`` once, and its
-    positions, in order, decode their rows with ``SchemeSpec.decode_row``
-    under the key of the token before. Each context of such a position
-    derives its key once; no other key is derived here. ``Stream.keys``
-    derives the rest, once per context, when it is first read. The pivots
-    are scored by the verifier's own scorer, ``score_tokens``, so both give
-    the same bits.
+    positions, in order and inside one ``np.errstate``, decode their rows
+    with the decoder of the token before (``SchemeSpec.decoder``). Each
+    context of such a position builds its decoder once, into a memo of one
+    decoder per context; no ``SchemeSpec.key_at`` is called here, and
+    ``Stream.keys`` derives the keys when it is first read. The pivots are
+    scored by the verifier's own scorer, ``score_tokens``, so both give the
+    same bits.
     """
     scheme, n, vocab_size = spec.scheme, spec.n, spec.vocab_size
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
     inside = spec.true_segments.mask(n)
-    key_of: dict[int, PseudoKey] = {}
+    decoder_of = {}
     tokens = np.empty(n, dtype=np.int64)
     null = np.flatnonzero(~inside)
     tokens[null] = spec.ntp_model.null_tokens(rng_null, vocab_size, null)
@@ -351,11 +342,14 @@ def generate_stream(spec: StreamSpec) -> Stream:
         positions = marked[start:start + block_rows]
         probs = check_decodable(spec.ntp_model.sample(rng_ntp, vocab_size, positions),
                                 (positions.size, vocab_size))
-        for i, row in zip(positions.tolist(), probs):
-            prev = int(tokens[i - 1]) if i else CONTEXT_SENTINEL
-            tokens[i] = scheme.decode_row(row, _key_after(spec, key_of, prev))
-    return Stream(spec=spec, tokens=tokens, pivots=score_tokens(tokens, spec.seed, scheme),
-                  _key_of=key_of)
+        with np.errstate(divide="ignore", over="ignore"):  # as ``SchemeSpec.decoder`` asks
+            for i, row in zip(positions.tolist(), probs):
+                prev = int(tokens[i - 1]) if i else CONTEXT_SENTINEL
+                decode = decoder_of.get(prev)
+                if decode is None:
+                    decode = decoder_of[prev] = scheme.decoder(key_seed(spec.seed, prev))
+                tokens[i] = decode(row)
+    return Stream(spec=spec, tokens=tokens, pivots=score_tokens(tokens, spec.seed, scheme))
 
 
 def _key_seeds(tokens: np.ndarray, master_seed: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Closed forms of the schemes' laws that only the tests compare against,
 the open-interval uniform draws of their Monte Carlo checks, and the
-one-row inverse CDF that the row-wise ``schemes.inverse_cdf`` is held to."""
+one-row inverse CDF that red_green's decoder is held to."""
 
 import math
 

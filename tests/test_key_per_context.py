@@ -412,24 +412,40 @@ def test_score_tokens_calls_no_key_at_and_at_most_one_generator(
     assert np.array_equal(series.scores, reference_scores(stream.tokens, spec.seed, spec.scheme))
 
 
+@pytest.fixture
+def decoder_calls(monkeypatch):
+    calls = []
+    original = SchemeSpec.decoder
+
+    def counting(self, seed):
+        calls.append(seed)
+        return original(self, seed)
+
+    monkeypatch.setattr(SchemeSpec, "decoder", counting)
+    return calls
+
+
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
-def test_generate_stream_derives_one_key_per_distinct_context(scheme_id, key_at_calls):
-    """Generation derives the key of each distinct context of a position
-    inside a segment once, and no other key. The first read of ``keys``
-    derives each remaining distinct context once; a second derives none."""
+def test_generate_stream_derives_one_key_per_distinct_context(scheme_id, key_at_calls,
+                                                              decoder_calls):
+    """Generation builds the decoder of each distinct context of a position
+    inside a segment once, and calls no ``key_at``. The first read of
+    ``keys`` derives the key of each distinct context once; a second derives
+    none."""
     for vocab_size in (20, 1000):
         spec = StreamSpec(600, Segments([(100, 400)], n=600), SchemeSpec(scheme_id, vocab_size),
                           NtpModel(), seed=3)
         key_at_calls.clear()
+        decoder_calls.clear()
         stream = generate_stream(spec)
         prevs = np.array([CONTEXT_SENTINEL, *stream.tokens[:-1].tolist()])
         decoding = set(prevs[spec.true_segments.mask(spec.n)].tolist())
-        assert sorted(key_at_calls) == sorted(key_seed(spec.seed, prev) for prev in decoding)
-        key_at_calls.clear()
+        assert sorted(decoder_calls) == sorted(key_seed(spec.seed, prev) for prev in decoding)
+        assert key_at_calls == []
         keys = stream.keys
-        rest = set(prevs.tolist()) - decoding
-        assert CONTEXT_SENTINEL in rest
-        assert sorted(key_at_calls) == sorted(key_seed(spec.seed, prev) for prev in rest)
+        contexts = set(prevs.tolist())
+        assert CONTEXT_SENTINEL in contexts - decoding
+        assert sorted(key_at_calls) == sorted(key_seed(spec.seed, prev) for prev in contexts)
         key_at_calls.clear()
         assert stream.keys is keys
         assert key_at_calls == []

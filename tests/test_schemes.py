@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from wmseg.schemes import (
     PivotSeries,
     RedGreenKey,
     SchemeSpec,
-    inverse_cdf,
 )
 
 N_MC = 100_000
@@ -53,6 +53,15 @@ class TestGumbelDecode:
         for u in (0.1, 0.5, 0.9):
             key = GumbelKey(uniforms=np.array([u, u]))
             assert GUMBEL.decode(np.array([0.2, 0.8]), key) == 1
+
+    def test_a_denormal_probability_decodes_without_a_warning(self):
+        """log(U)/P overflows to -inf at a denormal P; that token loses the
+        race, and the overflow is expected, so it warns of nothing."""
+        scheme = SchemeSpec("gumbel", 3)
+        probs = np.array([0.5, 0.5, 1e-320])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(scheme.decode(probs, scheme.key_at(seed)) < 2 for seed in range(20))
 
     def test_all_zero_distribution_is_rejected(self):
         scheme = SchemeSpec("gumbel", 4)
@@ -249,8 +258,15 @@ class TestInversePivot:
 
 
 # ---------------------------------------------------------------------------
-# Row-wise inverse CDF (red_green decoding and generation's null tokens)
+# Red_green's decoder: the inverse CDF of the re-weighted row
 # ---------------------------------------------------------------------------
+
+
+def red_green_draw(weights, u: float, green, bias: float) -> int:
+    """Red_green's decoder on one row under the key (green, u), unchecked,
+    so that rows without mass reach it too."""
+    scheme = SchemeSpec("red_green", len(weights), bias=bias)._scheme
+    return scheme.decoder_of(RedGreenKey(green=np.asarray(green), u=u))(np.asarray(weights))
 
 
 class TestInverseCdf:
@@ -265,15 +281,17 @@ class TestInverseCdf:
         ((0.1, 0.2, 0.7), float(np.nextafter(1.0, 2.0)), 2),
     ], ids=["u=0", "u=0-zero-weight", "tie", "zero-weights", "u=1", "clip"])
     def test_edge_rows_match_the_one_row_form(self, weights, u, expected):
-        got = inverse_cdf(np.array([weights]), np.array([u]))
-        assert got.tolist() == [inverse_cdf_1d(np.array(weights), u)] == [expected]
+        got = red_green_draw(weights, u, np.ones(len(weights), dtype=bool), bias=0.0)
+        assert got == inverse_cdf_1d(np.array(weights), u) == expected
 
     def test_a_block_matches_the_one_row_form_row_by_row(self, rng):
         weights = rng.random((300, 7)) * (rng.random((300, 7)) < 0.6)  # zero-weight tokens
         u = rng.random(300)
         u[:30] = 0.0
-        got = inverse_cdf(weights, u)
-        assert got.tolist() == [inverse_cdf_1d(w, x) for w, x in zip(weights, u)]
+        green = rng.random((300, 7)) < 0.5
+        got = [red_green_draw(w, x, g, bias=1.5) for w, x, g in zip(weights, u, green)]
+        assert got == [inverse_cdf_1d(np.where(g, w * math.exp(1.5), w), x)
+                       for w, x, g in zip(weights, u, green)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from edits import Deletion, Insertion, Substitution, apply_edits
-from scheme_theory import gumbel_separation_lower_bound
+from scheme_theory import gumbel_separation_lower_bound, inverse_cdf_1d
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, generator, key_seed
-from wmseg.schemes import SCHEME_IDS, GumbelKey, SchemeSpec, inverse_cdf
+from wmseg.schemes import SCHEME_IDS, GumbelKey, InvalidDistribution, SchemeSpec
 from wmseg.streams import (
     NtpModel,
     StreamSpec,
@@ -129,8 +130,9 @@ class TestNtpModel:
         draws each position's row and then a token from it."""
         model, vocab_size, n = NtpModel(kind=kind), 20, 20_000
         spec = make_spec(n=n, seed=10, scheme=SchemeSpec("gumbel", vocab_size), ntp=model)
-        per_row = inverse_cdf(model.sample(generator(11), vocab_size, np.arange(n)),
-                              generator(12).random(n))
+        rows = model.sample(generator(11), vocab_size, np.arange(n))
+        uniforms = generator(12).random(n)
+        per_row = np.array([inverse_cdf_1d(row, u) for row, u in zip(rows, uniforms)])
         for tokens in (generate_stream(spec).tokens, per_row):
             assert stats.chisquare(np.bincount(tokens, minlength=vocab_size)).pvalue > 0.01
 
@@ -230,6 +232,56 @@ class TestGenerateStream:
     def test_segments_must_fit_the_stream(self):
         with pytest.raises(ValueError):
             make_spec(n=50, segments=[(40, 60)])
+
+    def test_a_low_concentration_stream_warns_of_nothing(self):
+        """A Dirichlet of concentration 0.01 draws denormal probabilities,
+        where gumbel's log(U)/P overflows to -inf, which is correct."""
+        spec = make_spec(n=300, segments=[(1, 300)], scheme=SchemeSpec("gumbel", 1000),
+                         ntp=NtpModel(concentration=0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate_stream(spec)
+
+    @pytest.mark.parametrize("invalid_block", (None, 1))
+    def test_generation_restores_the_floating_point_error_state(self, invalid_block,
+                                                                monkeypatch):
+        """Generation ignores divide and overflow only while it decodes:
+        ``np.geterr()`` is the caller's after it returns, and after a block
+        (here the second of ten) raises InvalidDistribution."""
+        if invalid_block is not None:
+            sample, blocks = NtpModel.sample, []
+
+            def failing(self, rng, vocab_size, positions):
+                rows = sample(self, rng, vocab_size, positions)
+                blocks.append(positions)
+                if len(blocks) > invalid_block:
+                    rows[-1, 0] = np.nan
+                return rows
+
+            monkeypatch.setattr(NtpModel, "sample", failing)
+        spec = make_spec(n=300, segments=[(1, 300)], scheme=SchemeSpec("gumbel", 1000),
+                         ntp=NtpModel(concentration=0.01))
+        with np.errstate(divide="raise", over="raise", under="ignore", invalid="warn"):
+            before = np.geterr()
+            if invalid_block is None:
+                generate_stream(spec)
+            else:
+                with pytest.raises(InvalidDistribution):
+                    generate_stream(spec)
+            assert np.geterr() == before
+
+    def test_a_negative_zero_entry_never_wins_the_gumbel_race(self):
+        """A ``fixed`` model with -0.0 entries generates the tokens of the
+        same model with +0.0: log(U)/-0.0 would be +inf and win."""
+        vectors = ((0.5, -0.0, 0.5, -0.0), (0.25, 0.25, -0.0, 0.5))
+        positive = tuple(tuple(p + 0.0 for p in vector) for vector in vectors)
+        a, b = (generate_stream(make_spec(n=400, segments=[(1, 400)], seed=9,
+                                          scheme=SchemeSpec("gumbel", 4),
+                                          ntp=NtpModel("fixed", vectors=v)))
+                for v in (vectors, positive))
+        assert np.array_equal(a.tokens, b.tokens)
+        probs = np.asarray(positive)[np.arange(400) % 2, a.tokens]
+        assert np.all(probs > 0)
 
 
 class TestReconstructKeys:

@@ -246,7 +246,8 @@ class _AffineKeyed(_Scheme):
 
 class Gumbel(_Scheme):
     """Coordinate w of a key is ``unit(splitmix64(seed ^ tags[w]))`` over the
-    hashed coordinate tags ``keys.coordinate_tags(V)``."""
+    hashed coordinate tags ``keys.coordinate_tags(V)``. A decoder holds the
+    logs of its key's uniforms, taken once per context, not per position."""
 
     null_mean = 1.0
 

@@ -206,12 +206,14 @@ class _Scheme:
     array operations with no key built; ``decoder_of(key)`` is the decoder
     of a key, the function NTP row -> token, which does the key's own work
     once and takes rows already passed by ``check_decodable``, and
-    ``decoder(seed)`` is that of ``key(seed)``; ``pivot`` takes a token or a
-    token array already bounds-checked by the caller; ``block_sum_cdf(k)`` returns
-    the CDF of a sum of k null scores; ``params`` names the ``SchemeSpec``
-    fields the scheme reads beyond the vocabulary size, in the order its
-    constructor takes them. Its arrays are read-only, since equal specs
-    share one instance (``SchemeSpec``).
+    ``decoder(seed)`` is that of ``key(seed)``; a decoder may divide by zero
+    or overflow, so it is called only inside an ``np.errstate`` that ignores
+    both (``SchemeSpec.decode``, ``streams._decode_rows``); ``pivot`` takes
+    a token or a token array already bounds-checked by the caller;
+    ``block_sum_cdf(k)`` returns the CDF of a sum of k null scores;
+    ``params`` names the ``SchemeSpec`` fields the scheme reads beyond the
+    vocabulary size, in the order its constructor takes them. Its arrays are
+    read-only, since equal specs share one instance (``SchemeSpec``).
     """
 
     params: tuple[str, ...] = ()
@@ -247,7 +249,7 @@ class _AffineKeyed(_Scheme):
 class Gumbel(_Scheme):
     """Coordinate w of a key is ``unit(splitmix64(seed ^ tags[w]))`` over the
     hashed coordinate tags ``keys.coordinate_tags(V)``. A decoder holds the
-    logs of its key's uniforms, taken once per context, not per position."""
+    logs of its key's uniforms, taken once per key, not per decoded row."""
 
     null_mean = 1.0
 
@@ -261,12 +263,6 @@ class Gumbel(_Scheme):
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         """Coordinate ``token`` of each seed's key: one hash per position."""
         return unit(splitmix64_array(seeds ^ self.tags[tokens]))
-
-    def decoder(self, seed: int):
-        """``decoder_of(key(seed))``, the logs taken in place in the new key."""
-        log_u = self.key(seed).uniforms
-        np.log(log_u, out=log_u)
-        return lambda probs: int((log_u / probs).argmax())
 
     @staticmethod
     def decoder_of(key: GumbelKey):
@@ -675,13 +671,6 @@ class SchemeSpec:
         probs = check_decodable(probs, (self.vocab_size,))
         with np.errstate(divide="ignore", over="ignore"):
             return self._scheme.decoder_of(key)(probs)
-
-    def decoder(self, seed: int):
-        """``decode`` under the key of ``seed``, as a function of an NTP row
-        that ``check_decodable`` has passed, with the key's own work done once.
-        Call it inside ``np.errstate(divide="ignore", over="ignore")``: gumbel's
-        log(U)/P is -inf where P is +0.0 or denormal, and that token never wins."""
-        return self._scheme.decoder(seed)
 
     def pivot(self, token: int, key: PseudoKey) -> float:
         """Pivot of one token under one key; a token outside the vocabulary

@@ -27,7 +27,7 @@ two generators, so the outputs do not depend on the block size.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
-Generation builds a decoder (``SchemeSpec.decoder``) only for the context
+Generation builds a decoder (the scheme's ``decoder``) only for the context
 of a position inside a segment, once per distinct context, so a decoder's
 work for its key (gumbel's V logs, for one) is paid once per context; it
 calls no ``SchemeSpec.key_at``. ``Stream.keys`` derives every context's key
@@ -320,10 +320,10 @@ def generate_stream(spec: StreamSpec) -> Stream:
     vector's mean. Then the positions inside the segments run in blocks of
     at most ``_BLOCK_ENTRIES`` NTP entries: a block's rows come from one
     ``NtpModel.sample`` call and pass ``check_decodable`` once, and its
-    positions, in order and inside one ``np.errstate``, decode their rows
-    with the decoder of the token before (``SchemeSpec.decoder``). Each
-    context of such a position builds its decoder once, into a memo of one
-    decoder per context; no ``SchemeSpec.key_at`` is called here, and
+    positions, in order, decode their rows with the decoder of the token
+    before (``_decode_rows``). Each context of such a position builds its
+    decoder once, into a memo of one decoder per context; no
+    ``SchemeSpec.key_at`` is called here, and
     ``Stream.keys`` derives the keys when it is first read. The pivots are
     scored by the verifier's own scorer, ``score_tokens``, so both give the
     same bits.
@@ -342,14 +342,25 @@ def generate_stream(spec: StreamSpec) -> Stream:
         positions = marked[start:start + block_rows]
         probs = check_decodable(spec.ntp_model.sample(rng_ntp, vocab_size, positions),
                                 (positions.size, vocab_size))
-        with np.errstate(divide="ignore", over="ignore"):  # as ``SchemeSpec.decoder`` asks
-            for i, row in zip(positions.tolist(), probs):
-                prev = int(tokens[i - 1]) if i else CONTEXT_SENTINEL
-                decode = decoder_of.get(prev)
-                if decode is None:
-                    decode = decoder_of[prev] = scheme.decoder(key_seed(spec.seed, prev))
-                tokens[i] = decode(row)
+        _decode_rows(spec, decoder_of, tokens, positions, probs)
     return Stream(spec=spec, tokens=tokens, pivots=score_tokens(tokens, spec.seed, scheme))
+
+
+def _decode_rows(spec: StreamSpec, decoder_of: dict, tokens: np.ndarray,
+                 positions: np.ndarray, rows: np.ndarray) -> None:
+    """Set ``tokens`` at ``positions``, in order, each to the decode of its
+    row (passed by ``check_decodable``) with the decoder of the token before
+    it, built once per context into the memo ``decoder_of``. Decoders are
+    built and called only here, inside one ``np.errstate``: gumbel's
+    log(U)/P is -inf where P is +0.0 or denormal, and that token never wins."""
+    scheme = spec.scheme._scheme
+    with np.errstate(divide="ignore", over="ignore"):
+        for i, row in zip(positions.tolist(), rows):
+            prev = int(tokens[i - 1]) if i else CONTEXT_SENTINEL
+            decode = decoder_of.get(prev)
+            if decode is None:
+                decode = decoder_of[prev] = scheme.decoder(key_seed(spec.seed, prev))
+            tokens[i] = decode(row)
 
 
 def _key_seeds(tokens: np.ndarray, master_seed: int) -> np.ndarray:

@@ -349,10 +349,10 @@ def generate_stream(spec: StreamSpec) -> Stream:
 def _decode_rows(spec: StreamSpec, decoder_of: dict, tokens: np.ndarray,
                  positions: np.ndarray, rows: np.ndarray) -> None:
     """Set ``tokens`` at ``positions``, in order, each to the decode of its
-    row (passed by ``check_decodable``) with the decoder of the token before
-    it, built once per context into the memo ``decoder_of``. Decoders are
-    built and called only here, inside one ``np.errstate``: gumbel's
-    log(U)/P is -inf where P is +0.0 or denormal, and that token never wins."""
+    checked row with the decoder of the token before it, built once per
+    context into the memo ``decoder_of``. Generation builds and calls its
+    decoders only here, inside one ``np.errstate``: gumbel's log(U)/P is
+    -inf where P is +0.0 or denormal, and that token never wins."""
     scheme = spec.scheme._scheme
     with np.errstate(divide="ignore", over="ignore"):
         for i, row in zip(positions.tolist(), rows):

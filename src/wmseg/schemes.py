@@ -98,7 +98,10 @@ def check_tokens(tokens, vocab_size: int) -> None:
 def check_keys(data: dict, known, what: str, required=()) -> None:
     """Raise ValueError naming every key of ``data`` not in ``known``, so a
     misspelled key is an error rather than a silent fall-back to a default,
-    and every ``required`` key that ``data`` lacks."""
+    and every ``required`` key that ``data`` lacks; and ValueError if
+    ``data`` is not a JSON object at all."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
     for problem, keys in (("unknown", sorted(set(data) - set(known))),
                           ("missing", [key for key in required if key not in data])):
         if keys:

@@ -8,7 +8,11 @@ independent sample from the NTP outside. The scored pivots of the resulting
 stream are what the segmenter consumes. A JSONL stream file carries the
 tokens between tools, with the seed and scheme that score them: a header
 record, then one body record holding the token list, which the verifier
-rescores.
+rescores. A body line spelled exactly as ``write_stream_jsonl`` writes it,
+``{"tokens": [`` then decimal integers below 10^18 without leading zeros
+joined by ``", "`` then ``]}`` and a newline, is read in a few whole-string
+and whole-array passes, with no Python int per token; any other body line
+is read by ``json``, to the same tokens or the same error.
 
 Generation draws NTP rows only for the positions inside a segment, which
 decode with them. Each position's row is drawn independently of every other
@@ -407,6 +411,42 @@ _HEADER_READERS = {"n": json_int, "scheme": str, "mu0": json_float, "seed": json
                    "true_segments": Segments, "scheme_params": SchemeSpec.from_json}
 
 
+# The body line ``write_stream_jsonl`` writes: these around the tokens, which
+# are joined by ", ".
+_BODY_HEAD, _BODY_TAIL = '{"tokens": [', "]}\n"
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
+
+
+def _writer_tokens(line: str) -> np.ndarray | None:
+    """The tokens of a body line spelled exactly as ``write_stream_jsonl``
+    writes it, each below 10^18, parsed in whole-string and whole-array
+    passes; None for any other line, which ``json`` reads.
+
+    The text is checked before the parse, since ``np.fromstring`` also reads
+    an empty token as 0, reads 01, +1 and extra spaces, and saturates a
+    value beyond int64 at 2^63 - 1.
+    """
+    if not (line.startswith(_BODY_HEAD) and line.endswith(_BODY_TAIL)):
+        return None
+    inner = line[len(_BODY_HEAD):-len(_BODY_TAIL)]
+    gaps = inner.translate(_DROP_DIGITS)
+    count = len(gaps) // 2 + 1
+    # Only ", " separators, each between two non-empty tokens.
+    if (gaps != ", " * (count - 1) or inner.count(", ") != count - 1
+            or not inner[:1].isdigit() or not inner[-1:].isdigit() or ", , " in inner):
+        return None
+    tokens = np.fromstring(inner, dtype=np.int64, sep=",")
+    if tokens.size != count:
+        return None
+    top = int(tokens.max())
+    if top >= 10**18:  # a token of 19 digits or more, which the parse may saturate
+        return None
+    # A token's text is at least as long as its value's decimal digits, and
+    # exactly as long only without leading zeros.
+    digits = count + sum(int(np.count_nonzero(tokens >= 10**j)) for j in range(1, len(str(top))))
+    return tokens if digits + 2 * (count - 1) == len(inner) else None
+
+
 def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
     """Write the header record, then the body record ``{"tokens": [...]}``."""
     spec = stream.spec
@@ -428,7 +468,8 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
 
     The file holds exactly two records, the header and the body. The header
     must hold exactly the keys the writer puts there and the body only
-    ``tokens``; an unknown or missing key raises ValueError naming it, as do
+    ``tokens``; a record that is not a JSON object, and an unknown or
+    missing key, raise ValueError naming it, as do
     a header value of another JSON type than the writer's (a ``seed`` of
     7.0, "7" or true), a seed outside [0, 2^64), a number too large for a
     float, a token count other than the header's ``n``, a token that is
@@ -436,13 +477,21 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
     records. A header ``scheme`` or ``mu0`` that disagrees with
     ``scheme_params`` raises ValueError. The verifier scores the tokens
     (``score_tokens``).
+
+    A body line in the writer's exact spelling, its tokens below 10^18 with
+    no leading zeros, is parsed as one array (``_writer_tokens``); every
+    other body line goes through ``json``, which reads any other spelling of
+    the same record to the same tokens and gives every error above.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        body = json.loads(fh.readline() or "{}")
+        line = fh.readline()
+        tokens = _writer_tokens(line)
+        body = {"tokens": tokens} if tokens is not None else json.loads(line or "{}")
         trailing = fh.read().strip()
     fields = read_fields(header, _HEADER_READERS, "stream header", required=_HEADER_READERS)
-    if {"t", "token"} & set(body):  # the second line of a file in the old format
+    # The second line of a file in the old format.
+    if isinstance(body, dict) and {"t", "token"} & set(body):
         raise ValueError(f"{path}: per-token `t`/`token` records are no longer read; "
                          f"regenerate the stream")
     check_keys(body, ("tokens",), "stream body", required=("tokens",))
@@ -450,18 +499,19 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
         raise ValueError(f"{path}: records follow the body record")
     n, scheme = fields["n"], fields["scheme_params"]
     tokens = body["tokens"]
-    if not isinstance(tokens, list):
+    if not isinstance(tokens, (list, np.ndarray)):  # json gives no array
         raise ValueError(f"{path}: body tokens must be a JSON list, not {type(tokens).__name__}")
     if len(tokens) != n:
         raise ValueError(f"{path}: header says n={n} but the body has {len(tokens)} tokens")
-    # type(), not isinstance(): a JSON true reads as a bool, an int subclass.
-    if set(map(type, tokens)) - {int}:
-        i = next(i for i, token in enumerate(tokens) if type(token) is not int)
-        raise ValueError(f"{path}: token {tokens[i]!r} at t={i + 1} is not an integer")
-    try:
-        tokens = np.array(tokens, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(f"{path}: a token lies outside the int64 range") from None
+    if isinstance(tokens, list):
+        # type(), not isinstance(): a JSON true reads as a bool, an int subclass.
+        if set(map(type, tokens)) - {int}:
+            i = next(i for i, token in enumerate(tokens) if type(token) is not int)
+            raise ValueError(f"{path}: token {tokens[i]!r} at t={i + 1} is not an integer")
+        try:
+            tokens = np.array(tokens, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"{path}: a token lies outside the int64 range") from None
     if fields["scheme"] != scheme.scheme_id:
         raise ValueError(
             f"{path}: header scheme {fields['scheme']!r} differs from "

@@ -128,6 +128,19 @@ def test_plan_from_json_rejects_unknown_keys(edit, key):
         ExperimentPlan.from_json({**PLAN.to_json(), **edit})
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"scheme": "gumbel"}, "scheme must be a JSON object, not str"),
+    ({"ntp_model": []}, "ntp_model must be a JSON object, not list"),
+    ({"grid": [20]}, "grid must be a JSON object, not list"),
+], ids=["scheme", "ntp_model", "grid"])
+def test_plan_from_json_rejects_a_record_that_is_not_an_object(edit, message):
+    # A string's letters and a list's items used to read as keys ("unknown
+    # scheme key(s): 'b', 'e', 'g', ..."), and an empty list as an object
+    # without items().
+    with pytest.raises(ValueError, match=message):
+        ExperimentPlan.from_json({**PLAN.to_json(), **edit})
+
+
 @pytest.mark.parametrize("edit, key", [
     ({"n": None}, "n"),
     ({"grid": {"rho": [0.3]}}, "block_len"),

@@ -5,12 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from edits import Deletion, Insertion, Substitution, apply_edits
 from scheme_theory import gumbel_separation_lower_bound, inverse_cdf_1d
+from stream_reader_reference import reference_tokens
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, generator, key_seed
 from wmseg.schemes import SCHEME_IDS, GumbelKey, InvalidDistribution, SchemeSpec
@@ -604,3 +605,108 @@ class TestStreamJsonl:
         series = score_tokens(back.tokens, back.seed, back.scheme)
         assert series.null_mean == inverse.null_mean
         assert series.scheme_id == "inverse"
+
+    def test_a_header_that_is_not_an_object_is_rejected(self, tmp_path):
+        # It used to read the list's items as keys: "unknown stream header key(s): 1".
+        path, _, body = self._parts(tmp_path)
+        self._write(path, "[1]", body)
+        with pytest.raises(ValueError, match="stream header must be a JSON object, not list"):
+            read_stream_jsonl(path)
+
+    def test_a_body_that_is_not_an_object_is_rejected(self, tmp_path):
+        # It used to escape as "TypeError: 'NoneType' object is not iterable".
+        path, header, _ = self._parts(tmp_path)
+        self._write(path, header, None)
+        with pytest.raises(ValueError, match="stream body must be a JSON object, not NoneType"):
+            read_stream_jsonl(path)
+
+    def test_scheme_params_that_are_not_an_object_are_rejected(self, tmp_path):
+        # It used to read the string's letters as keys: "unknown scheme key(s): 'b', 'e', ...".
+        path = self._with_header(tmp_path, GUMBEL, {"scheme_params": "gumbel"})
+        with pytest.raises(ValueError, match="scheme must be a JSON object, not str"):
+            read_stream_jsonl(path)
+
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_a_written_body_is_read_without_json(self, scheme_id, tmp_path, monkeypatch):
+        """The writer's own body line takes the array parse, so ``json.loads``
+        reads the header only. This fails if the writer's spelling drifts
+        from the one the parse accepts."""
+        stream = generate_stream(make_spec(n=300, segments=[(50, 150)], seed=15,
+                                           scheme=SchemeSpec(scheme_id, vocab_size=20)))
+        path = tmp_path / "s.jsonl"
+        write_stream_jsonl(path, stream)
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads",
+                            lambda text, **kw: calls.append(text) or loads(text, **kw))
+        back = read_stream_jsonl(path)
+        assert calls == [path.read_text().splitlines(keepends=True)[0]]
+        assert back.tokens.dtype == np.int64
+        assert np.array_equal(back.tokens, stream.tokens)
+
+
+_HEADER = {"scheme": "gumbel", "mu0": GUMBEL.null_mean, "seed": 3, "true_segments": [],
+           "scheme_params": GUMBEL.to_json()}
+
+
+def _assert_reads_as_the_reference(path, n):
+    """``read_stream_jsonl`` gives the JSON-only reader's int64 tokens for
+    the body of ``path``, or raises its exception type with its message."""
+    try:
+        expected = reference_tokens(path, n)
+    except Exception as exc:
+        with pytest.raises(Exception) as raised:
+            read_stream_jsonl(path)
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+    else:
+        back = read_stream_jsonl(path)
+        assert back.tokens.dtype == np.int64
+        assert np.array_equal(back.tokens, expected)
+
+
+@pytest.mark.parametrize("inner", [
+    "1, 01", "00, 1", "0, 1", "+1, 2", "1, , 2", "1, , 01", ", 1, 2", ", 01", "01, ", "1, 2, ",
+    "1,2 3", "1,  2", " 1, 2", "1, 2 ", "1, \u00b2", "1, \u0663", "1, -2", "1, 2.0", "1, 1e3",
+    "1, true", "1, 999999999999999999", "1, 1000000000000000000", "1, 9223372036854775807",
+    "1, 9223372036854775808", "1, 99999999999999999999", "1, 0000000000000000000001", "",
+])
+def test_an_awkward_token_spelling_reads_as_the_json_reference(inner, tmp_path):
+    # np.fromstring alone reads "1, , 2" as [1, 0, 2], 01 and +1 as 1, and
+    # 99999999999999999999 as 2^63 - 1; in "1, , 01" the empty token and the
+    # leading zero leave the text as long as the canonical "1, 0, 1".
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"n": 2, **_HEADER}) + '\n{"tokens": [' + inner + "]}\n")
+    _assert_reads_as_the_reference(path, 2)
+
+
+_AWKWARD_TOKENS = (0, -1, -7, 10**18 - 1, 10**18, 2**63 - 1, 2**63, True, False, 1.5, 3.0,
+                   float("nan"), "3", None)
+
+
+@given(data=st.data())
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow,
+                                                   HealthCheck.function_scoped_fixture])
+def test_a_body_line_reads_as_the_json_reference(data, tmp_path):
+    """Token lists mixing awkward values, in the writer's own spelling about
+    half the time and otherwise with compact or extra spacing, leading
+    zeros, plus signs, empty elements and no final newline, read to the
+    JSON-only reader's tokens or error."""
+    token = st.integers(0, 999) | st.integers(0, 2**63)
+    if data.draw(st.booleans()):
+        token |= st.sampled_from(_AWKWARD_TOKENS)
+    tokens = data.draw(st.lists(token, max_size=30))
+    texts = [json.dumps(token) for token in tokens]
+    if data.draw(st.booleans()):
+        line = '{"tokens": [' + ", ".join(texts) + "]}\n"
+    else:
+        styles = {"plain": "{}", "leading-zero": "0{}", "plus": "+{}", "spaced": " {} "}
+        texts = [styles[data.draw(st.sampled_from(["plain"] * 4 + list(styles)))].format(text)
+                 for text in texts]
+        gaps = st.sampled_from([", "] * 4 + [",", ",  ", " , ", ", , "])
+        inner = "".join(text if i == 0 else data.draw(gaps) + text for i, text in enumerate(texts))
+        head = data.draw(st.sampled_from(['{"tokens": [', '{"tokens":[', '{ "tokens" : [ ']))
+        tail = data.draw(st.sampled_from(["]}\n", "]}", " ]}\n", "]}\n\n"]))
+        line = head + inner + tail
+    n = max(1, len(tokens) + data.draw(st.sampled_from([0, 0, 0, 1, -1])))
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"n": n, **_HEADER}) + "\n" + line)
+    _assert_reads_as_the_reference(path, n)

@@ -136,10 +136,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     stream = read_stream_jsonl(args.truth)
     est_data = json.loads(Path(args.est).read_text(encoding="utf-8"))
     check_keys(est_data, _RESULT_KEYS, "result", required=("segments",))
-    for seg in est_data["segments"]:
+    segments = est_data["segments"]
+    if not isinstance(segments, list):
+        raise ValueError(f"result segments must be a JSON list, not {type(segments).__name__}")
+    for seg in segments:
         check_keys(seg, _SEGMENT_KEYS, "result segment", required=_SEGMENT_KEYS)
     n = stream.tokens.size
-    estimate = Segments([(seg["left"], seg["right"]) for seg in est_data["segments"]], n=n)
+    estimate = Segments([(seg["left"], seg["right"]) for seg in segments], n=n)
     report = evaluate(stream.true_segments, estimate, n)
     row = report.csv_row(args.model_label, stream.scheme.scheme_id, "wmseg")
     text = format_csv(EVAL_COLUMNS, [row])

@@ -213,7 +213,8 @@ class _Scheme:
     or overflow, so it is called only inside an ``np.errstate`` that ignores
     both (``SchemeSpec.decode``, ``streams._decode_rows``); ``pivot`` takes
     a token or a token array already bounds-checked by the caller;
-    ``block_sum_cdf(k)`` returns the CDF of a sum of k null scores;
+    ``block_sum_cdf(k)`` returns the CDF of a sum of k null scores, a
+    function of one float q;
     ``params`` names the ``SchemeSpec`` fields the scheme reads beyond the
     vocabulary size, in the order its constructor takes them. Its arrays are
     read-only, since equal specs share one instance (``SchemeSpec``).
@@ -387,7 +388,7 @@ class Inverse(_AffineKeyed):
 
     def block_sum_cdf(self, k: int):
         """CDF of the sum of k null scores, each first rounded *up* onto the
-        lattice of step h = ``INVERSE_STEP``, for a float or an array of q.
+        lattice of step h = ``INVERSE_STEP``, as a function of one float q.
 
         A score's CDF is P(1 - |U - g| <= x) = 2 T(1 - x) / V, where
         T(y) = sum_g max(g - y, 0) over the grid g = i/(V-1) is piecewise
@@ -416,7 +417,8 @@ class Inverse(_AffineKeyed):
         the exact one by at most b·h for blocks of b tokens (0.0625 at b =
         128). Floating-point rounding moves F by under 1e-13 and lets it
         fall by under 1e-14 between neighbouring lattice points (tested up
-        to k = 300 in ``test_calibration.py``).
+        to k = 300 in ``test_calibration.py``, on this function at sampled
+        lattice points and at the points bisection probes).
 
         The band lies below one bin, ``top``, that a bound gives (``band``).
         Summation by parts gives (1 - e^(-i theta)) P(theta) = sum_j (p_j -
@@ -432,12 +434,8 @@ class Inverse(_AffineKeyed):
         Otherwise the rfft of length L costs less, and P is sliced from it.
 
         The returned CDF keeps the value of each lattice point it was
-        asked for at a float q, since bisection asks for the same cell
-        many times; it keeps nothing between calls of ``block_sum_cdf``. An
-        array of q is summed in one pass: with (j+1) = aB + c, w^(f(j+1))
-        = w^(faB) w^(fc), so one product over the distinct a and c serves
-        every point. Only its real part is summed, in ``einsum`` loops as in
-        ``_spectrum_at``, where a BLAS product may start a thread pool.
+        asked for, since bisection asks for the same cell many times; it
+        keeps nothing between calls of ``block_sum_cdf``.
         """
         top = round(k / INVERSE_STEP)  # the lattice index of the largest sum, k
         fft_len, bins, base = self.band(k)
@@ -450,41 +448,17 @@ class Inverse(_AffineKeyed):
         coef = spectrum / (2j * np.sin(half) * np.exp(1j * half))
         coef[2 * bins == fft_len] /= 2  # the Nyquist bin has no mirror image
         mass, offset = self.pmf.sum() ** k, coef.sum()
-
-        def twiddle(phases: np.ndarray) -> np.ndarray:
-            return np.exp((2j * np.pi / fft_len) * (phases % fft_len))
-
-        def through(count, sums):
-            """F(count - 1) from the sums of A_f w^(f count) over the kept bins."""
-            return np.clip((mass * count + 2.0 * (sums - offset).real) / fft_len, 0.0, 1.0)
-
-        def through_each(count: np.ndarray) -> np.ndarray:
-            """``through`` at every count of an int64 array, with count = aB + c."""
-            width = math.isqrt(int(count.max())) + 1
-            a, c = np.divmod(count, width)
-            a, a_at = np.unique(a, return_inverse=True)
-            c, c_at = np.unique(c, return_inverse=True)
-            left, right = coef * twiddle(np.outer(a * width, bins)), twiddle(np.outer(bins, c))
-            sums = np.einsum("af,fc->ac", np.hstack([left.real, -left.imag]),
-                             np.vstack([right.real, right.imag]))
-            return through(count, sums[a_at, c_at])
-
         memo: dict[int, float] = {}
 
-        def cdf(q):
-            j = np.floor(np.asarray(q, dtype=float) / INVERSE_STEP)  # last lattice point <= q
-            if j.ndim == 0:
-                if not 0 <= j < top:
-                    return 1.0 if j >= top else 0.0
-                j = int(j)
-                if j not in memo:
-                    memo[j] = float(through(j + 1, coef @ twiddle(bins * (j + 1))))
-                return memo[j]
-            out = (j >= top).astype(float)
-            inside = (j >= 0) & (j < top)
-            if inside.any():
-                out[inside] = through_each(j[inside].astype(np.int64) + 1)
-            return out
+        def cdf(q: float) -> float:
+            j = math.floor(q / INVERSE_STEP)  # the last lattice point <= q
+            if not 0 <= j < top:
+                return 1.0 if j >= top else 0.0
+            if j not in memo:  # F(j) from the sum of A_f w^(f(j+1)) over the kept bins
+                sums = coef @ np.exp((2j * np.pi / fft_len) * (bins * (j + 1) % fft_len))
+                f = float(mass * (j + 1) + 2.0 * (sums - offset).real) / fft_len
+                memo[j] = min(max(f, 0.0), 1.0)
+            return memo[j]
 
         return cdf
 
@@ -692,7 +666,7 @@ class SchemeSpec:
         return self._scheme.null_scores(rng, size)
 
     def block_sum_cdf(self, k: int):
-        """The CDF q -> P(sum of k i.i.d. null scores <= q)."""
+        """The CDF q -> P(sum of k i.i.d. null scores <= q) of one float q."""
         return self._scheme.block_sum_cdf(k)
 
     def to_json(self) -> dict:

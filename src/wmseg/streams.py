@@ -172,7 +172,10 @@ class NtpModel:
         if cap * vocab_size <= 1.0 + 1e-12:
             return np.full((count, vocab_size), 1.0 / vocab_size)
         if self.kind == "zipf":
-            base = np.arange(1, vocab_size + 1, dtype=float) ** -self.exponent
+            # Ranks over the rank of largest weight (V for a negative
+            # exponent), so that no power exceeds 1 and overflows.
+            ranks = np.arange(1, vocab_size + 1, dtype=float)
+            base = (ranks / (vocab_size if self.exponent < 0 else 1)) ** -self.exponent
             base /= base.sum()
             if base.max() > cap:
                 base = cap_probs(base, self.delta_cap)

@@ -177,17 +177,30 @@ def k_fold(pmf, k):
     return np.clip(out, 0.0, None)
 
 
-def assert_inverse_lattice_law_matches_direct_convolution(vocab, k):
+def inverse_lattice_oracle(vocab, k):
     """Round each score *up* onto the lattice and convolve k copies by
     repeated squaring: the law block_sum_cdf states, built without its code,
-    against the CDF evaluated once on every lattice point and one past."""
+    as its CDF at lattice points 0..k/h."""
     lattice = np.arange(round(1 / INVERSE_STEP) + 1) * INVERSE_STEP
     pmf_up = np.diff(1.0 - inverse_null_pivot_cdf(1.0 - lattice, vocab), prepend=0.0)
-    oracle = np.cumsum(k_fold(pmf_up, k))
+    return np.cumsum(k_fold(pmf_up, k))
+
+
+def lattice_values(cdf, points):
+    """The scalar CDF at each lattice index of ``points``, one call each."""
+    return np.array([cdf(j * INVERSE_STEP) for j in points.tolist()])
+
+
+def assert_inverse_lattice_law_matches_direct_convolution(vocab, k):
+    """The direct-convolution oracle against the CDF at 2000 seeded random
+    lattice points, the first, the last and one past the last."""
+    oracle = inverse_lattice_oracle(vocab, k)
     cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
-    table = cdf(np.arange(oracle.size + 1) * INVERSE_STEP)
-    assert np.max(np.abs(table[:-1] - oracle)) <= 1e-13
-    assert table[-1] == table[-2] and abs(table[-1] - 1.0) <= 1e-13
+    rng = np.random.default_rng([vocab, k])
+    points = np.concatenate(([0, oracle.size - 1], rng.integers(0, oracle.size, 2000)))
+    assert np.max(np.abs(lattice_values(cdf, points) - oracle[points])) <= 1e-13
+    last = cdf((oracle.size - 1) * INVERSE_STEP)
+    assert cdf(oracle.size * INVERSE_STEP) == last and abs(last - 1.0) <= 1e-13
 
 
 class TestExactLaw:
@@ -264,18 +277,19 @@ class TestExactLaw:
     @pytest.mark.parametrize("k", [8, 127, 300])
     def test_inverse_lattice_law_is_nondecreasing(self, vocab, k):
         # The law is summed from the bins of its spectrum above 1e-16, so it
-        # may fall between neighbouring lattice points by rounding only.
+        # may fall between neighbouring lattice points by rounding only:
+        # checked on 1000 seeded pairs (j, j + 1) and at both ends.
         cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
-        table = cdf(np.arange(round(k / INVERSE_STEP) + 2) * INVERSE_STEP)
-        assert np.diff(table).min() >= -1e-14
-        assert table[0] >= 0.0 and table[-2] == table[-1] == 1.0
+        top = round(k / INVERSE_STEP)
+        points = np.random.default_rng([vocab, k]).integers(0, top, 1000)
+        assert np.min(lattice_values(cdf, points + 1) - lattice_values(cdf, points)) >= -1e-14
+        assert cdf(0.0) >= 0.0 and cdf(top * INVERSE_STEP) == cdf((top + 1) * INVERSE_STEP) == 1.0
 
     def test_inverse_law_reaches_one_at_the_largest_sum(self):
         # A sum of k rounded-up scores never exceeds k, so every tail is
         # certified: even alpha = 1e-15 has a threshold, at most b.
         cdf = SchemeSpec("inverse", 1000).block_sum_cdf(127)
-        assert cdf(127.0) == cdf(1e300) == 1.0
-        assert np.all(cdf(np.array([127.0, 128.0, 1e300])) == 1.0)
+        assert cdf(127.0) == cdf(128.0) == cdf(1e300) == 1.0
         tiny = calibrate_threshold(SchemeSpec("inverse", 1000), 16000, 127, 1e-15)
         assert 93.31640625 < tiny.q <= 127.0
 
@@ -295,6 +309,33 @@ class TestExactLaw:
         # any threshold by even one lattice step.
         cert = calibrate_threshold(SchemeSpec("inverse", vocab), n, b, alpha)
         assert cert.q == j * INVERSE_STEP
+
+    @pytest.mark.parametrize("vocab, n, b, alpha, j, ks", [
+        (1000, 1000, 32, 0.05, 51307, (32, 8)),
+        (20, 16000, 127, 0.01, 191529, (127, 125)),
+    ])
+    def test_inverse_law_holds_at_the_points_bisection_probes(self, vocab, n, b, alpha, j, ks,
+                                                               monkeypatch):
+        # Every lattice point a certificate reads lies within 1e-13 of the
+        # oracle, and the point after it is no lower by more than 1e-14.
+        probes = {k: [] for k in ks}
+        block_sum_cdf = Inverse.block_sum_cdf
+
+        def recording(self, k):
+            cdf = block_sum_cdf(self, k)
+            return lambda q: probes[k].append(q) or cdf(q)
+
+        monkeypatch.setattr(Inverse, "block_sum_cdf", recording)
+        assert calibrate_threshold(SchemeSpec("inverse", vocab), n, b, alpha).q == j * INVERSE_STEP
+        monkeypatch.undo()
+        for k in ks:
+            oracle = inverse_lattice_oracle(vocab, k)
+            lattice = {math.floor(q / INVERSE_STEP) for q in probes[k]}
+            points = np.array(sorted(p for p in lattice if p < oracle.size))
+            cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
+            law = lattice_values(cdf, points)
+            assert np.max(np.abs(law - oracle[points])) <= 1e-13
+            assert np.min(lattice_values(cdf, points + 1) - law) >= -1e-14
 
     @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
     @pytest.mark.parametrize("k", [8, 32, 127, 300])
@@ -355,8 +396,9 @@ class TestExactLaw:
     def test_inverse_lattice_law_keeps_the_null_mean(self):
         for vocab in (2, 3, 20, 1000):
             scheme = SchemeSpec("inverse", vocab)
-            lattice = np.arange(round(1 / INVERSE_STEP) + 1) * INVERSE_STEP
-            mass = np.diff(scheme.block_sum_cdf(1)(lattice), prepend=0.0)
+            points = np.arange(round(1 / INVERSE_STEP) + 1)
+            lattice = points * INVERSE_STEP
+            mass = np.diff(lattice_values(scheme.block_sum_cdf(1), points), prepend=0.0)
             mean = float(mass @ lattice)
             assert scheme.null_mean <= mean <= scheme.null_mean + INVERSE_STEP
 

@@ -321,7 +321,9 @@ def test_segment_rejects_the_old_per_token_format(tmp_path, capsys):
 @pytest.mark.parametrize("estimate, message", [
     ({"k_hat": 1}, "missing result key(s): 'segments'"),
     ({"segments": [{"left": 60, "rigth": 110}]}, "unknown result segment key(s): 'rigth'"),
-], ids=["no-segments", "misspelled-segment-key"])
+    ({"segments": None}, "result segments must be a JSON list, not NoneType"),
+    ({"segments": {"left": 1}}, "result segments must be a JSON list, not dict"),
+], ids=["no-segments", "misspelled-segment-key", "null-segments", "object-segments"])
 def test_evaluate_names_a_missing_or_unknown_result_key(estimate, message, tmp_path, capsys):
     stream, result, out = tmp_path / "stream.jsonl", tmp_path / "result.json", tmp_path / "eval.csv"
     assert cli_main(["generate", "--n", "200", "--segments", "50-120", "--out", str(stream)]) == 0
@@ -331,6 +333,16 @@ def test_evaluate_names_a_missing_or_unknown_result_key(estimate, message, tmp_p
     assert cli_main(argv) == 1
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", ["-400", "-1e308"])
+def test_generate_takes_a_large_negative_zipf_exponent(exponent, tmp_path):
+    # Powers of the ranks over the largest one stay within [0, 1].
+    out = tmp_path / "stream.jsonl"
+    assert cli_main(["generate", "--ntp", "zipf", f"--exponent={exponent}", "--vocab-size", "50",
+                     "--n", "50", "--segments", "1-50", "--out", str(out)]) == 0
+    assert read_stream_jsonl(out).tokens.size == 50
 
 
 def test_bench_is_not_a_command(tmp_path):

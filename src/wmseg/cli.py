@@ -12,8 +12,9 @@ file stores no scores), calibrates the screening threshold for
 segments the scores; its trace records the certificate it screened with.
 
 Exit codes: 0 success, 1 validation error (bad arguments, a missing
-required flag, unknown plan keys, a malformed stream file, or a plan or
-stream value of the wrong JSON type), 2 I/O error (missing or unreadable
+required flag, unknown plan keys, a malformed stream file, a plan or
+stream value of the wrong JSON type, or a result whose trace certificate was
+made for another stream's n or scheme), 2 I/O error (missing or unreadable
 files).
 """
 
@@ -132,6 +133,28 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_result_stream(est_data: dict, n: int, scheme_params: dict) -> None:
+    """Raise ValueError unless the certificate in the result's trace, if it
+    holds one, was made for a stream of ``n`` tokens under ``scheme_params``:
+    a result scored against another stream's truth reads as a valid score."""
+    if "trace" not in est_data:
+        return
+    trace = est_data["trace"]
+    if not isinstance(trace, dict):
+        raise ValueError(f"result trace must be a JSON object, not {type(trace).__name__}")
+    if "certificate" not in trace:
+        return
+    cert = trace["certificate"]
+    if not isinstance(cert, dict):
+        raise ValueError(f"result certificate must be a JSON object, not {type(cert).__name__}")
+    if cert.get("n") != n:
+        raise ValueError(f"result was segmented at n={cert.get('n')!r}, "
+                         f"the truth stream has n={n}")
+    if cert.get("scheme_params") != scheme_params:
+        raise ValueError(f"result was segmented under scheme {cert.get('scheme_params')!r}, "
+                         f"the truth stream carries {scheme_params!r}")
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     stream = read_stream_jsonl(args.truth)
     est_data = json.loads(Path(args.est).read_text(encoding="utf-8"))
@@ -142,6 +165,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     for seg in segments:
         check_keys(seg, _SEGMENT_KEYS, "result segment", required=_SEGMENT_KEYS)
     n = stream.tokens.size
+    _check_result_stream(est_data, n, stream.scheme.to_json())
     estimate = Segments([(seg["left"], seg["right"]) for seg in segments], n=n)
     report = evaluate(stream.true_segments, estimate, n)
     row = report.csv_row(args.model_label, stream.scheme.scheme_id, "wmseg")

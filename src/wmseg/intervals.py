@@ -53,12 +53,6 @@ class Segments:
             out[left - 1 : right] = True
         return out
 
-    def intersection_size(self, other: "Segments") -> int:
-        total = 0
-        for iv in self.intervals:
-            total += interval_overlap(iv, other)
-        return total
-
     def to_pairs(self) -> list[list[int]]:
         return [[l, r] for l, r in self.intervals]
 
@@ -74,15 +68,3 @@ def _end(value) -> int:
         return int(value)
     raise TypeError(f"interval end {value!r} is not an integer")
 
-
-def interval_overlap(iv: Interval, segments: Segments) -> int:
-    """Number of positions of ``iv`` covered by ``segments``."""
-    left, right = iv
-    total = 0
-    for sl, sr in segments:
-        lo, hi = max(left, sl), min(right, sr)
-        if lo <= hi:
-            total += hi - lo + 1
-        if sl > right:
-            break
-    return total

@@ -6,6 +6,12 @@ index subtracts deceptive concordances: pairs lying together inside a true
 interval that the estimate missed entirely, or inside an estimated interval
 that is entirely spurious. Empty-set conventions score a correct
 "no watermark" verdict perfectly.
+
+One merge sweep over the two sorted interval lists (``_Overlap``) counts
+how many tokens of each interval the other set covers. Every metric reads
+those integer counts: the intersection and both coverage sizes (IoU, the
+rand-index contingency), which intervals are hit (precision, recall) and
+what each interval leaves uncovered (the deceptive pairs).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .intervals import Segments, interval_overlap
+from .intervals import Segments
 
 EVAL_COLUMNS = (
     "model",
@@ -34,21 +40,74 @@ def _pairs(k: int) -> int:
     return k * (k - 1) // 2
 
 
+class _Overlap:
+    """How much of each interval the other set covers, from one merge sweep
+    over the two sorted interval lists: ``truth_cover[i]`` tokens of the i-th
+    true interval lie in the estimate, ``estimate_cover[j]`` tokens of the
+    j-th estimated interval lie in the truth."""
+
+    def __init__(self, truth: Segments, estimate: Segments):
+        self.truth, self.estimate = truth.intervals, estimate.intervals
+        self.truth_cover = [0] * len(self.truth)
+        self.estimate_cover = [0] * len(self.estimate)
+        i = j = 0
+        while i < len(self.truth) and j < len(self.estimate):
+            tl, tr = self.truth[i]
+            el, er = self.estimate[j]
+            covered = min(tr, er) - max(tl, el) + 1
+            if covered > 0:
+                self.truth_cover[i] += covered
+                self.estimate_cover[j] += covered
+            if tr <= er:
+                i += 1
+            if er <= tr:
+                j += 1
+        self.intersection = sum(self.truth_cover)
+        self.truth_size = truth.union_size
+        self.estimate_size = estimate.union_size
+
+    def iou(self) -> float:
+        union = self.truth_size + self.estimate_size - self.intersection
+        if union == 0:
+            return 1.0
+        return self.intersection / union
+
+    def precision_recall_f1(self) -> tuple[float, float, float]:
+        k, k_hat = len(self.truth), len(self.estimate)
+        if k_hat == 0:
+            precision = 1.0 if k == 0 else 0.0
+        else:
+            precision = sum(1 for c in self.estimate_cover if c > 0) / k_hat
+        recall = 1.0 if k == 0 else sum(1 for c in self.truth_cover if c > 0) / k
+        f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+        return precision, recall, f1
+
+    def rand_index(self, n: int) -> float:
+        if n < 2:
+            raise ValueError("rand index needs at least two tokens")
+        c11 = self.intersection
+        c10 = self.truth_size - c11
+        c01 = self.estimate_size - c11
+        c00 = n - c11 - c10 - c01
+        same_both = _pairs(c11) + _pairs(c10) + _pairs(c01) + _pairs(c00)
+        split_both = c11 * c00 + c10 * c01
+        return (same_both + split_both) / _pairs(n)
+
+    def modified_rand_index(self, n: int, ri: float) -> float:
+        """``ri`` (this overlap's rand index) minus the deceptive pairs."""
+        missed = sum(_pairs((r - l + 1) - c) for (l, r), c in zip(self.truth, self.truth_cover))
+        spurious = sum(
+            _pairs((r - l + 1) - c) for (l, r), c in zip(self.estimate, self.estimate_cover)
+        )
+        return ri - (missed + spurious) / _pairs(n)
+
+
 def iou(truth: Segments, estimate: Segments, n: int) -> float:
     """Intersection over union of the two coverage sets.
 
     1.0 when both are empty (a correct all-clear), 0.0 when exactly one is.
     """
-    inter = truth.intersection_size(estimate)
-    union = truth.union_size + estimate.union_size - inter
-    if union == 0:
-        return 1.0
-    return inter / union
-
-
-def _overlapping(intervals: Segments, other: Segments) -> int:
-    """How many of ``intervals`` overlap ``other`` anywhere."""
-    return sum(1 for iv in intervals if interval_overlap(iv, other) > 0)
+    return _Overlap(truth, estimate).iou()
 
 
 def precision_recall_f1(truth: Segments, estimate: Segments) -> tuple[float, float, float]:
@@ -59,22 +118,8 @@ def precision_recall_f1(truth: Segments, estimate: Segments) -> tuple[float, flo
     interval overlaps. A true segment split into several estimates is
     recalled once, so both lie in [0, 1].
     """
-    k, k_hat = len(truth), len(estimate)
-    if k_hat == 0:
-        precision = 1.0 if k == 0 else 0.0
-    else:
-        precision = _overlapping(estimate, truth) / k_hat
-    recall = 1.0 if k == 0 else _overlapping(truth, estimate) / k
-    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
+    return _Overlap(truth, estimate).precision_recall_f1()
 
-
-def _contingency(truth: Segments, estimate: Segments, n: int) -> tuple[int, int, int, int]:
-    c11 = truth.intersection_size(estimate)
-    c10 = truth.union_size - c11
-    c01 = estimate.union_size - c11
-    c00 = n - c11 - c10 - c01
-    return c11, c10, c01, c00
 
 def rand_index(truth: Segments, estimate: Segments, n: int) -> float:
     """Binary-label rand index over all token pairs.
@@ -83,12 +128,7 @@ def rand_index(truth: Segments, estimate: Segments, n: int) -> float:
     share a label. Computed in closed form from coverage counts; equals the
     quadratic pair enumeration exactly.
     """
-    if n < 2:
-        raise ValueError("rand index needs at least two tokens")
-    c11, c10, c01, c00 = _contingency(truth, estimate, n)
-    same_both = _pairs(c11) + _pairs(c10) + _pairs(c01) + _pairs(c00)
-    split_both = c11 * c00 + c10 * c01
-    return (same_both + split_both) / _pairs(n)
+    return _Overlap(truth, estimate).rand_index(n)
 
 
 def modified_rand_index(truth: Segments, estimate: Segments, n: int) -> float:
@@ -101,13 +141,8 @@ def modified_rand_index(truth: Segments, estimate: Segments, n: int) -> float:
     """
     if n < 2:
         raise ValueError("modified rand index needs at least two tokens")
-    missed = sum(
-        _pairs((r - l + 1) - interval_overlap((l, r), estimate)) for l, r in truth
-    )
-    spurious = sum(
-        _pairs((r - l + 1) - interval_overlap((l, r), truth)) for l, r in estimate
-    )
-    return rand_index(truth, estimate, n) - (missed + spurious) / _pairs(n)
+    overlap = _Overlap(truth, estimate)
+    return overlap.modified_rand_index(n, overlap.rand_index(n))
 
 
 @dataclass(frozen=True)
@@ -144,14 +179,16 @@ def evaluate(
     truth: Segments, estimate: Segments, n: int, runtime_ms: float | None = None
 ) -> EvalReport:
     """Compute the full metric bundle for one run."""
-    precision, recall, f1 = precision_recall_f1(truth, estimate)
+    overlap = _Overlap(truth, estimate)
+    precision, recall, f1 = overlap.precision_recall_f1()
+    ri = overlap.rand_index(n)
     return EvalReport(
-        iou=iou(truth, estimate, n),
+        iou=overlap.iou(),
         precision=precision,
         recall=recall,
         f1=f1,
-        ri=rand_index(truth, estimate, n),
-        mri=modified_rand_index(truth, estimate, n),
+        ri=ri,
+        mri=overlap.modified_rand_index(n, ri),
         k_true=len(truth),
         k_hat=len(estimate),
         runtime_ms=runtime_ms,

@@ -228,6 +228,14 @@ def localize_segment(
     Minimizes the sum of (score - null_mean - rho*signal) over the region
     outside [s, t]; equivalently maximizes the penalized mass inside. Ties
     break toward the narrowest interval, then the smallest start.
+
+    One cumulative sum over the region gives the prefix masses, and one
+    running minimum over the left window's start prefixes gives, for each
+    end, its best start. An end inside the left window (before its last
+    start) reads the running minimum at its own offset, as one slice; every
+    later end reads the last value. The tie rule is applied only at the ends
+    that reach the maximum: each takes the latest start where its running
+    minimum is reached, and the first of the narrowest such intervals wins.
     """
     d_left, d_right = region
     wl_lo, wl_hi = window_left
@@ -240,39 +248,34 @@ def localize_segment(
     adjusted = np.asarray(scores, dtype=float)[d_left - 1 : d_right] - (null_mean + rho * signal)
     prefix = np.empty(adjusted.size + 1)
     prefix[0] = 0.0
-    np.cumsum(adjusted, out=prefix[1:])
+    np.add.accumulate(adjusted, out=prefix[1:])  # the cumsum, without its wrappers
 
     # Both windows are contiguous: starts at local 0-based offsets s_lo..s_hi
     # of the region, ends at t_lo..t_hi.
     s_lo, s_hi = wl_lo - d_left, wl_hi - d_left
     t_lo, t_hi = wr_lo - d_left, wr_hi - d_left
 
-    # For each candidate start s, the inside mass is prefix[t+1] - prefix[s];
-    # sweep ends with a running minimum over admissible prefix[s], preferring
-    # the latest argmin (narrower interval) on exact ties.
+    # The inside mass of [s, t] is prefix[t+1] - prefix[s], so an end t takes
+    # the running minimum of the start prefixes up to its last admissible
+    # start, min(t, s_hi). Some end has one, since wl_lo <= wr_hi was checked.
     start_vals = prefix[s_lo : s_hi + 1]
     run_min = np.minimum.accumulate(start_vals)
-    latest_argmin = np.maximum.accumulate(
-        np.where(start_vals == run_min, np.arange(start_vals.size), -1)
-    )
-
-    # An end t needs some start s <= t, and its last admissible start is
-    # window index min(t - s_lo, |left| - 1). Some end has one, since
-    # wl_lo <= wr_hi was checked above.
     first_end = max(t_lo, s_lo)
-    ends = np.arange(first_end, t_hi + 1)
-    k = np.minimum(ends - s_lo, start_vals.size - 1)
-    inside = prefix[first_end + 1 : t_hi + 2] - run_min[k]
-    starts = latest_argmin[k] + s_lo
+    split = min(max(first_end, s_hi), t_hi + 1)
+    inside = prefix[first_end + 1 : t_hi + 2] - run_min[-1]
+    if split > first_end:
+        inside[: split - first_end] = (
+            prefix[first_end + 1 : split + 1] - run_min[first_end - s_lo : split - s_lo]
+        )
 
-    best_inside = inside.max()
-    top = inside == best_inside
-    widths = ends[top] - starts[top] + 1
-    pick = int(np.argmin(widths))  # first minimal width == smallest start
-    return (
-        int(starts[top][pick]) + d_left,
-        int(ends[top][pick]) + d_left,
-    )
+    # Offsets below count from s_lo. ``minima`` are the starts that reach the
+    # running minimum; an end's latest one at or before it is its narrowest
+    # start, and the first minimal width is the smallest start.
+    ends = (inside == np.maximum.reduce(inside)).nonzero()[0] + (first_end - s_lo)
+    minima = (start_vals == run_min).nonzero()[0]
+    starts = minima[minima.searchsorted(ends, side="right") - 1]
+    pick = (ends - starts).argmin()
+    return int(starts[pick]) + wl_lo, int(ends[pick]) + wl_lo
 
 
 def segment_series(series: PivotSeries, config: SegmenterConfig) -> SegmentationResult:

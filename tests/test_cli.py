@@ -335,6 +335,53 @@ def test_evaluate_names_a_missing_or_unknown_result_key(estimate, message, tmp_p
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("truth_argv, message", [
+    (["--n", "1000"], "result was segmented at n=300, the truth stream has n=1000"),
+    (["--n", "300", "--scheme", "inverse"],
+     "result was segmented under scheme {'id': 'gumbel', 'vocab_size': 100}, "
+     "the truth stream carries {'id': 'inverse', 'vocab_size': 100}"),
+    (["--n", "300", "--vocab-size", "50"],
+     "result was segmented under scheme {'id': 'gumbel', 'vocab_size': 100}, "
+     "the truth stream carries {'id': 'gumbel', 'vocab_size': 50}"),
+], ids=["longer-stream", "other-scheme", "other-vocabulary"])
+def test_evaluate_rejects_a_result_segmented_on_another_stream(truth_argv, message, tmp_path,
+                                                               capsys):
+    # A gumbel n=300 result scored against an n=1000 stream read iou 0.0,
+    # and against the inverse stream of the same seed every metric read 1.0.
+    stream, result = tmp_path / "stream.jsonl", tmp_path / "result.json"
+    truth, out = tmp_path / "truth.jsonl", tmp_path / "eval.csv"
+    for argv in (["generate", "--n", "300", "--segments", "100-200", "--seed", "1",
+                  "--out", str(stream)],
+                 ["segment", "--stream", str(stream), "--block-len", "20", "--out", str(result)],
+                 ["generate", *truth_argv, "--segments", "100-200", "--seed", "1",
+                  "--out", str(truth)]):
+        assert cli_main(argv) == 0, argv[0]
+    capsys.readouterr()
+    argv = ["evaluate", "--truth", str(truth), "--est", str(result), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert f"error: {message}\n" == capsys.readouterr().err
+    argv[2] = str(stream)
+    assert cli_main(argv) == 0 and out.exists()
+
+
+@pytest.mark.parametrize("trace, message", [
+    ([1, 2], "result trace must be a JSON object, not list"),
+    ("trace", "result trace must be a JSON object, not str"),
+    ({"certificate": None}, "result certificate must be a JSON object, not NoneType"),
+], ids=["list-trace", "string-trace", "null-certificate"])
+def test_evaluate_names_a_trace_that_is_not_an_object(trace, message, tmp_path, capsys):
+    stream, result, out = tmp_path / "stream.jsonl", tmp_path / "result.json", tmp_path / "eval.csv"
+    assert cli_main(["generate", "--n", "200", "--segments", "50-120", "--out", str(stream)]) == 0
+    result.write_text(json.dumps({"segments": [{"left": 60, "right": 110}], "trace": trace}),
+                      encoding="utf-8")
+    capsys.readouterr()
+    argv = ["evaluate", "--truth", str(stream), "--est", str(result), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("exponent", ["-400", "-1e308"])
 def test_generate_takes_a_large_negative_zipf_exponent(exponent, tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrics_reference import (reference_evaluate, reference_iou, reference_modified_rand_index,
+                               reference_precision_recall_f1, reference_rand_index)
 from wmseg.intervals import Segments
 from wmseg.metrics import (
     EVAL_COLUMNS,
@@ -207,6 +209,8 @@ class TestRandIndex:
             rand_index(Segments(), Segments(), 1)
         with pytest.raises(ValueError):
             modified_rand_index(Segments(), Segments(), 1)
+        with pytest.raises(ValueError, match="^rand index needs at least two tokens$"):
+            evaluate(Segments(), Segments(), 1)
 
     def test_run_length_equals_pair_enumeration_exactly(self, rng):
         for _ in range(200):
@@ -297,3 +301,82 @@ class TestEvalReport:
         report = evaluate(Segments(), Segments(), 10)
         row = report.csv_row("m", "s", "wmseg")
         assert row[-1] == ""
+
+
+# ---------------------------------------------------------------------------
+# One sweep against the per-metric rescans
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def segment_sets(draw, n):
+    """Disjoint intervals in [1, n], laid out left to right by a gap and a
+    length each: a zero gap makes intervals touch end to end, a length of 1
+    makes a single token, and a zero gap with length n the full range."""
+    pairs, pos = [], 1
+    steps = st.tuples(st.one_of(st.integers(0, 2), st.integers(0, n)),
+                      st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    for gap, length in draw(st.lists(steps, max_size=5)):
+        left = pos + gap
+        right = left + length - 1
+        if right > n:
+            break
+        pairs.append((left, right))
+        pos = right + 1
+    return Segments(pairs, n=n)
+
+
+@st.composite
+def split_truth(draw, truth):
+    """``truth`` with one interval of at least 3 tokens cut in two around a
+    gap, and the others each kept or dropped."""
+    wide = [i for i, (l, r) in enumerate(truth) if r - l >= 2]
+    if not wide:
+        return truth
+    cut = draw(st.sampled_from(wide))
+    pairs = []
+    for i, (l, r) in enumerate(truth):
+        if i == cut:
+            m = draw(st.integers(l, r - 2))
+            pairs += [(l, m), (draw(st.integers(m + 2, r)), r)]
+        elif draw(st.booleans()):
+            pairs.append((l, r))
+    return Segments(pairs)
+
+
+@st.composite
+def truth_and_estimate(draw):
+    n = draw(st.integers(2, 60))
+    truth = draw(segment_sets(n))
+    estimate = draw(st.one_of(segment_sets(n), split_truth(truth)))
+    return truth, estimate, n
+
+
+@given(truth_and_estimate())
+@settings(max_examples=400)
+def test_one_sweep_equals_the_per_metric_rescans(case):
+    truth, estimate, n = case
+    # EvalReport equality compares each float with ==.
+    assert evaluate(truth, estimate, n, 2.5) == reference_evaluate(truth, estimate, n, 2.5)
+    assert evaluate(estimate, truth, n) == reference_evaluate(estimate, truth, n)
+    assert iou(truth, estimate, n) == reference_iou(truth, estimate)
+    assert precision_recall_f1(truth, estimate) == reference_precision_recall_f1(truth, estimate)
+    assert rand_index(truth, estimate, n) == reference_rand_index(truth, estimate, n)
+    assert modified_rand_index(truth, estimate, n) == reference_modified_rand_index(
+        truth, estimate, n)
+
+
+@pytest.mark.parametrize("truth, estimate, n", [
+    ((), (), 2),
+    ((), ((1, 1),), 5),
+    (((1, 60),), ((1, 60),), 60),
+    (((1, 60),), ((1, 1), (2, 2), (60, 60)), 60),
+    (((3, 4), (5, 9)), ((4, 5),), 10),
+    (((10, 40),), ((12, 20), (25, 38)), 50),
+    (((1, 5), (6, 6), (7, 30)), ((1, 30),), 30),
+], ids=["both-empty", "spurious-single", "full-range", "singles-in-full-range", "touching",
+        "split", "touching-truth-one-estimate"])
+def test_one_sweep_equals_the_per_metric_rescans_at_the_edges(truth, estimate, n):
+    truth, estimate = Segments(truth, n=n), Segments(estimate, n=n)
+    assert evaluate(truth, estimate, n) == reference_evaluate(truth, estimate, n)
+    assert evaluate(estimate, truth, n) == reference_evaluate(estimate, truth, n)

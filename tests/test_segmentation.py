@@ -296,6 +296,53 @@ def test_localize_segment_equals_the_gather_reference(windows, data):
         assert windows not in ("left-after-right", "outside-region")
 
 
+def segmenter_regions(rng, n, runs):
+    """Regions and windows as ``segment_series`` builds them at the default
+    pad and b = ceil(sqrt(n)), from ``runs`` kept runs of random lengths in
+    blocks (each drawn from ``runs``), placed left to right at random gaps."""
+    b, pad = math.ceil(math.sqrt(n)), default_pad(n, SegmenterConfig.gamma)
+    n_blocks = -(-n // b)
+    kept, block = [], int(rng.integers(0, 3))
+    for lengths in runs:
+        length = int(rng.integers(*lengths))
+        if block + length > n_blocks:
+            break
+        kept.append((block, block + length - 1))
+        block += length + int(rng.integers(1, n_blocks // 4))
+    regions = enlarge_runs(kept, b, n, pad)
+    return [(region, *search_windows(region, b, pad)) for region in regions]
+
+
+@pytest.mark.parametrize("scores", ["float", "integer"])
+@pytest.mark.parametrize("n, runs, windows", [
+    (4000, [(14, 20), (14, 20)], "disjoint"),
+    (16000, [(15, 30), (15, 25), (15, 20)], "disjoint"),
+    (1000, [(2, 7), (1, 4)], "overlapping"),
+], ids=["n4000", "n16000", "n1000"])
+def test_localize_segment_equals_the_gather_reference_at_segmenter_windows(n, runs, windows,
+                                                                          scores):
+    # At n = 1000 (pad 64, b 32) a region shorter than 4 (pad + b) = 384
+    # tokens has overlapping windows; runs of at least 4 (pad + b) tokens at
+    # n = 4000 (pad 145, b 64) and 16000 (pad 336, b 127) leave them disjoint. Integer scores with a dyadic penalty sum exactly,
+    # so many ends tie for the maximum.
+    rng = np.random.default_rng(n)
+    for _ in range(25):
+        if scores == "float":
+            x = rng.standard_exponential(n)
+            null_mean, rho, signal = 1.0, 0.5, float(rng.uniform(0.2, 2.0))
+        else:
+            x = rng.integers(0, 2, n).astype(float)
+            null_mean, rho, signal = 0.5, 0.5, float(rng.choice([0.25, 0.5, 1.0]))
+        shapes = segmenter_regions(rng, n, runs)
+        assert shapes
+        for region, wl, wr in shapes:
+            lo, hi = int(rng.integers(wl[0], wl[1] + 1)), int(rng.integers(wr[0], wr[1] + 1))
+            x[lo - 1 : hi] += rng.uniform(0.3, 2.0) if scores == "float" else 1.0
+            assert (wl[1] < wr[0]) == (windows == "disjoint"), (region, wl, wr)
+            args = (x, region, wl, wr, null_mean, rho, signal)
+            assert localize_segment(*args) == reference_localize_segment(*args)
+
+
 class TestNaiveEstimate:
     def test_exact_recovery_of_a_clean_segment(self):
         x = np.full(40, 1.0)

@@ -21,11 +21,14 @@ reference the exact laws are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schemes import SchemeSpec
 
 _CHUNK_BUDGET = 4_000_000  # draws per simulation chunk, keeps memory flat
 
@@ -63,6 +66,12 @@ class ThresholdCert:
             "scheme": self.scheme_id,
             "scheme_params": self.scheme_params,
         }
+
+    @functools.cached_property
+    def null_mean(self) -> float:
+        """The null mean of the scheme in ``scheme_params``, read once per
+        certificate: a series with another null mean has another null law."""
+        return SchemeSpec.from_json(self.scheme_params).null_mean
 
 
 def block_starts(n: int, block_len: int) -> np.ndarray:

@@ -9,7 +9,9 @@ only plan keys; its output path comes from ``--out``.
 ``segment`` scores the stream file's tokens under its seed and scheme (the
 file stores no scores), calibrates the screening threshold for
 ``--block-len`` and ``--alpha`` from that scheme's own null law, and
-segments the scores; its trace records the certificate it screened with.
+segments the scores. It writes one result file, ``--out``, whose ``trace``
+key holds every stage's decision and the certificate it screened with;
+there is no separate trace file.
 
 Exit codes: 0 success, 1 validation error (bad arguments, a missing
 required flag, unknown plan keys, a malformed stream file, a plan or
@@ -69,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float)
     p.add_argument("--discard-c", type=float)
     p.add_argument("--pad", type=int)
-    p.add_argument("--trace", help="write full trace JSON here")
 
     p = sub.add_parser("evaluate", help="score an estimate against a stream's truth")
     p.add_argument("--out", help="CSV file to write (default: stdout)")
@@ -126,10 +127,6 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     config = SegmenterConfig(cert=cert, **_given(args, "rho", "gamma", "discard_c", "pad"))
     result = segment_series(series, config)
     Path(args.out).write_text(json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8")
-    if args.trace:
-        Path(args.trace).write_text(
-            json.dumps(result.trace.summary(), indent=2) + "\n", encoding="utf-8"
-        )
     return 0
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 from .calibration import DEFAULT_ALPHA, DEFAULT_MC_REPS, ThresholdCert, calibrate_threshold
 from .intervals import Segments
 from .keys import TAG_REPLICATION, check_seed, mix
-from .metrics import EVAL_COLUMNS, EvalReport, evaluate, format_csv
+from .metrics import EVAL_COLUMNS, METRIC_FIELDS, EvalReport, evaluate, format_csv
 from .schemes import SchemeSpec, json_bool, json_float, json_int, read_fields
 from .segmentation import SegmenterConfig, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream
@@ -134,25 +134,20 @@ def _segment_everywhere(plan: ExperimentPlan, certs: dict[tuple[int, float], Thr
     return reports
 
 
-def _aggregate_row(kind: str, b: int, rho: float, alpha: float, gamma: float,
-                   reports: tuple[EvalReport, ...], model: str, scheme_id: str,
-                   reduce_fn) -> list[str]:
-    agg = EvalReport(
-        iou=reduce_fn([r.iou for r in reports]),
-        precision=reduce_fn([r.precision for r in reports]),
-        recall=reduce_fn([r.recall for r in reports]),
-        f1=reduce_fn([r.f1 for r in reports]),
-        ri=reduce_fn([r.ri for r in reports]),
-        mri=reduce_fn([r.mri for r in reports]),
+_AGGREGATES = (("aggregate-mean", statistics.fmean), ("aggregate-median", statistics.median))
+
+
+def _aggregate(reports: tuple[EvalReport, ...], reduce_fn) -> EvalReport:
+    """The runs' reports reduced field by field with ``reduce_fn``: k_hat is
+    rounded, k_true is shared, and runtime_ms is None unless every run was
+    timed."""
+    timed = all(r.runtime_ms is not None for r in reports)
+    return EvalReport(
+        **{name: reduce_fn([getattr(r, name) for r in reports]) for name in METRIC_FIELDS},
         k_true=reports[0].k_true,
         k_hat=round(reduce_fn([r.k_hat for r in reports])),
-        runtime_ms=(
-            reduce_fn([r.runtime_ms for r in reports])
-            if all(r.runtime_ms is not None for r in reports)
-            else None
-        ),
+        runtime_ms=reduce_fn([r.runtime_ms for r in reports]) if timed else None,
     )
-    return _format_row(kind, b, rho, alpha, gamma, "", agg, model, scheme_id)
 
 
 def _format_row(kind: str, b: int, rho: float, alpha: float, gamma: float,
@@ -189,14 +184,11 @@ def run_experiment(plan: ExperimentPlan, out_path: str | Path | None = None, *,
              for key in dict.fromkeys((b, alpha) for b, _, alpha, _ in plan.grid())}
     by_rep = [_segment_everywhere(plan, certs, rep) for rep in range(plan.replications)]
     rows: list[list[str]] = []
-    for (b, rho, alpha, gamma), reports in zip(plan.grid(), zip(*by_rep)):
-        for rep, report in enumerate(reports):
-            rows.append(_format_row("run", b, rho, alpha, gamma, rep, report,
-                                    model, plan.scheme.scheme_id))
-        rows.append(_aggregate_row("aggregate-mean", b, rho, alpha, gamma, reports,
-                                   model, plan.scheme.scheme_id, statistics.fmean))
-        rows.append(_aggregate_row("aggregate-median", b, rho, alpha, gamma, reports,
-                                   model, plan.scheme.scheme_id, statistics.median))
+    for point, reports in zip(plan.grid(), zip(*by_rep)):
+        labelled = [("run", rep, report) for rep, report in enumerate(reports)]
+        labelled += [(kind, "", _aggregate(reports, reduce_fn)) for kind, reduce_fn in _AGGREGATES]
+        rows += [_format_row(kind, *point, rep, report, model, plan.scheme.scheme_id)
+                 for kind, rep, report in labelled]
     if out_path is not None:
         Path(out_path).write_text(format_csv(EXPERIMENT_COLUMNS, rows), encoding="utf-8",
                                   newline="")

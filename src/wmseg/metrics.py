@@ -22,18 +22,9 @@ from dataclasses import dataclass
 
 from .intervals import Segments
 
-EVAL_COLUMNS = (
-    "model",
-    "scheme",
-    "method",
-    "iou",
-    "precision",
-    "recall",
-    "f1",
-    "ri",
-    "mri",
-    "runtime_ms",
-)
+# The metric fields of an EvalReport, in column order.
+METRIC_FIELDS = ("iou", "precision", "recall", "f1", "ri", "mri")
+EVAL_COLUMNS = ("model", "scheme", "method", *METRIC_FIELDS, "runtime_ms")
 
 
 def _pairs(k: int) -> int:
@@ -160,19 +151,12 @@ class EvalReport:
     runtime_ms: float | None = None
 
     def csv_row(self, model: str, scheme: str, method: str) -> list[str]:
-        values = {
-            "model": model,
-            "scheme": scheme,
-            "method": method,
-            "iou": repr(self.iou),
-            "precision": repr(self.precision),
-            "recall": repr(self.recall),
-            "f1": repr(self.f1),
-            "ri": repr(self.ri),
-            "mri": repr(self.mri),
-            "runtime_ms": "" if self.runtime_ms is None else repr(self.runtime_ms),
-        }
-        return [values[c] for c in EVAL_COLUMNS]
+        """The row's cells in ``EVAL_COLUMNS`` order."""
+        return [
+            model, scheme, method,
+            *(repr(getattr(self, name)) for name in METRIC_FIELDS),
+            "" if self.runtime_ms is None else repr(self.runtime_ms),
+        ]
 
 
 def evaluate(

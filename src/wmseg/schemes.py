@@ -47,6 +47,7 @@ logs, inverse's token of each rank, red_green's weight scale), then decodes rows
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -603,7 +604,9 @@ class PivotSeries:
 class SchemeSpec:
     """A watermarking scheme with its parameters, as used on the wire.
 
-    ``green_frac`` and ``bias`` only matter for red_green. Threshold
+    ``green_frac`` and ``bias`` only matter for red_green; another scheme
+    rejects a value other than their defaults, so that no parameter is
+    silently ignored and ``from_json(to_json(spec)) == spec``. Threshold
     calibration solves on ``block_sum_cdf``, the law of a block of null
     scores; ``null_scores`` draws from the same score law and ``null_mean``
     is its exact mean.
@@ -626,8 +629,14 @@ class SchemeSpec:
             raise ValueError(f"unsupported scheme {self.scheme_id!r}")
         if not 2 <= self.vocab_size < 2**32:
             raise ValueError(f"vocab_size must lie in [2, 2**32), not {self.vocab_size!r}")
-        params = (getattr(self, name) for name in SCHEMES[self.scheme_id].params)
-        scheme = _scheme_object(self.scheme_id, self.vocab_size, *params)
+        params = SCHEMES[self.scheme_id].params
+        for field in dataclasses.fields(self)[2:]:  # the parameters after scheme_id, V
+            value = getattr(self, field.name)
+            if field.name not in params and value != field.default:  # NaN included
+                raise ValueError(f"scheme {self.scheme_id!r} does not read {field.name}, "
+                                 f"so it must keep its default {field.default!r}, not {value!r}")
+        scheme = _scheme_object(self.scheme_id, self.vocab_size,
+                                *(getattr(self, name) for name in params))
         object.__setattr__(self, "_scheme", scheme)
 
     @property

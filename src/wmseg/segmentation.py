@@ -6,6 +6,10 @@ runs too short to be real; enlarge surviving runs into disjoint candidate
 regions; estimate the signal strength from those regions; and finally, for
 each region, scan restricted endpoint windows for the interval whose
 excluded scores look most like noise.
+
+``segment_series`` returns one ``SegmentationResult``, whose ``to_json`` is
+the result file of ``wmseg segment``: the segments, and under its ``trace``
+key each stage's decision and the certificate it screened with.
 """
 
 from __future__ import annotations
@@ -70,10 +74,11 @@ def min_run_blocks(n: int, block_len: int, discard_c: float) -> int:
 
 
 @dataclass(frozen=True)
-class StageTrace:
-    """Everything the pipeline decided on the way to its output, and the
-    certificate it screened with."""
+class SegmentationResult:
+    """The segments the pipeline found, each stage's decision on the way to
+    them, and the certificate it screened with."""
 
+    segments: Segments
     block_sums: np.ndarray
     cert: ThresholdCert
     selected_blocks: np.ndarray  # 0-based block indices
@@ -86,14 +91,14 @@ class StageTrace:
     pad: int
 
     @property
-    def threshold(self) -> float:
-        return self.cert.q
+    def k_hat(self) -> int:
+        return len(self.segments)
 
-    def summary(self) -> dict:
+    def trace(self) -> dict:
         return {
             "n_blocks": int(self.block_sums.size),
             "block_sums": [float(x) for x in self.block_sums],
-            "threshold": self.threshold,
+            "threshold": self.cert.q,
             "certificate": self.cert.to_json(),
             "selected_blocks": [int(k) + 1 for k in self.selected_blocks],
             "kept_runs_blocks": [[a + 1, b + 1] for a, b in self.kept_runs],
@@ -105,22 +110,12 @@ class StageTrace:
             "pad": self.pad,
         }
 
-
-@dataclass(frozen=True)
-class SegmentationResult:
-    segments: Segments
-    trace: StageTrace
-
-    @property
-    def k_hat(self) -> int:
-        return len(self.segments)
-
     def to_json(self) -> dict:
         return {
             "k_hat": self.k_hat,
             "segments": [{"left": l, "right": r} for l, r in self.segments],
-            "d_tilde": self.trace.signal,
-            "trace": self.trace.summary(),
+            "d_tilde": self.signal,
+            "trace": self.trace(),
         }
 
 
@@ -287,6 +282,11 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
         raise CertMismatch(
             f"certificate is for scheme {cert.scheme_id!r}, stream carries {series.scheme_id!r}"
         )
+    if cert.null_mean != series.null_mean:
+        raise CertMismatch(
+            f"certificate is for scheme {cert.scheme_params!r} with null mean {cert.null_mean!r}, "
+            f"stream has null mean {series.null_mean!r}"
+        )
     n = series.n
     b = config.block_len
     pad = config.resolved_pad(n)
@@ -307,7 +307,8 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
             localize_segment(series.scores, region, wl, wr, series.null_mean, config.rho, signal)
             for region, (wl, wr) in zip(regions, windows)
         ]
-    trace = StageTrace(
+    return SegmentationResult(
+        segments=Segments(located, n=n),
         block_sums=sums,
         cert=cert,
         selected_blocks=selected,
@@ -319,4 +320,3 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
         min_run_blocks=min_run,
         pad=pad,
     )
-    return SegmentationResult(segments=Segments(located, n=n), trace=trace)

@@ -18,19 +18,17 @@ from wmseg.streams import (NtpModel, StreamSpec, generate_stream, read_stream_js
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
 def test_generate_calibrate_segment_evaluate(scheme_id, tmp_path):
     stream = tmp_path / "stream.jsonl"
-    result, trace, report = tmp_path / "result.json", tmp_path / "trace.json", tmp_path / "eval.csv"
+    result, report = tmp_path / "result.json", tmp_path / "eval.csv"
     scheme = ["--scheme", scheme_id, "--vocab-size", "50"]
     steps = (
         ["generate", *scheme, "--n", "600", "--segments", "200-400", "--seed", "3",
          "--out", str(stream)],
-        ["segment", "--stream", str(stream), "--block-len", "30", "--out", str(result),
-         "--trace", str(trace)],
+        ["segment", "--stream", str(stream), "--block-len", "30", "--out", str(result)],
         ["evaluate", "--truth", str(stream), "--est", str(result), "--out", str(report)],
     )
     for argv in steps:
         assert cli_main(argv) == 0, argv[0]
     written = json.loads(result.read_text(encoding="utf-8"))
-    assert json.loads(trace.read_text(encoding="utf-8")) == written["trace"]
     assert {"block_sums", "windows"} <= set(written["trace"])
     with open(report, newline="", encoding="utf-8") as fh:
         header, row = list(csv.reader(fh))
@@ -41,16 +39,16 @@ def test_generate_calibrate_segment_evaluate(scheme_id, tmp_path):
 def test_segment_calibrates_on_the_streams_own_null_law(tmp_path):
     """The certificate in the trace is the one calibrated from the stream's
     scheme, here a red_green law with a green fraction other than the default."""
-    stream, out, trace = tmp_path / "stream.jsonl", tmp_path / "result.json", tmp_path / "t.json"
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
     assert cli_main(["generate", "--scheme", "red_green", "--vocab-size", "40",
                      "--green-frac", "0.25", "--n", "400", "--segments", "100-250",
                      "--seed", "11", "--out", str(stream)]) == 0
     assert cli_main(["segment", "--stream", str(stream), "--block-len", "20", "--alpha", "0.1",
-                     "--out", str(out), "--trace", str(trace)]) == 0
+                     "--out", str(out)]) == 0
     scheme = read_stream_jsonl(stream).scheme
     assert scheme.green_frac == 0.25
     expected = calibrate_threshold(scheme, 400, 20, 0.1).to_json()
-    written = json.loads(trace.read_text(encoding="utf-8"))
+    written = json.loads(out.read_text(encoding="utf-8"))["trace"]
     assert written["certificate"] == expected
     assert written["threshold"] == expected["q"]
 
@@ -213,10 +211,19 @@ def test_segment_option_flags_reach_the_trace(tmp_path):
         ntp_model=NtpModel(), seed=11,
     )))
     argv = ["segment", "--stream", str(stream), "--block-len", "20", "--rho", "0.3", "--pad", "7",
-            "--out", str(tmp_path / "result.json"), "--trace", str(tmp_path / "t.json")]
+            "--out", str(tmp_path / "result.json")]
     assert cli_main(argv) == 0
-    trace = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))
+    trace = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))["trace"]
     assert trace["pad"] == 7
+
+
+def test_trace_is_not_an_option_of_segment(tmp_path, capsys):
+    """The result file's trace key is the one route to the trace."""
+    stream, argv, out, _, _ = _generated_and_segmented(tmp_path)
+    capsys.readouterr()
+    assert cli_main([*argv, "--trace", str(tmp_path / "t.json")]) == 1
+    assert not out.exists() and not (tmp_path / "t.json").exists()
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
 
 _SEED_RANGE = "error: seed must lie in [0, 2**64), not {value}"
@@ -278,6 +285,21 @@ def test_generate_rejects_a_non_finite_bias(bias, tmp_path, capsys):
     assert cli_main(argv) == 1
     assert not out.exists()
     assert "bias must be finite and nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme, flag, value", [
+    ("gumbel", "--bias", "nan"), ("gumbel", "--bias", "1"), ("gumbel", "--green-frac", "7"),
+    ("inverse", "--bias", "-3"), ("inverse", "--green-frac", "0.25"),
+])
+def test_generate_rejects_a_parameter_the_scheme_does_not_read(scheme, flag, value, tmp_path,
+                                                               capsys):
+    out = tmp_path / "stream.jsonl"
+    argv = ["generate", "--scheme", scheme, flag, value, "--n", "300", "--segments", "50-150",
+            "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    name = flag[2:].replace("-", "_")
+    assert f"error: scheme {scheme!r} does not read {name}" in capsys.readouterr().err
 
 
 def _generated_and_segmented(tmp_path):

@@ -466,6 +466,25 @@ def test_from_json_rejects_unknown_keys():
         SchemeSpec.from_json(data)
 
 
+@pytest.mark.parametrize("data", [
+    {"id": "inverse", "vocab_size": 10, "bias": -3.0},
+    {"id": "gumbel", "vocab_size": 10, "green_frac": 7.0},
+    {"id": "gumbel", "vocab_size": 10, "bias": math.nan},
+], ids=["inverse-bias", "gumbel-green-frac", "gumbel-nan-bias"])
+def test_from_json_rejects_a_parameter_the_scheme_does_not_read(data):
+    """Accepted, the parameter would be dropped by to_json, so the spec
+    would not survive its own round trip."""
+    name = next(key for key in data if key not in ("id", "vocab_size"))
+    with pytest.raises(ValueError, match=f"scheme '{data['id']}' does not read {name}"):
+        SchemeSpec.from_json(data)
+
+
+@pytest.mark.parametrize("scheme_id", ["gumbel", "inverse"])
+def test_a_scheme_accepts_the_defaults_of_parameters_it_does_not_read(scheme_id):
+    spec = SchemeSpec(scheme_id, 10, green_frac=0.5, bias=2.0)
+    assert spec == SchemeSpec(scheme_id, 10) == SchemeSpec.from_json(spec.to_json())
+
+
 def exact_null_mean(scheme_id, vocab, green_frac=0.5):
     """Oracle for the score's null mean: Exp(1); the mean of
     E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2 over the rank grid g = k/(V-1);

@@ -404,12 +404,37 @@ class TestSegmentSeries:
         with pytest.raises(CertMismatch):
             segment_series(wrong, config)
 
+    @pytest.mark.parametrize("cert_scheme, stream_scheme", [
+        (SchemeSpec("inverse", 20), SchemeSpec("inverse", 1000)),
+        (SchemeSpec("red_green", 100, green_frac=0.25), SchemeSpec("red_green", 100)),
+    ], ids=["inverse-vocabulary", "red-green-fraction"])
+    def test_a_certificate_for_another_null_law_raises(self, cert_scheme, stream_scheme):
+        """Same scheme id, another null mean: the threshold was certified for
+        another null law, so the screen would not hold its alpha."""
+        cert = calibrate_threshold(cert_scheme, 200, 20, 0.05)
+        series = PivotSeries(np.full(200, stream_scheme.null_mean), stream_scheme.null_mean,
+                             stream_scheme.scheme_id)
+        with pytest.raises(CertMismatch, match="null mean"):
+            segment_series(series, SegmenterConfig(cert=cert))
+
+    @pytest.mark.parametrize("cert_scheme, stream_scheme", [
+        (SchemeSpec("gumbel", 20), SchemeSpec("gumbel", 1000)),
+        (SchemeSpec("red_green", 100), SchemeSpec("red_green", 1000)),
+    ], ids=["gumbel", "red-green"])
+    def test_a_certificate_for_the_same_null_law_is_accepted(self, cert_scheme, stream_scheme):
+        """Gumbel's law is Exp(1) at every V, and red_green's is
+        Bernoulli(|G|/V), the same at an equal green fraction here."""
+        cert = calibrate_threshold(cert_scheme, 200, 20, 0.05)
+        series = PivotSeries(np.full(200, stream_scheme.null_mean), stream_scheme.null_mean,
+                             stream_scheme.scheme_id)
+        assert segment_series(series, SegmenterConfig(cert=cert)).k_hat == 0
+
     def test_empty_screening_returns_no_segments(self, rng):
         cert = open_cert(100, 10, q=1e18)
         result = segment_series(planted_series(rng, 100, [(20, 60)]), SegmenterConfig(cert=cert))
         assert result.k_hat == 0
         assert result.segments.to_pairs() == []
-        assert result.trace.signal == 0.0
+        assert result.signal == 0.0
         null = segment_series(series_of(rng.standard_exponential(100)), SegmenterConfig(cert=cert))
         data = null.to_json()
         assert (data["k_hat"], data["segments"], data["d_tilde"]) == (0, [], 0.0)
@@ -446,7 +471,7 @@ class TestSegmentSeries:
         assert pairs == sorted(pairs)
         for (l1, r1), (l2, r2) in zip(pairs, pairs[1:]):
             assert r1 < l2
-        for interval, region in zip(result.segments, result.trace.regions):
+        for interval, region in zip(result.segments, result.regions):
             assert region[0] <= interval[0] <= interval[1] <= region[1]
 
     def test_deterministic(self, rng):
@@ -456,37 +481,48 @@ class TestSegmentSeries:
         a = segment_series(series, SegmenterConfig(cert=cert))
         b = segment_series(series, SegmenterConfig(cert=cert))
         assert a.segments == b.segments
-        assert a.trace.signal == b.trace.signal
+        assert a.signal == b.signal
 
     def test_shift_invariance_of_localization(self, rng):
-        """Adding a constant to scores and the null mean moves nothing."""
-        n = 240
+        """Adding a constant c to the scores and the null mean, and b*c to
+        the threshold, moves nothing. A scored series carries its scheme's
+        own null mean, so the stages run here with the shifted null mean
+        passed openly."""
+        n, b, rho = 240, 15, SegmenterConfig.rho
+        pad = default_pad(n, SegmenterConfig.gamma)
+        min_run = min_run_blocks(n, b, SegmenterConfig.discard_c)
         x = planted_series(rng, n, [(60, 140)], lift=2.0).scores
-        cert = open_cert(n, 15, q=18.0)
-        base = segment_series(series_of(x), SegmenterConfig(cert=cert))
+
+        def stages(scores, null_mean, q):
+            kept = discard_short_runs(screen_blocks(block_sums(scores, b), q), min_run)
+            regions = enlarge_runs(kept, b, n, pad)
+            signal, _ = estimate_signal(scores, regions, null_mean)
+            return [localize_segment(scores, region, *search_windows(region, b, pad),
+                                     null_mean, rho, signal) for region in regions]
+
+        base = stages(x, 1.0, 18.0)
+        assert base
+        assert base == list(segment_series(series_of(x),
+                                           SegmenterConfig(cert=open_cert(n, b, q=18.0))).segments)
         for c in (1.0, 2.5):
-            shifted = PivotSeries(scores=x + c, null_mean=1.0 + c, scheme_id="gumbel")
-            cert_c = open_cert(n, 15, q=18.0 + 15 * c)
-            got = segment_series(shifted, SegmenterConfig(cert=cert_c))
-            assert got.segments == base.segments
+            assert stages(x + c, 1.0 + c, 18.0 + b * c) == base
 
     def test_trace_is_internally_consistent(self, rng):
         n = 400
         cert = calibrate_threshold(GUMBEL, n, 20, 0.05, mc_reps=4000, seed=6)
         series = planted_series(rng, n, [(100, 220)], lift=2.0)
         result = segment_series(series, SegmenterConfig(cert=cert))
-        trace = result.trace
-        assert trace.block_sums.size == math.ceil(n / 20)
-        assert trace.kept_runs == tuple(discard_short_runs(trace.selected_blocks,
-                                                           trace.min_run_blocks))
-        assert np.array_equal(trace.selected_blocks,
-                              screen_blocks(trace.block_sums, trace.threshold))
-        assert trace.cert is cert and trace.threshold == cert.q
-        assert trace.summary()["certificate"] == cert.to_json()
-        for (wl, wr), region in zip(trace.windows, trace.regions):
+        assert result.block_sums.size == math.ceil(n / 20)
+        assert result.kept_runs == tuple(discard_short_runs(result.selected_blocks,
+                                                            result.min_run_blocks))
+        assert np.array_equal(result.selected_blocks, screen_blocks(result.block_sums, cert.q))
+        assert result.cert is cert
+        trace = result.trace()
+        assert trace["threshold"] == cert.q and trace["certificate"] == cert.to_json()
+        for (wl, wr), region in zip(result.windows, result.regions):
             assert region[0] <= wl[0] <= wl[1] <= region[1]
             assert region[0] <= wr[0] <= wr[1] <= region[1]
-        assert trace.pad == default_pad(n, 0.1)
+        assert result.pad == default_pad(n, 0.1)
 
     def test_pipeline_agrees_with_naive_when_one_run_covers_everything(self, rng):
         """Full-region, full-window pipeline output equals the exhaustive
@@ -503,7 +539,7 @@ class TestSegmentSeries:
             config = SegmenterConfig(cert=open_cert(n, b), pad=n)
             result = segment_series(series, config)
             assert result.k_hat == 1
-            naive = naive_estimate(x, 1.0, config.rho, result.trace.signal)
+            naive = naive_estimate(x, 1.0, config.rho, result.signal)
             assert result.segments.intervals[0] == naive
 
     def test_result_json_shape(self, rng):

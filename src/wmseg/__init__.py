@@ -2,7 +2,7 @@
 
 from .calibration import CertMismatch, ThresholdCert, calibrate_threshold
 from .intervals import Segments
-from .metrics import EvalReport, evaluate, iou, modified_rand_index, precision_recall_f1, rand_index
+from .metrics import EvalReport, evaluate
 from .schemes import PivotSeries, SchemeSpec
 from .segmentation import SegmenterConfig, SegmentationResult, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream, read_stream_jsonl, write_stream_jsonl
@@ -21,10 +21,6 @@ __all__ = [
     "calibrate_threshold",
     "evaluate",
     "generate_stream",
-    "iou",
-    "modified_rand_index",
-    "precision_recall_f1",
-    "rand_index",
     "read_stream_jsonl",
     "segment_series",
     "write_stream_jsonl",

@@ -4,7 +4,7 @@ Every option is a flag. Options left unset take the defaults of the library
 call they feed (the CLI sets only scheme gumbel, vocab size 100, generate
 seed 0 and the model label). Required flags are checked before any file is
 read. ``experiment``'s ``--config`` is the plan JSON object itself and holds
-only plan keys; its output path comes from ``--out``.
+only plan keys, the seed included; its output path comes from ``--out``.
 
 ``segment`` scores the stream file's tokens under its seed and scheme (the
 file stores no scores), calibrates the screening threshold for
@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a replicated grid experiment")
     p.add_argument("--config", required=True, help="plan JSON")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
     p.add_argument("--no-timing", action="store_true",
                    help="omit runtime_ms values for byte-reproducible output")
 
@@ -165,7 +164,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     _check_result_stream(est_data, n, stream.scheme.to_json())
     estimate = Segments([(seg["left"], seg["right"]) for seg in segments], n=n)
     report = evaluate(stream.true_segments, estimate, n)
-    row = report.csv_row(args.model_label, stream.scheme.scheme_id, "wmseg")
+    row = report.csv_row(args.model_label, stream.scheme.scheme_id)
     text = format_csv(EVAL_COLUMNS, [row])
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8", newline="")
@@ -178,8 +177,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     plan = json.loads(Path(args.config).read_text(encoding="utf-8"))
     if not isinstance(plan, dict):
         raise ValueError(f"{args.config}: the plan must be a JSON object")
-    if args.seed is not None:
-        plan["seed"] = args.seed
     if args.no_timing:
         plan["include_timing"] = False
     run_experiment(ExperimentPlan.from_json(plan), out_path=args.out)

@@ -24,8 +24,6 @@ from .schemes import SchemeSpec, json_bool, json_float, json_int, read_fields
 from .segmentation import SegmenterConfig, segment_series
 from .streams import NtpModel, StreamSpec, generate_stream
 
-METHOD_NAME = "wmseg"
-
 EXPERIMENT_COLUMNS = (
     "kind",
     "b",
@@ -159,7 +157,7 @@ def _format_row(kind: str, b: int, rho: float, alpha: float, gamma: float,
         repr(alpha),
         repr(gamma),
         str(rep),
-        *report.csv_row(model, scheme_id, METHOD_NAME),
+        *report.csv_row(model, scheme_id),
         str(report.k_true),
         str(report.k_hat),
     ]

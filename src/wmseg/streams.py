@@ -47,6 +47,7 @@ the same bits.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -70,7 +71,8 @@ from .keys import (
 from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_decodable, check_keys,
                       check_tokens, json_float, json_int, read_fields, validate_probs)
 
-NTP_KINDS = ("dirichlet", "zipf", "fixed")
+# Each NTP model kind and the one parameter it reads besides delta_cap.
+NTP_PARAMS = {"dirichlet": "concentration", "zipf": "exponent", "fixed": "vectors"}
 _REJECTION_LIMIT = 10_000
 # Most NTP entries in one block of generated positions: 32 rows at V=1000.
 _BLOCK_ENTRIES = 2**15
@@ -115,6 +117,11 @@ class NtpModel:
     permutation-equivariant, a zipf vector is the capped shape under a
     uniform permutation, and the uniform-only cap gives the uniform vector.
     Its mean is thus the uniform vector. A ``fixed`` vector is its own mean.
+
+    ``dirichlet`` reads ``concentration``, ``zipf`` reads ``exponent`` and
+    ``fixed`` reads ``vectors``; a kind rejects a value other than the
+    default for the other two, so that no parameter is silently ignored and
+    ``from_json(to_json(model)) == model``.
     """
 
     kind: str = "dirichlet"
@@ -124,8 +131,13 @@ class NtpModel:
     vectors: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in NTP_KINDS:
+        if self.kind not in NTP_PARAMS:
             raise ValueError(f"unknown NTP model kind {self.kind!r}")
+        for field in dataclasses.fields(self)[2:]:  # the parameters after kind, delta_cap
+            value = getattr(self, field.name)
+            if field.name != NTP_PARAMS[self.kind] and value != field.default:  # NaN included
+                raise ValueError(f"NTP model kind {self.kind!r} does not read {field.name}, "
+                                 f"so it must keep its default {field.default!r}, not {value!r}")
         if not 0.0 < self.delta_cap < 1.0:
             raise ValueError("delta_cap must lie in (0, 1)")
         if not (math.isfinite(self.concentration) and self.concentration > 0.0):

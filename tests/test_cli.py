@@ -109,6 +109,19 @@ def test_a_bad_ntp_parameter_is_a_validation_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--ntp", "zipf", "--concentration", "0.7"], "kind 'zipf' does not read concentration"),
+    (["--exponent", "7"], "kind 'dirichlet' does not read exponent"),
+], ids=["zipf-concentration", "dirichlet-exponent"])
+def test_an_ntp_flag_the_model_kind_does_not_read_is_rejected(flags, message, tmp_path, capsys):
+    # Both used to exit 0 and write the bytes of the run without the flag.
+    out = tmp_path / "unread-ntp.jsonl"
+    capsys.readouterr()
+    assert cli_main(["generate", "--n", "300", *flags, "--seed", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_missing_stream_file_is_an_io_error(tmp_path):
     argv = ["segment", "--stream", str(tmp_path / "missing.jsonl"), "--block-len", "20",
             "--out", str(tmp_path / "result.json")]
@@ -195,6 +208,18 @@ def test_experiment_rejects_a_plan_number_out_of_range(edit, message, tmp_path, 
     assert cli_main(["experiment", "--config", str(config), "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_seed_is_not_an_option_of_experiment(tmp_path, capsys):
+    """The plan's seed key is the one route to the experiment's seed."""
+    plan = {"n": 300, "scheme": {"id": "gumbel", "vocab_size": 50}, "ntp_model": {},
+            "grid": {"block_len": [20]}}
+    config, out = tmp_path / "plan.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps(plan), encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["experiment", "--config", str(config), "--seed", "3", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_a_config_that_is_not_a_json_object_is_a_validation_error(tmp_path):

@@ -173,6 +173,20 @@ class TestNtpModel:
         with pytest.raises(ValueError, match="unknown ntp_model key.*'concentraton'"):
             NtpModel.from_json({"kind": "dirichlet", "concentraton": 0.7})
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("dirichlet", "exponent", 9.0), ("dirichlet", "vectors", [[0.5, 0.5]]),
+        ("zipf", "concentration", 0.7), ("zipf", "vectors", [[1.0]]),
+        ("fixed", "concentration", math.nan), ("fixed", "exponent", 2.0),
+    ], ids=["dirichlet-exponent", "dirichlet-vectors", "zipf-concentration", "zipf-vectors",
+            "fixed-concentration-nan", "fixed-exponent"])
+    def test_a_parameter_the_kind_does_not_read_is_rejected(self, kind, field, value):
+        # {"kind": "dirichlet", "exponent": 9.0} used to be accepted, and its
+        # to_json, which writes only the concentration, read back unequal.
+        data = {"kind": kind, "vectors": [[0.5, 0.5]]} if kind == "fixed" else {"kind": kind}
+        data[field] = value
+        with pytest.raises(ValueError, match=f"kind '{kind}' does not read {field},"):
+            NtpModel.from_json(data)
+
 
 # ---------------------------------------------------------------------------
 # Stream generation

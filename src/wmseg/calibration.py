@@ -58,14 +58,9 @@ class ThresholdCert:
     scheme_params: dict
 
     def to_json(self) -> dict:
-        return {
-            "q": self.q,
-            "alpha": self.alpha,
-            "n": self.n,
-            "b": self.block_len,
-            "scheme": self.scheme_id,
-            "scheme_params": self.scheme_params,
-        }
+        """The certificate, its scheme as the ``SchemeSpec`` JSON object."""
+        return {"q": self.q, "alpha": self.alpha, "n": self.n, "b": self.block_len,
+                "scheme": self.scheme_params}
 
     @functools.cached_property
     def null_mean(self) -> float:

@@ -9,15 +9,16 @@ only plan keys, the seed included; its output path comes from ``--out``.
 ``segment`` scores the stream file's tokens under its seed and scheme (the
 file stores no scores), calibrates the screening threshold for
 ``--block-len`` and ``--alpha`` from that scheme's own null law, and
-segments the scores. It writes one result file, ``--out``, whose ``trace``
-key holds every stage's decision and the certificate it screened with;
-there is no separate trace file.
+segments the scores. It writes one result file, ``--out``: the segments
+as [l, r] pairs under ``segments``, and under ``trace`` every stage's
+decision and the certificate it screened with; there is no separate trace
+file. ``evaluate`` reads those two keys back and rejects any other.
 
 Exit codes: 0 success, 1 validation error (bad arguments, a missing
-required flag, unknown plan keys, a malformed stream file, a plan or
-stream value of the wrong JSON type, or a result whose trace certificate was
-made for another stream's n or scheme), 2 I/O error (missing or unreadable
-files).
+required flag, unknown plan or result keys, a malformed stream file, a
+plan, stream or result value of the wrong JSON type, or a result whose trace
+certificate was made for another stream's n or scheme), 2 I/O error
+(missing or unreadable files).
 """
 
 from __future__ import annotations
@@ -32,14 +33,13 @@ from .calibration import calibrate_threshold
 from .harness import ExperimentPlan, run_experiment
 from .intervals import Segments
 from .metrics import EVAL_COLUMNS, evaluate, format_csv
-from .schemes import SchemeSpec, check_keys
+from .schemes import SchemeSpec, read_fields
 from .segmentation import SegmenterConfig, segment_series
 from .streams import (NtpModel, StreamSpec, generate_stream, read_stream_jsonl, score_tokens,
                       write_stream_jsonl)
 
-# The keys of ``SegmentationResult.to_json``, as ``evaluate`` reads them.
-_RESULT_KEYS = ("k_hat", "segments", "d_tilde", "trace")
-_SEGMENT_KEYS = ("left", "right")
+# The keys of ``SegmentationResult.to_json`` and their readers.
+_RESULT_READERS = {"segments": Segments, "trace": lambda trace: trace}
 # One chunk of a segments string: two unsigned integer ends around a dash.
 _SEGMENT_CHUNK = re.compile(r"\s*([0-9]+)\s*-\s*([0-9]+)\s*")
 
@@ -129,13 +129,10 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_result_stream(est_data: dict, n: int, scheme_params: dict) -> None:
+def _check_result_stream(trace: dict, n: int, scheme: dict) -> None:
     """Raise ValueError unless the certificate in the result's trace, if it
-    holds one, was made for a stream of ``n`` tokens under ``scheme_params``:
+    holds one, was made for a stream of ``n`` tokens under ``scheme`` (JSON):
     a result scored against another stream's truth reads as a valid score."""
-    if "trace" not in est_data:
-        return
-    trace = est_data["trace"]
     if not isinstance(trace, dict):
         raise ValueError(f"result trace must be a JSON object, not {type(trace).__name__}")
     if "certificate" not in trace:
@@ -146,24 +143,18 @@ def _check_result_stream(est_data: dict, n: int, scheme_params: dict) -> None:
     if cert.get("n") != n:
         raise ValueError(f"result was segmented at n={cert.get('n')!r}, "
                          f"the truth stream has n={n}")
-    if cert.get("scheme_params") != scheme_params:
-        raise ValueError(f"result was segmented under scheme {cert.get('scheme_params')!r}, "
-                         f"the truth stream carries {scheme_params!r}")
+    if cert.get("scheme") != scheme:
+        raise ValueError(f"result was segmented under scheme {cert.get('scheme')!r}, "
+                         f"the truth stream carries {scheme!r}")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     stream = read_stream_jsonl(args.truth)
-    est_data = json.loads(Path(args.est).read_text(encoding="utf-8"))
-    check_keys(est_data, _RESULT_KEYS, "result", required=("segments",))
-    segments = est_data["segments"]
-    if not isinstance(segments, list):
-        raise ValueError(f"result segments must be a JSON list, not {type(segments).__name__}")
-    for seg in segments:
-        check_keys(seg, _SEGMENT_KEYS, "result segment", required=_SEGMENT_KEYS)
+    result = read_fields(json.loads(Path(args.est).read_text(encoding="utf-8")),
+                         _RESULT_READERS, "result", required=("segments",))
     n = stream.tokens.size
-    _check_result_stream(est_data, n, stream.scheme.to_json())
-    estimate = Segments([(seg["left"], seg["right"]) for seg in segments], n=n)
-    report = evaluate(stream.true_segments, estimate, n)
+    _check_result_stream(result.get("trace", {}), n, stream.scheme.to_json())
+    report = evaluate(stream.true_segments, Segments(result["segments"], n=n), n)
     row = report.csv_row(args.model_label, stream.scheme.scheme_id)
     text = format_csv(EVAL_COLUMNS, [row])
     if args.out:

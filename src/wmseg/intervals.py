@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -16,13 +16,22 @@ class Segments:
 
     Positions are 1-based everywhere outside numpy internals; ``(3, 5)``
     covers tokens 3, 4 and 5. Construction sorts and rejects overlaps; an
-    end that is not a Python or numpy integer raises TypeError.
+    interval that is not a two-element list, tuple or array of Python or numpy
+    integers raises TypeError, which ``read_fields`` reports under its key.
     """
 
     intervals: tuple[Interval, ...]
 
-    def __init__(self, intervals: Iterable[Iterable[int]] = (), n: int | None = None):
-        pairs = sorted((_end(l), _end(r)) for l, r in intervals)
+    def __init__(self, intervals: Iterable[Sequence[int]] = (), n: int | None = None):
+        # Concrete types: an isinstance check against an ABC costs about 4x as much.
+        if isinstance(intervals, (str, bytes, dict)) or not hasattr(intervals, "__iter__"):
+            raise TypeError(f"{intervals!r} is not a list of [l, r] pairs")
+        pairs = []
+        for interval in intervals:
+            if not isinstance(interval, (list, tuple, np.ndarray)) or len(interval) != 2:
+                raise TypeError(f"interval {interval!r} is not an [l, r] pair")
+            pairs.append((_end(interval[0]), _end(interval[1])))
+        pairs.sort()
         for left, right in pairs:
             if not 1 <= left <= right:
                 raise ValueError(f"invalid interval [{left}, {right}]")
@@ -60,8 +69,7 @@ class Segments:
 def _end(value) -> int:
     """An interval end as a Python int: a Python or numpy integer, never a
     bool (true is no position) and never a float (100.7 is not rounded).
-    Anything else raises TypeError, which a JSON reader (``read_fields``)
-    reports under its key."""
+    Anything else raises TypeError."""
     if type(value) is int:
         return value
     if isinstance(value, np.integer):

@@ -70,10 +70,12 @@ class InvalidDistribution(ValueError):
 
 
 def validate_probs(probs: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    """Check a probability vector: nonnegative entries summing to 1."""
+    """Check a probability vector: finite nonnegative entries summing to 1."""
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise InvalidDistribution("probability vector must be 1-D and nonempty")
+    if not np.isfinite(probs).all():  # a NaN passes every comparison below
+        raise InvalidDistribution("non-finite probability entry")
     if np.any(probs < 0):
         raise InvalidDistribution("negative probability entry")
     total = float(probs.sum())
@@ -107,6 +109,17 @@ def check_keys(data: dict, known, what: str, required=()) -> None:
                           ("missing", [key for key in required if key not in data])):
         if keys:
             raise ValueError(f"{problem} {what} key(s): {', '.join(map(repr, keys))}")
+
+
+def check_unread(spec, read, what: str) -> None:
+    """Raise ValueError for a parameter of the dataclass ``spec`` (a field
+    after its first two) that is not in ``read`` but differs from its
+    default, NaN included, so that no parameter is silently ignored."""
+    for field in dataclasses.fields(spec)[2:]:
+        value = getattr(spec, field.name)
+        if field.name not in read and value != field.default:
+            raise ValueError(f"{what} does not read {field.name}, "
+                             f"so it must keep its default {field.default!r}, not {value!r}")
 
 
 def read_fields(data: dict, readers: dict, what: str, required=()) -> dict:
@@ -630,11 +643,7 @@ class SchemeSpec:
         if not 2 <= self.vocab_size < 2**32:
             raise ValueError(f"vocab_size must lie in [2, 2**32), not {self.vocab_size!r}")
         params = SCHEMES[self.scheme_id].params
-        for field in dataclasses.fields(self)[2:]:  # the parameters after scheme_id, V
-            value = getattr(self, field.name)
-            if field.name not in params and value != field.default:  # NaN included
-                raise ValueError(f"scheme {self.scheme_id!r} does not read {field.name}, "
-                                 f"so it must keep its default {field.default!r}, not {value!r}")
+        check_unread(self, params, f"scheme {self.scheme_id!r}")
         scheme = _scheme_object(self.scheme_id, self.vocab_size,
                                 *(getattr(self, name) for name in params))
         object.__setattr__(self, "_scheme", scheme)

@@ -8,8 +8,11 @@ each region, scan restricted endpoint windows for the interval whose
 excluded scores look most like noise.
 
 ``segment_series`` returns one ``SegmentationResult``, whose ``to_json`` is
-the result file of ``wmseg segment``: the segments, and under its ``trace``
-key each stage's decision and the certificate it screened with.
+the result file of ``wmseg segment``: the segments as [l, r] pairs, and
+under its ``trace`` key each stage's decision, the signal estimate
+``d_tilde`` and the certificate it screened with, whose ``q`` is the
+threshold. No value is written twice (the segment and block counts are
+lengths of lists).
 """
 
 from __future__ import annotations
@@ -96,9 +99,7 @@ class SegmentationResult:
 
     def trace(self) -> dict:
         return {
-            "n_blocks": int(self.block_sums.size),
             "block_sums": [float(x) for x in self.block_sums],
-            "threshold": self.cert.q,
             "certificate": self.cert.to_json(),
             "selected_blocks": [int(k) + 1 for k in self.selected_blocks],
             "kept_runs_blocks": [[a + 1, b + 1] for a, b in self.kept_runs],
@@ -111,12 +112,7 @@ class SegmentationResult:
         }
 
     def to_json(self) -> dict:
-        return {
-            "k_hat": self.k_hat,
-            "segments": [{"left": l, "right": r} for l, r in self.segments],
-            "d_tilde": self.signal,
-            "trace": self.trace(),
-        }
+        return {"segments": self.segments.to_pairs(), "trace": self.trace()}
 
 
 # ---------------------------------------------------------------------------

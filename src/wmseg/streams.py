@@ -7,12 +7,14 @@ token is the scheme's decode of (NTP, key) inside a planted segment and an
 independent sample from the NTP outside. The scored pivots of the resulting
 stream are what the segmenter consumes. A JSONL stream file carries the
 tokens between tools, with the seed and scheme that score them: a header
-record, then one body record holding the token list, which the verifier
-rescores. A body line spelled exactly as ``write_stream_jsonl`` writes it,
-``{"tokens": [`` then decimal integers below 10^18 without leading zeros
-joined by ``", "`` then ``]}`` and a newline, is read in a few whole-string
-and whole-array passes, with no Python int per token; any other body line
-is read by ``json``, to the same tokens or the same error.
+record ``{"n", "seed", "true_segments", "scheme"}`` (the segments as [l, r]
+pairs, the scheme as its ``SchemeSpec`` JSON object), then one body record
+holding the token list, which the verifier rescores. A body line spelled
+exactly as ``write_stream_jsonl`` writes it, ``{"tokens": [`` then decimal
+integers below 10^18 without leading zeros joined by ``", "`` then ``]}``
+and a newline, is read in a few whole-string and whole-array passes, with
+no Python int per token; any other body line is read by ``json``, to the
+same tokens or the same error.
 
 Generation draws NTP rows only for the positions inside a segment, which
 decode with them. Each position's row is drawn independently of every other
@@ -47,7 +49,6 @@ the same bits.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -69,7 +70,8 @@ from .keys import (
     mix,
 )
 from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_decodable, check_keys,
-                      check_tokens, json_float, json_int, read_fields, validate_probs)
+                      check_tokens, check_unread, json_float, json_int, read_fields,
+                      validate_probs)
 
 # Each NTP model kind and the one parameter it reads besides delta_cap.
 NTP_PARAMS = {"dirichlet": "concentration", "zipf": "exponent", "fixed": "vectors"}
@@ -133,11 +135,7 @@ class NtpModel:
     def __post_init__(self):
         if self.kind not in NTP_PARAMS:
             raise ValueError(f"unknown NTP model kind {self.kind!r}")
-        for field in dataclasses.fields(self)[2:]:  # the parameters after kind, delta_cap
-            value = getattr(self, field.name)
-            if field.name != NTP_PARAMS[self.kind] and value != field.default:  # NaN included
-                raise ValueError(f"NTP model kind {self.kind!r} does not read {field.name}, "
-                                 f"so it must keep its default {field.default!r}, not {value!r}")
+        check_unread(self, (NTP_PARAMS[self.kind],), f"NTP model kind {self.kind!r}")
         if not 0.0 < self.delta_cap < 1.0:
             raise ValueError("delta_cap must lie in (0, 1)")
         if not (math.isfinite(self.concentration) and self.concentration > 0.0):
@@ -251,14 +249,9 @@ class NtpModel:
         return np.minimum(tokens, vocab_size - 1)
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "delta_cap": self.delta_cap}
-        if self.kind == "dirichlet":
-            out["concentration"] = self.concentration
-        elif self.kind == "zipf":
-            out["exponent"] = self.exponent
-        else:
-            out["vectors"] = [list(v) for v in self.vectors]
-        return out
+        param = NTP_PARAMS[self.kind]
+        value = [list(v) for v in self.vectors] if param == "vectors" else getattr(self, param)
+        return {"kind": self.kind, "delta_cap": self.delta_cap, param: value}
 
     @classmethod
     def from_json(cls, data: dict) -> "NtpModel":
@@ -422,8 +415,8 @@ class StreamFile:
 
 # Every key of a stream file's header record, each required on reading, and
 # its reader.
-_HEADER_READERS = {"n": json_int, "scheme": str, "mu0": json_float, "seed": json_int,
-                   "true_segments": Segments, "scheme_params": SchemeSpec.from_json}
+_HEADER_READERS = {"n": json_int, "seed": json_int, "true_segments": Segments,
+                   "scheme": SchemeSpec.from_json}
 
 
 # The body line ``write_stream_jsonl`` writes: these around the tokens, which
@@ -463,16 +456,11 @@ def _writer_tokens(line: str) -> np.ndarray | None:
 
 
 def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
-    """Write the header record, then the body record ``{"tokens": [...]}``."""
+    """Write the header record ``{"n", "seed", "true_segments", "scheme"}``,
+    then the body record ``{"tokens": [...]}``."""
     spec = stream.spec
-    header = {
-        "n": spec.n,
-        "scheme": spec.scheme.scheme_id,
-        "mu0": spec.scheme.null_mean,
-        "seed": spec.seed,
-        "true_segments": spec.true_segments.to_pairs(),
-        "scheme_params": spec.scheme.to_json(),
-    }
+    header = {"n": spec.n, "seed": spec.seed, "true_segments": spec.true_segments.to_pairs(),
+              "scheme": spec.scheme.to_json()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(json.dumps({"tokens": stream.tokens.tolist()}) + "\n")
@@ -486,11 +474,11 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
     ``tokens``; a record that is not a JSON object, and an unknown or
     missing key, raise ValueError naming it, as do
     a header value of another JSON type than the writer's (a ``seed`` of
-    7.0, "7" or true), a seed outside [0, 2^64), a number too large for a
-    float, a token count other than the header's ``n``, a token that is
-    not a JSON integer, a record after the body and a file of per-token
-    records. A header ``scheme`` or ``mu0`` that disagrees with
-    ``scheme_params`` raises ValueError. The verifier scores the tokens
+    7.0, "7" or true), a segment that is not an [l, r] pair of integers, a
+    seed outside [0, 2^64), a number too large for a float, a token count
+    other than the header's ``n``, a token that is not a JSON integer and a
+    record after the body. The scheme's null mean and id come from its
+    ``scheme`` object alone. The verifier scores the tokens
     (``score_tokens``).
 
     A body line in the writer's exact spelling, its tokens below 10^18 with
@@ -505,14 +493,10 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
         body = {"tokens": tokens} if tokens is not None else json.loads(line or "{}")
         trailing = fh.read().strip()
     fields = read_fields(header, _HEADER_READERS, "stream header", required=_HEADER_READERS)
-    # The second line of a file in the old format.
-    if isinstance(body, dict) and {"t", "token"} & set(body):
-        raise ValueError(f"{path}: per-token `t`/`token` records are no longer read; "
-                         f"regenerate the stream")
     check_keys(body, ("tokens",), "stream body", required=("tokens",))
     if trailing:
         raise ValueError(f"{path}: records follow the body record")
-    n, scheme = fields["n"], fields["scheme_params"]
+    n = fields["n"]
     tokens = body["tokens"]
     if not isinstance(tokens, (list, np.ndarray)):  # json gives no array
         raise ValueError(f"{path}: body tokens must be a JSON list, not {type(tokens).__name__}")
@@ -527,19 +511,9 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
             tokens = np.array(tokens, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"{path}: a token lies outside the int64 range") from None
-    if fields["scheme"] != scheme.scheme_id:
-        raise ValueError(
-            f"{path}: header scheme {fields['scheme']!r} differs from "
-            f"scheme_params scheme {scheme.scheme_id!r}"
-        )
-    if not math.isclose(fields["mu0"], scheme.null_mean, rel_tol=1e-12):
-        raise ValueError(
-            f"{path}: header mu0={fields['mu0']!r} differs from the null mean "
-            f"{scheme.null_mean!r} of its scheme_params"
-        )
     return StreamFile(
         true_segments=Segments(fields["true_segments"], n=n),
         tokens=tokens,
         seed=check_seed(fields["seed"]),
-        scheme=scheme,
+        scheme=fields["scheme"],
     )

@@ -21,9 +21,6 @@ def reference_tokens(path, n: int) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()
         body = json.loads(fh.readline() or "{}")
-    if {"t", "token"} & set(body):  # the second line of a file in the old format
-        raise ValueError(f"{path}: per-token `t`/`token` records are no longer read; "
-                         f"regenerate the stream")
     check_keys(body, ("tokens",), "stream body", required=("tokens",))
     tokens = body["tokens"]
     if not isinstance(tokens, list):

@@ -115,8 +115,8 @@ class TestCalibrateThreshold:
         cert = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=2000, seed=7)
         data = cert.to_json()
         assert json.loads(json.dumps(data)) == data
-        assert set(data) == {"q", "alpha", "n", "b", "scheme", "scheme_params"}
-        assert (data["q"], data["b"], data["scheme_params"]) == (cert.q, 15, GUMBEL.to_json())
+        assert set(data) == {"q", "alpha", "n", "b", "scheme"}
+        assert (data["q"], data["b"], data["scheme"]) == (cert.q, 15, GUMBEL.to_json())
 
     def test_new_certificates_are_exact_and_record_no_draws(self):
         cert = calibrate_threshold(GUMBEL, 200, 15, 0.1, mc_reps=5000, seed=3)

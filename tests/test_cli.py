@@ -36,6 +36,32 @@ def test_generate_calibrate_segment_evaluate(scheme_id, tmp_path):
     assert row[EVAL_COLUMNS.index("scheme")] == scheme_id
 
 
+def test_generate_and_segment_write_each_value_once(tmp_path):
+    """The stream header and the result hold no derived copy: the scheme is
+    its ``SchemeSpec`` JSON object in the header and in the certificate, the
+    segments are [l, r] pairs, the threshold is the certificate's q, the
+    segment count is the segments' length and the block count that of the
+    block sums."""
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
+    assert cli_main(["generate", "--scheme", "red_green", "--vocab-size", "40", "--n", "400",
+                     "--segments", "100-250", "--seed", "11", "--out", str(stream)]) == 0
+    assert cli_main(["segment", "--stream", str(stream), "--block-len", "20",
+                     "--out", str(out)]) == 0
+    header = json.loads(stream.read_text(encoding="utf-8").splitlines()[0])
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert set(header) == {"n", "seed", "true_segments", "scheme"}
+    assert header["true_segments"] == [[100, 250]]
+    assert set(result) == {"segments", "trace"}
+    assert result["segments"] == Segments(result["segments"]).to_pairs() != []
+    trace = result["trace"]
+    assert set(trace) == {"block_sums", "certificate", "selected_blocks", "kept_runs_blocks",
+                          "regions", "windows", "d_tilde", "d_tilde_floored", "min_run_blocks",
+                          "pad"}
+    assert set(trace["certificate"]) == {"q", "alpha", "n", "b", "scheme"}
+    assert (trace["certificate"]["scheme"] == header["scheme"]
+            == SchemeSpec("red_green", 40).to_json())
+
+
 def test_segment_calibrates_on_the_streams_own_null_law(tmp_path):
     """The certificate in the trace is the one calibrated from the stream's
     scheme, here a red_green law with a green fraction other than the default."""
@@ -50,7 +76,6 @@ def test_segment_calibrates_on_the_streams_own_null_law(tmp_path):
     expected = calibrate_threshold(scheme, 400, 20, 0.1).to_json()
     written = json.loads(out.read_text(encoding="utf-8"))["trace"]
     assert written["certificate"] == expected
-    assert written["threshold"] == expected["q"]
 
 
 def test_segment_without_a_block_length_is_a_validation_error(tmp_path, capsys):
@@ -79,7 +104,7 @@ def test_config_is_not_an_option_of_generate_segment_or_evaluate(command, config
     stream, result = tmp_path / "stream.jsonl", tmp_path / "result.json"
     assert cli_main(["generate", "--n", "300", "--segments", "100-200", "--seed", "1",
                      "--out", str(stream)]) == 0
-    result.write_text(json.dumps({"segments": [{"left": 110, "right": 190}]}), encoding="utf-8")
+    result.write_text(json.dumps({"segments": [[110, 190]]}), encoding="utf-8")
     config_path, out = tmp_path / "config.json", tmp_path / "out"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     argv = [arg.format(stream=stream, result=result) for arg in argv]
@@ -129,21 +154,28 @@ def test_missing_stream_file_is_an_io_error(tmp_path):
 
 
 @pytest.mark.parametrize("scheme, header", [
+    (SchemeSpec("inverse", vocab_size=3), {}),
     (SchemeSpec("inverse", vocab_size=3), {"mu0": 2 / 3}),
     (SchemeSpec("red_green", vocab_size=20), {"scheme": "gumbel"}),
-], ids=["stale-mu0", "scheme-mismatch"])
-def test_segment_rejects_a_header_that_contradicts_scheme_params(scheme, header, tmp_path):
-    stream = tmp_path / "stream.jsonl"
+], ids=["consistent", "stale-mu0", "scheme-mismatch"])
+def test_segment_rejects_a_header_in_the_old_spelling(scheme, header, tmp_path, capsys):
+    """Headers used to repeat the scheme's id (``scheme``) and null mean
+    (``mu0``) beside its ``scheme_params``; such a file is rejected by its
+    keys, whether its copies agree or not."""
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
     write_stream_jsonl(stream, generate_stream(StreamSpec(
         n=100, true_segments=Segments(), scheme=scheme,
         ntp_model=NtpModel(kind="dirichlet"), seed=5,
     )))
-    first, *body = stream.read_text(encoding="utf-8").splitlines()
-    stream.write_text("\n".join([json.dumps({**json.loads(first), **header}), *body]) + "\n",
-                      encoding="utf-8")
-    argv = ["segment", "--stream", str(stream), "--block-len", "10",
-            "--out", str(tmp_path / "result.json")]
-    assert cli_main(argv) == 1
+    _, *body = stream.read_text(encoding="utf-8").splitlines()
+    old = {"n": 100, "scheme": scheme.scheme_id, "mu0": scheme.null_mean, "seed": 5,
+           "true_segments": [], "scheme_params": scheme.to_json(), **header}
+    stream.write_text("\n".join([json.dumps(old), *body]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["segment", "--stream", str(stream), "--block-len", "10",
+                     "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "unknown stream header key(s): 'mu0', 'scheme_params'" in capsys.readouterr().err
 
 
 def test_experiment_is_byte_reproducible_and_has_no_jobs_or_cache_flags(tmp_path):
@@ -362,16 +394,24 @@ def test_segment_rejects_the_old_per_token_format(tmp_path, capsys):
     capsys.readouterr()
     assert cli_main(argv) == 1
     assert not out.exists()
-    assert "per-token `t`/`token` records are no longer read" in capsys.readouterr().err
+    assert "unknown stream body key(s): 'pivot_score', 't', 'token'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("estimate, message", [
-    ({"k_hat": 1}, "missing result key(s): 'segments'"),
-    ({"segments": [{"left": 60, "rigth": 110}]}, "unknown result segment key(s): 'rigth'"),
-    ({"segments": None}, "result segments must be a JSON list, not NoneType"),
-    ({"segments": {"left": 1}}, "result segments must be a JSON list, not dict"),
-], ids=["no-segments", "misspelled-segment-key", "null-segments", "object-segments"])
+    ({"trace": {}}, "missing result key(s): 'segments'"),
+    ({"segments": [[60, 110]], "k_hat": 7}, "unknown result key(s): 'k_hat'"),
+    ({"segments": [[60, 110]], "d_tilde": -3.0}, "unknown result key(s): 'd_tilde'"),
+    ({"k_hat": 1, "segments": [{"left": 60, "right": 110}], "d_tilde": 1.0},
+     "unknown result key(s): 'd_tilde', 'k_hat'"),
+    ({"segments": [{"left": 60, "right": 110}]},
+     "result key 'segments': interval {'left': 60, 'right': 110} is not an [l, r] pair"),
+    ({"segments": None}, "result key 'segments': None is not a list of [l, r] pairs"),
+    ({"segments": {"left": 1}},
+     "result key 'segments': {'left': 1} is not a list of [l, r] pairs"),
+], ids=["no-segments", "k-hat", "d-tilde", "old-spelling", "segment-object", "null-segments",
+        "object-segments"])
 def test_evaluate_names_a_missing_or_unknown_result_key(estimate, message, tmp_path, capsys):
+    # A result with k_hat 7 for one segment and d_tilde -3.0 used to exit 0.
     stream, result, out = tmp_path / "stream.jsonl", tmp_path / "result.json", tmp_path / "eval.csv"
     assert cli_main(["generate", "--n", "200", "--segments", "50-120", "--out", str(stream)]) == 0
     result.write_text(json.dumps(estimate), encoding="utf-8")
@@ -420,8 +460,7 @@ def test_evaluate_rejects_a_result_segmented_on_another_stream(truth_argv, messa
 def test_evaluate_names_a_trace_that_is_not_an_object(trace, message, tmp_path, capsys):
     stream, result, out = tmp_path / "stream.jsonl", tmp_path / "result.json", tmp_path / "eval.csv"
     assert cli_main(["generate", "--n", "200", "--segments", "50-120", "--out", str(stream)]) == 0
-    result.write_text(json.dumps({"segments": [{"left": 60, "right": 110}], "trace": trace}),
-                      encoding="utf-8")
+    result.write_text(json.dumps({"segments": [[60, 110]], "trace": trace}), encoding="utf-8")
     capsys.readouterr()
     argv = ["evaluate", "--truth", str(stream), "--est", str(result), "--out", str(out)]
     assert cli_main(argv) == 1
@@ -448,7 +487,7 @@ def test_bench_is_not_a_command(tmp_path):
 def test_evaluate_to_stdout_quotes_a_label_with_a_comma(tmp_path, capsys):
     stream, result = tmp_path / "stream.jsonl", tmp_path / "result.json"
     assert cli_main(["generate", "--n", "200", "--segments", "50-120", "--out", str(stream)]) == 0
-    result.write_text(json.dumps({"segments": [{"left": 60, "right": 110}]}), encoding="utf-8")
+    result.write_text(json.dumps({"segments": [[60, 110]]}), encoding="utf-8")
     capsys.readouterr()
     assert cli_main(["evaluate", "--truth", str(stream), "--est", str(result),
                      "--model-label", "llama,7b"]) == 0
@@ -474,3 +513,35 @@ def test_generate_reads_l_r_segments_from_the_flag(segments, tmp_path):
     out = tmp_path / "stream.jsonl"
     assert cli_main(["generate", "--n", "300", "--segments", segments, "--out", str(out)]) == 0
     assert read_stream_jsonl(out).true_segments.to_pairs() == [[100, 200], [225, 250]]
+
+
+@pytest.mark.parametrize("segments", ["1-5", [[1, 2, 3]], [[1]], {"a": 1}],
+                         ids=["string", "triple", "single", "object"])
+@pytest.mark.parametrize("reader", ["stream header", "plan", "result"])
+def test_segments_that_are_not_l_r_pairs_are_named_by_their_key(reader, segments, tmp_path,
+                                                                 capsys):
+    # A stream header's [[1, 2, 3]] used to print only "error: too many
+    # values to unpack (expected 2)", an error that named no key.
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "out"
+    assert cli_main(["generate", "--n", "300", "--segments", "100-200", "--seed", "1",
+                     "--out", str(stream)]) == 0
+    if reader == "stream header":
+        header, body = stream.read_text(encoding="utf-8").splitlines()
+        header = json.dumps({**json.loads(header), "true_segments": segments})
+        stream.write_text(header + "\n" + body + "\n", encoding="utf-8")
+        argv, key = ["segment", "--stream", str(stream), "--block-len", "20"], "true_segments"
+    elif reader == "plan":
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"n": 300, "true_segments": segments, "ntp_model": {},
+                                    "scheme": {"id": "gumbel", "vocab_size": 100},
+                                    "grid": {"block_len": [20]}}), encoding="utf-8")
+        argv, key = ["experiment", "--config", str(plan)], "true_segments"
+    else:
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps({"segments": segments}), encoding="utf-8")
+        argv, key = ["evaluate", "--truth", str(stream), "--est", str(result)], "segments"
+    capsys.readouterr()
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reader} key '{key}': ") and "[l, r] pair" in err

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -12,7 +13,7 @@ from wmseg.harness import ExperimentPlan, run_experiment
 from wmseg.intervals import Segments
 from wmseg.keys import TAG_REPLICATION, mix
 from wmseg.metrics import evaluate
-from wmseg.schemes import SchemeSpec
+from wmseg.schemes import InvalidDistribution, SchemeSpec
 from wmseg.segmentation import SegmenterConfig, segment_series
 from wmseg.streams import NtpModel, StreamSpec, generate_stream
 
@@ -179,6 +180,16 @@ def test_plan_from_json_rejects_a_value_of_another_json_type(edit, key):
 def test_plan_from_json_names_a_non_integer_segment_end(segments, bad):
     with pytest.raises(ValueError, match=f"key 'true_segments': interval end {bad} is not"):
         ExperimentPlan.from_json({**PLAN.to_json(), "true_segments": segments})
+
+
+def test_a_nan_ntp_probability_is_rejected_when_the_model_is_built():
+    # Python's json reads NaN, and a fixed vector holding one used to build
+    # and fail only at generation, with "invalid probability vector".
+    with pytest.raises(InvalidDistribution, match="non-finite probability entry"):
+        NtpModel(kind="fixed", vectors=((math.nan, 0.5),))
+    edit = json.loads('{"ntp_model": {"kind": "fixed", "vectors": [[NaN, 0.5]]}}')
+    with pytest.raises(InvalidDistribution, match="non-finite probability entry"):
+        ExperimentPlan.from_json({**PLAN.to_json(), **edit})
 
 
 def test_plan_from_json_reads_a_json_integer_as_a_float():

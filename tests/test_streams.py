@@ -451,9 +451,9 @@ class TestStreamJsonl:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         header, body = map(json.loads, lines)
-        assert set(header) == {"n", "scheme", "mu0", "seed", "true_segments", "scheme_params"}
+        assert set(header) == {"n", "seed", "true_segments", "scheme"}
         assert header["n"] == 5
-        assert header["scheme"] == "gumbel"
+        assert header["scheme"] == spec.scheme.to_json()
         assert body == {"tokens": stream.tokens.tolist()}
 
     def _parts(self, tmp_path):
@@ -501,7 +501,8 @@ class TestStreamJsonl:
         records = [{"t": t, "token": token, "pivot_score": 1.0}
                    for t, token in enumerate(body["tokens"], start=1)]
         self._write(path, header, *records)
-        with pytest.raises(ValueError, match="per-token `t`/`token` records are no longer read"):
+        with pytest.raises(ValueError,
+                           match="unknown stream body key\\(s\\): 'pivot_score', 't', 'token'"):
             read_stream_jsonl(path)
 
     @pytest.mark.parametrize("token", [1.5, 3.0, True, "3", None, float("nan")],
@@ -549,32 +550,17 @@ class TestStreamJsonl:
         with pytest.raises(ValueError, match="missing stream header key\\(s\\): 'n'"):
             read_stream_jsonl(path)
 
-    def test_stale_mu0_is_rejected(self, tmp_path):
-        # Inverse files written before the exact null mean carry mu0 = 2/3;
-        # reading one used to centre the series on 2/3 instead of 0.583.
-        inverse = SchemeSpec("inverse", vocab_size=3)
-        path = self._with_header(tmp_path, inverse, {"mu0": 2 / 3})
-        with pytest.raises(ValueError, match=f"mu0={2 / 3!r}.*{inverse.null_mean!r}"):
-            read_stream_jsonl(path)
-
-    def test_header_scheme_must_match_scheme_params(self, tmp_path):
-        path = self._with_header(
-            tmp_path, SchemeSpec("red_green", vocab_size=20), {"scheme": "gumbel"}
-        )
-        with pytest.raises(ValueError, match="'gumbel'.*'red_green'"):
-            read_stream_jsonl(path)
-
     @pytest.mark.parametrize("fields, key", [
         ({"seed": 7.9}, "seed"),
         ({"seed": "7"}, "seed"),
         ({"seed": True}, "seed"),
         ({"n": 6.0}, "n"),
         ({"n": "6"}, "n"),
-        ({"mu0": "1.0"}, "mu0"),
-        ({"mu0": False}, "mu0"),
-        ({"scheme_params": {"id": "gumbel", "vocab_size": 100.0}}, "vocab_size"),
-    ], ids=["float-seed", "string-seed", "bool-seed", "float-n", "string-n", "string-mu0",
-            "bool-mu0", "float-vocab-size"])
+        ({"scheme": {**GUMBEL.to_json(), "bias": "1.0"}}, "bias"),
+        ({"scheme": {**GUMBEL.to_json(), "bias": False}}, "bias"),
+        ({"scheme": {"id": "gumbel", "vocab_size": 100.0}}, "vocab_size"),
+    ], ids=["float-seed", "string-seed", "bool-seed", "float-n", "string-n", "string-bias",
+            "bool-bias", "float-vocab-size"])
     def test_a_header_value_of_another_json_type_is_rejected(self, fields, key, tmp_path):
         # Each of these used to be coerced: a seed of 7.9 or "7" scored the
         # tokens under seed 7, and true under seed 1.
@@ -593,9 +579,10 @@ class TestStreamJsonl:
 
     def test_a_header_number_beyond_the_float_range_is_named(self, tmp_path):
         # It used to escape read_stream_jsonl as an OverflowError.
-        path = self._with_header(tmp_path, GUMBEL, {"mu0": 10**400})
+        path = self._with_header(tmp_path, GUMBEL,
+                                 {"scheme": {**GUMBEL.to_json(), "bias": 10**400}})
         with pytest.raises(ValueError,
-                           match="key 'mu0': an integer of 401 digits is too large for a float"):
+                           match="key 'bias': an integer of 401 digits is too large for a float"):
             read_stream_jsonl(path)
 
     @pytest.mark.parametrize("segments", [[[2.5, 4]], [[2.5, True]]], ids=["float", "bool"])
@@ -608,13 +595,13 @@ class TestStreamJsonl:
     def test_a_nan_bias_in_the_header_is_rejected(self, tmp_path):
         red_green = SchemeSpec("red_green", vocab_size=50)
         path = self._with_header(tmp_path, red_green,
-                                 {"scheme_params": {**red_green.to_json(), "bias": math.nan}})
+                                 {"scheme": {**red_green.to_json(), "bias": math.nan}})
         with pytest.raises(ValueError, match="bias must be finite and nonnegative, not nan"):
             read_stream_jsonl(path)
 
-    def test_series_takes_the_null_mean_of_scheme_params(self, tmp_path):
+    def test_series_takes_the_null_mean_of_the_header_scheme(self, tmp_path):
         inverse = SchemeSpec("inverse", vocab_size=3)
-        path = self._with_header(tmp_path, inverse, {"mu0": inverse.null_mean * (1 + 1e-14)})
+        path = self._with_header(tmp_path, inverse, {})
         back = read_stream_jsonl(path)
         series = score_tokens(back.tokens, back.seed, back.scheme)
         assert series.null_mean == inverse.null_mean
@@ -634,9 +621,9 @@ class TestStreamJsonl:
         with pytest.raises(ValueError, match="stream body must be a JSON object, not NoneType"):
             read_stream_jsonl(path)
 
-    def test_scheme_params_that_are_not_an_object_are_rejected(self, tmp_path):
+    def test_a_scheme_that_is_not_an_object_is_rejected(self, tmp_path):
         # It used to read the string's letters as keys: "unknown scheme key(s): 'b', 'e', ...".
-        path = self._with_header(tmp_path, GUMBEL, {"scheme_params": "gumbel"})
+        path = self._with_header(tmp_path, GUMBEL, {"scheme": "gumbel"})
         with pytest.raises(ValueError, match="scheme must be a JSON object, not str"):
             read_stream_jsonl(path)
 
@@ -658,8 +645,7 @@ class TestStreamJsonl:
         assert np.array_equal(back.tokens, stream.tokens)
 
 
-_HEADER = {"scheme": "gumbel", "mu0": GUMBEL.null_mean, "seed": 3, "true_segments": [],
-           "scheme_params": GUMBEL.to_json()}
+_HEADER = {"seed": 3, "true_segments": [], "scheme": GUMBEL.to_json()}
 
 
 def _assert_reads_as_the_reference(path, n):

@@ -13,8 +13,9 @@ at the points it probes, and neither is tabulated: gumbel and red_green
 evaluate closed forms, and inverse sums its lattice law from the few bins
 of its spectrum above 1e-16, all below a bin that the total variation of
 its mass function bounds (``schemes.Inverse.block_sum_cdf``). Bisection
-runs on the bit patterns of nonnegative floats, read through ``struct``,
-about 64 probes per threshold.
+runs on the index j of the points j·h of the scheme's lattice (red_green's
+integers, inverse's step 2^-11) up to b, at most log2(b/h) + 1 probes, and
+on the bit patterns of nonnegative floats for gumbel's continuous law.
 ``simulate_max_block_sums`` draws the same maximum by Monte Carlo, as the
 reference the exact laws are tested against.
 """
@@ -104,7 +105,8 @@ def calibrate_threshold(
 ) -> ThresholdCert:
     """Calibrate the screening threshold from the scheme's exact null law.
 
-    ``scheme`` is anything exposing scheme_id, block_sum_cdf(k) and
+    ``scheme`` is anything exposing scheme_id, block_sum_cdf(k), lattice
+    (the step h of the lattice its block sums lie on, or None) and
     to_json() — normally a SchemeSpec. ``mc_reps`` and ``seed`` do not
     change q; they are accepted for callers that still pass them.
     """
@@ -115,38 +117,48 @@ def calibrate_threshold(
     blocks = math.ceil(n / block_len)
     last_len = n - (blocks - 1) * block_len
     full = scheme.block_sum_cdf(block_len)
-    last = full if last_len == block_len else scheme.block_sum_cdf(last_len)
-    q = _smallest_covering_q(lambda x: full(x) ** (blocks - 1) * last(x), 1.0 - alpha)
+    last = None if last_len == block_len else scheme.block_sum_cdf(last_len)
+
+    def cover(x: float) -> float:  # reads F_b once per probe
+        f = full(x)
+        return f ** (blocks - 1) * (f if last is None else last(x))
+
+    q = _smallest_covering_q(cover, 1.0 - alpha, scheme.lattice, block_len)
     return ThresholdCert(q, alpha, n, block_len, scheme.scheme_id, scheme.to_json())
 
 
-def _smallest_covering_q(cover, level: float) -> float:
-    """The smallest float q >= 0 with cover(q) >= level.
+def _smallest_covering_q(cover, level: float, step: float | None, top: int) -> float:
+    """The smallest q >= 0 with cover(q) >= level, by bisection of an index.
 
     ``cover`` is the CDF of a nonnegative maximum: nondecreasing and
-    right-continuous, continuous (gumbel) or a step function (red_green,
-    the inverse lattice). Nonnegative floats sort as their bit patterns, so
-    bisecting the patterns lands on the exact float in 63 steps, at a jump
-    of a step CDF as well as at the root of a continuous one.
+    right-continuous. A law on the lattice of step ``step`` (red_green,
+    inverse) steps only at its points j·step and is 1 from ``top``, the
+    block length, on, so bisecting j in [0, top/step] reads each point at
+    most once. For a continuous law (gumbel, ``step`` None) it bisects the
+    bit patterns of nonnegative floats up to 1e300, which sort as the floats
+    do, and lands on the exact float in 63 steps.
 
     The inverse lattice law is summed from a truncated spectrum, so it is
     nondecreasing only to within rounding: it may fall by about 1e-15
     between neighbouring lattice points. Bisection still returns a q with
-    cover(q) >= level whose float neighbour below falls short. That q is
-    the smallest one only if cover does not reach level at a smaller q and
-    fall back below it by rounding, which needs level to lie within about
-    1e-15 of cover there; it did not happen on the tests' inverse reference
-    grid, where every threshold equals the one of the full FFT table.
+    cover(q) >= level whose neighbour below falls short. That q is the
+    smallest one, and does not depend on the points the search reads,
+    unless level lies within about 1e-15 of cover below q. At V = 1000, n =
+    10^6, b = 1000 and alpha = 1e-15 the float search gave 721.57958984375
+    and this one gives 721.5693359375, both locally minimal; on the tests'
+    grid of n, b and alpha >= 1e-6 the two agree to the bit.
     """
+    if step is None:  # floats by their bit patterns
+        point = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
+        hi = struct.unpack("<q", struct.pack("<d", 1e300))[0]
+    else:
+        point, hi = (lambda j: j * step), round(top / step)
     if cover(0.0) >= level:
         return 0.0
-    def as_float(bits: int) -> float:
-        return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1e300))[0]
-    if not cover(as_float(hi)) >= level:
+    if step is None and not cover(point(hi)) >= level:
         raise ValueError(f"the null law does not reach coverage {level}")
+    lo = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if cover(as_float(mid)) >= level else (mid, hi)
-    return as_float(hi)
+        lo, hi = (lo, mid) if cover(point(mid)) >= level else (mid, hi)
+    return point(hi)

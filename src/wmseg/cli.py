@@ -11,19 +11,22 @@ file stores no scores), calibrates the screening threshold for
 ``--block-len`` and ``--alpha`` from that scheme's own null law, and
 segments the scores. It writes one result file, ``--out``: the segments
 as [l, r] pairs under ``segments``, and under ``trace`` every stage's
-decision and the certificate it screened with; there is no separate trace
-file. ``evaluate`` reads those two keys back and rejects any other.
+decision, the certificate it screened with and, under ``stream``, the
+stream's seed and the sha256 of its int64 tokens; there is no separate
+trace file. ``evaluate`` reads those two keys back and rejects any other.
 
 Exit codes: 0 success, 1 validation error (bad arguments, a missing
 required flag, unknown plan or result keys, a malformed stream file, a
 plan, stream or result value of the wrong JSON type, or a result whose trace
-certificate was made for another stream's n or scheme), 2 I/O error
+names another stream: a certificate for another n or scheme, or another
+seed or token digest under ``stream``), 2 I/O error
 (missing or unreadable files).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
@@ -124,20 +127,26 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     series = score_tokens(stream.tokens, stream.seed, stream.scheme)
     cert = calibrate_threshold(stream.scheme, series.n, args.block_len, **_given(args, "alpha"))
     config = SegmenterConfig(cert=cert, **_given(args, "rho", "gamma", "discard_c", "pad"))
-    result = segment_series(series, config)
-    Path(args.out).write_text(json.dumps(result.to_json(), indent=2) + "\n", encoding="utf-8")
+    out = segment_series(series, config).to_json()
+    out["trace"]["stream"] = _stream_identity(stream)
+    Path(args.out).write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
-def _check_result_stream(trace: dict, n: int, scheme: dict) -> None:
-    """Raise ValueError unless the certificate in the result's trace, if it
-    holds one, was made for a stream of ``n`` tokens under ``scheme`` (JSON):
-    a result scored against another stream's truth reads as a valid score."""
+def _stream_identity(stream) -> dict:
+    """The seed of a read stream and the sha256 of its int64 tokens."""
+    return {"seed": stream.seed, "sha256": hashlib.sha256(stream.tokens.tobytes()).hexdigest()}
+
+
+def _check_result_stream(trace: dict, stream) -> None:
+    """Raise ValueError unless the result's trace, where it names them, was
+    made from ``stream``: the certificate for its n and scheme, and the
+    ``stream`` key for its seed and tokens. A result scored against another
+    stream's truth reads as a valid score."""
     if not isinstance(trace, dict):
         raise ValueError(f"result trace must be a JSON object, not {type(trace).__name__}")
-    if "certificate" not in trace:
-        return
-    cert = trace["certificate"]
+    n, scheme, identity = stream.tokens.size, stream.scheme.to_json(), _stream_identity(stream)
+    cert = trace.get("certificate", {"n": n, "scheme": scheme})  # a key left out passes
     if not isinstance(cert, dict):
         raise ValueError(f"result certificate must be a JSON object, not {type(cert).__name__}")
     if cert.get("n") != n:
@@ -146,6 +155,9 @@ def _check_result_stream(trace: dict, n: int, scheme: dict) -> None:
     if cert.get("scheme") != scheme:
         raise ValueError(f"result was segmented under scheme {cert.get('scheme')!r}, "
                          f"the truth stream carries {scheme!r}")
+    if trace.get("stream", identity) != identity:
+        raise ValueError(f"result was segmented on stream {trace['stream']!r}, "
+                         f"the truth stream is {identity!r}")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -153,7 +165,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     result = read_fields(json.loads(Path(args.est).read_text(encoding="utf-8")),
                          _RESULT_READERS, "result", required=("segments",))
     n = stream.tokens.size
-    _check_result_stream(result.get("trace", {}), n, stream.scheme.to_json())
+    _check_result_stream(result.get("trace", {}), stream)
     report = evaluate(stream.true_segments, Segments(result["segments"], n=n), n)
     row = report.csv_row(args.model_label, stream.scheme.scheme_id)
     text = format_csv(EVAL_COLUMNS, [row])

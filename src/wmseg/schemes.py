@@ -228,7 +228,8 @@ class _Scheme:
     both (``SchemeSpec.decode``, ``streams._decode_rows``); ``pivot`` takes
     a token or a token array already bounds-checked by the caller;
     ``block_sum_cdf(k)`` returns the CDF of a sum of k null scores, a
-    function of one float q;
+    function of one float q, and ``lattice`` the step h of the points j·h
+    where every such sum lies, or None for a continuous law;
     ``params`` names the ``SchemeSpec`` fields the scheme reads beyond the
     vocabulary size, in the order its constructor takes them. Its arrays are
     read-only, since equal specs share one instance (``SchemeSpec``).
@@ -236,6 +237,7 @@ class _Scheme:
 
     params: tuple[str, ...] = ()
     null_mean: float
+    lattice: float | None
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
@@ -270,6 +272,7 @@ class Gumbel(_Scheme):
     logs of its key's uniforms, taken once per key, not per decoded row."""
 
     null_mean = 1.0
+    lattice = None
 
     def __init__(self, vocab_size: int):
         super().__init__(vocab_size)
@@ -323,6 +326,8 @@ class Gumbel(_Scheme):
 
 
 class Inverse(_AffineKeyed):
+    lattice = INVERSE_STEP
+
     def __init__(self, vocab_size: int):
         super().__init__(vocab_size)
         # E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2, averaged over g = k/(V-1).
@@ -432,7 +437,7 @@ class Inverse(_AffineKeyed):
         128). Floating-point rounding moves F by under 1e-13 and lets it
         fall by under 1e-14 between neighbouring lattice points (tested up
         to k = 300 in ``test_calibration.py``, on this function at sampled
-        lattice points and at the points bisection probes).
+        lattice points and at the points a calibration reads).
 
         The band lies below one bin, ``top``, that a bound gives (``band``).
         Summation by parts gives (1 - e^(-i theta)) P(theta) = sum_j (p_j -
@@ -447,9 +452,8 @@ class Inverse(_AffineKeyed):
         which may start a thread pool that costs more than the sums.
         Otherwise the rfft of length L costs less, and P is sliced from it.
 
-        The returned CDF keeps the value of each lattice point it was
-        asked for, since bisection asks for the same cell many times; it
-        keeps nothing between calls of ``block_sum_cdf``.
+        Each call of the returned CDF sums F(j) anew: calibration bisects
+        the lattice index and reads each point once.
         """
         top = round(k / INVERSE_STEP)  # the lattice index of the largest sum, k
         fft_len, bins, base = self.band(k)
@@ -462,23 +466,22 @@ class Inverse(_AffineKeyed):
         coef = spectrum / (2j * np.sin(half) * np.exp(1j * half))
         coef[2 * bins == fft_len] /= 2  # the Nyquist bin has no mirror image
         mass, offset = self.pmf.sum() ** k, coef.sum()
-        memo: dict[int, float] = {}
 
         def cdf(q: float) -> float:
             j = math.floor(q / INVERSE_STEP)  # the last lattice point <= q
             if not 0 <= j < top:
                 return 1.0 if j >= top else 0.0
-            if j not in memo:  # F(j) from the sum of A_f w^(f(j+1)) over the kept bins
-                sums = coef @ np.exp((2j * np.pi / fft_len) * (bins * (j + 1) % fft_len))
-                f = float(mass * (j + 1) + 2.0 * (sums - offset).real) / fft_len
-                memo[j] = min(max(f, 0.0), 1.0)
-            return memo[j]
+            # F(j) from the sum of A_f w^(f(j+1)) over the kept bins
+            sums = coef @ np.exp((2j * np.pi / fft_len) * (bins * (j + 1) % fft_len))
+            f = float(mass * (j + 1) + 2.0 * (sums - offset).real) / fft_len
+            return min(max(f, 0.0), 1.0)
 
         return cdf
 
 
 class RedGreen(_AffineKeyed):
     params = ("green_frac", "bias")
+    lattice = 1.0
 
     def __init__(self, vocab_size: int, green_frac: float, bias: float):
         super().__init__(vocab_size)
@@ -686,6 +689,10 @@ class SchemeSpec:
     def block_sum_cdf(self, k: int):
         """The CDF q -> P(sum of k i.i.d. null scores <= q) of one float q."""
         return self._scheme.block_sum_cdf(k)
+
+    @property
+    def lattice(self) -> float | None:
+        return self._scheme.lattice
 
     def to_json(self) -> dict:
         out = {"id": self.scheme_id, "vocab_size": self.vocab_size}

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 from scipy.signal import fftconvolve
 
+from covering_reference import reference_smallest_covering_q
 from inverse_table_reference import reference_band, reference_block_sum_cdf, reference_spectrum
 from scheme_theory import inverse_null_pivot_cdf
 from wmseg import calibration, schemes
@@ -40,6 +41,7 @@ class PointMassScheme:
     """Degenerate null law: every score equals the null mean."""
 
     scheme_id = "point_mass_stub"
+    lattice = None
 
     def __init__(self, null_mean=1.0):
         self.null_mean = null_mean
@@ -392,7 +394,7 @@ class TestExactLaw:
                 full = reference_block_sum_cdf(vocab, b)
                 last = reference_block_sum_cdf(vocab, n - (m - 1) * b)
                 for alpha in (0.01, 0.05, 0.1):
-                    expected = calibration._smallest_covering_q(
+                    expected = reference_smallest_covering_q(
                         lambda x: full(x) ** (m - 1) * last(x), 1 - alpha)
                     assert calibrate_threshold(scheme, n, b, alpha).q == expected, (n, b, alpha)
 
@@ -404,6 +406,68 @@ class TestExactLaw:
             mass = np.diff(lattice_values(scheme.block_sum_cdf(1), points), prepend=0.0)
             mean = float(mass @ lattice)
             assert scheme.null_mean <= mean <= scheme.null_mean + INVERSE_STEP
+
+    @pytest.mark.parametrize("scheme_id", ["inverse", "red_green"])
+    @pytest.mark.parametrize("vocab", [2, 20, 1000])
+    def test_lattice_search_matches_the_float_search(self, scheme_id, vocab):
+        # Bisecting the lattice index lands on the threshold that bisecting
+        # the bit patterns of all floats up to 1e300 finds, to the bit.
+        scheme = SchemeSpec(scheme_id, vocab)
+        for n in (300, 1000, 4000, 16000, 100_000):
+            root = math.ceil(math.sqrt(n))
+            for b in (root // 2, root, 2 * root):
+                m = math.ceil(n / b)
+                full, last = scheme.block_sum_cdf(b), scheme.block_sum_cdf(n - (m - 1) * b)
+                for alpha in (0.1, 0.05, 0.01, 1e-6):
+                    expected = reference_smallest_covering_q(
+                        lambda x: full(x) ** (m - 1) * last(x), 1 - alpha)
+                    assert calibrate_threshold(scheme, n, b, alpha).q == expected, (n, b, alpha)
+
+    @pytest.mark.parametrize("scheme_id, vocab, n, b", [
+        ("inverse", 1000, 1000, 32), ("inverse", 20, 16000, 127), ("inverse", 1000, 4096, 64),
+        ("inverse", 1000, 1_000_000, 1000), ("red_green", 1000, 1000, 32),
+        ("red_green", 1000, 16000, 127), ("red_green", 20, 4096, 64), ("red_green", 2, 5, 5),
+    ])  # 4096, 10^6 and 5 tokens: b divides n, and one law serves every block
+    def test_a_lattice_threshold_reads_each_point_once(self, scheme_id, vocab, n, b,
+                                                         monkeypatch):
+        # One probe of cover reads the law of a full block once, so its
+        # points are the probes: at most ceil(log2(b/h)) + 1 of them, none
+        # read twice, where the float search read about 65.
+        scheme, owner, points = SchemeSpec(scheme_id, vocab), schemes.SCHEMES[scheme_id], []
+        block_sum_cdf = owner.block_sum_cdf
+
+        def recording(self, k):
+            cdf = block_sum_cdf(self, k)
+            if k != b:
+                return cdf
+            return lambda q: points.append(q / scheme.lattice) or cdf(q)
+
+        monkeypatch.setattr(owner, "block_sum_cdf", recording)
+        calibrate_threshold(scheme, n, b, 0.05)
+        assert all(j == math.floor(j) for j in points)
+        assert len(points) == len(set(points)) <= math.ceil(math.log2(b / scheme.lattice)) + 1
+
+    @pytest.mark.parametrize("scheme_id, n, b", [
+        ("inverse", 1_000_000, 1000), ("inverse", 16000, 127),
+        ("red_green", 16000, 127), ("red_green", 1000, 1000),
+    ])
+    def test_a_threshold_at_a_level_near_one_is_locally_minimal(self, scheme_id, n, b):
+        # At alpha = 1e-15 the level lies within the inverse law's rounding,
+        # so the smallest covering point depends on the points read: the
+        # float search gave 721.57958984375 at n = 10^6, this one 721.5693359375.
+        # Either is locally minimal: it covers and the point below does not.
+        scheme = SchemeSpec(scheme_id, 1000)
+        q, h = calibrate_threshold(scheme, n, b, 1e-15).q, scheme.lattice
+        m = math.ceil(n / b)
+        full, last = scheme.block_sum_cdf(b), scheme.block_sum_cdf(n - (m - 1) * b)
+
+        def cover(x):
+            return full(x) ** (m - 1) * last(x)
+
+        assert q / h == math.floor(q / h) and 0 < q <= b
+        assert cover(q) >= 1 - 1e-15 > cover(q - h)
+        if (scheme_id, n) == ("inverse", 1_000_000):
+            assert q == 721.5693359375
 
     def test_calibration_never_simulates(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,6 +1,7 @@
 """The command-line pipeline, run end to end through ``cli_main``."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -41,7 +42,8 @@ def test_generate_and_segment_write_each_value_once(tmp_path):
     its ``SchemeSpec`` JSON object in the header and in the certificate, the
     segments are [l, r] pairs, the threshold is the certificate's q, the
     segment count is the segments' length and the block count that of the
-    block sums."""
+    block sums. The trace's ``stream`` key names the stream by its seed and
+    the digest of its tokens, which the header does not hold."""
     stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
     assert cli_main(["generate", "--scheme", "red_green", "--vocab-size", "40", "--n", "400",
                      "--segments", "100-250", "--seed", "11", "--out", str(stream)]) == 0
@@ -56,7 +58,8 @@ def test_generate_and_segment_write_each_value_once(tmp_path):
     trace = result["trace"]
     assert set(trace) == {"block_sums", "certificate", "selected_blocks", "kept_runs_blocks",
                           "regions", "windows", "d_tilde", "d_tilde_floored", "min_run_blocks",
-                          "pad"}
+                          "pad", "stream"}
+    assert set(trace["stream"]) == {"seed", "sha256"} and trace["stream"]["seed"] == 11
     assert set(trace["certificate"]) == {"q", "alpha", "n", "b", "scheme"}
     assert (trace["certificate"]["scheme"] == header["scheme"]
             == SchemeSpec("red_green", 40).to_json())
@@ -449,6 +452,34 @@ def test_evaluate_rejects_a_result_segmented_on_another_stream(truth_argv, messa
     assert not out.exists()
     assert f"error: {message}\n" == capsys.readouterr().err
     argv[2] = str(stream)
+    assert cli_main(argv) == 0 and out.exists()
+
+
+def test_evaluate_rejects_a_result_segmented_on_another_stream_of_the_same_n_and_scheme(
+        tmp_path, capsys):
+    # Same n and scheme, other seed and tokens: the certificate matches, and
+    # the result read iou 0.0 with exit 0 before the trace named its stream.
+    stream, result = tmp_path / "stream.jsonl", tmp_path / "result.json"
+    truth, out = tmp_path / "truth.jsonl", tmp_path / "eval.csv"
+    for argv in (["generate", "--n", "300", "--segments", "100-200", "--seed", "1",
+                  "--out", str(stream)],
+                 ["segment", "--stream", str(stream), "--block-len", "20", "--out", str(result)],
+                 ["generate", "--n", "300", "--segments", "10-60", "--seed", "2",
+                  "--out", str(truth)]):
+        assert cli_main(argv) == 0, argv[0]
+    written = json.loads(result.read_text(encoding="utf-8"))
+    bound = {path: {"seed": s.seed, "sha256": hashlib.sha256(s.tokens.tobytes()).hexdigest()}
+             for path, s in ((stream, read_stream_jsonl(stream)), (truth, read_stream_jsonl(truth)))}
+    assert written["trace"]["stream"] == bound[stream]
+    capsys.readouterr()
+    argv = ["evaluate", "--truth", str(truth), "--est", str(result), "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (f"error: result was segmented on stream {bound[stream]!r}, "
+                                       f"the truth stream is {bound[truth]!r}\n")
+    # A result that names no stream is checked on n and scheme only.
+    del written["trace"]["stream"]
+    result.write_text(json.dumps(written), encoding="utf-8")
     assert cli_main(argv) == 0 and out.exists()
 
 

@@ -140,11 +140,11 @@ def screen_blocks(sums: np.ndarray, threshold: float) -> np.ndarray:
 def merge_selected(selected: np.ndarray) -> list[Interval]:
     """Group consecutive selected block indices into inclusive runs."""
     runs: list[Interval] = []
-    for k in np.sort(np.asarray(selected, dtype=int)):
+    for k in np.sort(np.asarray(selected, dtype=int)).tolist():
         if runs and k == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], int(k))
+            runs[-1] = (runs[-1][0], k)
         else:
-            runs.append((int(k), int(k)))
+            runs.append((k, k))
     return runs
 
 
@@ -183,6 +183,8 @@ def estimate_signal(
 ) -> tuple[float, bool]:
     """Mean elevation of scores over the candidate regions.
 
+    Reads only the regions' slices of the scores, joined in order.
+
     A nonpositive estimate (possible after a false screening) is floored at
     a tiny positive value and flagged, keeping the localization objective
     well-posed while surfacing the anomaly in the trace.
@@ -190,11 +192,18 @@ def estimate_signal(
     if not regions:
         raise ValueError("cannot estimate signal from an empty region set")
     scores = np.asarray(scores, dtype=float)
-    picked = scores[regions.mask(scores.size)]
+    _check_inside(regions.intervals[-1], scores.size)  # regions are sorted, from 1 on
+    picked = np.concatenate([scores[left - 1 : right] for left, right in regions])
     value = float(picked.mean() - null_mean)
     if value <= 0.0:
         return SIGNAL_FLOOR, True
     return value, False
+
+
+def _check_inside(region: Interval, n: int) -> None:
+    left, right = region
+    if not 1 <= left <= right <= n:
+        raise ValueError(f"region [{left}, {right}] is not inside [1, {n}]")
 
 
 def search_windows(region: Interval, block_len: int, pad: int) -> tuple[Interval, Interval]:
@@ -220,23 +229,27 @@ def localize_segment(
     outside [s, t]; equivalently maximizes the penalized mass inside. Ties
     break toward the narrowest interval, then the smallest start.
 
-    One cumulative sum over the region gives the prefix masses, and one
-    running minimum over the left window's start prefixes gives, for each
-    end, its best start. An end inside the left window (before its last
-    start) reads the running minimum at its own offset, as one slice; every
-    later end reads the last value. The tie rule is applied only at the ends
-    that reach the maximum: each takes the latest start where its running
-    minimum is reached, and the first of the narrowest such intervals wins.
+    One cumulative sum over the region gives the prefix masses. When no end
+    precedes the left window's last start, every end reads one minimum over
+    the start prefixes: the latest start at it and the first end at the
+    largest inside mass win. Otherwise a running minimum gives each end its
+    best start: an end before the last start reads it at its own offset, as
+    one slice, and every later end reads the last value. The tie rule runs
+    only there, at the ends that reach the maximum: each takes the latest
+    start where its running minimum is reached, and the first of the
+    narrowest such intervals wins.
     """
     d_left, d_right = region
     wl_lo, wl_hi = window_left
     wr_lo, wr_hi = window_right
+    scores = np.asarray(scores, dtype=float)
+    _check_inside(region, scores.size)
     if not (d_left <= wl_lo <= wl_hi <= d_right and d_left <= wr_lo <= wr_hi <= d_right):
         raise ValueError("search windows must lie inside the region")
     if wl_lo > wr_hi:
         raise ValueError("empty search space: left window starts after right window ends")
 
-    adjusted = np.asarray(scores, dtype=float)[d_left - 1 : d_right] - (null_mean + rho * signal)
+    adjusted = scores[d_left - 1 : d_right] - (null_mean + rho * signal)
     prefix = np.empty(adjusted.size + 1)
     prefix[0] = 0.0
     np.add.accumulate(adjusted, out=prefix[1:])  # the cumsum, without its wrappers
@@ -250,6 +263,11 @@ def localize_segment(
     # the running minimum of the start prefixes up to its last admissible
     # start, min(t, s_hi). Some end has one, since wl_lo <= wr_hi was checked.
     start_vals = prefix[s_lo : s_hi + 1]
+    if t_lo >= s_hi:
+        # argmin and argmax return the first occurrence: of the minimum in
+        # the reversed starts (the latest start), of the maximum in the ends.
+        inside = prefix[t_lo + 1 : t_hi + 2] - np.minimum.reduce(start_vals)
+        return wl_hi - int(start_vals[::-1].argmin()), wr_lo + int(inside.argmax())
     run_min = np.minimum.accumulate(start_vals)
     first_end = max(t_lo, s_lo)
     split = min(max(first_end, s_hi), t_hi + 1)

@@ -11,6 +11,7 @@ from wmseg.calibration import CertMismatch, ThresholdCert, calibrate_threshold
 from wmseg.intervals import Segments
 from wmseg.schemes import PivotSeries, SchemeSpec
 from wmseg.segmentation import (
+    SIGNAL_FLOOR,
     SegmenterConfig,
     block_sums,
     default_pad,
@@ -186,6 +187,15 @@ class TestEnlargeRuns:
             assert lo <= a * 5 + 1 and min((b + 1) * 5, 100) <= hi
 
 
+def gather_signal(scores, regions, null_mean):
+    """``estimate_signal`` as a gather of the scores through the regions'
+    n-long mask. ``estimate_signal`` reads the region slices instead, which
+    concatenate to the same array in the same order, so the two agree to
+    the bit."""
+    value = float(scores[regions.mask(scores.size)].mean() - null_mean)
+    return (SIGNAL_FLOOR, True) if value <= 0.0 else (value, False)
+
+
 class TestEstimateSignal:
     def test_constant_elevation(self):
         scores = np.full(50, 1.7)
@@ -202,6 +212,27 @@ class TestEstimateSignal:
     def test_empty_region_set_rejected(self):
         with pytest.raises(ValueError):
             estimate_signal(np.ones(10), Segments(), null_mean=1.0)
+
+    @pytest.mark.parametrize("regions, named", [
+        ([(12, 15)], (12, 15)),
+        ([(2, 4), (8, 11)], (8, 11)),
+        ([(11, 11)], (11, 11)),
+    ])
+    def test_region_past_the_series_rejected(self, regions, named):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"region [{named[0]}, {named[1]}] is not inside [1, 10]")):
+            estimate_signal(np.arange(10.0), Segments(regions), 0.0)
+
+    def test_equals_the_mask_gather_mean(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(8, 400))
+            k = int(rng.integers(1, 5))
+            ends = np.sort(rng.choice(np.arange(1, n + 1), 2 * k, replace=False)).reshape(k, 2)
+            regions = Segments(ends.tolist(), n=n)
+            scores = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) + rng.uniform(0, 2)
+            null_mean = float(rng.uniform(0, 2))
+            assert estimate_signal(scores, regions, null_mean) == gather_signal(scores, regions,
+                                                                                null_mean)
 
 
 class TestLocalizeSegment:
@@ -229,6 +260,17 @@ class TestLocalizeSegment:
     def test_windows_must_sit_inside_the_region(self):
         with pytest.raises(ValueError):
             localize_segment(np.ones(10), (2, 8), (1, 4), (5, 8), 1.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("region, window_left, window_right", [
+        ((5, 12), (5, 8), (9, 12)),
+        ((15, 20), (15, 17), (18, 20)),
+        ((8, 11), (8, 11), (8, 11)),
+        ((0, 5), (0, 2), (3, 5)),
+    ])
+    def test_region_past_the_series_rejected(self, region, window_left, window_right):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"region [{region[0]}, {region[1]}] is not inside [1, 10]")):
+            localize_segment(np.arange(10.0), region, window_left, window_right, 0.0, 0.5, 1.0)
 
     def test_matches_naive_on_full_windows(self, rng):
         for trial in range(100):
@@ -268,6 +310,7 @@ def localize_inputs(draw, windows):
     d = draw(st.integers(c, d_right))
     layout = {
         "disjoint": ((a, b), (c, d)),
+        "touching": ((a, b), (b, d)),
         "overlapping": ((a, c), (b, d)),
         "identical": ((a, d), (a, d)),
         "right-inside-left": ((a, d), (b, c)),
@@ -277,7 +320,7 @@ def localize_inputs(draw, windows):
     return (np.array(scores, dtype=float), (d_left, d_right), *layout, null_mean, rho, signal)
 
 
-WINDOW_LAYOUTS = ("disjoint", "overlapping", "identical", "right-inside-left",
+WINDOW_LAYOUTS = ("disjoint", "touching", "overlapping", "identical", "right-inside-left",
                   "left-after-right", "outside-region")
 
 

@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import streams
 from .calibration import DEFAULT_ALPHA, DEFAULT_MC_REPS, ThresholdCert, calibrate_threshold
 from .intervals import Segments
 from .keys import TAG_REPLICATION, check_seed, mix
@@ -119,7 +120,10 @@ def _segment_everywhere(plan: ExperimentPlan, certs: dict[tuple[int, float], Thr
     # The 0 is the first grid point's slot in the seed.
     spec = StreamSpec(n=plan.n, true_segments=plan.true_segments, scheme=plan.scheme,
                       ntp_model=plan.ntp_model, seed=mix(plan.seed, TAG_REPLICATION, 0, rep))
-    pivots = generate_stream(spec).pivots  # hold no Stream (nor its keys) past this line
+    # Keep only the tokens: a Stream's keys, once read, live as long as it does.
+    # Score through the module, where a patch of streams.score_tokens takes effect.
+    tokens = generate_stream(spec).tokens
+    pivots = streams.score_tokens(tokens, spec.seed, spec.scheme)
     reports = []
     for b, rho, alpha, gamma in plan.grid():
         config = SegmenterConfig(cert=certs[b, alpha], rho=rho, gamma=gamma,

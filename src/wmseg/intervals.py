@@ -55,8 +55,17 @@ class Segments:
     def union_size(self) -> int:
         return sum(r - l + 1 for l, r in self.intervals)
 
+    def check_within(self, n: int) -> "Segments":
+        """Self, or ValueError if its last (sorted) interval ends past n."""
+        if self.intervals and self.intervals[-1][1] > n:
+            left, right = self.intervals[-1]
+            raise ValueError(f"interval [{left}, {right}] exceeds n={n}")
+        return self
+
     def mask(self, n: int) -> np.ndarray:
-        """Boolean membership array of length n (index 0 is position 1)."""
+        """Boolean membership array of length n (index 0 is position 1); an
+        interval past n raises ValueError."""
+        self.check_within(n)
         out = np.zeros(n, dtype=bool)
         for left, right in self.intervals:
             out[left - 1 : right] = True

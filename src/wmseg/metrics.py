@@ -70,9 +70,12 @@ class EvalReport:
 def evaluate(
     truth: Segments, estimate: Segments, n: int, runtime_ms: float | None = None
 ) -> EvalReport:
-    """The metric bundle of one run over ``n`` tokens (at least two)."""
+    """The metric bundle of one run over ``n`` tokens (at least two); an
+    interval of either set past n raises ValueError."""
     if n < 2:
         raise ValueError("rand index needs at least two tokens")
+    truth.check_within(n)
+    estimate.check_within(n)
     true_ivs, est_ivs = truth.intervals, estimate.intervals
     k, k_hat = len(true_ivs), len(est_ivs)
     # true_cover[i] tokens of the i-th true interval lie in the estimate,

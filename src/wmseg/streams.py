@@ -4,12 +4,12 @@ Every position of a stream has a next-token probability (NTP) vector from a
 constrained model class and a pseudo-random key derived by hashing the
 previous token with the master seed (context window of one token). Its
 token is the scheme's decode of (NTP, key) inside a planted segment and an
-independent sample from the NTP outside. The scored pivots of the resulting
-stream are what the segmenter consumes. A JSONL stream file carries the
-tokens between tools, with the seed and scheme that score them: a header
-record ``{"n", "seed", "true_segments", "scheme"}`` (the segments as [l, r]
-pairs, the scheme as its ``SchemeSpec`` JSON object), then one body record
-holding the token list, which the verifier rescores. A body line spelled
+independent sample from the NTP outside. A ``Stream`` is those tokens with
+the master seed and scheme that key them and the planted segments. A JSONL
+stream file carries a ``Stream`` between tools: a header record ``{"n",
+"seed", "true_segments", "scheme"}`` (the segments as [l, r] pairs, the
+scheme as its ``SchemeSpec`` JSON object), then one body record holding the
+token list, which the verifier rescores. A body line spelled
 exactly as ``write_stream_jsonl`` writes it, ``{"tokens": [`` then decimal
 integers below 10^18 without leading zeros joined by ``", "`` then ``]}``
 and a newline, is read in a few whole-string and whole-array passes, with
@@ -38,13 +38,12 @@ of a position inside a segment, once per distinct context, so a decoder's
 work for its key (gumbel's V logs, for one) is paid once per context; it
 calls no ``SchemeSpec.key_at``. ``Stream.keys`` derives every context's key
 when it is first read, once per distinct context, so positions that share
-a context share one key object; a caller that reads only the tokens or the
-pivots never pays for them. The verifier calls no ``SchemeSpec.key_at``
-and builds no key and no generator, for any scheme: ``score_tokens``
-derives every position's key seed in one array pass and the scheme reads
-its pivots from the seeds through the keyed hashes of ``keys``, one per
-position. Generation scores through ``score_tokens`` too, so both give
-the same bits.
+a context share one key object; a caller that reads only the tokens never
+pays for them. Neither ``generate_stream`` nor ``read_stream_jsonl`` scores
+its ``Stream``: every consumer scores one with ``score_tokens``, which calls
+no ``key_at`` and builds no key and no generator, for any scheme. It derives
+every position's key seed in one array pass and the scheme reads its pivots
+from the seeds through the keyed hashes of ``keys``, one per position.
 """
 
 from __future__ import annotations
@@ -288,7 +287,7 @@ class StreamSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("stream length must be positive")
-        Segments(self.true_segments.intervals, n=self.n)  # bounds check
+        self.true_segments.check_within(self.n)
         check_seed(self.seed)
 
     @property
@@ -298,29 +297,34 @@ class StreamSpec:
 
 @dataclass(frozen=True)
 class Stream:
-    """A generated stream: tokens, scored pivots and per-position keys.
+    """A token stream, the master seed and scheme that key it, and its
+    planted segments: what detection reads and what a stream file holds.
+    ``generate_stream`` and ``read_stream_jsonl`` both return one. It holds
+    no scores; its consumer scores it with ``score_tokens``.
 
     ``keys`` is derived on first read, one key per distinct context, so
     positions that share a context share one key object. Generation keeps
     no key: it decodes through per-context decoders, which it drops.
     """
 
-    spec: StreamSpec
     tokens: np.ndarray
-    pivots: PivotSeries
+    seed: int
+    scheme: SchemeSpec
+    true_segments: Segments
 
     @functools.cached_property
     def keys(self) -> tuple[PseudoKey, ...]:
         """Every position's key: that of the token before it, or of
         CONTEXT_SENTINEL at the first position."""
         contexts = [CONTEXT_SENTINEL, *self.tokens[:-1].tolist()]
-        key_of = {prev: self.spec.scheme.key_at(key_seed(self.spec.seed, prev))
+        key_of = {prev: self.scheme.key_at(key_seed(self.seed, prev))
                   for prev in dict.fromkeys(contexts)}
         return tuple(map(key_of.__getitem__, contexts))
 
 
 def generate_stream(spec: StreamSpec) -> Stream:
-    """Generate the tokens and scored pivots of a stream spec.
+    """The stream of a spec: its generated tokens, with the spec's seed,
+    scheme and segments.
 
     Inside a planted segment the token is the scheme's decode of (NTP, key);
     outside it is sampled from the NTP independently of the key, which is
@@ -335,12 +339,10 @@ def generate_stream(spec: StreamSpec) -> Stream:
     positions, in order, decode their rows with the decoder of the token
     before (``_decode_rows``). Each context of such a position builds its
     decoder once, into a memo of one decoder per context; no
-    ``SchemeSpec.key_at`` is called here, and
-    ``Stream.keys`` derives the keys when it is first read. The pivots are
-    scored by the verifier's own scorer, ``score_tokens``, so both give the
-    same bits.
+    ``SchemeSpec.key_at`` is called here, and ``Stream.keys`` derives the
+    keys when it is first read. Nothing is scored (``score_tokens``).
     """
-    scheme, n, vocab_size = spec.scheme, spec.n, spec.vocab_size
+    n, vocab_size = spec.n, spec.vocab_size
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
     inside = spec.true_segments.mask(n)
@@ -355,7 +357,7 @@ def generate_stream(spec: StreamSpec) -> Stream:
         probs = check_decodable(spec.ntp_model.sample(rng_ntp, vocab_size, positions),
                                 (positions.size, vocab_size))
         _decode_rows(spec, decoder_of, tokens, positions, probs)
-    return Stream(spec=spec, tokens=tokens, pivots=score_tokens(tokens, spec.seed, scheme))
+    return Stream(tokens, spec.seed, spec.scheme, spec.true_segments)
 
 
 def _decode_rows(spec: StreamSpec, decoder_of: dict, tokens: np.ndarray,
@@ -375,24 +377,20 @@ def _decode_rows(spec: StreamSpec, decoder_of: dict, tokens: np.ndarray,
             tokens[i] = decode(row)
 
 
-def _key_seeds(tokens: np.ndarray, master_seed: int) -> np.ndarray:
-    """The key seed of every position of a token array: that of the token
-    before it, or of CONTEXT_SENTINEL at the first position."""
-    if tokens.size == 0:
-        raise ValueError("token sequence is empty")
-    return key_seeds(master_seed, np.concatenate(([CONTEXT_SENTINEL], tokens[:-1])))
-
-
 def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) -> PivotSeries:
     """Verifier-side scored pivots for an arbitrary (possibly edited) stream.
 
-    Tokens outside [0, V) raise IndexError. Every position's key seed comes
-    from one array pass and the scheme reads the pivots from the seeds
+    Tokens outside [0, V) raise IndexError. Every position's key seed, that
+    of the token before it or of CONTEXT_SENTINEL at the first position,
+    comes from one array pass and the scheme reads the pivots from the seeds
     (``SchemeSpec.pivots``); the pivot array is scored in one call.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     check_tokens(tokens, scheme.vocab_size)
-    pivots = scheme.pivots(tokens, _key_seeds(tokens, master_seed))
+    if tokens.size == 0:
+        raise ValueError("token sequence is empty")
+    seeds = key_seeds(master_seed, np.concatenate(([CONTEXT_SENTINEL], tokens[:-1])))
+    pivots = scheme.pivots(tokens, seeds)
     return PivotSeries(
         scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id
     )
@@ -401,16 +399,6 @@ def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) ->
 # ---------------------------------------------------------------------------
 # JSONL stream files: one header record, then one body record of the tokens
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StreamFile:
-    """Contents of a stream JSONL file, as read back by consumers."""
-
-    true_segments: Segments
-    tokens: np.ndarray
-    seed: int
-    scheme: SchemeSpec
 
 
 # Every key of a stream file's header record, each required on reading, and
@@ -457,17 +445,16 @@ def _writer_tokens(line: str) -> np.ndarray | None:
 
 def write_stream_jsonl(path: str | Path, stream: Stream) -> None:
     """Write the header record ``{"n", "seed", "true_segments", "scheme"}``,
-    then the body record ``{"tokens": [...]}``."""
-    spec = stream.spec
-    header = {"n": spec.n, "seed": spec.seed, "true_segments": spec.true_segments.to_pairs(),
-              "scheme": spec.scheme.to_json()}
+    then the body record ``{"tokens": [...]}``; ``n`` is the token count."""
+    header = {"n": stream.tokens.size, "seed": stream.seed,
+              "true_segments": stream.true_segments.to_pairs(), "scheme": stream.scheme.to_json()}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(json.dumps({"tokens": stream.tokens.tolist()}) + "\n")
 
 
-def read_stream_jsonl(path: str | Path) -> StreamFile:
-    """Read a stream file written by ``write_stream_jsonl``.
+def read_stream_jsonl(path: str | Path) -> Stream:
+    """Read a stream file written by ``write_stream_jsonl`` into a ``Stream``.
 
     The file holds exactly two records, the header and the body. The header
     must hold exactly the keys the writer puts there and the body only
@@ -478,8 +465,8 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
     seed outside [0, 2^64), a number too large for a float, a token count
     other than the header's ``n``, a token that is not a JSON integer and a
     record after the body. The scheme's null mean and id come from its
-    ``scheme`` object alone. The verifier scores the tokens
-    (``score_tokens``).
+    ``scheme`` object alone. Nothing is scored here: the consumer scores the
+    tokens (``score_tokens``).
 
     A body line in the writer's exact spelling, its tokens below 10^18 with
     no leading zeros, is parsed as one array (``_writer_tokens``); every
@@ -511,9 +498,5 @@ def read_stream_jsonl(path: str | Path) -> StreamFile:
             tokens = np.array(tokens, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"{path}: a token lies outside the int64 range") from None
-    return StreamFile(
-        true_segments=Segments(fields["true_segments"], n=n),
-        tokens=tokens,
-        seed=check_seed(fields["seed"]),
-        scheme=fields["scheme"],
-    )
+    return Stream(tokens, check_seed(fields["seed"]), fields["scheme"],
+                  fields["true_segments"].check_within(n))

@@ -15,7 +15,7 @@ from wmseg.keys import TAG_REPLICATION, mix
 from wmseg.metrics import evaluate
 from wmseg.schemes import InvalidDistribution, SchemeSpec
 from wmseg.segmentation import SegmenterConfig, segment_series
-from wmseg.streams import NtpModel, StreamSpec, generate_stream
+from wmseg.streams import NtpModel, StreamSpec, generate_stream, score_tokens
 
 PLAN = ExperimentPlan(
     n=600,
@@ -72,12 +72,13 @@ def test_every_grid_point_segments_the_replications_streams():
     streams = [generate_stream(StreamSpec(PLAN.n, PLAN.true_segments, PLAN.scheme, PLAN.ntp_model,
                                           seed=mix(PLAN.seed, TAG_REPLICATION, 0, rep)))
                for rep in range(PLAN.replications)]
+    series = [score_tokens(stream.tokens, stream.seed, stream.scheme) for stream in streams]
     rows = iter(run_experiment(PLAN))
     for b, rho, alpha, gamma in PLAN.grid():
         cert = calibrate_threshold(PLAN.scheme, PLAN.n, b, alpha)
         config = SegmenterConfig(cert=cert, rho=rho, gamma=gamma, discard_c=PLAN.discard_c)
-        for rep, stream in enumerate(streams):
-            result = segment_series(stream.pivots, config)
+        for rep, pivots in enumerate(series):
+            result = segment_series(pivots, config)
             report = evaluate(PLAN.true_segments, result.segments, PLAN.n)
             assert next(rows) == harness._format_row(
                 "run", b, rho, alpha, gamma, rep, report, PLAN.ntp_model.describe(),

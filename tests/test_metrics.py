@@ -81,6 +81,17 @@ def test_segments_take_python_and_numpy_integer_ends():
     assert all(type(end) is int for pair in segs for end in pair)
 
 
+@pytest.mark.parametrize("left, right", [(8, 15), (12, 15), (10, 11)])
+def test_mask_rejects_an_interval_past_n(left, right):
+    # [(8, 15)] used to mark positions 8 to 10 and [(12, 15)] none.
+    with pytest.raises(ValueError, match=re.escape(f"interval [{left}, {right}] exceeds n=10")):
+        Segments([(1, 2), (left, right)]).mask(10)
+
+
+def test_mask_marks_an_interval_that_ends_at_n():
+    assert Segments([(8, 10)]).mask(10).tolist() == [False] * 7 + [True] * 3
+
+
 # ---------------------------------------------------------------------------
 # IOU
 # ---------------------------------------------------------------------------
@@ -197,6 +208,14 @@ class TestRandIndex:
         assert report.ri == 1.0
         assert brute_rand_index(truth, est, 4) == 1.0
         assert math.isclose(report.mri, 1.0 - 2 / 6)
+
+    @pytest.mark.parametrize("side", ["truth", "estimate"])
+    def test_rejects_an_interval_past_n(self, side):
+        # evaluate(Segments([(1, 10)]), Segments(), 5) used to give ri=6.0, mri=1.5.
+        past, inside = Segments([(1, 2), (4, 10)]), Segments([(2, 3)])
+        truth, estimate = (past, inside) if side == "truth" else (inside, past)
+        with pytest.raises(ValueError, match=re.escape("interval [4, 10] exceeds n=5")):
+            evaluate(truth, estimate, 5)
 
     def test_needs_two_tokens(self):
         with pytest.raises(ValueError, match="^rand index needs at least two tokens$"):

@@ -35,6 +35,11 @@ def make_spec(n=400, segments=(), seed=0, scheme=GUMBEL, ntp=DIRICHLET):
     )
 
 
+def scores_of(stream):
+    """A stream's pivot scores, as every consumer scores it."""
+    return score_tokens(stream.tokens, stream.seed, stream.scheme).scores
+
+
 # ---------------------------------------------------------------------------
 # Probability capping and NTP models
 # ---------------------------------------------------------------------------
@@ -198,13 +203,13 @@ class TestGenerateStream:
         spec = make_spec(n=2000, segments=(), seed=3)
         stream = generate_stream(spec)
         # Exp(1) scores: mean within 3 sigma / sqrt(n) of 1.
-        assert abs(stream.pivots.scores.mean() - 1.0) < 3.0 / math.sqrt(2000)
+        assert abs(scores_of(stream).mean() - 1.0) < 3.0 / math.sqrt(2000)
         assert spec.true_segments.mask(spec.n).sum() == 0
 
     def test_fully_watermarked_stream_mean(self):
         spec = make_spec(n=1500, segments=[(1, 1500)], seed=4)
         stream = generate_stream(spec)
-        scores = stream.pivots.scores
+        scores = scores_of(stream)
         floor = 1.0 + gumbel_separation_lower_bound(0.5)
         assert scores.mean() >= floor - 3.0 * scores.std(ddof=1) / math.sqrt(scores.size)
         assert spec.true_segments.mask(spec.n).sum() == 1500
@@ -213,7 +218,6 @@ class TestGenerateStream:
         spec = make_spec(n=120, segments=[(30, 80)], seed=5)
         a, b = generate_stream(spec), generate_stream(spec)
         assert np.array_equal(a.tokens, b.tokens)
-        assert np.array_equal(a.pivots.scores, b.pivots.scores)
         for ka, kb in zip(a.keys, b.keys):
             assert np.array_equal(ka.uniforms, kb.uniforms)
 
@@ -223,15 +227,9 @@ class TestGenerateStream:
         stream = generate_stream(spec)
         mask = spec.true_segments.mask(spec.n)
         assert mask.sum() == Segments(segments).union_size
-        inside = stream.pivots.scores[mask]
-        outside = stream.pivots.scores[~mask]
+        scores = scores_of(stream)
+        inside, outside = scores[mask], scores[~mask]
         assert inside.mean() > outside.mean()
-
-    def test_pivots_match_verifier_scoring(self):
-        spec = make_spec(n=150, segments=[(50, 100)], seed=7)
-        stream = generate_stream(spec)
-        rescored = score_tokens(stream.tokens, spec.seed, spec.scheme)
-        assert np.array_equal(rescored.scores, stream.pivots.scores)
 
     def test_all_schemes_generate(self):
         for scheme in (
@@ -241,7 +239,7 @@ class TestGenerateStream:
         ):
             spec = make_spec(n=200, segments=[(50, 150)], seed=8, scheme=scheme)
             stream = generate_stream(spec)
-            inside = stream.pivots.scores[spec.true_segments.mask(spec.n)]
+            inside = scores_of(stream)[spec.true_segments.mask(spec.n)]
             assert inside.mean() > scheme.null_mean
 
     def test_segments_must_fit_the_stream(self):
@@ -313,7 +311,7 @@ class TestReconstructKeys:
         stream = generate_stream(spec)
         rebuilt = self.keys_of(stream.tokens, spec.seed, spec.scheme)
         scores = [spec.scheme.pivot_score(int(t), key) for t, key in zip(stream.tokens, rebuilt)]
-        assert np.array_equal(stream.pivots.scores, scores)
+        assert np.array_equal(scores_of(stream), scores)
 
     def test_editing_the_previous_token_changes_the_key(self):
         spec = make_spec(n=10, seed=10)
@@ -429,19 +427,33 @@ def test_an_edit_changes_at_most_the_two_pivots_next_to_it(scheme_id, vocab, dat
 
 
 class TestStreamJsonl:
-    def test_round_trip(self, tmp_path):
-        spec = make_spec(n=60, segments=[(10, 30)], seed=11)
+    @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+    def test_round_trip(self, scheme_id, tmp_path):
+        """A generated stream reads back as the same Stream, keys and all."""
+        spec = make_spec(n=60, segments=[(10, 30)], seed=11,
+                         scheme=SchemeSpec(scheme_id, vocab_size=20))
         stream = generate_stream(spec)
         path = tmp_path / "stream.jsonl"
         write_stream_jsonl(path, stream)
         back = read_stream_jsonl(path)
         assert back.tokens.dtype == np.int64
         assert np.array_equal(back.tokens, stream.tokens)
-        assert back.true_segments.to_pairs() == [[10, 30]]
-        assert back.seed == 11
-        assert back.scheme == spec.scheme
-        rescored = score_tokens(back.tokens, back.seed, back.scheme)
-        assert np.array_equal(rescored.scores, stream.pivots.scores)
+        assert back.true_segments == stream.true_segments == spec.true_segments
+        assert back.seed == stream.seed == 11
+        assert back.scheme == stream.scheme == spec.scheme
+        assert len(back.keys) == len(stream.keys) == 60
+        for got, expected in zip(back.keys, stream.keys):
+            assert type(got) is type(expected)
+            for name, value in vars(expected).items():
+                assert np.array_equal(getattr(got, name), value)
+
+    def test_a_read_stream_writes_back_byte_for_byte(self, tmp_path):
+        """The reader returns the Stream the writer takes."""
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_stream_jsonl(first, generate_stream(make_spec(n=80, segments=[(5, 9), (40, 70)],
+                                                            seed=16)))
+        write_stream_jsonl(second, read_stream_jsonl(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_header_carries_the_contract_fields(self, tmp_path):
         spec = make_spec(n=5, seed=12)

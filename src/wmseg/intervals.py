@@ -35,12 +35,12 @@ class Segments:
         for left, right in pairs:
             if not 1 <= left <= right:
                 raise ValueError(f"invalid interval [{left}, {right}]")
-            if n is not None and right > n:
-                raise ValueError(f"interval [{left}, {right}] exceeds n={n}")
         for (_, r1), (l2, _) in zip(pairs, pairs[1:]):
             if l2 <= r1:
                 raise ValueError("intervals overlap")
         object.__setattr__(self, "intervals", tuple(pairs))
+        if n is not None:
+            self.check_within(n)
 
     def __len__(self) -> int:
         return len(self.intervals)

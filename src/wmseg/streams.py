@@ -295,7 +295,7 @@ class StreamSpec:
         return self.scheme.vocab_size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stream:
     """A token stream, the master seed and scheme that key it, and its
     planted segments: what detection reads and what a stream file holds.

@@ -88,10 +88,6 @@ def test_mask_rejects_an_interval_past_n(left, right):
         Segments([(1, 2), (left, right)]).mask(10)
 
 
-def test_mask_marks_an_interval_that_ends_at_n():
-    assert Segments([(8, 10)]).mask(10).tolist() == [False] * 7 + [True] * 3
-
-
 # ---------------------------------------------------------------------------
 # IOU
 # ---------------------------------------------------------------------------

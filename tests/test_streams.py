@@ -218,8 +218,16 @@ class TestGenerateStream:
         spec = make_spec(n=120, segments=[(30, 80)], seed=5)
         a, b = generate_stream(spec), generate_stream(spec)
         assert np.array_equal(a.tokens, b.tokens)
+        assert np.array_equal(scores_of(a), scores_of(b))
+        assert (a.seed, a.scheme) == (b.seed, b.scheme)
         for ka, kb in zip(a.keys, b.keys):
             assert np.array_equal(ka.uniforms, kb.uniforms)
+
+    def test_streams_compare_by_identity(self):
+        spec = make_spec(n=20, seed=5)
+        a, b = generate_stream(spec), generate_stream(spec)
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_watermarked_positions_match_segments(self):
         segments = [(10, 25), (60, 70)]

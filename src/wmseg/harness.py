@@ -64,6 +64,7 @@ class ExperimentPlan:
         if not (self.block_lens and self.rhos and self.alphas and self.gammas):
             raise ValueError("empty parameter grid")
         check_seed(self.seed)
+        self.true_segments.check_within(self.n)
 
     def grid(self) -> list[tuple[int, float, float, float]]:
         return [

@@ -15,9 +15,12 @@ class Segments:
     """An ordered set of disjoint inclusive intervals over token positions.
 
     Positions are 1-based everywhere outside numpy internals; ``(3, 5)``
-    covers tokens 3, 4 and 5. Construction sorts and rejects overlaps; an
-    interval that is not a two-element list, tuple or array of Python or numpy
-    integers raises TypeError, which ``read_fields`` reports under its key.
+    covers tokens 3, 4 and 5. Construction sorts, checks that every
+    interval has 1 <= l <= r and only then rejects overlaps; an interval that
+    is not a two-element list, tuple or array of Python or numpy integers
+    raises TypeError, which ``read_fields`` reports under its key. A tuple of
+    two Python ints, as the segmenter builds, is taken as is; any other pair
+    is read end by end.
     """
 
     intervals: tuple[Interval, ...]
@@ -28,16 +31,21 @@ class Segments:
             raise TypeError(f"{intervals!r} is not a list of [l, r] pairs")
         pairs = []
         for interval in intervals:
-            if not isinstance(interval, (list, tuple, np.ndarray)) or len(interval) != 2:
-                raise TypeError(f"interval {interval!r} is not an [l, r] pair")
-            pairs.append((_end(interval[0]), _end(interval[1])))
+            if not (type(interval) is tuple and len(interval) == 2
+                    and type(interval[0]) is type(interval[1]) is int):
+                if not isinstance(interval, (list, tuple, np.ndarray)) or len(interval) != 2:
+                    raise TypeError(f"interval {interval!r} is not an [l, r] pair")
+                interval = (_end(interval[0]), _end(interval[1]))
+            pairs.append(interval)
         pairs.sort()
+        overlap, last = False, 0
         for left, right in pairs:
             if not 1 <= left <= right:
                 raise ValueError(f"invalid interval [{left}, {right}]")
-        for (_, r1), (l2, _) in zip(pairs, pairs[1:]):
-            if l2 <= r1:
-                raise ValueError("intervals overlap")
+            overlap |= left <= last
+            last = right
+        if overlap:
+            raise ValueError("intervals overlap")
         object.__setattr__(self, "intervals", tuple(pairs))
         if n is not None:
             self.check_within(n)

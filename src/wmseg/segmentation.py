@@ -134,17 +134,33 @@ def screen_blocks(sums: np.ndarray, threshold: float) -> np.ndarray:
     """0-based indices of blocks whose sum strictly exceeds the threshold."""
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    return np.nonzero(np.asarray(sums) > threshold)[0]
+    return (np.asarray(sums) > threshold).nonzero()[0]
 
 
 def merge_selected(selected: np.ndarray) -> list[Interval]:
-    """Group consecutive selected block indices into inclusive runs."""
+    """Group consecutive selected block indices into inclusive runs, in one
+    walk over the sorted indices as Python ints that closes a run at each gap.
+
+    An array that is not of integers (floats, bools) raises TypeError rather
+    than be truncated to blocks, and a repeated index raises ValueError
+    rather than give overlapping runs.
+    """
+    selected = np.asarray(selected)
+    if selected.dtype.kind not in "iu":
+        raise TypeError(f"selected blocks are not an integer array: dtype {selected.dtype}")
+    indices = iter(np.sort(selected).tolist())
+    start = prev = next(indices, None)
+    if start is None:
+        return []
     runs: list[Interval] = []
-    for k in np.sort(np.asarray(selected, dtype=int)).tolist():
-        if runs and k == runs[-1][1] + 1:
-            runs[-1] = (runs[-1][0], k)
-        else:
-            runs.append((k, k))
+    for k in indices:
+        if k != prev + 1:
+            if k == prev:
+                raise ValueError(f"block index {k} is selected twice")
+            runs.append((start, prev))
+            start = k
+        prev = k
+    runs.append((start, prev))
     return runs
 
 
@@ -158,22 +174,31 @@ def discard_short_runs(selected: np.ndarray, min_run: int) -> list[Interval]:
 def enlarge_runs(kept_runs: list[Interval], block_len: int, n: int, pad: int) -> Segments:
     """Convert block runs to token intervals, pad both sides, keep disjoint.
 
-    Padded neighbours that would overlap are truncated at the midpoint of
-    the token gap between the unpadded runs, so each region still contains
-    its run.
+    The runs are 0-based inclusive block runs: each [a, b] must have
+    a <= b, start after the previous run's end and start inside n, or
+    ValueError names it. Padded neighbours that would overlap are truncated
+    at the midpoint of the token gap between the unpadded runs, so each
+    region still contains its run. One walk over the runs emits each region
+    when the next run's start fixes its right end.
     """
     if pad < 0:
         raise ValueError("pad must be nonnegative")
-    raw = [(a * block_len + 1, min((b + 1) * block_len, n)) for a, b in kept_runs]
     regions: list[Interval] = []
-    for i, (left, right) in enumerate(raw):
-        lo, hi = max(1, left - pad), min(n, right + pad)
-        if i > 0:
-            mid = (raw[i - 1][1] + left) // 2
-            lo = max(lo, mid + 1)
-        if i + 1 < len(raw):
-            mid = (right + raw[i + 1][0]) // 2
-            hi = min(hi, mid)
+    last = -1  # the previous run's last block; lo, hi, right: its region and run end
+    lo = hi = right = 0
+    for a, b in kept_runs:
+        if not last < a <= b or a * block_len >= n:
+            raise ValueError(f"block run [{a}, {b}] does not satisfy {last} < a <= b "
+                             f"with its first token inside n={n}")
+        left = a * block_len + 1
+        start = max(1, left - pad)
+        if last >= 0:
+            mid = (right + left) // 2
+            regions.append((lo, min(hi, mid)))
+            start = max(start, mid + 1)
+        right = min((b + 1) * block_len, n)
+        lo, hi, last = start, min(n, right + pad), b
+    if last >= 0:
         regions.append((lo, hi))
     return Segments(regions, n=n)
 
@@ -183,7 +208,9 @@ def estimate_signal(
 ) -> tuple[float, bool]:
     """Mean elevation of scores over the candidate regions.
 
-    Reads only the regions' slices of the scores, joined in order.
+    Reads only the regions' slices of the scores: one region's slice as is,
+    more joined in order. ``np.add.reduce(picked) / picked.size`` is the
+    ``picked.mean()`` of numpy, bit for bit, without its wrappers.
 
     A nonpositive estimate (possible after a false screening) is floored at
     a tiny positive value and flagged, keeping the localization objective
@@ -193,8 +220,9 @@ def estimate_signal(
         raise ValueError("cannot estimate signal from an empty region set")
     scores = np.asarray(scores, dtype=float)
     _check_inside(regions.intervals[-1], scores.size)  # regions are sorted, from 1 on
-    picked = np.concatenate([scores[left - 1 : right] for left, right in regions])
-    value = float(picked.mean() - null_mean)
+    slices = [scores[left - 1 : right] for left, right in regions]
+    picked = slices[0] if len(slices) == 1 else np.concatenate(slices)
+    value = float(np.add.reduce(picked) / picked.size - null_mean)
     if value <= 0.0:
         return SIGNAL_FLOOR, True
     return value, False
@@ -266,8 +294,10 @@ def localize_segment(
     if t_lo >= s_hi:
         # argmin and argmax return the first occurrence: of the minimum in
         # the reversed starts (the latest start), of the maximum in the ends.
-        inside = prefix[t_lo + 1 : t_hi + 2] - np.minimum.reduce(start_vals)
-        return wl_hi - int(start_vals[::-1].argmin()), wr_lo + int(inside.argmax())
+        latest = start_vals[::-1]
+        back = int(latest.argmin())
+        inside = prefix[t_lo + 1 : t_hi + 2] - latest[back]
+        return wl_hi - back, wr_lo + int(inside.argmax())
     run_min = np.minimum.accumulate(start_vals)
     first_end = max(t_lo, s_lo)
     split = min(max(first_end, s_hi), t_hi + 1)

@@ -198,3 +198,12 @@ def test_plan_from_json_reads_a_json_integer_as_a_float():
                                      "grid": {"block_len": [30], "alpha": [1]}})
     assert type(plan.discard_c) is float and plan.discard_c == 1.0
     assert plan.alphas == (1.0,) and type(plan.alphas[0]) is float
+
+
+def test_a_plan_rejects_true_segments_past_its_n():
+    """Caught when the plan is built or read, not in run_experiment after
+    every threshold is calibrated."""
+    with pytest.raises(ValueError, match=r"interval \[500, 700\] exceeds n=600"):
+        dataclasses.replace(PLAN, true_segments=Segments([(500, 700)]))
+    with pytest.raises(ValueError, match=r"interval \[500, 700\] exceeds n=600"):
+        ExperimentPlan.from_json({**PLAN.to_json(), "true_segments": [[500, 700]]})

@@ -81,6 +81,26 @@ def test_segments_take_python_and_numpy_integer_ends():
     assert all(type(end) is int for pair in segs for end in pair)
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(1, 5), (3, 4), (10, 9)], "invalid interval [10, 9]"),  # reported before the overlap
+    ([(3, 4), (1, 5)], "intervals overlap"),
+    ([(4, 6), (6, 8)], "intervals overlap"),
+    ([(0, 2)], "invalid interval [0, 2]"),
+])
+def test_segments_check_every_interval_before_any_overlap(pairs, message):
+    """Tuples of Python ints are taken as is; lists and arrays are read end
+    by end. Both meet the same checks in the same order."""
+    for form in (pairs, [list(pair) for pair in pairs], np.array(pairs)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Segments(form)
+
+
+def test_segments_sort_and_reject_a_pair_of_another_length():
+    assert Segments([(5, 9), (1, 2)]).intervals == ((1, 2), (5, 9))
+    with pytest.raises(TypeError, match="is not an \\[l, r\\] pair"):
+        Segments([(1, 2, 3)])
+
+
 @pytest.mark.parametrize("left, right", [(8, 15), (12, 15), (10, 11)])
 def test_mask_rejects_an_interval_past_n(left, right):
     # [(8, 15)] used to mark positions 8 to 10 and [(12, 15)] none.

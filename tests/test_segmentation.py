@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 
@@ -147,12 +149,55 @@ class TestDiscardShortRuns:
     def test_merge_only(self):
         assert merge_selected(np.array([5, 1, 2, 7])) == [(1, 2), (5, 5), (7, 7)]
 
+    def test_a_repeated_index_is_rejected(self):
+        """Merged as is, a repeat gives the overlapping runs [(1, 2), (2, 3)]."""
+        with pytest.raises(ValueError, match="block index 2 is selected twice"):
+            merge_selected(np.array([3, 1, 2, 2]))
+        with pytest.raises(ValueError, match="block index 4 is selected twice"):
+            discard_short_runs(np.array([4, 4]), min_run=1)
+
+    @pytest.mark.parametrize("selected", [np.array([1.5, 2.7]), np.array([1.0, 2.0]),
+                                          np.array([True, False]), np.array([], dtype=float)])
+    def test_a_non_integer_array_is_rejected(self, selected):
+        """Truncated, the floats 1.5 and 2.7 would read as blocks 1 and 2."""
+        with pytest.raises(TypeError, match="not an integer array"):
+            discard_short_runs(selected, min_run=1)
+
     def test_min_run_blocks_formula(self):
         # c * sqrt(n log n) tokens, converted to whole blocks.
         assert min_run_blocks(500, 65, 0.5) == 1
         assert min_run_blocks(500, 25, 0.5) == 2
         expected = math.ceil(0.5 * math.sqrt(10_000 * math.log(10_000)) / 10)
         assert min_run_blocks(10_000, 10, 0.5) == expected
+
+
+def reference_merge(selected):
+    """Runs of distinct block indices, from the set of them: a run starts at
+    each index whose predecessor is not selected and extends while the next
+    one is."""
+    chosen, runs = set(selected), []
+    for k in sorted(chosen):
+        if k - 1 not in chosen:
+            end = k
+            while end + 1 in chosen:
+                end += 1
+            runs.append((k, end))
+    return runs
+
+
+def reference_enlarge(kept_runs, block_len, n, pad):
+    """``enlarge_runs`` in two passes: every run converted to tokens first,
+    then each padded and truncated at the midpoints of its gaps."""
+    raw = [(a * block_len + 1, min((b + 1) * block_len, n)) for a, b in kept_runs]
+    regions = []
+    for i, (left, right) in enumerate(raw):
+        lo, hi = max(1, left - pad), min(n, right + pad)
+        if i > 0:
+            lo = max(lo, (raw[i - 1][1] + left) // 2 + 1)
+        if i + 1 < len(raw):
+            hi = min(hi, (right + raw[i + 1][0]) // 2)
+        regions.append((lo, hi))
+    return tuple(regions)
 
 
 class TestEnlargeRuns:
@@ -174,6 +219,29 @@ class TestEnlargeRuns:
         # runs end at token 20 and start at token 41; midpoint of (20+41)//2 = 30
         regions = enlarge_runs([(0, 1), (4, 5)], block_len=10, n=100, pad=15)
         assert regions.to_pairs() == [[1, 30], [31, 75]]
+
+    @pytest.mark.parametrize("runs, n, named", [
+        ([(3, 4), (1, 2)], 100, "[1, 2]"),  # out of order
+        ([(1, 3), (3, 5)], 100, "[3, 5]"),  # overlapping
+        ([(1, 3), (4, 2)], 100, "[4, 2]"),  # reversed
+        ([(-1, 2)], 100, "[-1, 2]"),  # before the first block
+        ([(5, 6)], 40, "[5, 6]"),  # starts at token 51 of 40
+        ([(0, 1), (4, 4)], 40, "[4, 4]"),  # starts at token 41 of 40
+    ])
+    def test_a_bad_run_is_rejected_by_name(self, runs, n, named):
+        with pytest.raises(ValueError, match=re.escape(f"block run {named}")):
+            enlarge_runs(runs, block_len=10, n=n, pad=3)
+
+    @given(st.lists(st.integers(min_value=0, max_value=19), max_size=12, unique=True),
+           st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=40))
+    @settings(max_examples=100)
+    def test_equals_the_two_pass_reference(self, selected, block_len, tail, pad):
+        n = 19 * block_len + min(tail, block_len)  # block 19, the last, may be short
+        runs = merge_selected(np.array(selected, dtype=int))
+        assert runs == reference_merge(selected)
+        regions = enlarge_runs(runs, block_len, n, pad)
+        assert regions.intervals == reference_enlarge(runs, block_len, n, pad)
 
     @given(st.lists(st.integers(min_value=0, max_value=19), min_size=1, max_size=12,
                     unique=True),
@@ -638,3 +706,43 @@ def test_multiple_segments_are_found_consistently():
     assert shares[-1] >= 0.95, shares
     assert errors[0] > errors[1] > errors[2], errors
     assert errors[2] * 16000 <= 80, errors
+
+
+# SHA-256 of json.dumps of every ``segment_series(...).to_json()`` on the
+# ladder below. It pins the segmenter's bits: block sums, screen, runs,
+# regions, windows, the signal estimate and the located segments. The ladder
+# takes both branches of ``localize_segment`` and has one-region series.
+LADDER_DIGEST = "74eb572b004e9737037dfb42ae978772ebfb2791c1cabfad91fbe8d00a9e470a"
+
+
+def ladder_results():
+    """Three schemes at V=1000 and n = 1k, 4k, 16k with b = ceil(sqrt(n)):
+    a null series, one with two planted segments and one with a single
+    planted segment. Null scores come from ``SchemeSpec.null_scores``;
+    planted scores are the max of three null draws."""
+    results = []
+    for i, scheme_id in enumerate(("gumbel", "inverse", "red_green")):
+        scheme = SchemeSpec(scheme_id, vocab_size=1000)
+        for n in (1000, 4000, 16000):
+            config = SegmenterConfig(cert=calibrate_threshold(scheme, n, math.ceil(math.sqrt(n)),
+                                                              0.05))
+            rng = np.random.default_rng([i, n])
+            for truth in ([], [(n // 5 + 1, 7 * n // 20), (3 * n // 5 + 1, 4 * n // 5)],
+                          [(3 * n // 10 + 1, 3 * n // 5)]):
+                x = scheme.null_scores(rng, n)
+                for left, right in truth:
+                    x[left - 1 : right] = np.max(
+                        [scheme.null_scores(rng, right - left + 1) for _ in range(3)], axis=0)
+                series = PivotSeries(x, scheme.null_mean, scheme_id)
+                results.append(segment_series(series, config))
+    return results
+
+
+def test_segmenter_ladder_is_pinned():
+    results = ladder_results()
+    windows = [(left, right) for result in results for left, right in result.windows]
+    assert any(right[0] >= left[1] for left, right in windows)  # the early return
+    assert any(right[0] < left[1] for left, right in windows)  # the running minimum
+    assert any(len(result.regions) == 1 for result in results)
+    data = json.dumps([result.to_json() for result in results])
+    assert hashlib.sha256(data.encode()).hexdigest() == LADDER_DIGEST

@@ -8,16 +8,13 @@ F_b(q)^(m-1) F_r(q), where F_k is the scheme's CDF of a sum of k null
 scores. The threshold is the smallest q at which that CDF reaches
 1 - alpha. ``calibrate_threshold`` returns it as a ``ThresholdCert`` with
 its calibration inputs, computed when a stream is segmented; the segmenter
-screens with it and its trace records it. Bisection reads F_b and F_r only
-at the points it probes, and neither is tabulated: gumbel and red_green
-evaluate closed forms, and inverse sums its lattice law from the few bins
-of its spectrum above 1e-16, all below a bin that the total variation of
-its mass function bounds (``schemes.Inverse.block_sum_cdf``). Bisection
-runs on the index j of the points j·h of the scheme's lattice (red_green's
-integers, inverse's step 2^-11) up to b, at most log2(b/h) + 1 probes, and
-on the bit patterns of nonnegative floats for gumbel's continuous law.
-``simulate_max_block_sums`` draws the same maximum by Monte Carlo, as the
-reference the exact laws are tested against.
+screens with it and its trace records it. The laws F_k are the last
+section of this module (``block_sum_cdf``), their one reader. Bisection
+reads them only at the points it probes, with no table: on the index j of
+the points j·h of the scheme's lattice (red_green's integers, inverse's
+step 2^-11) up to b, at most log2(b/h) + 1 probes, and on the bit patterns
+of nonnegative floats for gumbel's continuous law. The Monte Carlo draws of
+``simulate_max_block_sums`` are the reference the exact laws are tested on.
 """
 
 from __future__ import annotations
@@ -28,6 +25,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
+from scipy.special import bdtr, gammainc
 
 from .schemes import SchemeSpec
 
@@ -47,8 +46,10 @@ class ThresholdCert:
     """A calibrated screening threshold plus the inputs that produced it.
 
     ``q`` is the (1 - alpha)-quantile of the maximum block sum over
-    ceil(n / block_len) blocks of i.i.d. null scores, found exactly from the
-    scheme's null law.
+    ceil(n / block_len) blocks of i.i.d. null scores, solved on the scheme's
+    null law (``block_sum_cdf``): exactly for gumbel and red_green; for
+    inverse, whose law rounds scores up, at or above the exact one by at
+    most block_len·2^-11.
     """
 
     q: float
@@ -96,34 +97,33 @@ def simulate_max_block_sums(
 
 
 def calibrate_threshold(
-    scheme,
+    scheme: SchemeSpec,
     n: int,
     block_len: int,
     alpha: float = DEFAULT_ALPHA,
     mc_reps: int = DEFAULT_MC_REPS,
     seed: int = 0,
 ) -> ThresholdCert:
-    """Calibrate the screening threshold from the scheme's exact null law.
-
-    ``scheme`` is anything exposing scheme_id, block_sum_cdf(k), lattice
-    (the step h of the lattice its block sums lie on, or None) and
-    to_json() — normally a SchemeSpec. ``mc_reps`` and ``seed`` do not
-    change q; they are accepted for callers that still pass them.
-    """
+    """Calibrate the screening threshold from the scheme's exact null law,
+    ``block_sum_cdf``. ``mc_reps`` and ``seed`` do not change q; they are
+    accepted for callers that still pass them."""
+    # type() rather than isinstance(): bool is an int subclass, not a length.
+    if type(n) is not int or type(block_len) is not int:
+        raise ValueError(f"n and block length must be integers, not {n!r} and {block_len!r}")
     if not 1 <= block_len <= n:
         raise ValueError("block length must lie in [1, n]")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     blocks = math.ceil(n / block_len)
     last_len = n - (blocks - 1) * block_len
-    full = scheme.block_sum_cdf(block_len)
-    last = None if last_len == block_len else scheme.block_sum_cdf(last_len)
+    full = block_sum_cdf(scheme, block_len)
+    last = None if last_len == block_len else block_sum_cdf(scheme, last_len)
 
     def cover(x: float) -> float:  # reads F_b once per probe
         f = full(x)
         return f ** (blocks - 1) * (f if last is None else last(x))
 
-    q = _smallest_covering_q(cover, 1.0 - alpha, scheme.lattice, block_len)
+    q = _smallest_covering_q(cover, 1.0 - alpha, LATTICE[scheme.scheme_id], block_len)
     return ThresholdCert(q, alpha, n, block_len, scheme.scheme_id, scheme.to_json())
 
 
@@ -162,3 +162,168 @@ def _smallest_covering_q(cover, level: float, step: float | None, top: int) -> f
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if cover(point(mid)) >= level else (mid, hi)
     return point(hi)
+
+
+# ---------------------------------------------------------------------------
+# Exact null laws of a block sum
+# ---------------------------------------------------------------------------
+
+# Lattice step h onto which the inverse law rounds each null score up.
+INVERSE_STEP = 2.0 ** -11
+# The inverse law drops the spectrum bins of a block sum below this.
+INVERSE_BAND_EPS = 1e-16
+
+
+def block_sum_cdf(scheme: SchemeSpec, k: int):
+    """The CDF q -> P(sum of k i.i.d. null scores <= q) of one float q, from
+    the fields that fix it: none for gumbel, V for inverse, |G|/V for red_green."""
+    return _LAWS[scheme.scheme_id](scheme, k)
+
+
+def _gumbel_law(scheme: SchemeSpec, k: int):
+    """CDF of the Gamma(k, 1) sum of k null scores."""
+    return lambda q: float(gammainc(k, q)) if q > 0 else 0.0
+
+
+def _red_green_law(scheme: SchemeSpec, k: int):
+    """CDF of the Binomial(k, |G|/V) count of green tokens in k null
+    positions. The count is clamped to k, where ``bdtr`` returns nan."""
+    p = scheme.null_mean
+    return lambda q: float(bdtr(min(math.floor(q), k), k, p)) if q >= 0 else 0.0
+
+
+@functools.lru_cache(maxsize=16)
+def _inverse_pmf(vocab_size: int) -> tuple[np.ndarray, float]:
+    """The read-only mass function p of one null score rounded up onto the
+    lattice 0, h, ..., 1, and its total variation, which bounds |P(theta)|
+    away from theta = 0; both as in ``_inverse_law``."""
+    steps, v1 = round(1.0 / INVERSE_STEP), vocab_size - 1
+    y = 1.0 - np.arange(steps + 1) * INVERSE_STEP
+    below = np.floor(y * v1)  # grid points i <= below have g <= y
+    tail = (v1 * (v1 + 1) - below * (below + 1)) / (2 * v1) - y * (v1 - below)
+    pmf = np.diff(2.0 * tail / vocab_size, prepend=0.0)
+    pmf.flags.writeable = False
+    return pmf, float(np.abs(np.diff(pmf, prepend=0.0, append=0.0)).sum())
+
+
+def band(vocab_size: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(L, bins, P[bins]): the spectrum length L a sum of k null scores
+    needs, the bins f in [1, L/2] of P = rfft(pmf, L) with |P(f)| >
+    eps^(1/k), and P at those bins. Every such bin lies in 1..top by the
+    bound in ``_inverse_law``; P at 1..top is a slice of the rfft of
+    length L, or direct sums (``_spectrum_at``) where those cost less."""
+    pmf, variation = _inverse_pmf(vocab_size)
+    fft_len = next_fast_len(round(k / INVERSE_STEP) + 1, real=True)
+    thr = INVERSE_BAND_EPS ** (1.0 / k)
+    # The last bin where variation / (2 sin(pi f/L)) can exceed thr, plus
+    # one for rounding: all of them when that bound never drops to thr.
+    reach = math.asin(min(variation / (2 * thr), 1.0))
+    top = min(math.floor(fft_len * reach / math.pi) + 1, fft_len // 2)
+    # Direct sums cost about len(p) per bin, the rfft about 3 per point.
+    if top * pmf.size < 3 * fft_len:
+        values = _spectrum_at(pmf, np.arange(1, top + 1), fft_len)
+    else:
+        values = np.fft.rfft(pmf, fft_len)[1 : top + 1]
+    inside = np.flatnonzero(np.abs(values) > thr)
+    return fft_len, inside + 1, values[inside]
+
+
+def _inverse_law(scheme: SchemeSpec, k: int):
+    """CDF of the sum of k null scores, each first rounded *up* onto the
+    lattice of step h = ``INVERSE_STEP``, as a function of one float q.
+
+    A score's CDF is P(1 - |U - g| <= x) = 2 T(1 - x) / V, where
+    T(y) = sum_g max(g - y, 0) over the grid g = i/(V-1) is piecewise
+    linear in y. The rounded sum is the k-fold convolution of that mass
+    function p on 1/h + 1 points. Its spectrum P = rfft(p) is taken on
+    the first 5-smooth length L of at least k/h + 1, the values 0, h,
+    ..., k a sum can take (a shorter circular convolution would wrap the
+    top ones onto the bottom). P^k is the spectrum of the sum, and it is
+    band-limited: at V = 1000 and k = 127 only 65 of its 131073 bins
+    exceed 1e-16. So only the bins f with |P(f)| > thr = eps^(1/k), eps
+    = ``INVERSE_BAND_EPS``, are raised to the k-th power (square-and-
+    multiply over the bits of k), giving S(f), and the CDF at lattice
+    point j is summed from them directly, with no table:
+
+        F(j) = [S(0)(j+1) + 2 Re sum_f A_f (w^(f(j+1)) - 1)] / L,
+        A_f = S(f) / (2i sin(pi f/L) e^(i pi f/L)),  w = e^(2 pi i/L),
+
+    the Nyquist bin's A halved, and S(0) = (sum p)^k. The phases f(j+1)
+    are reduced mod L in integer arithmetic; A_f is never divided by the
+    cancelling w^f - 1. A dropped bin has |S(f)| <= eps, so all of them
+    together move F by at most eps (ln L + 1), about 1.3e-15 at k = 127. F is
+    clipped to [0, 1] and is exactly 1 from j = k/h on, where every sum
+    lies. Rounding up never lowers a sum, so this CDF lies at or below
+    the exact one and a threshold solved on it covers at least 1 -
+    alpha; each sum grows by less than k·h, so that threshold exceeds
+    the exact one by at most b·h for blocks of b tokens (0.0625 at b =
+    128). Floating-point rounding moves F by under 1e-13 and lets it
+    fall by under 1e-14 between neighbouring lattice points (tested up
+    to k = 300 in ``test_calibration.py``, on this function at sampled
+    lattice points and at the points a calibration reads).
+
+    The band lies below one bin, ``top``, that a bound gives (``band``).
+    Summation by parts gives (1 - e^(-i theta)) P(theta) = sum_j (p_j -
+    p_(j-1)) e^(-i j theta) with p zero past both ends, so |P(theta)|
+    <= TV / (2 sin(theta/2)) on (0, pi], where TV = ``variation`` is the
+    total variation of p (2h at V = 2, 4h at V = 1000). Every band bin
+    f thus has sin(pi f/L) < TV / (2 thr) and lies in 1..top, top about
+    L TV / (2 pi thr): 109 bins at V = 1000 and k = 127, 64 of them kept.
+    When top len(p) < 3L (k above about 20), P is summed directly at
+    1..top (``_spectrum_at``), as two short nested sums that stay within
+    1.1e-15 of the rfft, in ``einsum`` loops rather than a BLAS product,
+    which may start a thread pool that costs more than the sums.
+    Otherwise the rfft of length L costs less, and P is sliced from it.
+
+    Each call of the returned CDF sums F(j) anew: calibration bisects
+    the lattice index and reads each point once.
+    """
+    top = round(k / INVERSE_STEP)  # the lattice index of the largest sum, k
+    fft_len, bins, base = band(scheme.vocab_size, k)
+    spectrum = base.copy()
+    for bit in bin(k)[3:]:  # the bits of k below its leading 1
+        spectrum *= spectrum
+        if bit == "1":
+            spectrum *= base
+    half = np.pi * bins / fft_len
+    coef = spectrum / (2j * np.sin(half) * np.exp(1j * half))
+    coef[2 * bins == fft_len] /= 2  # the Nyquist bin has no mirror image
+    mass, offset = _inverse_pmf(scheme.vocab_size)[0].sum() ** k, coef.sum()
+
+    def cdf(q: float) -> float:
+        j = math.floor(q / INVERSE_STEP)  # the last lattice point <= q
+        if not 0 <= j < top:
+            return 1.0 if j >= top else 0.0
+        # F(j) from the sum of A_f w^(f(j+1)) over the kept bins
+        sums = coef @ np.exp((2j * np.pi / fft_len) * (bins * (j + 1) % fft_len))
+        f = float(mass * (j + 1) + 2.0 * (sums - offset).real) / fft_len
+        return min(max(f, 0.0), 1.0)
+
+    return cdf
+
+
+def _spectrum_at(pmf: np.ndarray, bins: np.ndarray, fft_len: int) -> np.ndarray:
+    """``np.fft.rfft(pmf, fft_len)[bins]`` by direct sums.
+
+    With j = aB + c and B = isqrt(len(pmf)) + 1, e^(-2 pi i f j/L) =
+    e^(-2 pi i f aB/L) e^(-2 pi i f c/L), so each bin takes about 2B
+    exponentials instead of len(pmf); the phases are reduced mod L in
+    integer arithmetic. The sum runs over c and then over a: one pass over
+    all aB + c terms drifts up to 2.5e-15 from the rfft, where the two short
+    nested sums stay within 1.1e-15 (1.03e-15 at V = 2 and k = 844-854).
+    """
+    width = math.isqrt(pmf.size) + 1
+    grid = np.zeros(-(-pmf.size // width) * width)
+    grid[: pmf.size] = pmf
+    grid = grid.reshape(-1, width)  # grid[a, c] = pmf[a * width + c]
+
+    def twiddle(steps: np.ndarray) -> np.ndarray:
+        return np.exp((-2j * np.pi / fft_len) * (np.outer(bins, steps) % fft_len))
+
+    inner = np.einsum("fc,ac->fa", twiddle(np.arange(width)), grid)
+    return np.einsum("fa,fa->f", twiddle(np.arange(grid.shape[0]) * width), inner)
+
+
+_LAWS = {"gumbel": _gumbel_law, "inverse": _inverse_law, "red_green": _red_green_law}
+# The step h of the lattice j·h where a scheme's block sums lie; None if continuous.
+LATTICE = {"gumbel": None, "inverse": INVERSE_STEP, "red_green": 1.0}

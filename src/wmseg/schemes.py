@@ -6,7 +6,8 @@ follows a fixed null law, while on watermarked positions its mean is
 elevated. Each scheme class holds its key (derived from a 64-bit key
 seed), how the pivots of a token array come from per-position key seeds in
 array operations, its decoder, pivot, score, a sampler for the score's null
-law, the CDF of a sum of k null scores, and the exact mean of that same law:
+law and the exact mean of that law. The law of a sum of k null scores is in
+``calibration`` (``block_sum_cdf``, ``band``), its one reader:
 
 * ``Gumbel``    — exponential-race decoder ``argmax_w log(U_w)/P_w``; the
                   pivot is the winning coordinate ``U_token`` (Uniform(0,1)
@@ -15,12 +16,7 @@ law, the CDF of a sum of k null scores, and the exact mean of that same law:
 * ``Inverse``   — inverse-CDF decoder over a permuted vocabulary; the pivot
                   is ``|U - rank(token)/(V-1)|`` with the rank uniform on
                   the V-point grid under the null; score ``h(y) = 1 - y``,
-                  with null mean exactly ``1 - (2V-1)/(6(V-1))``. A block
-                  sum's CDF is that of the scores rounded up onto a
-                  lattice of step 2^-11, summed at each point asked for
-                  from the few bins of its spectrum above 1e-16, all of
-                  them below a bin that the mass function's total
-                  variation bounds.
+                  with null mean exactly ``1 - (2V-1)/(6(V-1))``.
 * ``RedGreen``  — sampling from the NTP re-weighted by ``exp(bias)`` on a
                   key-selected green subset of ``floor(green_frac * V)``
                   tokens; the pivot is the green-membership indicator,
@@ -54,15 +50,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.special import bdtr, gammainc
 
 from .keys import affine_key, affine_keys, coordinate_tags, splitmix64_array, unit, units_mod
-
-# Lattice step h onto which Inverse.block_sum_cdf rounds each null score up.
-INVERSE_STEP = 2.0 ** -11
-# Inverse.block_sum_cdf drops the spectrum bins of a block sum below this.
-INVERSE_BAND_EPS = 1e-16
 
 
 class InvalidDistribution(ValueError):
@@ -227,9 +216,6 @@ class _Scheme:
     or overflow, so it is called only inside an ``np.errstate`` that ignores
     both (``SchemeSpec.decode``, ``streams._decode_rows``); ``pivot`` takes
     a token or a token array already bounds-checked by the caller;
-    ``block_sum_cdf(k)`` returns the CDF of a sum of k null scores, a
-    function of one float q, and ``lattice`` the step h of the points j·h
-    where every such sum lies, or None for a continuous law;
     ``params`` names the ``SchemeSpec`` fields the scheme reads beyond the
     vocabulary size, in the order its constructor takes them. Its arrays are
     read-only, since equal specs share one instance (``SchemeSpec``).
@@ -237,7 +223,6 @@ class _Scheme:
 
     params: tuple[str, ...] = ()
     null_mean: float
-    lattice: float | None
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
@@ -272,7 +257,6 @@ class Gumbel(_Scheme):
     logs of its key's uniforms, taken once per key, not per decoded row."""
 
     null_mean = 1.0
-    lattice = None
 
     def __init__(self, vocab_size: int):
         super().__init__(vocab_size)
@@ -319,30 +303,13 @@ class Gumbel(_Scheme):
     def null_scores(rng: np.random.Generator, size) -> np.ndarray:
         return rng.standard_exponential(size)
 
-    @staticmethod
-    def block_sum_cdf(k: int):
-        """CDF of the Gamma(k, 1) sum of k null scores."""
-        return lambda q: float(gammainc(k, q)) if q > 0 else 0.0
-
 
 class Inverse(_AffineKeyed):
-    lattice = INVERSE_STEP
-
     def __init__(self, vocab_size: int):
         super().__init__(vocab_size)
         # E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2, averaged over g = k/(V-1).
         v = self.vocab_size
         self.null_mean = 1.0 - (2 * v - 1) / (6.0 * (v - 1))
-        # The mass function p of one null score rounded up onto the lattice
-        # 0, h, ..., 1: P(score <= 1 - y) = 2 T(y) / V, T as in block_sum_cdf.
-        steps, v1 = round(1.0 / INVERSE_STEP), v - 1
-        y = 1.0 - np.arange(steps + 1) * INVERSE_STEP
-        below = np.floor(y * v1)  # grid points i <= below have g <= y
-        tail = (v1 * (v1 + 1) - below * (below + 1)) / (2 * v1) - y * (v1 - below)
-        self.pmf = _read_only(np.diff(2.0 * tail / v, prepend=0.0))
-        # The total variation of p, zero past both ends, bounds |P(theta)|
-        # away from theta = 0 (see block_sum_cdf).
-        self.variation = float(np.abs(np.diff(self.pmf, prepend=0.0, append=0.0)).sum())
 
     def key(self, seed: int) -> InverseKey:
         u, perm = self._key(seed)
@@ -385,103 +352,9 @@ class Inverse(_AffineKeyed):
         eta = rng.integers(0, self.vocab_size, size) / (self.vocab_size - 1)
         return 1.0 - np.abs(u - eta)
 
-    def band(self, k: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """(L, bins, P[bins]): the spectrum length L a sum of k null scores
-        needs, the bins f in [1, L/2] of P = rfft(pmf, L) with |P(f)| >
-        eps^(1/k), and P at those bins. Every such bin lies in 1..top by the
-        bound in ``block_sum_cdf``; P at 1..top is a slice of the rfft of
-        length L, or direct sums (``_spectrum_at``) where those cost less."""
-        fft_len = next_fast_len(round(k / INVERSE_STEP) + 1, real=True)
-        thr = INVERSE_BAND_EPS ** (1.0 / k)
-        # The last bin where variation / (2 sin(pi f/L)) can exceed thr, plus
-        # one for rounding: all of them when that bound never drops to thr.
-        reach = math.asin(min(self.variation / (2 * thr), 1.0))
-        top = min(math.floor(fft_len * reach / math.pi) + 1, fft_len // 2)
-        # Direct sums cost about len(p) per bin, the rfft about 3 per point.
-        if top * self.pmf.size < 3 * fft_len:
-            values = _spectrum_at(self.pmf, np.arange(1, top + 1), fft_len)
-        else:
-            values = np.fft.rfft(self.pmf, fft_len)[1 : top + 1]
-        inside = np.flatnonzero(np.abs(values) > thr)
-        return fft_len, inside + 1, values[inside]
-
-    def block_sum_cdf(self, k: int):
-        """CDF of the sum of k null scores, each first rounded *up* onto the
-        lattice of step h = ``INVERSE_STEP``, as a function of one float q.
-
-        A score's CDF is P(1 - |U - g| <= x) = 2 T(1 - x) / V, where
-        T(y) = sum_g max(g - y, 0) over the grid g = i/(V-1) is piecewise
-        linear in y. The rounded sum is the k-fold convolution of that mass
-        function p on 1/h + 1 points. Its spectrum P = rfft(p) is taken on
-        the first 5-smooth length L of at least k/h + 1, the values 0, h,
-        ..., k a sum can take (a shorter circular convolution would wrap the
-        top ones onto the bottom). P^k is the spectrum of the sum, and it is
-        band-limited: at V = 1000 and k = 127 only 65 of its 131073 bins
-        exceed 1e-16. So only the bins f with |P(f)| > thr = eps^(1/k), eps
-        = ``INVERSE_BAND_EPS``, are raised to the k-th power (square-and-
-        multiply over the bits of k), giving S(f), and the CDF at lattice
-        point j is summed from them directly, with no table:
-
-            F(j) = [S(0)(j+1) + 2 Re sum_f A_f (w^(f(j+1)) - 1)] / L,
-            A_f = S(f) / (2i sin(pi f/L) e^(i pi f/L)),  w = e^(2 pi i/L),
-
-        the Nyquist bin's A halved, and S(0) = (sum p)^k. The phases f(j+1)
-        are reduced mod L in integer arithmetic; A_f is never divided by the
-        cancelling w^f - 1. A dropped bin has |S(f)| <= eps, so all of them
-        together move F by at most eps (ln L + 1), about 1.3e-15 at k = 127. F is
-        clipped to [0, 1] and is exactly 1 from j = k/h on, where every sum
-        lies. Rounding up never lowers a sum, so this CDF lies at or below
-        the exact one and a threshold solved on it covers at least 1 -
-        alpha; each sum grows by less than k·h, so that threshold exceeds
-        the exact one by at most b·h for blocks of b tokens (0.0625 at b =
-        128). Floating-point rounding moves F by under 1e-13 and lets it
-        fall by under 1e-14 between neighbouring lattice points (tested up
-        to k = 300 in ``test_calibration.py``, on this function at sampled
-        lattice points and at the points a calibration reads).
-
-        The band lies below one bin, ``top``, that a bound gives (``band``).
-        Summation by parts gives (1 - e^(-i theta)) P(theta) = sum_j (p_j -
-        p_(j-1)) e^(-i j theta) with p zero past both ends, so |P(theta)|
-        <= TV / (2 sin(theta/2)) on (0, pi], where TV = ``variation`` is the
-        total variation of p (2h at V = 2, 4h at V = 1000). Every band bin
-        f thus has sin(pi f/L) < TV / (2 thr) and lies in 1..top, top about
-        L TV / (2 pi thr): 109 bins at V = 1000 and k = 127, 64 of them kept.
-        When top len(p) < 3L (k above about 20), P is summed directly at
-        1..top (``_spectrum_at``), as two short nested sums that stay within
-        1.1e-15 of the rfft, in ``einsum`` loops rather than a BLAS product,
-        which may start a thread pool that costs more than the sums.
-        Otherwise the rfft of length L costs less, and P is sliced from it.
-
-        Each call of the returned CDF sums F(j) anew: calibration bisects
-        the lattice index and reads each point once.
-        """
-        top = round(k / INVERSE_STEP)  # the lattice index of the largest sum, k
-        fft_len, bins, base = self.band(k)
-        spectrum = base.copy()
-        for bit in bin(k)[3:]:  # the bits of k below its leading 1
-            spectrum *= spectrum
-            if bit == "1":
-                spectrum *= base
-        half = np.pi * bins / fft_len
-        coef = spectrum / (2j * np.sin(half) * np.exp(1j * half))
-        coef[2 * bins == fft_len] /= 2  # the Nyquist bin has no mirror image
-        mass, offset = self.pmf.sum() ** k, coef.sum()
-
-        def cdf(q: float) -> float:
-            j = math.floor(q / INVERSE_STEP)  # the last lattice point <= q
-            if not 0 <= j < top:
-                return 1.0 if j >= top else 0.0
-            # F(j) from the sum of A_f w^(f(j+1)) over the kept bins
-            sums = coef @ np.exp((2j * np.pi / fft_len) * (bins * (j + 1) % fft_len))
-            f = float(mass * (j + 1) + 2.0 * (sums - offset).real) / fft_len
-            return min(max(f, 0.0), 1.0)
-
-        return cdf
-
 
 class RedGreen(_AffineKeyed):
     params = ("green_frac", "bias")
-    lattice = 1.0
 
     def __init__(self, vocab_size: int, green_frac: float, bias: float):
         super().__init__(vocab_size)
@@ -533,37 +406,9 @@ class RedGreen(_AffineKeyed):
     def null_scores(self, rng: np.random.Generator, size) -> np.ndarray:
         return (rng.random(size) < self.null_mean).astype(float)
 
-    def block_sum_cdf(self, k: int):
-        """CDF of the Binomial(k, |G|/V) count of green tokens in k null
-        positions. The count is clamped to k, where ``bdtr`` returns nan."""
-        p = self.null_mean
-        return lambda q: float(bdtr(min(math.floor(q), k), k, p)) if q >= 0 else 0.0
-
 
 SCHEMES: dict[str, type[_Scheme]] = {"gumbel": Gumbel, "inverse": Inverse, "red_green": RedGreen}
 SCHEME_IDS = tuple(SCHEMES)
-
-
-def _spectrum_at(pmf: np.ndarray, bins: np.ndarray, fft_len: int) -> np.ndarray:
-    """``np.fft.rfft(pmf, fft_len)[bins]`` by direct sums.
-
-    With j = aB + c and B = isqrt(len(pmf)) + 1, e^(-2 pi i f j/L) =
-    e^(-2 pi i f aB/L) e^(-2 pi i f c/L), so each bin takes about 2B
-    exponentials instead of len(pmf); the phases are reduced mod L in
-    integer arithmetic. The sum runs over c and then over a: one pass over
-    all aB + c terms drifts up to 2.5e-15 from the rfft, where the two short
-    nested sums stay within 1.1e-15 (1.03e-15 at V = 2 and k = 844-854).
-    """
-    width = math.isqrt(pmf.size) + 1
-    grid = np.zeros(-(-pmf.size // width) * width)
-    grid[: pmf.size] = pmf
-    grid = grid.reshape(-1, width)  # grid[a, c] = pmf[a * width + c]
-
-    def twiddle(steps: np.ndarray) -> np.ndarray:
-        return np.exp((-2j * np.pi / fft_len) * (np.outer(bins, steps) % fft_len))
-
-    inner = np.einsum("fc,ac->fa", twiddle(np.arange(width)), grid)
-    return np.einsum("fa,fa->f", twiddle(np.arange(grid.shape[0]) * width), inner)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -622,10 +467,7 @@ class SchemeSpec:
 
     ``green_frac`` and ``bias`` only matter for red_green; another scheme
     rejects a value other than their defaults, so that no parameter is
-    silently ignored and ``from_json(to_json(spec)) == spec``. Threshold
-    calibration solves on ``block_sum_cdf``, the law of a block of null
-    scores; ``null_scores`` draws from the same score law and ``null_mean``
-    is its exact mean.
+    silently ignored and ``from_json(to_json(spec)) == spec``.
 
     The vocabulary size lies in [2, 2^32): the affine keys scale 64-bit
     hashes by V with a 32-bit multiply-high (``keys.mulhi``), and a larger V
@@ -643,8 +485,8 @@ class SchemeSpec:
     def __post_init__(self):
         if self.scheme_id not in SCHEMES:
             raise ValueError(f"unsupported scheme {self.scheme_id!r}")
-        if not 2 <= self.vocab_size < 2**32:
-            raise ValueError(f"vocab_size must lie in [2, 2**32), not {self.vocab_size!r}")
+        if type(self.vocab_size) is not int or not 2 <= self.vocab_size < 2**32:
+            raise ValueError(f"vocab_size must be an int in [2, 2**32), not {self.vocab_size!r}")
         params = SCHEMES[self.scheme_id].params
         check_unread(self, params, f"scheme {self.scheme_id!r}")
         scheme = _scheme_object(self.scheme_id, self.vocab_size,
@@ -685,14 +527,6 @@ class SchemeSpec:
     def null_scores(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw i.i.d. samples from the score's null law."""
         return self._scheme.null_scores(rng, size)
-
-    def block_sum_cdf(self, k: int):
-        """The CDF q -> P(sum of k i.i.d. null scores <= q) of one float q."""
-        return self._scheme.block_sum_cdf(k)
-
-    @property
-    def lattice(self) -> float | None:
-        return self._scheme.lattice
 
     def to_json(self) -> dict:
         out = {"id": self.scheme_id, "vocab_size": self.vocab_size}

@@ -7,9 +7,9 @@ clamped cumulative sum. Every threshold ``calibrate_threshold`` finds must
 be the one this table gives.
 
 ``reference_band`` is the band read from that full-length rfft: every bin
-above eps^(1/k), with its value. ``Inverse.band``, which evaluates P only
-at the bins below the bound its total variation gives, must keep the same
-bins and values.
+above eps^(1/k), with its value. ``calibration.band``, which evaluates P
+only at the bins below the bound its total variation gives, must keep the
+same bins and values.
 """
 
 import math
@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.fft import next_fast_len
 
-from wmseg.schemes import INVERSE_BAND_EPS, INVERSE_STEP
+from wmseg.calibration import INVERSE_BAND_EPS, INVERSE_STEP
 
 
 def reference_pmf(vocab_size: int) -> np.ndarray:

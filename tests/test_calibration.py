@@ -10,15 +10,19 @@ from scipy.signal import fftconvolve
 from covering_reference import reference_smallest_covering_q
 from inverse_table_reference import reference_band, reference_block_sum_cdf, reference_spectrum
 from scheme_theory import inverse_null_pivot_cdf
-from wmseg import calibration, schemes
+from wmseg import calibration
 from wmseg.calibration import (
+    INVERSE_STEP,
+    LATTICE,
     ThresholdCert,
+    band,
     block_starts,
+    block_sum_cdf,
     calibrate_threshold,
     simulate_max_block_sums,
 )
 from wmseg.intervals import Segments
-from wmseg.schemes import INVERSE_STEP, Inverse, SchemeSpec
+from wmseg.schemes import SCHEME_IDS, SchemeSpec
 from wmseg.segmentation import block_sums, screen_blocks
 from wmseg.streams import NtpModel, StreamSpec, generate_stream, score_tokens
 
@@ -41,7 +45,6 @@ class PointMassScheme:
     """Degenerate null law: every score equals the null mean."""
 
     scheme_id = "point_mass_stub"
-    lattice = None
 
     def __init__(self, null_mean=1.0):
         self.null_mean = null_mean
@@ -49,11 +52,18 @@ class PointMassScheme:
     def null_scores(self, rng, size):
         return np.full(size, self.null_mean)
 
-    def block_sum_cdf(self, k):
-        return lambda q: float(q >= k * self.null_mean)
-
     def to_json(self):
         return {"id": self.scheme_id, "null_mean": self.null_mean}
+
+
+@pytest.fixture
+def point_mass(monkeypatch):
+    """A PointMassScheme whose continuous law, a step at k times its null
+    mean, is registered in calibration's law table for the test."""
+    monkeypatch.setitem(calibration._LAWS, PointMassScheme.scheme_id,
+                        lambda scheme, k: lambda q: float(q >= k * scheme.null_mean))
+    monkeypatch.setitem(LATTICE, PointMassScheme.scheme_id, None)
+    return PointMassScheme()
 
 
 def oracle_max_block_sum_quantile(n, block_len, alpha, reps, seed):
@@ -73,9 +83,9 @@ def oracle_max_block_sum_quantile(n, block_len, alpha, reps, seed):
 
 
 class TestCalibrateThreshold:
-    def test_point_mass_stub_pins_q_at_block_mean(self):
+    def test_point_mass_stub_pins_q_at_block_mean(self, point_mass):
         for alpha in (0.01, 0.05, 0.5, 0.9):
-            cert = calibrate_threshold(PointMassScheme(), n=100, block_len=10,
+            cert = calibrate_threshold(point_mass, n=100, block_len=10,
                                        alpha=alpha, mc_reps=2000, seed=1)
             assert cert.q == 10.0
 
@@ -105,11 +115,18 @@ class TestCalibrateThreshold:
             calibrate_threshold(GUMBEL, 100, 101, 0.05)
         with pytest.raises(ValueError):
             calibrate_threshold(GUMBEL, 100, 10, 1.0)
+        # A length that is not a Python int would calibrate a Gamma(32.5)
+        # law, a block of one token or a certificate with "n": 1000.0.
+        for scheme_id, n, b in [("gumbel", 1000, 32.5), ("red_green", 1000, 32.5),
+                                ("gumbel", 1000, True), ("gumbel", 1000.0, 32),
+                                ("inverse", np.int64(1000), 32)]:
+            with pytest.raises(ValueError, match="must be integers"):
+                calibrate_threshold(SchemeSpec(scheme_id, 100), n, b, 0.05)
 
-    def test_partial_last_block_is_its_own_block(self):
+    def test_partial_last_block_is_its_own_block(self, point_mass):
         # n=7, b=3 gives blocks of sizes (3, 3, 1) in both calibration and
         # segmentation; the stub makes block sums equal block sizes.
-        cert = calibrate_threshold(PointMassScheme(), n=7, block_len=3,
+        cert = calibrate_threshold(point_mass, n=7, block_len=3,
                                    alpha=0.05, mc_reps=500, seed=6)
         assert cert.q == 3.0  # max block sum is the full block, not the stub tail
 
@@ -126,10 +143,10 @@ class TestCalibrateThreshold:
 
 
 class TestNullFprEstimate:
-    def test_point_mass_stub_never_false_positives(self):
-        cert = calibrate_threshold(PointMassScheme(), n=100, block_len=10,
+    def test_point_mass_stub_never_false_positives(self, point_mass):
+        cert = calibrate_threshold(point_mass, n=100, block_len=10,
                                    alpha=0.05, mc_reps=2000, seed=8)
-        fpr = null_fpr_estimate(cert, reps=2000, seed=9, scheme=PointMassScheme())
+        fpr = null_fpr_estimate(cert, reps=2000, seed=9, scheme=point_mass)
         assert fpr == 0.0  # strict inequality at the point mass
 
     def test_gumbel_alpha_level_holds(self):
@@ -200,7 +217,7 @@ def assert_inverse_lattice_law_matches_direct_convolution(vocab, k):
     """The direct-convolution oracle against the CDF at 2000 seeded random
     lattice points, the first, the last and one past the last."""
     oracle = inverse_lattice_oracle(vocab, k)
-    cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
+    cdf = block_sum_cdf(SchemeSpec("inverse", vocab), k)
     rng = np.random.default_rng([vocab, k])
     points = np.concatenate(([0, oracle.size - 1], rng.integers(0, oracle.size, 2000)))
     assert np.max(np.abs(lattice_values(cdf, points) - oracle[points])) <= 1e-13
@@ -284,7 +301,7 @@ class TestExactLaw:
         # The law is summed from the bins of its spectrum above 1e-16, so it
         # may fall between neighbouring lattice points by rounding only:
         # checked on 1000 seeded pairs (j, j + 1) and at both ends.
-        cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
+        cdf = block_sum_cdf(SchemeSpec("inverse", vocab), k)
         top = round(k / INVERSE_STEP)
         points = np.random.default_rng([vocab, k]).integers(0, top, 1000)
         assert np.min(lattice_values(cdf, points + 1) - lattice_values(cdf, points)) >= -1e-14
@@ -293,7 +310,7 @@ class TestExactLaw:
     def test_inverse_law_reaches_one_at_the_largest_sum(self):
         # A sum of k rounded-up scores never exceeds k, so every tail is
         # certified: even alpha = 1e-15 has a threshold, at most b.
-        cdf = SchemeSpec("inverse", 1000).block_sum_cdf(127)
+        cdf = block_sum_cdf(SchemeSpec("inverse", 1000), 127)
         assert cdf(127.0) == cdf(128.0) == cdf(1e300) == 1.0
         tiny = calibrate_threshold(SchemeSpec("inverse", 1000), 16000, 127, 1e-15)
         assert 93.31640625 < tiny.q <= 127.0
@@ -324,20 +341,20 @@ class TestExactLaw:
         # Every lattice point a certificate reads lies within 1e-13 of the
         # oracle, and the point after it is no lower by more than 1e-14.
         probes = {k: [] for k in ks}
-        block_sum_cdf = Inverse.block_sum_cdf
+        inverse_law = calibration._LAWS["inverse"]
 
-        def recording(self, k):
-            cdf = block_sum_cdf(self, k)
+        def recording(spec, k):
+            cdf = inverse_law(spec, k)
             return lambda q: probes[k].append(q) or cdf(q)
 
-        monkeypatch.setattr(Inverse, "block_sum_cdf", recording)
+        monkeypatch.setitem(calibration._LAWS, "inverse", recording)
         assert calibrate_threshold(SchemeSpec("inverse", vocab), n, b, alpha).q == j * INVERSE_STEP
         monkeypatch.undo()
         for k in ks:
             oracle = inverse_lattice_oracle(vocab, k)
             lattice = {math.floor(q / INVERSE_STEP) for q in probes[k]}
             points = np.array(sorted(p for p in lattice if p < oracle.size))
-            cdf = SchemeSpec("inverse", vocab).block_sum_cdf(k)
+            cdf = block_sum_cdf(SchemeSpec("inverse", vocab), k)
             law = lattice_values(cdf, points)
             assert np.max(np.abs(law - oracle[points])) <= 1e-13
             assert np.min(lattice_values(cdf, points + 1) - law) >= -1e-14
@@ -347,10 +364,10 @@ class TestExactLaw:
     def test_inverse_spectrum_lies_under_the_variation_bound(self, vocab, k):
         # Summation by parts: (1 - e^(-i theta)) P(theta) is the spectrum of
         # the differences of p, so |P| <= TV(p) / (2 sin(theta/2)), the bound
-        # that confines Inverse.band's bins to 1..top.
+        # that confines calibration.band's bins to 1..top.
         fft_len, power = reference_spectrum(vocab, k)
         f = np.arange(1, fft_len // 2 + 1)
-        bound = Inverse(vocab).variation / (2 * np.sin(np.pi * f / fft_len))
+        bound = calibration._inverse_pmf(vocab)[1] / (2 * np.sin(np.pi * f / fft_len))
         assert np.all(np.abs(power[f]) <= bound + 1e-15)
 
     @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
@@ -360,11 +377,11 @@ class TestExactLaw:
         # sums it directly; k = 16, 20 and 25 lie where the two cost alike.
         ref_len, ref_bins, ref_values = reference_band(vocab, k)
         lengths, direct = [], []
-        rfft, spectrum_at = np.fft.rfft, schemes._spectrum_at
+        rfft, spectrum_at = np.fft.rfft, calibration._spectrum_at
         monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
-        monkeypatch.setattr(schemes, "_spectrum_at",
+        monkeypatch.setattr(calibration, "_spectrum_at",
                             lambda *args: direct.append(args) or spectrum_at(*args))
-        fft_len, bins, values = Inverse(vocab).band(k)
+        fft_len, bins, values = band(vocab, k)
         assert lengths == ([] if direct else [ref_len]) and len(direct) <= 1
         assert fft_len == ref_len and bins.tolist() == ref_bins.tolist()
         assert np.max(np.abs(values - ref_values)) <= 1e-15
@@ -375,7 +392,7 @@ class TestExactLaw:
         scheme = SchemeSpec("inverse", 1000)
         tracemalloc.start()
         try:
-            scheme.block_sum_cdf(1000)
+            block_sum_cdf(scheme, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,7 +420,7 @@ class TestExactLaw:
             scheme = SchemeSpec("inverse", vocab)
             points = np.arange(round(1 / INVERSE_STEP) + 1)
             lattice = points * INVERSE_STEP
-            mass = np.diff(lattice_values(scheme.block_sum_cdf(1), points), prepend=0.0)
+            mass = np.diff(lattice_values(block_sum_cdf(scheme, 1), points), prepend=0.0)
             mean = float(mass @ lattice)
             assert scheme.null_mean <= mean <= scheme.null_mean + INVERSE_STEP
 
@@ -417,7 +434,7 @@ class TestExactLaw:
             root = math.ceil(math.sqrt(n))
             for b in (root // 2, root, 2 * root):
                 m = math.ceil(n / b)
-                full, last = scheme.block_sum_cdf(b), scheme.block_sum_cdf(n - (m - 1) * b)
+                full, last = block_sum_cdf(scheme, b), block_sum_cdf(scheme, n - (m - 1) * b)
                 for alpha in (0.1, 0.05, 0.01, 1e-6):
                     expected = reference_smallest_covering_q(
                         lambda x: full(x) ** (m - 1) * last(x), 1 - alpha)
@@ -433,19 +450,19 @@ class TestExactLaw:
         # One probe of cover reads the law of a full block once, so its
         # points are the probes: at most ceil(log2(b/h)) + 1 of them, none
         # read twice, where the float search read about 65.
-        scheme, owner, points = SchemeSpec(scheme_id, vocab), schemes.SCHEMES[scheme_id], []
-        block_sum_cdf = owner.block_sum_cdf
+        scheme, law, step, points = (SchemeSpec(scheme_id, vocab), calibration._LAWS[scheme_id],
+                                     LATTICE[scheme_id], [])
 
-        def recording(self, k):
-            cdf = block_sum_cdf(self, k)
+        def recording(spec, k):
+            cdf = law(spec, k)
             if k != b:
                 return cdf
-            return lambda q: points.append(q / scheme.lattice) or cdf(q)
+            return lambda q: points.append(q / step) or cdf(q)
 
-        monkeypatch.setattr(owner, "block_sum_cdf", recording)
+        monkeypatch.setitem(calibration._LAWS, scheme_id, recording)
         calibrate_threshold(scheme, n, b, 0.05)
         assert all(j == math.floor(j) for j in points)
-        assert len(points) == len(set(points)) <= math.ceil(math.log2(b / scheme.lattice)) + 1
+        assert len(points) == len(set(points)) <= math.ceil(math.log2(b / step)) + 1
 
     @pytest.mark.parametrize("scheme_id, n, b", [
         ("inverse", 1_000_000, 1000), ("inverse", 16000, 127),
@@ -457,9 +474,9 @@ class TestExactLaw:
         # float search gave 721.57958984375 at n = 10^6, this one 721.5693359375.
         # Either is locally minimal: it covers and the point below does not.
         scheme = SchemeSpec(scheme_id, 1000)
-        q, h = calibrate_threshold(scheme, n, b, 1e-15).q, scheme.lattice
+        q, h = calibrate_threshold(scheme, n, b, 1e-15).q, LATTICE[scheme_id]
         m = math.ceil(n / b)
-        full, last = scheme.block_sum_cdf(b), scheme.block_sum_cdf(n - (m - 1) * b)
+        full, last = block_sum_cdf(scheme, b), block_sum_cdf(scheme, n - (m - 1) * b)
 
         def cover(x):
             return full(x) ** (m - 1) * last(x)
@@ -468,6 +485,18 @@ class TestExactLaw:
         assert cover(q) >= 1 - 1e-15 > cover(q - h)
         if (scheme_id, n) == ("inverse", 1_000_000):
             assert q == 721.5693359375
+
+    def test_each_law_reads_only_the_fields_that_fix_it(self):
+        # Gumbel's law is Gamma(k, 1) at every V, red_green's reads |G|/V
+        # alone, whatever V and bias give it, and inverse's reads V.
+        def q(scheme_id, vocab, **params):
+            return calibrate_threshold(SchemeSpec(scheme_id, vocab, **params), 1000, 32, 0.05).q
+
+        assert set(calibration._LAWS) == set(LATTICE) == set(SCHEME_IDS)
+        assert q("gumbel", 2) == q("gumbel", 20) == q("gumbel", 1000)
+        quarter = q("red_green", 100, green_frac=0.25)
+        assert quarter == q("red_green", 20, green_frac=0.25, bias=0.5) != q("red_green", 100)
+        assert len({q("inverse", 2), q("inverse", 20), q("inverse", 1000)}) == 3
 
     def test_calibration_never_simulates(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -509,9 +509,18 @@ def test_null_mean_matches_exact_oracle(scheme_id):
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
 def test_a_vocabulary_of_2_to_the_32_is_rejected(scheme_id):
     # Built, it would ask units_mod or coordinate_tags for a 32 GiB table.
-    message = re.escape("vocab_size must lie in [2, 2**32), not 4294967296")
+    message = re.escape("vocab_size must be an int in [2, 2**32), not 4294967296")
     with pytest.raises(ValueError, match=message):
         SchemeSpec(scheme_id, 2**32)
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+@pytest.mark.parametrize("vocab_size", [100.0, np.int64(100)])
+def test_a_vocabulary_size_that_is_not_a_python_int_is_rejected(scheme_id, vocab_size):
+    # to_json would write 100.0, which from_json rejects, or a numpy integer
+    # that json.dumps cannot serialize; units_mod fails on a float.
+    with pytest.raises(ValueError, match="vocab_size must be an int"):
+        SchemeSpec(scheme_id, vocab_size)
 
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)

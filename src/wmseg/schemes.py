@@ -34,8 +34,9 @@ green subset is the tokens of rank below ``floor(green_frac * V)``. Under
 the null a token's rank is uniform on 0..V-1 to within 2^-64, as under a
 uniformly drawn permutation, so the null laws above hold.
 
-``SchemeSpec`` is the scheme as named on the wire (id plus parameters) and
-forwards every operation to its scheme's class. Decoders are deterministic
+``SchemeSpec`` is the scheme as named on the wire (id plus parameters), and
+each scheme class is a subclass of it: ``SchemeSpec(id, ...)`` builds the
+instance of the class the id names. Decoders are deterministic
 functions of (probs, key, params); all sampling randomness lives inside the
 key. A scheme's ``decoder(seed)`` does the work of one key once (gumbel's V
 logs, inverse's token of each rank, red_green's weight scale), then decodes rows.
@@ -58,7 +59,11 @@ class InvalidDistribution(ValueError):
     """Raised when a next-token probability vector is unusable."""
 
 
-def validate_probs(probs: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+# How far from 1 a validated probability vector may sum.
+PROB_SUM_ATOL = 1e-9
+
+
+def validate_probs(probs: np.ndarray) -> np.ndarray:
     """Check a probability vector: finite nonnegative entries summing to 1."""
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
@@ -70,7 +75,7 @@ def validate_probs(probs: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     total = float(probs.sum())
     if total <= 0.0:
         raise InvalidDistribution("all-zero probability vector")
-    if abs(total - 1.0) > atol:
+    if abs(total - 1.0) > PROB_SUM_ATOL:
         raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
     return probs
 
@@ -203,44 +208,115 @@ PseudoKey = Union[GumbelKey, InverseKey, RedGreenKey]
 # ---------------------------------------------------------------------------
 
 
-class _Scheme:
-    """What every scheme class provides, for one validated vocabulary size
-    and the values of the ``params`` it names.
+@functools.lru_cache(maxsize=16)
+def _shared(table, vocab_size: int) -> np.ndarray:
+    """The read-only ``table(vocab_size)``, built once per V for every spec."""
+    array = table(vocab_size)
+    array.flags.writeable = False
+    return array
 
-    ``key(seed)`` derives the key of a 64-bit key seed; ``pivots(tokens,
-    seeds)`` is ``pivot(tokens[i], key(seeds[i]))`` for every position, in
-    array operations with no key built; ``decoder_of(key)`` is the decoder
-    of a key, the function NTP row -> token, which does the key's own work
-    once and takes rows already passed by ``check_decodable``, and
-    ``decoder(seed)`` is that of ``key(seed)``; a decoder may divide by zero
-    or overflow, so it is called only inside an ``np.errstate`` that ignores
-    both (``SchemeSpec.decode``, ``streams._decode_rows``); ``pivot`` takes
-    a token or a token array already bounds-checked by the caller;
-    ``params`` names the ``SchemeSpec`` fields the scheme reads beyond the
-    vocabulary size, in the order its constructor takes them. Its arrays are
-    read-only, since equal specs share one instance (``SchemeSpec``).
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """A watermarking scheme with its parameters, as used on the wire.
+
+    ``SchemeSpec(id, V, ...)`` is an instance of the scheme class
+    ``SCHEMES[id]``; a scheme class given another id raises. ``green_frac``
+    and ``bias`` only matter for red_green; another scheme rejects a value
+    other than their defaults, so that no parameter is silently ignored and
+    ``from_json(to_json(spec)) == spec``.
+
+    The vocabulary size lies in [2, 2^32): the affine keys scale 64-bit
+    hashes by V with a 32-bit multiply-high (``keys.mulhi``), and a larger V
+    would only ask for a 32 GiB table per scheme. The option-free tables
+    (``coordinate_tags``, ``units_mod``) are read-only and shared by every
+    spec of one V, so rebuilding a spec per stream file costs no pass over them.
+
+    What every scheme class provides: ``_key(seed)`` derives the key of a
+    64-bit key seed; ``pivots(tokens, seeds)`` is ``pivot(tokens[i],
+    key_at(seeds[i]))`` for every position of a bounds-checked token array,
+    in array operations with no key built; ``decoder_of(key)`` is the
+    decoder of a key, the function NTP row -> token, which does the key's
+    own work once and takes rows already passed by ``check_decodable``; a
+    decoder may divide by zero or overflow, so it is called only inside an
+    ``np.errstate`` that ignores both (``decode``, ``streams._decode_rows``);
+    ``_pivot`` takes a token or a token array already bounds-checked;
+    ``score`` maps pivots to scores; ``null_scores(rng, size)`` draws i.i.d.
+    scores from the null law, and ``null_mean`` is its exact mean;
+    ``params`` names the fields the scheme reads beyond the vocabulary size.
     """
 
-    params: tuple[str, ...] = ()
-    null_mean: float
+    scheme_id: str
+    vocab_size: int
+    green_frac: float = 0.5
+    bias: float = 2.0
 
-    def __init__(self, vocab_size: int):
-        self.vocab_size = vocab_size
+    params = ()
+
+    def __new__(cls, *args, **kwargs):
+        """The instance of the class the id names; pickle and copy call a
+        scheme class itself, with no arguments."""
+        if cls is SchemeSpec:
+            cls = SCHEMES.get(args[0] if args else kwargs.get("scheme_id"), cls)
+        return super().__new__(cls)
+
+    def __post_init__(self):
+        if SCHEMES.get(self.scheme_id) is not type(self):
+            raise ValueError(f"unsupported scheme {self.scheme_id!r} for {type(self).__name__}")
+        if type(self.vocab_size) is not int or not 2 <= self.vocab_size < 2**32:
+            raise ValueError(f"vocab_size must be an int in [2, 2**32), not {self.vocab_size!r}")
+        check_unread(self, self.params, f"scheme {self.scheme_id!r}")
+
+    def key_at(self, seed: int) -> PseudoKey:
+        return self._key(seed)
 
     def decoder(self, seed: int):
-        return self.decoder_of(self.key(seed))
+        """The decoder of the key of ``seed``."""
+        return self.decoder_of(self._key(seed))
+
+    def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
+        """The token the scheme emits for the NTP vector ``probs`` under
+        ``key``; an unusable vector raises InvalidDistribution."""
+        probs = check_decodable(probs, (self.vocab_size,))
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.decoder_of(key)(probs)
+
+    def pivot(self, token: int, key: PseudoKey) -> float:
+        """Pivot of one token under one key; a token outside the vocabulary
+        raises IndexError."""
+        check_tokens(token, self.vocab_size)
+        return float(self._pivot(token, key))
+
+    def pivot_score(self, token: int, key: PseudoKey) -> float:
+        return float(self.score(self.pivot(token, key)))
+
+    def to_json(self) -> dict:
+        out = {"id": self.scheme_id, "vocab_size": self.vocab_size}
+        out.update((name, getattr(self, name)) for name in self.params)
+        return out
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SchemeSpec":
+        """Read ``to_json`` output; ``id`` and ``vocab_size`` are required,
+        other keys left out take the field defaults."""
+        fields = read_fields(
+            data, {"id": str, "vocab_size": json_int, "green_frac": json_float,
+                   "bias": json_float}, "scheme",
+            required=("id", "vocab_size"),
+        )
+        return cls(fields.pop("id"), **fields)
 
 
-class _AffineKeyed(_Scheme):
+class _AffineKeyed(SchemeSpec):
     """A scheme whose key is a uniform ``u`` and a keyed affine permutation
     of the vocabulary: token w has rank ``(a*w + c) mod V`` (``keys.affine_key``).
     """
 
-    def __init__(self, vocab_size: int):
-        super().__init__(vocab_size)
-        self.units = _read_only(units_mod(vocab_size))
+    @property
+    def units(self) -> np.ndarray:
+        return _shared(units_mod, self.vocab_size)
 
-    def _key(self, seed: int) -> tuple[float, np.ndarray]:
+    def _affine(self, seed: int) -> tuple[float, np.ndarray]:
         """The key uniform and the rank of every token."""
         u, a, c = affine_key(seed, self.vocab_size, self.units)
         return u, (a * np.arange(self.vocab_size) + c) % self.vocab_size
@@ -251,18 +327,18 @@ class _AffineKeyed(_Scheme):
         return u, (a * tokens + c) % self.vocab_size
 
 
-class Gumbel(_Scheme):
+class Gumbel(SchemeSpec):
     """Coordinate w of a key is ``unit(splitmix64(seed ^ tags[w]))`` over the
     hashed coordinate tags ``keys.coordinate_tags(V)``. A decoder holds the
     logs of its key's uniforms, taken once per key, not per decoded row."""
 
     null_mean = 1.0
 
-    def __init__(self, vocab_size: int):
-        super().__init__(vocab_size)
-        self.tags = _read_only(coordinate_tags(vocab_size))
+    @property
+    def tags(self) -> np.ndarray:
+        return _shared(coordinate_tags, self.vocab_size)
 
-    def key(self, seed: int) -> GumbelKey:
+    def _key(self, seed: int) -> GumbelKey:
         return GumbelKey(uniforms=unit(splitmix64_array(np.uint64(seed) ^ self.tags)))
 
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -282,7 +358,7 @@ class Gumbel(_Scheme):
         return lambda probs: int((log_u / probs).argmax())
 
     @staticmethod
-    def pivot(token, key: GumbelKey):
+    def _pivot(token, key: GumbelKey):
         """The uniform coordinate of the emitted token."""
         return key.uniforms[token]
 
@@ -305,15 +381,14 @@ class Gumbel(_Scheme):
 
 
 class Inverse(_AffineKeyed):
-    def __init__(self, vocab_size: int):
-        super().__init__(vocab_size)
+    @property
+    def null_mean(self) -> float:
         # E[1 - |U - g|] = 1 - (g^2 + (1-g)^2)/2, averaged over g = k/(V-1).
         v = self.vocab_size
-        self.null_mean = 1.0 - (2 * v - 1) / (6.0 * (v - 1))
+        return 1.0 - (2 * v - 1) / (6.0 * (v - 1))
 
-    def key(self, seed: int) -> InverseKey:
-        u, perm = self._key(seed)
-        return InverseKey(u=u, perm=perm)
+    def _key(self, seed: int) -> InverseKey:
+        return InverseKey(*self._affine(seed))
 
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         u, rank = self._ranks(tokens, seeds)
@@ -333,7 +408,7 @@ class Inverse(_AffineKeyed):
         return lambda probs: int(order[min(int(probs[order].cumsum().searchsorted(u)), last)])
 
     @staticmethod
-    def pivot(token, key: InverseKey):
+    def _pivot(token, key: InverseKey):
         """|U - eta(rank)| with eta spreading ranks evenly over [0, 1]."""
         eta = key.perm[token] / (key.perm.size - 1)
         return np.abs(key.u - eta)
@@ -356,22 +431,27 @@ class Inverse(_AffineKeyed):
 class RedGreen(_AffineKeyed):
     params = ("green_frac", "bias")
 
-    def __init__(self, vocab_size: int, green_frac: float, bias: float):
-        super().__init__(vocab_size)
-        if not 0.0 < green_frac < 1.0:
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 < self.green_frac < 1.0:
             raise ValueError("green fraction must lie in (0, 1)")
-        self.n_green = math.floor(green_frac * vocab_size)
         if self.n_green < 1:
             raise ValueError("green subset would be empty; increase vocab or fraction")
         # A NaN bias fails every comparison, so test for a finite value first.
-        if not (math.isfinite(bias) and bias >= 0):
-            raise ValueError(f"bias must be finite and nonnegative, not {bias!r}")
-        self.green_weight = math.exp(bias)
-        self.null_mean = self.n_green / self.vocab_size
+        if not (math.isfinite(self.bias) and self.bias >= 0):
+            raise ValueError(f"bias must be finite and nonnegative, not {self.bias!r}")
 
-    def key(self, seed: int) -> RedGreenKey:
+    @property
+    def n_green(self) -> int:
+        return math.floor(self.green_frac * self.vocab_size)
+
+    @property
+    def null_mean(self) -> float:
+        return self.n_green / self.vocab_size
+
+    def _key(self, seed: int) -> RedGreenKey:
         """The green subset is the ``n_green`` tokens of lowest rank."""
-        u, perm = self._key(seed)
+        u, perm = self._affine(seed)
         return RedGreenKey(green=perm < self.n_green, u=u)
 
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -386,7 +466,7 @@ class RedGreen(_AffineKeyed):
         bias = 0 reproduces the NTP exactly; the draw itself comes from the
         key's uniform, keeping the decoder deterministic given (probs, key).
         """
-        scale, u, last = np.where(key.green, self.green_weight, 1.0), key.u, self.vocab_size - 1
+        scale, u, last = np.where(key.green, math.exp(self.bias), 1.0), key.u, self.vocab_size - 1
 
         def decode(probs: np.ndarray) -> int:
             cdf = (probs * scale).cumsum()
@@ -395,7 +475,7 @@ class RedGreen(_AffineKeyed):
         return decode
 
     @staticmethod
-    def pivot(token, key: RedGreenKey):
+    def _pivot(token, key: RedGreenKey):
         """Green-membership indicator; Bernoulli(|G|/V) under the null."""
         return key.green[token]
 
@@ -407,20 +487,8 @@ class RedGreen(_AffineKeyed):
         return (rng.random(size) < self.null_mean).astype(float)
 
 
-SCHEMES: dict[str, type[_Scheme]] = {"gumbel": Gumbel, "inverse": Inverse, "red_green": RedGreen}
+SCHEMES: dict[str, type[SchemeSpec]] = {"gumbel": Gumbel, "inverse": Inverse, "red_green": RedGreen}
 SCHEME_IDS = tuple(SCHEMES)
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
-@functools.lru_cache(maxsize=16)
-def _scheme_object(scheme_id: str, vocab_size: int, *params) -> _Scheme:
-    """The one scheme instance of (scheme, V, params); a constructor that
-    raises caches nothing."""
-    return SCHEMES[scheme_id](vocab_size, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -454,92 +522,3 @@ class PivotSeries:
     @property
     def n(self) -> int:
         return self.scores.size
-
-
-# ---------------------------------------------------------------------------
-# Scheme bundle used by the stream generator, calibrator and CLI
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchemeSpec:
-    """A watermarking scheme with its parameters, as used on the wire.
-
-    ``green_frac`` and ``bias`` only matter for red_green; another scheme
-    rejects a value other than their defaults, so that no parameter is
-    silently ignored and ``from_json(to_json(spec)) == spec``.
-
-    The vocabulary size lies in [2, 2^32): the affine keys scale 64-bit
-    hashes by V with a 32-bit multiply-high (``keys.mulhi``), and a larger V
-    would only ask for a 32 GiB table per scheme. Specs equal in the fields
-    their scheme reads share one read-only scheme object from a small LRU
-    cache, so rebuilding a spec per stream file costs no ``units_mod`` or
-    ``coordinate_tags`` pass.
-    """
-
-    scheme_id: str
-    vocab_size: int
-    green_frac: float = 0.5
-    bias: float = 2.0
-
-    def __post_init__(self):
-        if self.scheme_id not in SCHEMES:
-            raise ValueError(f"unsupported scheme {self.scheme_id!r}")
-        if type(self.vocab_size) is not int or not 2 <= self.vocab_size < 2**32:
-            raise ValueError(f"vocab_size must be an int in [2, 2**32), not {self.vocab_size!r}")
-        params = SCHEMES[self.scheme_id].params
-        check_unread(self, params, f"scheme {self.scheme_id!r}")
-        scheme = _scheme_object(self.scheme_id, self.vocab_size,
-                                *(getattr(self, name) for name in params))
-        object.__setattr__(self, "_scheme", scheme)
-
-    @property
-    def null_mean(self) -> float:
-        return self._scheme.null_mean
-
-    def key_at(self, seed: int) -> PseudoKey:
-        return self._scheme.key(seed)
-
-    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        """Pivots of a bounds-checked token array, each under the key of the
-        uint64 seed at its position: ``pivot(tokens[i], key_at(seeds[i]))``."""
-        return self._scheme.pivots(tokens, seeds)
-
-    def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
-        """The token the scheme emits for the NTP vector ``probs`` under
-        ``key``; an unusable vector raises InvalidDistribution."""
-        probs = check_decodable(probs, (self.vocab_size,))
-        with np.errstate(divide="ignore", over="ignore"):
-            return self._scheme.decoder_of(key)(probs)
-
-    def pivot(self, token: int, key: PseudoKey) -> float:
-        """Pivot of one token under one key; a token outside the vocabulary
-        raises IndexError."""
-        check_tokens(token, self.vocab_size)
-        return float(self._scheme.pivot(token, key))
-
-    def score(self, y):
-        return self._scheme.score(y)
-
-    def pivot_score(self, token: int, key: PseudoKey) -> float:
-        return float(self.score(self.pivot(token, key)))
-
-    def null_scores(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw i.i.d. samples from the score's null law."""
-        return self._scheme.null_scores(rng, size)
-
-    def to_json(self) -> dict:
-        out = {"id": self.scheme_id, "vocab_size": self.vocab_size}
-        out.update((name, getattr(self, name)) for name in self._scheme.params)
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SchemeSpec":
-        """Read ``to_json`` output; ``id`` and ``vocab_size`` are required,
-        other keys left out take the field defaults."""
-        fields = read_fields(
-            data, {"id": str, "vocab_size": json_int, "green_frac": json_float,
-                   "bias": json_float}, "scheme",
-            required=("id", "vocab_size"),
-        )
-        return cls(fields.pop("id"), **fields)

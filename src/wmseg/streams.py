@@ -367,29 +367,32 @@ def _decode_rows(spec: StreamSpec, decoder_of: dict, tokens: np.ndarray,
     context into the memo ``decoder_of``. Generation builds and calls its
     decoders only here, inside one ``np.errstate``: gumbel's log(U)/P is
     -inf where P is +0.0 or denormal, and that token never wins."""
-    scheme = spec.scheme._scheme
     with np.errstate(divide="ignore", over="ignore"):
         for i, row in zip(positions.tolist(), rows):
             prev = int(tokens[i - 1]) if i else CONTEXT_SENTINEL
             decode = decoder_of.get(prev)
             if decode is None:
-                decode = decoder_of[prev] = scheme.decoder(key_seed(spec.seed, prev))
+                decode = decoder_of[prev] = spec.scheme.decoder(key_seed(spec.seed, prev))
             tokens[i] = decode(row)
 
 
 def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) -> PivotSeries:
     """Verifier-side scored pivots for an arbitrary (possibly edited) stream.
 
-    Tokens outside [0, V) raise IndexError. Every position's key seed, that
-    of the token before it or of CONTEXT_SENTINEL at the first position,
-    comes from one array pass and the scheme reads the pivots from the seeds
-    (``SchemeSpec.pivots``); the pivot array is scored in one call.
+    Tokens that are not integers raise TypeError, tokens outside [0, V)
+    IndexError and a seed outside [0, 2^64) ValueError. Every position's key
+    seed, that of the token before it or of CONTEXT_SENTINEL at the first
+    position, comes from one array pass and the scheme reads the pivots from
+    the seeds (``scheme.pivots``); the pivot array is scored in one call.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    check_tokens(tokens, scheme.vocab_size)
+    tokens = np.asarray(tokens)
     if tokens.size == 0:
         raise ValueError("token sequence is empty")
-    seeds = key_seeds(master_seed, np.concatenate(([CONTEXT_SENTINEL], tokens[:-1])))
+    if tokens.dtype.kind not in "iu":  # a float or bool array would be truncated to ints
+        raise TypeError(f"tokens are not an integer array: dtype {tokens.dtype}")
+    check_tokens(tokens, scheme.vocab_size)
+    tokens = tokens.astype(np.int64, copy=False)
+    seeds = key_seeds(check_seed(master_seed), np.concatenate(([CONTEXT_SENTINEL], tokens[:-1])))
     pivots = scheme.pivots(tokens, seeds)
     return PivotSeries(
         scores=scheme.score(pivots), null_mean=scheme.null_mean, scheme_id=scheme.scheme_id

@@ -19,7 +19,7 @@ from scheme_theory import inverse_cdf_1d
 from wmseg import streams
 from wmseg.intervals import Segments
 from wmseg.keys import CONTEXT_SENTINEL, TAG_NTP, TAG_NULL_DRAW, generator, key_seed, mix
-from wmseg.schemes import SCHEME_IDS, SchemeSpec, _Scheme
+from wmseg.schemes import SCHEME_IDS, SchemeSpec
 from wmseg.streams import (
     NtpModel,
     StreamSpec,
@@ -415,13 +415,13 @@ def test_score_tokens_calls_no_key_at_and_at_most_one_generator(
 @pytest.fixture
 def decoder_calls(monkeypatch):
     calls = []
-    original = _Scheme.decoder
+    original = SchemeSpec.decoder
 
     def counting(self, seed):
         calls.append(seed)
         return original(self, seed)
 
-    monkeypatch.setattr(_Scheme, "decoder", counting)
+    monkeypatch.setattr(SchemeSpec, "decoder", counting)
     return calls
 
 

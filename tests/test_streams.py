@@ -338,8 +338,27 @@ class TestReconstructKeys:
             assert not np.any(ka.uniforms == kb.uniforms)
 
     def test_empty_tokens_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="token sequence is empty"):
             score_tokens([], 0, GUMBEL)
+
+    @pytest.mark.parametrize("tokens", [np.array([0.5, 1.9, 3.2]), np.array([True, False]),
+                                        [1, 2.0]], ids=["float", "bool", "mixed-list"])
+    def test_tokens_that_are_not_integers_are_rejected(self, tokens):
+        # Cast to int64, they would score as the tokens [0, 1, 3] or [1, 0].
+        with pytest.raises(TypeError, match="not an integer array"):
+            score_tokens(tokens, 1, SchemeSpec("gumbel", 20))
+
+    def test_unsigned_tokens_score_as_signed_ones(self):
+        tokens = np.array([3, 0, 19, 7])
+        signed = score_tokens(tokens, 1, SchemeSpec("gumbel", 20)).scores
+        unsigned = score_tokens(tokens.astype(np.uint8), 1, SchemeSpec("gumbel", 20)).scores
+        assert np.array_equal(signed, unsigned)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_seed_outside_64_bits_is_rejected(self, seed):
+        # Keys reduce the seed mod 2^64, so -1 would score as seed 2^64 - 1.
+        with pytest.raises(ValueError, match=re.escape("seed must lie in [0, 2**64)")):
+            score_tokens([1, 2, 3], seed, SchemeSpec("gumbel", 20))
 
 
 # ---------------------------------------------------------------------------

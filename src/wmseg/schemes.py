@@ -26,9 +26,9 @@ law and the exact mean of that law. The law of a sum of k null scores is in
 Every key is read from keyed splitmix64 hashes of its 64-bit key seed
 (``keys``). A gumbel key is V uniforms, coordinate w hashed under its own
 tag, so a token drawn independently of the key reads a Uniform(0,1)
-coordinate. An inverse or red_green key is a uniform ``u`` and a keyed
-affine permutation: token w has rank ``(a*w + c) mod V``, where ``u``, the
-unit ``a`` and the shift ``c`` come from three more hashes
+coordinate. An inverse or red_green key is one ``AffineKey``: a uniform ``u``
+and the ranks ``ranks[w] = (a*w + c) mod V`` of a keyed affine permutation,
+where ``u``, the unit ``a`` and the shift ``c`` come from three more hashes
 (``keys.affine_key``). Inverse decodes through the ranks and red_green's
 green subset is the tokens of rank below ``floor(green_frac * V)``. Under
 the null a token's rank is uniform on 0..V-1 to within 2^-64, as under a
@@ -185,22 +185,14 @@ class GumbelKey:
 
 
 @dataclass(frozen=True)
-class InverseKey:
-    """A single uniform plus a permutation; perm[w] is the rank of token w."""
+class AffineKey:
+    """A single uniform plus a permutation; ranks[w] is the rank of token w."""
 
     u: float
-    perm: np.ndarray
+    ranks: np.ndarray
 
 
-@dataclass(frozen=True)
-class RedGreenKey:
-    """Green-subset membership mask plus the sampling uniform."""
-
-    green: np.ndarray
-    u: float
-
-
-PseudoKey = Union[GumbelKey, InverseKey, RedGreenKey]
+PseudoKey = Union[GumbelKey, AffineKey]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +224,8 @@ class SchemeSpec:
     (``coordinate_tags``, ``units_mod``) are read-only and shared by every
     spec of one V, so rebuilding a spec per stream file costs no pass over them.
 
-    What every scheme class provides: ``_key(seed)`` derives the key of a
+    What every scheme class provides (an affine one through ``_AffineKeyed``,
+    from its pivot ``_of_rank(u, rank)``): ``_key(seed)`` derives the key of a
     64-bit key seed; ``pivots(tokens, seeds)`` is ``pivot(tokens[i],
     key_at(seeds[i]))`` for every position of a bounds-checked token array,
     in array operations with no key built; ``decoder_of(key)`` is the
@@ -310,21 +303,23 @@ class SchemeSpec:
 class _AffineKeyed(SchemeSpec):
     """A scheme whose key is a uniform ``u`` and a keyed affine permutation
     of the vocabulary: token w has rank ``(a*w + c) mod V`` (``keys.affine_key``).
-    """
+    Each subclass writes its pivot once, as ``_of_rank(u, rank)`` of the key
+    uniform and the token's rank, arrays or scalars."""
 
     @property
     def units(self) -> np.ndarray:
         return _shared(units_mod, self.vocab_size)
 
-    def _affine(self, seed: int) -> tuple[float, np.ndarray]:
-        """The key uniform and the rank of every token."""
+    def _key(self, seed: int) -> AffineKey:
         u, a, c = affine_key(seed, self.vocab_size, self.units)
-        return u, (a * np.arange(self.vocab_size) + c) % self.vocab_size
+        return AffineKey(u, (a * np.arange(self.vocab_size) + c) % self.vocab_size)
 
-    def _ranks(self, tokens: np.ndarray, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The key uniform at each position and the rank of its token."""
+    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         u, a, c = affine_keys(seeds, self.vocab_size, self.units)
-        return u, (a * tokens + c) % self.vocab_size
+        return self._of_rank(u, (a * tokens + c) % self.vocab_size)
+
+    def _pivot(self, token, key: AffineKey):
+        return self._of_rank(key.u, key.ranks[token])
 
 
 class Gumbel(SchemeSpec):
@@ -387,31 +382,22 @@ class Inverse(_AffineKeyed):
         v = self.vocab_size
         return 1.0 - (2 * v - 1) / (6.0 * (v - 1))
 
-    def _key(self, seed: int) -> InverseKey:
-        return InverseKey(*self._affine(seed))
-
-    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        u, rank = self._ranks(tokens, seeds)
-        return np.abs(u - rank / (self.vocab_size - 1))
-
     @staticmethod
-    def decoder_of(key: InverseKey):
+    def decoder_of(key: AffineKey):
         """Generalized-inverse sampling through the key's permuted CDF.
 
         Returns the token whose rank is the smallest index at which the
         rank-ordered cumulative mass reaches the key uniform. The token of
-        each rank, ``order[perm] = arange(V)``, is found once per key.
+        each rank, ``order[ranks] = arange(V)``, is found once per key.
         """
-        order = np.empty_like(key.perm)
-        order[key.perm] = np.arange(order.size)
+        order = np.empty_like(key.ranks)
+        order[key.ranks] = np.arange(order.size)
         u, last = key.u, order.size - 1
         return lambda probs: int(order[min(int(probs[order].cumsum().searchsorted(u)), last)])
 
-    @staticmethod
-    def _pivot(token, key: InverseKey):
+    def _of_rank(self, u, rank):
         """|U - eta(rank)| with eta spreading ranks evenly over [0, 1]."""
-        eta = key.perm[token] / (key.perm.size - 1)
-        return np.abs(key.u - eta)
+        return np.abs(u - rank / (self.vocab_size - 1))
 
     @staticmethod
     def score(y):
@@ -423,9 +409,8 @@ class Inverse(_AffineKeyed):
         return float(out) if arr.ndim == 0 else out
 
     def null_scores(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.random(size)
-        eta = rng.integers(0, self.vocab_size, size) / (self.vocab_size - 1)
-        return 1.0 - np.abs(u - eta)
+        # 1 - pivot is score's h without its domain check, which these pivots pass.
+        return 1.0 - self._of_rank(rng.random(size), rng.integers(0, self.vocab_size, size))
 
 
 class RedGreen(_AffineKeyed):
@@ -433,6 +418,9 @@ class RedGreen(_AffineKeyed):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in self.params:  # a numpy float would not survive json.dumps
+            if type(value := getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be an int or a float, not {type(value).__name__}")
         if not 0.0 < self.green_frac < 1.0:
             raise ValueError("green fraction must lie in (0, 1)")
         if self.n_green < 1:
@@ -449,15 +437,7 @@ class RedGreen(_AffineKeyed):
     def null_mean(self) -> float:
         return self.n_green / self.vocab_size
 
-    def _key(self, seed: int) -> RedGreenKey:
-        """The green subset is the ``n_green`` tokens of lowest rank."""
-        u, perm = self._affine(seed)
-        return RedGreenKey(green=perm < self.n_green, u=u)
-
-    def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        return self._ranks(tokens, seeds)[1] < self.n_green
-
-    def decoder_of(self, key: RedGreenKey):
+    def decoder_of(self, key: AffineKey):
         """Sample from the NTP re-weighted by exp(bias) on the green subset:
         the first token whose cumulative weight reaches u times the total,
         clipped to the last token, with the key's weight scale (exp(bias)
@@ -466,7 +446,8 @@ class RedGreen(_AffineKeyed):
         bias = 0 reproduces the NTP exactly; the draw itself comes from the
         key's uniform, keeping the decoder deterministic given (probs, key).
         """
-        scale, u, last = np.where(key.green, math.exp(self.bias), 1.0), key.u, self.vocab_size - 1
+        scale = np.where(key.ranks < self.n_green, math.exp(self.bias), 1.0)
+        u, last = key.u, self.vocab_size - 1
 
         def decode(probs: np.ndarray) -> int:
             cdf = (probs * scale).cumsum()
@@ -474,10 +455,10 @@ class RedGreen(_AffineKeyed):
 
         return decode
 
-    @staticmethod
-    def _pivot(token, key: RedGreenKey):
-        """Green-membership indicator; Bernoulli(|G|/V) under the null."""
-        return key.green[token]
+    def _of_rank(self, u, rank):
+        """Green-membership indicator: the green subset is the ``n_green``
+        tokens of lowest rank; Bernoulli(|G|/V) under the null."""
+        return rank < self.n_green
 
     @staticmethod
     def score(y):

@@ -79,16 +79,22 @@ _REJECTION_LIMIT = 10_000
 _BLOCK_ENTRIES = 2**15
 
 
+def _feasible_cap(delta: float, vocab_size: int) -> float:
+    """The cap 1 - delta; ValueError if it admits no vector of size V."""
+    cap = 1.0 - delta
+    if cap * vocab_size < 1.0 - 1e-12:
+        raise ValueError(f"cap {cap} infeasible for vocabulary of {vocab_size}")
+    return cap
+
+
 def cap_probs(probs: np.ndarray, delta: float) -> np.ndarray:
     """Project a probability vector onto {max entry <= 1 - delta}.
 
     Entries above the cap are pinned to it and the remaining mass is spread
     proportionally over the free entries, repeating until feasible.
     """
-    cap = 1.0 - delta
     probs = np.asarray(probs, dtype=float)
-    if cap * probs.size < 1.0 - 1e-12:
-        raise ValueError(f"cap {cap} infeasible for vocabulary of {probs.size}")
+    cap = _feasible_cap(delta, probs.size)
     out = probs / probs.sum()
     while out.max() > cap + 1e-15:
         pinned = out >= cap
@@ -150,13 +156,6 @@ class NtpModel:
                 if probs.max() > 1.0 - self.delta_cap + 1e-12:
                     raise ValueError("fixed NTP vector violates the probability cap")
 
-    def _check_cap(self, vocab_size: int) -> float:
-        """The cap 1 - delta_cap; ValueError if it admits no vector of size V."""
-        cap = 1.0 - self.delta_cap
-        if cap * vocab_size < 1.0 - 1e-12:  # the tolerance of cap_probs
-            raise ValueError(f"cap {cap} infeasible for vocabulary of {vocab_size}")
-        return cap
-
     def sample(self, rng: np.random.Generator, vocab_size: int,
                positions: np.ndarray) -> np.ndarray:
         """The NTP vectors of the given increasing positions, as
@@ -177,7 +176,7 @@ class NtpModel:
         if self.kind == "fixed":
             vectors = np.asarray(self.vectors, dtype=float)
             return vectors[positions % len(vectors)]
-        cap = self._check_cap(vocab_size)
+        cap = _feasible_cap(self.delta_cap, vocab_size)
         if cap * vocab_size <= 1.0 + 1e-12:
             return np.full((count, vocab_size), 1.0 / vocab_size)
         if self.kind == "zipf":
@@ -234,7 +233,7 @@ class NtpModel:
         """
         positions = np.asarray(positions, dtype=np.int64)
         if self.kind != "fixed":
-            self._check_cap(vocab_size)
+            _feasible_cap(self.delta_cap, vocab_size)
             return rng.integers(0, vocab_size, positions.size)
         # One cdf per vector instead of a row per position.
         cdfs = np.cumsum(check_decodable(np.asarray(self.vectors, dtype=float),
@@ -379,13 +378,16 @@ def _decode_rows(spec: StreamSpec, decoder_of: dict, tokens: np.ndarray,
 def score_tokens(tokens: Sequence[int], master_seed: int, scheme: SchemeSpec) -> PivotSeries:
     """Verifier-side scored pivots for an arbitrary (possibly edited) stream.
 
-    Tokens that are not integers raise TypeError, tokens outside [0, V)
-    IndexError and a seed outside [0, 2^64) ValueError. Every position's key
-    seed, that of the token before it or of CONTEXT_SENTINEL at the first
-    position, comes from one array pass and the scheme reads the pivots from
-    the seeds (``scheme.pivots``); the pivot array is scored in one call.
+    Tokens that are not a 1-D array raise ValueError, tokens that are not
+    integers TypeError, tokens outside [0, V) IndexError and a seed outside
+    [0, 2^64) ValueError. Every position's key seed, that of the token before
+    it or of CONTEXT_SENTINEL at the first position, comes from one array
+    pass and the scheme reads the pivots from the seeds (``scheme.pivots``);
+    the pivot array is scored in one call.
     """
     tokens = np.asarray(tokens)
+    if tokens.ndim != 1:
+        raise ValueError(f"tokens must be a 1-D array, not one of shape {tokens.shape}")
     if tokens.size == 0:
         raise ValueError("token sequence is empty")
     if tokens.dtype.kind not in "iu":  # a float or bool array would be truncated to ints

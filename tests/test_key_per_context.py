@@ -343,8 +343,16 @@ def test_generate_stream_golden_digests(case):
     tokens, scores, keys = GOLDEN[case]
     assert _sha256(stream.tokens) == tokens
     assert _sha256(score_tokens(stream.tokens, stream.seed, stream.scheme).scores) == scores
-    key_arrays = (np.asarray(v) for key in stream.keys for v in vars(key).values())
+    key_arrays = (np.asarray(v) for key in stream.keys for v in key_fields(stream.scheme, key))
     assert _sha256(*key_arrays) == keys
+
+
+def key_fields(scheme, key):
+    """The arrays a golden key digest reads: a red_green key's were pinned
+    as its green mask, then its uniform."""
+    if scheme.scheme_id == "red_green":
+        return key.ranks < scheme.n_green, key.u
+    return vars(key).values()
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,19 @@ def test_affine_keys_permute_the_vocabulary(vocab, seed):
     u, a, c = affine_key(seed, vocab, units_mod(vocab))
     assert 0.0 < u < 1.0 and 0 <= c < vocab
     assert math.gcd(a, vocab) == 1
-    perm = SchemeSpec("inverse", vocab).key_at(seed).perm
-    assert np.array_equal(np.sort(perm), np.arange(vocab))
+    ranks = SchemeSpec("inverse", vocab).key_at(seed).ranks
+    assert np.array_equal(np.sort(ranks), np.arange(vocab))
     red_green = SchemeSpec("red_green", vocab, green_frac=0.5)
-    assert np.count_nonzero(red_green.key_at(seed).green) == vocab // 2
+    assert np.count_nonzero(red_green.key_at(seed).ranks < red_green.n_green) == vocab // 2
+
+
+@pytest.mark.parametrize("vocab", AFFINE_VOCABS)
+@given(seed=st.integers(0, 2**64 - 1))
+def test_red_green_and_inverse_of_one_vocabulary_share_the_key_of_a_seed(vocab, seed):
+    inverse = SchemeSpec("inverse", vocab).key_at(seed)
+    red_green = SchemeSpec("red_green", vocab, green_frac=0.5).key_at(seed)
+    assert inverse.u == red_green.u
+    assert np.array_equal(inverse.ranks, red_green.ranks)
 
 
 def test_units_mod_are_the_residues_coprime_to_v():

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import re
@@ -22,11 +23,10 @@ from wmseg.keys import generator
 from wmseg.schemes import (
     SCHEME_IDS,
     SCHEMES,
+    AffineKey,
     GumbelKey,
     InvalidDistribution,
-    InverseKey,
     PivotSeries,
-    RedGreenKey,
     SchemeSpec,
 )
 
@@ -190,7 +190,7 @@ class TestInverseDecode:
     def test_cdf_example(self):
         # V=2, P=(0.3,0.7), identity permutation, U=0.2: cumulative mass
         # reaches 0.2 already at the first rank.
-        key = InverseKey(u=0.2, perm=np.array([0, 1]))
+        key = AffineKey(u=0.2, ranks=np.array([0, 1]))
         assert INVERSE.decode(np.array([0.3, 0.7]), key) == 0
 
     def test_one_hot(self):
@@ -209,7 +209,7 @@ class TestInverseDecode:
         # identity permutation: decoder reduces to plain inverse-CDF sampling
         scheme = SchemeSpec("inverse", 5)
         sample = [
-            scheme.decode(probs, InverseKey(u=float(ui), perm=np.arange(5)))
+            scheme.decode(probs, AffineKey(u=float(ui), ranks=np.arange(5)))
             for ui in u[:2000]
         ]
         counts = np.bincount(tokens, minlength=5)
@@ -227,13 +227,12 @@ class TestInverseDecode:
 
 class TestInversePivot:
     def test_zero_when_uniform_hits_the_rank(self):
-        key = InverseKey(u=0.5, perm=np.array([1, 2, 0]))
         # token 2 has rank 0 ... eta grid over V=3 is (0, 0.5, 1)
-        key = InverseKey(u=0.5, perm=np.array([2, 1, 0]))
+        key = AffineKey(u=0.5, ranks=np.array([2, 1, 0]))
         assert SchemeSpec("inverse", 3).pivot(1, key) == 0.0
 
     def test_grid_example(self):
-        key = InverseKey(u=0.25, perm=np.arange(3))
+        key = AffineKey(u=0.25, ranks=np.arange(3))
         assert SchemeSpec("inverse", 3).pivot(2, key) == 0.75
 
     def test_null_score_mean_near_two_thirds(self, rng):
@@ -252,6 +251,13 @@ class TestInversePivot:
         stat = stats.kstest(pivots, lambda y: inverse_null_pivot_cdf(y, vocab)).statistic
         assert stat < 0.01
 
+    @pytest.mark.parametrize("vocab", (2, 20, 1000))
+    def test_null_scores_are_one_minus_the_pivot_of_a_uniform_and_a_rank(self, vocab):
+        got = SchemeSpec("inverse", vocab).null_scores(generator(5), 10_000)
+        draws = generator(5)
+        u = draws.random(10_000)
+        assert np.array_equal(got, 1.0 - np.abs(u - draws.integers(0, vocab, 10_000) / (vocab - 1)))
+
     def test_score_domain(self):
         with pytest.raises(ValueError):
             INVERSE.score(-0.1)
@@ -265,11 +271,22 @@ class TestInversePivot:
 # ---------------------------------------------------------------------------
 
 
+def green_key(green, u: float) -> tuple[float, AffineKey]:
+    """The green_frac whose n_green is the size of the mask ``green`` (1 to
+    V - 1 tokens), and the key of uniform u whose ranks put the mask's
+    tokens first, so that its green subset is the mask."""
+    green = np.asarray(green, dtype=bool)
+    ranks = np.empty(green.size, dtype=np.int64)
+    ranks[np.argsort(~green, kind="stable")] = np.arange(green.size)
+    return (int(green.sum()) + 0.5) / green.size, AffineKey(u=u, ranks=ranks)
+
+
 def red_green_draw(weights, u: float, green, bias: float) -> int:
-    """Red_green's decoder on one row under the key (green, u), unchecked,
-    so that rows without mass reach it too."""
-    scheme = SchemeSpec("red_green", len(weights), bias=bias)
-    return scheme.decoder_of(RedGreenKey(green=np.asarray(green), u=u))(np.asarray(weights))
+    """Red_green's decoder on one row under the key of green subset
+    ``green`` and uniform u, unchecked, so that rows without mass reach it too."""
+    green_frac, key = green_key(green, u)
+    scheme = SchemeSpec("red_green", len(weights), green_frac=green_frac, bias=bias)
+    return scheme.decoder_of(key)(np.asarray(weights))
 
 
 class TestInverseCdf:
@@ -284,7 +301,8 @@ class TestInverseCdf:
         ((0.1, 0.2, 0.7), float(np.nextafter(1.0, 2.0)), 2),
     ], ids=["u=0", "u=0-zero-weight", "tie", "zero-weights", "u=1", "clip"])
     def test_edge_rows_match_the_one_row_form(self, weights, u, expected):
-        got = red_green_draw(weights, u, np.ones(len(weights), dtype=bool), bias=0.0)
+        # At bias 0 every token weighs 1, green or not.
+        got = red_green_draw(weights, u, np.arange(len(weights)) == 0, bias=0.0)
         assert got == inverse_cdf_1d(np.array(weights), u) == expected
 
     def test_a_block_matches_the_one_row_form_row_by_row(self, rng):
@@ -292,9 +310,12 @@ class TestInverseCdf:
         u = rng.random(300)
         u[:30] = 0.0
         green = rng.random((300, 7)) < 0.5
-        got = [red_green_draw(w, x, g, bias=1.5) for w, x, g in zip(weights, u, green)]
-        assert got == [inverse_cdf_1d(np.where(g, w * math.exp(1.5), w), x)
-                       for w, x, g in zip(weights, u, green)]
+        # A spec holds 1 to V - 1 green tokens: drop the rows drawn all red or all green.
+        count = green.sum(axis=1)
+        keep = (0 < count) & (count < 7)
+        rows = list(zip(weights[keep], u[keep], green[keep]))
+        got = [red_green_draw(w, x, g, bias=1.5) for w, x, g in rows]
+        assert got == [inverse_cdf_1d(np.where(g, w * math.exp(1.5), w), x) for w, x, g in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +337,7 @@ class TestRedGreen:
         for seed in range(200):
             key = scheme.key_at(seed)
             token = scheme.decode(probs, key)
-            assert key.green[token]
+            assert key.ranks[token] < scheme.n_green
 
     def test_biased_green_probability_closed_form(self):
         # Uniform NTP over V=4, half green, bias 2: green mass
@@ -328,14 +349,16 @@ class TestRedGreen:
         n = 20_000
         for seed in range(n):
             key = scheme.key_at(seed)
-            hits += key.green[scheme.decode(probs, key)]
+            hits += key.ranks[scheme.decode(probs, key)] < scheme.n_green
         assert abs(hits / n - expected) < 0.01
 
     def test_pivot_is_the_green_indicator(self):
-        scheme = SchemeSpec("red_green", 3, green_frac=0.5)
-        key = RedGreenKey(green=np.array([True, False, True]), u=0.3)
+        green_frac, key = green_key([True, False, True], u=0.3)
+        scheme = SchemeSpec("red_green", 3, green_frac=green_frac)
+        assert scheme.n_green == 2
         assert scheme.pivot(0, key) == 1.0
         assert scheme.pivot(1, key) == 0.0
+        assert scheme.pivot(2, key) == 1.0
 
     def test_null_mean_matches_green_fraction(self, rng):
         scheme = SchemeSpec("red_green", 10, green_frac=0.5)
@@ -349,8 +372,8 @@ class TestRedGreen:
         scheme = SchemeSpec("red_green", 100, green_frac=0.3)
         key1 = scheme.key_at(42)
         key2 = scheme.key_at(42)
-        assert key1.green.sum() == 30
-        assert np.array_equal(key1.green, key2.green)
+        assert np.count_nonzero(key1.ranks < scheme.n_green) == 30
+        assert np.array_equal(key1.ranks, key2.ranks)
         assert key1.u == key2.u
 
     def test_negative_bias_rejected(self):
@@ -449,8 +472,9 @@ def test_scheme_spec_round_trip_and_null_means():
         SchemeSpec("gumbel", 100),
         SchemeSpec("inverse", 64),
         SchemeSpec("red_green", 100, green_frac=0.5, bias=2.0),
+        SchemeSpec("red_green", 100, green_frac=0.25, bias=3),  # a Python int is a number
     ):
-        assert SchemeSpec.from_json(spec.to_json()) == spec
+        assert SchemeSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
     assert SchemeSpec("gumbel", 100).null_mean == 1.0
     assert math.isclose(SchemeSpec("inverse", 100).null_mean, 395 / 594)
     assert SchemeSpec("red_green", 100, green_frac=0.5).null_mean == 0.5
@@ -524,6 +548,18 @@ def test_a_vocabulary_size_that_is_not_a_python_int_is_rejected(scheme_id, vocab
     # that json.dumps cannot serialize; units_mod fails on a float.
     with pytest.raises(ValueError, match="vocab_size must be an int"):
         SchemeSpec(scheme_id, vocab_size)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bias", np.float32(1.1)), ("bias", np.int64(2)), ("bias", True),
+    ("green_frac", np.float32(0.5)), ("green_frac", np.float64(0.5)), ("green_frac", "0.5"),
+], ids=["bias-float32", "bias-int64", "bias-bool", "green_frac-float32", "green_frac-float64",
+        "green_frac-str"])
+def test_a_red_green_parameter_that_is_not_a_python_number_is_rejected(field, value):
+    # to_json would write a numpy scalar that json.dumps cannot serialize,
+    # or true, which from_json rejects as a number.
+    with pytest.raises(ValueError, match=f"{field} must be an int or a float"):
+        SchemeSpec("red_green", 100, **{field: value})
 
 
 def test_equal_vocabularies_share_one_read_only_table():

@@ -341,6 +341,12 @@ class TestReconstructKeys:
         with pytest.raises(ValueError, match="token sequence is empty"):
             score_tokens([], 0, GUMBEL)
 
+    @pytest.mark.parametrize("tokens", [np.array(5), np.array([[1, 2], [3, 4]])],
+                             ids=["0-d", "2-d"])
+    def test_tokens_that_are_not_one_dimensional_are_rejected(self, tokens):
+        with pytest.raises(ValueError, match=re.escape(f"not one of shape {tokens.shape}")):
+            score_tokens(tokens, 1, SchemeSpec("gumbel", 20))
+
     @pytest.mark.parametrize("tokens", [np.array([0.5, 1.9, 3.2]), np.array([True, False]),
                                         [1, 2.0]], ids=["float", "bool", "mixed-list"])
     def test_tokens_that_are_not_integers_are_rejected(self, tokens):

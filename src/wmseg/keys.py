@@ -89,9 +89,12 @@ def mix(*parts: int) -> int:
 
 
 def check_seed(seed: int) -> int:
-    """Return a stream seed if it lies in [0, 2^64), and raise ValueError
-    otherwise: ``mix`` reduces every part mod 2^64, so seeds -1 and 2^64 - 1
-    would hold one key stream."""
+    """Return a stream seed if it is a Python int in [0, 2^64), and raise
+    ValueError otherwise: ``mix`` reduces every part mod 2^64, so seeds -1
+    and 2^64 - 1 would hold one key stream; a numpy int overflows ``mix``,
+    and a bool would be written as true."""
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, not {type(seed).__name__}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), not {seed!r}")
     return seed

@@ -59,27 +59,6 @@ class InvalidDistribution(ValueError):
     """Raised when a next-token probability vector is unusable."""
 
 
-# How far from 1 a validated probability vector may sum.
-PROB_SUM_ATOL = 1e-9
-
-
-def validate_probs(probs: np.ndarray) -> np.ndarray:
-    """Check a probability vector: finite nonnegative entries summing to 1."""
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise InvalidDistribution("probability vector must be 1-D and nonempty")
-    if not np.isfinite(probs).all():  # a NaN passes every comparison below
-        raise InvalidDistribution("non-finite probability entry")
-    if np.any(probs < 0):
-        raise InvalidDistribution("negative probability entry")
-    total = float(probs.sum())
-    if total <= 0.0:
-        raise InvalidDistribution("all-zero probability vector")
-    if abs(total - 1.0) > PROB_SUM_ATOL:
-        raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
-    return probs
-
-
 def check_tokens(tokens, vocab_size: int) -> None:
     """Raise IndexError unless every token lies in [0, vocab_size).
 
@@ -160,7 +139,8 @@ def check_decodable(probs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     (count, V), for decoding: no negative or NaN entry and positive mass in
     every row. Raise InvalidDistribution otherwise. If the least entry is 0,
     the only case with a -0.0, the result is a copy with +0.0 there, so
-    that a zero entry never wins the gumbel decoder's log(U)/P; else ``probs``."""
+    that a zero entry never wins the gumbel decoder's log(U)/P; else ``probs``.
+    Only a ``SchemeSpec.decode`` caller passes a -0.0: ``streams.NtpModel`` draws none."""
     probs = np.asarray(probs, dtype=float)
     if probs.shape != shape:
         raise InvalidDistribution(f"probabilities of shape {probs.shape} differ from "
@@ -268,17 +248,24 @@ class SchemeSpec:
         return self.decoder_of(self._key(seed))
 
     def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
-        """The token the scheme emits for the NTP vector ``probs`` under
-        ``key``; an unusable vector raises InvalidDistribution."""
+        """The token for the NTP vector ``probs`` under ``key``; an unusable
+        vector raises InvalidDistribution, a key not of V entries ValueError."""
+        self._check_key(key)
         probs = check_decodable(probs, (self.vocab_size,))
         with np.errstate(divide="ignore", over="ignore"):
             return self.decoder_of(key)(probs)
 
     def pivot(self, token: int, key: PseudoKey) -> float:
         """Pivot of one token under one key; a token outside the vocabulary
-        raises IndexError."""
+        raises IndexError and a key not of V entries ValueError."""
         check_tokens(token, self.vocab_size)
+        self._check_key(key)
         return float(self._pivot(token, key))
+
+    def _check_key(self, key: PseudoKey) -> None:
+        size = len(key.ranks if isinstance(key, AffineKey) else key.uniforms)
+        if size != self.vocab_size:
+            raise ValueError(f"a key of {size} entries for a vocabulary of {self.vocab_size}")
 
     def pivot_score(self, token: int, key: PseudoKey) -> float:
         return float(self.score(self.pivot(token, key)))
@@ -362,10 +349,10 @@ class Gumbel(SchemeSpec):
         """h(y) = -log(1 - y) on [0, 1); Exp(1) under the null.
 
         Out-of-domain values raise instead of being clipped: a pivot outside
-        [0, 1) always indicates a generator bug.
+        [0, 1) always indicates a generator bug; ``PivotSeries`` rejects a NaN.
         """
         arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        if arr.size and (arr.min() < 0.0 or arr.max() >= 1.0):
             raise ValueError("gumbel score domain is [0, 1)")
         out = -np.log1p(-arr)
         return float(out) if arr.ndim == 0 else out
@@ -403,7 +390,7 @@ class Inverse(_AffineKeyed):
     def score(y):
         """h(y) = 1 - y; larger means the token hugged its key uniform."""
         arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
             raise ValueError("inverse score domain is [0, 1]")
         out = 1.0 - arr
         return float(out) if arr.ndim == 0 else out

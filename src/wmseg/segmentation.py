@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import CertMismatch, ThresholdCert, block_starts
 from .intervals import Interval, Segments
-from .schemes import PivotSeries
+from .schemes import PivotSeries, check_unread
 
 SIGNAL_FLOOR = 1e-6
 
@@ -52,9 +52,10 @@ class SegmenterConfig:
             raise ValueError("gamma must lie in (0, 1/2)")
         if not (math.isfinite(self.discard_c) and self.discard_c > 0):
             raise ValueError(f"discard_c must be finite and positive, not {self.discard_c!r}")
-        # type() rather than isinstance(): bool is an int subclass, not a pad.
-        if self.pad != "auto" and (type(self.pad) is not int or self.pad < 0):
-            raise ValueError("pad must be 'auto' or a nonnegative integer")
+        if self.pad != "auto":  # type(), not isinstance(): bool is an int but not a pad
+            if type(self.pad) is not int or self.pad < 0:
+                raise ValueError("pad must be 'auto' or a nonnegative integer")
+            check_unread(self, ("discard_c", "pad"), f"pad {self.pad}")  # gamma sets only "auto"
 
     @property
     def block_len(self) -> int:

@@ -23,13 +23,12 @@ row and a fresh uniform, so that token is Categorical(E[row]) and
 independent of the rest of the stream. ``NtpModel.null_tokens`` draws it
 from that mean directly: the ``dirichlet`` and ``zipf`` row laws are
 exchangeable over the tokens, so their mean is uniform and the null tokens
-are one ``integers(0, V)`` array, while a ``fixed`` row is its own mean and
-keeps its per-position inverse-CDF draw. The positions inside the segments
-run in blocks of at most 2^15 NTP entries (32 rows at V=1000): one
-``NtpModel.sample`` call draws the rows of a block and one check validates
-them, then its positions decode one at a time, since each decodes with the
-key of the token before it. Every draw is taken in position order from the
-two generators, so the outputs do not depend on the block size.
+are one ``integers(0, V)`` array. The positions inside the segments run in
+blocks of at most 2^15 NTP entries (32 rows at V=1000): one ``NtpModel.sample``
+call draws the rows of a block and one check validates them, then its
+positions decode one at a time, since each decodes with the key of the
+token before it. Every draw is taken in position order from the two
+generators, so the outputs do not depend on the block size.
 
 A key depends only on the master seed and the previous token, so a stream
 of n tokens over a vocabulary of V has at most min(n, V + 1) distinct keys.
@@ -69,11 +68,10 @@ from .keys import (
     mix,
 )
 from .schemes import (PivotSeries, PseudoKey, SchemeSpec, check_decodable, check_keys,
-                      check_tokens, check_unread, json_float, json_int, read_fields,
-                      validate_probs)
+                      check_tokens, check_unread, json_float, json_int, read_fields)
 
 # Each NTP model kind and the one parameter it reads besides delta_cap.
-NTP_PARAMS = {"dirichlet": "concentration", "zipf": "exponent", "fixed": "vectors"}
+NTP_PARAMS = {"dirichlet": "concentration", "zipf": "exponent"}
 _REJECTION_LIMIT = 10_000
 # Most NTP entries in one block of generated positions: 32 rows at V=1000.
 _BLOCK_ENTRIES = 2**15
@@ -113,33 +111,32 @@ class NtpModel:
     """Generator of next-token probability vectors with a max-probability cap.
 
     ``dirichlet`` draws concentration-alpha vectors (rejection-sampled into
-    the cap, then capped outright after 10^4 failures); ``zipf`` permutes a
-    capped power-law shape; ``fixed`` cycles through user-supplied vectors.
-    ``sample`` returns the vectors of given positions, for decoding;
-    ``null_tokens`` returns tokens drawn from them independently of any key
-    without drawing a vector.
+    the cap, then capped outright after 10^4 failures) and reads
+    ``concentration``; ``zipf`` permutes a capped power-law shape and reads
+    ``exponent``. A kind rejects a value other than the default for the
+    parameter it does not read, so that no parameter is silently ignored and
+    ``from_json(to_json(model)) == model``. ``sample`` returns the vectors of
+    given positions, for decoding; ``null_tokens`` returns tokens drawn from
+    them independently of any key without drawing a vector.
 
-    The law of a ``dirichlet`` or ``zipf`` vector is exchangeable over the
-    tokens: the Dirichlet is symmetric, the cap test and ``cap_probs`` are
-    permutation-equivariant, a zipf vector is the capped shape under a
-    uniform permutation, and the uniform-only cap gives the uniform vector.
-    Its mean is thus the uniform vector. A ``fixed`` vector is its own mean.
-
-    ``dirichlet`` reads ``concentration``, ``zipf`` reads ``exponent`` and
-    ``fixed`` reads ``vectors``; a kind rejects a value other than the
-    default for the other two, so that no parameter is silently ignored and
-    ``from_json(to_json(model)) == model``.
+    The law of a vector is exchangeable over the tokens, so its mean is the
+    uniform vector: the Dirichlet is symmetric, the cap test and
+    ``cap_probs`` are permutation-equivariant, a zipf vector is the capped
+    shape under a uniform permutation, and the uniform-only cap gives the
+    uniform vector.
     """
 
     kind: str = "dirichlet"
     delta_cap: float = 0.5
     concentration: float = 0.3
     exponent: float = 1.5
-    vectors: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in NTP_PARAMS:
             raise ValueError(f"unknown NTP model kind {self.kind!r}")
+        for name in ("delta_cap", "concentration", "exponent"):  # each is written to JSON
+            if type(value := getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be an int or a float, not {type(value).__name__}")
         check_unread(self, (NTP_PARAMS[self.kind],), f"NTP model kind {self.kind!r}")
         if not 0.0 < self.delta_cap < 1.0:
             raise ValueError("delta_cap must lie in (0, 1)")
@@ -148,34 +145,22 @@ class NtpModel:
                              f"not {self.concentration!r}")
         if not math.isfinite(self.exponent):
             raise ValueError(f"exponent must be finite, not {self.exponent!r}")
-        if self.kind == "fixed":
-            if not self.vectors:
-                raise ValueError("fixed NTP model needs at least one vector")
-            for vec in self.vectors:
-                probs = validate_probs(np.asarray(vec))
-                if probs.max() > 1.0 - self.delta_cap + 1e-12:
-                    raise ValueError("fixed NTP vector violates the probability cap")
 
     def sample(self, rng: np.random.Generator, vocab_size: int,
                positions: np.ndarray) -> np.ndarray:
         """The NTP vectors of the given increasing positions, as
         ``(len(positions), vocab_size)`` rows.
 
-        ``fixed`` row j is vector ``positions[j] mod len(vectors)``. The
-        other kinds draw one vector per position from ``rng``, in order, so
-        the rows do not depend on how the positions are cut into calls. A
-        dirichlet position takes the first of its candidates within the cap,
-        or ``cap_probs`` of its 10^4-th; when every position's first
-        candidate fits, the block of candidates is returned as drawn. A cap
-        that admits no vector raises ValueError, and one that admits only
-        the uniform vector (``(1 - delta_cap) * vocab_size == 1``) gives
-        uniform rows; neither draws from ``rng``.
+        One vector per position is drawn from ``rng``, in order, so the rows
+        do not depend on how the positions are cut into calls. A dirichlet
+        position takes the first of its candidates within the cap, or
+        ``cap_probs`` of its 10^4-th; when every position's first candidate
+        fits, the block of candidates is returned as drawn. A cap that admits
+        no vector raises ValueError, and one that admits only the uniform
+        vector (``(1 - delta_cap) * vocab_size == 1``) gives uniform rows;
+        neither draws from ``rng``.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        count = positions.size
-        if self.kind == "fixed":
-            vectors = np.asarray(self.vectors, dtype=float)
-            return vectors[positions % len(vectors)]
+        count = np.size(positions)
         cap = _feasible_cap(self.delta_cap, vocab_size)
         if cap * vocab_size <= 1.0 + 1e-12:
             return np.full((count, vocab_size), 1.0 / vocab_size)
@@ -221,51 +206,29 @@ class NtpModel:
 
     def null_tokens(self, rng: np.random.Generator, vocab_size: int,
                     positions: np.ndarray) -> np.ndarray:
-        """Tokens at the given increasing positions, each drawn from its
-        position's NTP vector independently of every other draw.
-
-        Such a token is Categorical(E[vector]), so no vector is drawn: a
-        ``dirichlet`` or ``zipf`` token is uniform on 0..V-1, one
-        ``rng.integers`` array, and a ``fixed`` token is the first index
-        whose cumulative mass reaches one ``rng.random`` uniform times the
-        vector's total, one uniform per position, in order. A cap that
-        admits no vector raises ValueError, as in ``sample``.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        if self.kind != "fixed":
-            _feasible_cap(self.delta_cap, vocab_size)
-            return rng.integers(0, vocab_size, positions.size)
-        # One cdf per vector instead of a row per position.
-        cdfs = np.cumsum(check_decodable(np.asarray(self.vectors, dtype=float),
-                                         (len(self.vectors), vocab_size)), axis=1)
-        which = positions % len(cdfs)
-        targets = rng.random(positions.size) * cdfs[which, -1]
-        tokens = np.empty(positions.size, dtype=np.int64)
-        for j, cdf in enumerate(cdfs):
-            at = which == j
-            tokens[at] = np.searchsorted(cdf, targets[at], side="left")
-        return np.minimum(tokens, vocab_size - 1)
+        """Tokens at the given positions, each drawn from its position's NTP
+        vector independently of every other draw: Categorical(E[vector]),
+        uniform on 0..V-1, so no vector is drawn and the tokens are one
+        ``rng.integers`` array. A cap that admits no vector raises
+        ValueError, as in ``sample``."""
+        _feasible_cap(self.delta_cap, vocab_size)
+        return rng.integers(0, vocab_size, np.size(positions))
 
     def to_json(self) -> dict:
         param = NTP_PARAMS[self.kind]
-        value = [list(v) for v in self.vectors] if param == "vectors" else getattr(self, param)
-        return {"kind": self.kind, "delta_cap": self.delta_cap, param: value}
+        return {"kind": self.kind, "delta_cap": self.delta_cap, param: getattr(self, param)}
 
     @classmethod
     def from_json(cls, data: dict) -> "NtpModel":
-        """Read ``to_json`` output; keys left out take the field defaults."""
-        return cls(**read_fields(data, {
-            "kind": str, "delta_cap": json_float, "concentration": json_float,
-            "exponent": json_float,
-            "vectors": lambda vectors: tuple(tuple(v) for v in vectors),
-        }, "ntp_model"))
+        """Read ``to_json`` output; keys left out take the field defaults. An
+        unknown kind is named before any key it would read."""
+        if isinstance(data, dict) and data.get("kind", cls.kind) not in tuple(NTP_PARAMS):
+            raise ValueError(f"unknown NTP model kind {data['kind']!r}")
+        numbers = dict.fromkeys(("delta_cap", "concentration", "exponent"), json_float)
+        return cls(**read_fields(data, {"kind": str, **numbers}, "ntp_model"))
 
     def describe(self) -> str:
-        if self.kind == "dirichlet":
-            return f"dirichlet({self.concentration})"
-        if self.kind == "zipf":
-            return f"zipf({self.exponent})"
-        return f"fixed({len(self.vectors)})"
+        return f"{self.kind}({getattr(self, NTP_PARAMS[self.kind])})"
 
 
 @dataclass(frozen=True)
@@ -329,15 +292,13 @@ def generate_stream(spec: StreamSpec) -> Stream:
     outside it is sampled from the NTP independently of the key, which is
     exactly the coupling the pivot statistics detect. Generation runs in two
     phases. First every position outside the segments takes its token from
-    ``NtpModel.null_tokens``, in position order, with no NTP vector drawn:
-    each position's vector is drawn independently of every other draw and
-    only that position's token reads it, so the token is Categorical of the
-    vector's mean. Then the positions inside the segments run in blocks of
-    at most ``_BLOCK_ENTRIES`` NTP entries: a block's rows come from one
-    ``NtpModel.sample`` call and pass ``check_decodable`` once, and its
-    positions, in order, decode their rows with the decoder of the token
-    before (``_decode_rows``). Each context of such a position builds its
-    decoder once, into a memo of one decoder per context; no
+    ``NtpModel.null_tokens``, in position order, with no NTP vector drawn
+    (the module docstring says why). Then the positions inside the segments
+    run in blocks of at most ``_BLOCK_ENTRIES`` NTP entries: a block's rows
+    come from one ``NtpModel.sample`` call and pass ``check_decodable``
+    once, and its positions, in order, decode their rows with the decoder
+    of the token before (``_decode_rows``). Each context of such a position
+    builds its decoder once, into a memo of one decoder per context; no
     ``SchemeSpec.key_at`` is called here, and ``Stream.keys`` derives the
     keys when it is first read. Nothing is scored (``score_tokens``).
     """

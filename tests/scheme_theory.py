@@ -1,13 +1,30 @@
 """Closed forms of the schemes' laws that only the tests compare against,
-the open-interval uniform draws of their Monte Carlo checks, and the
-one-row inverse CDF that red_green's decoder is held to."""
+the probability-vector check they take, the open-interval uniform draws of
+their Monte Carlo checks, and the one-row inverse CDF that red_green's
+decoder is held to."""
 
 import math
 
 import numpy as np
 from scipy.special import digamma
 
-from wmseg.schemes import validate_probs
+from wmseg.schemes import InvalidDistribution
+
+
+def validate_probs(probs: np.ndarray) -> np.ndarray:
+    """Check a probability vector: finite nonnegative entries summing to 1
+    within 1e-9."""
+    probs = np.asarray(probs, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise InvalidDistribution("probability vector must be 1-D and nonempty")
+    if not np.isfinite(probs).all():  # a NaN passes every comparison below
+        raise InvalidDistribution("non-finite probability entry")
+    if np.any(probs < 0):
+        raise InvalidDistribution("negative probability entry")
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
+    return probs
 
 
 def uniform_open(rng: np.random.Generator, size=None):

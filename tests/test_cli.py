@@ -277,6 +277,15 @@ def test_segment_option_flags_reach_the_trace(tmp_path):
     assert trace["pad"] == 7
 
 
+def test_segment_rejects_a_gamma_beside_an_integer_pad(tmp_path, capsys):
+    """``--gamma 0.3 --pad 10`` used to exit 0 with a pad of 10."""
+    stream, argv, out, _, _ = _generated_and_segmented(tmp_path)
+    capsys.readouterr()
+    assert cli_main([*argv[:-2], "--gamma", "0.3", "--pad", "10", *argv[-2:]]) == 1
+    assert not out.exists()
+    assert "pad 10 does not read gamma" in capsys.readouterr().err
+
+
 def test_trace_is_not_an_option_of_segment(tmp_path, capsys):
     """The result file's trace key is the one route to the trace."""
     stream, argv, out, _, _ = _generated_and_segmented(tmp_path)

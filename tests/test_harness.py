@@ -3,7 +3,6 @@
 import dataclasses
 import hashlib
 import json
-import math
 
 import pytest
 
@@ -13,7 +12,7 @@ from wmseg.harness import ExperimentPlan, run_experiment
 from wmseg.intervals import Segments
 from wmseg.keys import TAG_REPLICATION, mix
 from wmseg.metrics import evaluate
-from wmseg.schemes import InvalidDistribution, SchemeSpec
+from wmseg.schemes import SchemeSpec
 from wmseg.segmentation import SegmenterConfig, segment_series
 from wmseg.streams import NtpModel, StreamSpec, generate_stream, score_tokens
 
@@ -183,14 +182,15 @@ def test_plan_from_json_names_a_non_integer_segment_end(segments, bad):
         ExperimentPlan.from_json({**PLAN.to_json(), "true_segments": segments})
 
 
-def test_a_nan_ntp_probability_is_rejected_when_the_model_is_built():
-    # Python's json reads NaN, and a fixed vector holding one used to build
-    # and fail only at generation, with "invalid probability vector".
-    with pytest.raises(InvalidDistribution, match="non-finite probability entry"):
-        NtpModel(kind="fixed", vectors=((math.nan, 0.5),))
-    edit = json.loads('{"ntp_model": {"kind": "fixed", "vectors": [[NaN, 0.5]]}}')
-    with pytest.raises(InvalidDistribution, match="non-finite probability entry"):
-        ExperimentPlan.from_json({**PLAN.to_json(), **edit})
+def test_the_fixed_ntp_kind_is_unknown():
+    """The NTP models are dirichlet and zipf; a fixed one lives in the tests
+    (``fixed_ntp.FixedNtp``)."""
+    for build in (lambda: NtpModel("fixed"),
+                  lambda: NtpModel.from_json({"kind": "fixed", "vectors": [[0.5, 0.5]]}),
+                  lambda: ExperimentPlan.from_json({**PLAN.to_json(), "ntp_model": {
+                      "kind": "fixed", "vectors": [[0.5, 0.5]]}})):
+        with pytest.raises(ValueError, match="unknown NTP model kind 'fixed'"):
+            build()
 
 
 def test_plan_from_json_reads_a_json_integer_as_a_float():

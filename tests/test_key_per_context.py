@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edits import Deletion, Insertion, Substitution, apply_edits
+from fixed_ntp import FixedNtp
 from scheme_theory import inverse_cdf_1d
 from wmseg import streams
 from wmseg.intervals import Segments
@@ -41,7 +42,7 @@ def reference_scores(tokens, seed, scheme):
 
 def reference_ntp(model, rng, vocab_size, position):
     """Per-position definition of ``NtpModel.sample``: one NTP vector."""
-    if model.kind == "fixed":
+    if isinstance(model, FixedNtp):
         return np.asarray(model.vectors[position % len(model.vectors)], dtype=float)
     if model.kind == "zipf":
         base = np.arange(1, vocab_size + 1, dtype=float) ** -model.exponent
@@ -67,7 +68,7 @@ def reference_stream(spec):
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
     inside = spec.true_segments.mask(spec.n)
-    if model.kind != "fixed":
+    if not isinstance(model, FixedNtp):
         uniform_tokens = iter(rng_null.integers(0, vocab_size, np.count_nonzero(~inside)).tolist())
     tokens, keys = [], []
     prev = CONTEXT_SENTINEL
@@ -75,7 +76,7 @@ def reference_stream(spec):
         key = scheme.key_at(key_seed(spec.seed, prev))
         if inside[i]:
             prev = scheme.decode(reference_ntp(model, rng_ntp, vocab_size, i), key)
-        elif model.kind == "fixed":
+        elif isinstance(model, FixedNtp):
             prev = inverse_cdf_1d(reference_ntp(model, None, vocab_size, i), rng_null.random())
         else:
             prev = next(uniform_tokens)
@@ -85,15 +86,16 @@ def reference_stream(spec):
 
 
 def ntp_models(vocab_size):
-    """Dirichlet at a small and a moderate concentration, zipf, and fixed
-    vectors of this vocabulary size within the default cap."""
+    """Dirichlet at a small and a moderate concentration, zipf, and the
+    test-side ``FixedNtp`` over vectors of this vocabulary size within the
+    default cap."""
     rng = np.random.default_rng(vocab_size)
     vectors = tuple(tuple(cap_probs(rng.dirichlet(np.ones(vocab_size)), 0.5)) for _ in range(3))
     return {
         "dirichlet-0.05": NtpModel(kind="dirichlet", concentration=0.05),
         "dirichlet-0.3": NtpModel(kind="dirichlet", concentration=0.3),
         "zipf": NtpModel(kind="zipf"),
-        "fixed": NtpModel(kind="fixed", vectors=vectors),
+        "fixed": FixedNtp(vectors),
     }
 
 
@@ -212,11 +214,11 @@ def test_reconstructed_keys_match_per_position_keys(scheme_id):
 # numpy's PCG64 bit streams: the Dirichlet and permutation draws of the NTP
 # rows inside the segments, the bounded-integer draws of the unwatermarked
 # dirichlet and zipf tokens, and the uniforms of the unwatermarked fixed-NTP
-# tokens. They also pin this package's keys: keyed splitmix64 hashes per
-# coordinate for gumbel, keyed affine permutations for inverse and
-# red_green, and every key uniform on the 2^52 grid of ``keys.unit``. The
-# fixed-NTP digests also held when every position drew its NTP row, since
-# a fixed row is its own mean.
+# tokens (``FixedNtp.null_tokens``). They also pin this package's keys:
+# keyed splitmix64 hashes per coordinate for gumbel, keyed affine
+# permutations for inverse and red_green, and every key uniform on the 2^52
+# grid of ``keys.unit``. The fixed-NTP digests also held when every position
+# drew its NTP row, since a fixed row is its own mean.
 # ---------------------------------------------------------------------------
 
 GOLDEN = {
@@ -321,11 +323,11 @@ def _sha256(*arrays) -> str:
 
 
 def golden_ntp(ntp, vocab):
-    """The NTP model of a golden case; ``fixed`` cycles three rotations of a
-    1/w law."""
+    """The NTP model of a golden case; ``fixed`` is a ``FixedNtp`` cycling
+    three rotations of a 1/w law."""
     if ntp == "fixed":
         base = cap_probs(1.0 / np.arange(1, vocab + 1), 0.5)
-        return NtpModel(kind="fixed", vectors=tuple(tuple(np.roll(base, 7 * k)) for k in range(3)))
+        return FixedNtp(tuple(tuple(np.roll(base, 7 * k)) for k in range(3)))
     return NtpModel(kind=ntp)
 
 

@@ -8,6 +8,8 @@ from scipy import stats
 
 from scheme_theory import uniform_open
 from wmseg import keys
+from wmseg.harness import ExperimentPlan
+from wmseg.intervals import Segments
 from wmseg.keys import (
     CONTEXT_SENTINEL,
     TAG_KEY,
@@ -24,6 +26,7 @@ from wmseg.keys import (
     units_mod,
 )
 from wmseg.schemes import SchemeSpec
+from wmseg.streams import NtpModel, StreamSpec, score_tokens
 
 # The keyed hashes do wrapping uint64 arithmetic; a numpy overflow warning
 # would mean an operation ran on scalars and may not have wrapped.
@@ -196,3 +199,20 @@ def test_affine_keys_of_a_seed_matrix_are_its_rows_keys():
     for row in range(3):
         for got, expected in zip(whole, affine_keys(seeds[row], 1000, units)):
             assert np.array_equal(got[row], expected)
+
+
+@pytest.mark.parametrize("seed", (np.int64(3), np.uint64(3), 3.0, True),
+                         ids=["int64", "uint64", "float", "bool"])
+def test_a_seed_that_is_not_a_python_int_is_rejected(seed):
+    """``check_seed`` is the one seed gate of a stream spec, a plan, the
+    stream reader and ``score_tokens``. An int64 seed used to raise an
+    OverflowError in ``mix``, 3.0 a TypeError from ``&``, and True to
+    generate a stream whose header read ``"seed": true``."""
+    scheme = SchemeSpec("gumbel", 20)
+    message = f"seed must be an int, not {type(seed).__name__}"
+    for call in (lambda: keys.check_seed(seed),
+                 lambda: StreamSpec(10, Segments(), scheme, NtpModel(), seed),
+                 lambda: ExperimentPlan(10, scheme, NtpModel(), (5,), seed=seed),
+                 lambda: score_tokens([1, 2, 3], seed, scheme)):
+        with pytest.raises(ValueError, match=message):
+            call()

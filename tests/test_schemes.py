@@ -417,6 +417,34 @@ def test_pivot_scores_one_token_as_a_float(scheme_id):
                 scheme.pivot(token, key)
 
 
+@pytest.mark.parametrize("spec_vocab, key_vocab", ((20, 1000), (1000, 20)))
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_a_key_of_another_vocabulary_is_rejected(scheme_id, spec_vocab, key_vocab):
+    """``SchemeSpec("inverse", 20).pivot(0, key)`` of a V=1000 key used to
+    return 45.19, gumbel to return coordinate 5 of it, and decode to raise
+    numpy's index or broadcast error."""
+    scheme, key = SchemeSpec(scheme_id, spec_vocab), SchemeSpec(scheme_id, key_vocab).key_at(1)
+    message = f"a key of {key_vocab} entries for a vocabulary of {spec_vocab}"
+    for call in (lambda: scheme.pivot(5, key), lambda: scheme.pivot_score(0, key),
+                 lambda: scheme.decode(np.full(spec_vocab, 1 / spec_vocab), key)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("scheme_id", SCHEME_IDS)
+def test_score_keeps_an_empty_array_and_leaves_a_nan_to_pivot_series(scheme_id):
+    """The domain checks reduce with min and max, which raise on an empty
+    array and return NaN past a NaN: an empty array still scores to an
+    empty array, and a NaN pivot still reaches ``PivotSeries``' check."""
+    scheme = SchemeSpec(scheme_id, 20)
+    empty = scheme.score(np.empty(0))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    scores = scheme.score(np.array([0.5, np.nan]))
+    assert scores[0] == scheme.score(0.5) and np.isnan(scores[1])
+    with pytest.raises(ValueError, match="finite"):
+        PivotSeries(scores, scheme.null_mean, scheme_id)
+
+
 @pytest.mark.parametrize("scheme_id", ["gumbel", "inverse", "red_green"])
 def test_elevated_alternatives(scheme_id, rng):
     """Watermarked score mean exceeds the null mean for capped NTPs."""

@@ -505,6 +505,16 @@ class TestSegmentSeries:
         with pytest.raises(ValueError):
             SegmenterConfig(cert=cert, pad=True)  # bool is an int, but not a pad
 
+    def test_an_integer_pad_rejects_a_gamma_it_does_not_read(self):
+        """gamma only sets the "auto" pad; beside an integer pad it used to
+        be ignored without a word."""
+        cert = open_cert(100, 10)
+        with pytest.raises(ValueError, match="pad 10 does not read gamma, so it must keep "
+                                             "its default 0.1, not 0.3"):
+            SegmenterConfig(cert=cert, gamma=0.3, pad=10)
+        assert SegmenterConfig(cert=cert, pad=10).resolved_pad(100) == 10
+        assert SegmenterConfig(cert=cert, gamma=0.3).resolved_pad(100) == default_pad(100, 0.3)
+
     def test_cert_mismatch_raises(self):
         cert = calibrate_threshold(GUMBEL, 100, 10, 0.05, mc_reps=2000, seed=1)
         config = SegmenterConfig(cert=cert)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from edits import Deletion, Insertion, Substitution, apply_edits
+from fixed_ntp import FixedNtp
 from scheme_theory import gumbel_separation_lower_bound, inverse_cdf_1d
 from stream_reader_reference import reference_tokens
 from wmseg.intervals import Segments
@@ -91,18 +92,6 @@ class TestNtpModel:
         assert a.max() <= 0.5 + 1e-9
         assert np.allclose(np.sort(a), np.sort(b))  # same shape, different order
 
-    def test_fixed_vectors_cycle_and_validate(self):
-        model = NtpModel(
-            kind="fixed", delta_cap=0.5, vectors=((0.5, 0.5, 0.0), (0.25, 0.25, 0.5))
-        )
-        with pytest.raises(ValueError):
-            NtpModel(kind="fixed", delta_cap=0.5, vectors=((0.9, 0.1),))
-        rng = generator(7)
-        assert np.allclose(model.sample(rng, 3, [0]), [[0.5, 0.5, 0.0]])
-        assert np.allclose(model.sample(rng, 3, [3]), [[0.25, 0.25, 0.5]])
-        assert np.allclose(model.sample(rng, 3, [1, 2, 5]),
-                           [[0.25, 0.25, 0.5], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
-
     @pytest.mark.parametrize("kind", ("dirichlet", "zipf"))
     @pytest.mark.parametrize("vocab_size, delta_cap", ((2, 0.5), (4, 0.75), (10, 0.9)))
     def test_a_cap_admitting_only_uniform_draws_nothing(self, kind, vocab_size, delta_cap):
@@ -143,9 +132,11 @@ class TestNtpModel:
             assert stats.chisquare(np.bincount(tokens, minlength=vocab_size)).pvalue > 0.01
 
     def test_fixed_vectors_must_match_the_vocabulary(self):
-        model = NtpModel(kind="fixed", vectors=((0.5, 0.5),))
+        """Generation checks the shape of the rows its NTP model samples."""
+        model = FixedNtp(((0.5, 0.5),))
         with pytest.raises(ValueError, match="differ from the key size"):
-            generate_stream(make_spec(n=20, scheme=SchemeSpec("gumbel", 3), ntp=model))
+            generate_stream(make_spec(n=20, segments=[(5, 10)], scheme=SchemeSpec("gumbel", 3),
+                                      ntp=model))
 
     @pytest.mark.parametrize("field, value", (
         ("concentration", 0.0), ("concentration", -1.0), ("concentration", math.nan),
@@ -158,14 +149,10 @@ class TestNtpModel:
         with pytest.raises(ValueError, match=field):
             NtpModel.from_json({"kind": kind, field: value})
 
-    def test_fixed_cap_boundary_is_allowed(self):
-        NtpModel(kind="fixed", delta_cap=0.5, vectors=((0.5, 0.5),))
-
     def test_json_round_trip(self):
         for model in (
             NtpModel(kind="dirichlet", delta_cap=0.5, concentration=0.7),
             NtpModel(kind="zipf", delta_cap=0.3, exponent=1.2),
-            NtpModel(kind="fixed", delta_cap=0.5, vectors=((0.5, 0.5),)),
         ):
             assert NtpModel.from_json(model.to_json()) == model
 
@@ -179,18 +166,23 @@ class TestNtpModel:
             NtpModel.from_json({"kind": "dirichlet", "concentraton": 0.7})
 
     @pytest.mark.parametrize("kind, field, value", [
-        ("dirichlet", "exponent", 9.0), ("dirichlet", "vectors", [[0.5, 0.5]]),
-        ("zipf", "concentration", 0.7), ("zipf", "vectors", [[1.0]]),
-        ("fixed", "concentration", math.nan), ("fixed", "exponent", 2.0),
-    ], ids=["dirichlet-exponent", "dirichlet-vectors", "zipf-concentration", "zipf-vectors",
-            "fixed-concentration-nan", "fixed-exponent"])
+        ("dirichlet", "exponent", 9.0), ("zipf", "concentration", 0.7),
+    ], ids=["dirichlet-exponent", "zipf-concentration"])
     def test_a_parameter_the_kind_does_not_read_is_rejected(self, kind, field, value):
         # {"kind": "dirichlet", "exponent": 9.0} used to be accepted, and its
         # to_json, which writes only the concentration, read back unequal.
-        data = {"kind": kind, "vectors": [[0.5, 0.5]]} if kind == "fixed" else {"kind": kind}
-        data[field] = value
         with pytest.raises(ValueError, match=f"kind '{kind}' does not read {field},"):
-            NtpModel.from_json(data)
+            NtpModel.from_json({"kind": kind, field: value})
+
+    @pytest.mark.parametrize("field", ("delta_cap", "concentration", "exponent"))
+    @pytest.mark.parametrize("value", (np.float32(0.4), np.float64(0.4), True),
+                             ids=["float32", "float64", "bool"])
+    def test_a_parameter_that_is_not_a_python_number_is_rejected(self, field, value):
+        """A numpy float used to build a model whose ``to_json`` then failed in
+        ``json.dumps``, and True one that wrote true for a number."""
+        with pytest.raises(ValueError, match=f"{field} must be an int or a float, not "
+                                             f"{type(value).__name__}"):
+            NtpModel(kind="zipf" if field == "exponent" else "dirichlet", **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +284,13 @@ class TestGenerateStream:
             assert np.geterr() == before
 
     def test_a_negative_zero_entry_never_wins_the_gumbel_race(self):
-        """A ``fixed`` model with -0.0 entries generates the tokens of the
+        """A ``FixedNtp`` with -0.0 entries generates the tokens of the
         same model with +0.0: log(U)/-0.0 would be +inf and win."""
         vectors = ((0.5, -0.0, 0.5, -0.0), (0.25, 0.25, -0.0, 0.5))
         positive = tuple(tuple(p + 0.0 for p in vector) for vector in vectors)
         a, b = (generate_stream(make_spec(n=400, segments=[(1, 400)], seed=9,
                                           scheme=SchemeSpec("gumbel", 4),
-                                          ntp=NtpModel("fixed", vectors=v)))
+                                          ntp=FixedNtp(v)))
                 for v in (vectors, positive))
         assert np.array_equal(a.tokens, b.tokens)
         probs = np.asarray(positive)[np.arange(400) % 2, a.tokens]

@@ -60,9 +60,9 @@ class ThresholdCert:
     scheme_params: dict
 
     def to_json(self) -> dict:
-        """The certificate, its scheme as the ``SchemeSpec`` JSON object."""
+        """The certificate, with a copy of its ``SchemeSpec`` JSON object as ``scheme``."""
         return {"q": self.q, "alpha": self.alpha, "n": self.n, "b": self.block_len,
-                "scheme": self.scheme_params}
+                "scheme": dict(self.scheme_params)}
 
     @functools.cached_property
     def null_mean(self) -> float:

@@ -11,6 +11,7 @@ the exact null law, and rows are written in grid order.
 
 from __future__ import annotations
 
+import itertools
 import statistics
 import time
 from dataclasses import dataclass
@@ -63,37 +64,22 @@ class ExperimentPlan:
             raise ValueError("need at least one replication")
         if not (self.block_lens and self.rhos and self.alphas and self.gammas):
             raise ValueError("empty parameter grid")
+        for name in ("rhos", "alphas", "gammas"):  # the CSV writes each entry by repr
+            for kind in map(type, getattr(self, name)):
+                if kind not in (int, float):
+                    raise ValueError(f"{name} must hold ints or floats, not {kind.__name__}")
         check_seed(self.seed)
         self.true_segments.check_within(self.n)
 
     def grid(self) -> list[tuple[int, float, float, float]]:
-        return [
-            (b, rho, alpha, gamma)
-            for b in self.block_lens
-            for rho in self.rhos
-            for alpha in self.alphas
-            for gamma in self.gammas
-        ]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "true_segments": self.true_segments.to_pairs(),
-            "scheme": self.scheme.to_json(),
-            "ntp_model": self.ntp_model.to_json(),
-            "replications": self.replications,
-            "grid": {key: list(getattr(self, name)) for key, (name, _) in _GRID_FIELDS.items()},
-            "discard_c": self.discard_c,
-            "mc_reps": self.mc_reps,
-            "seed": self.seed,
-            "include_timing": self.include_timing,
-        }
+        return list(itertools.product(self.block_lens, self.rhos, self.alphas, self.gammas))
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentPlan":
-        """Read ``to_json`` output; ``n``, ``scheme``, ``ntp_model`` and
-        ``grid.block_len`` are required, other keys left out take the field
-        defaults."""
+        """Read a plan JSON object: the fields by name, the grid lists in one
+        ``grid`` object (``block_len``, ``rho``, ``alpha``, ``gamma``). ``n``,
+        ``scheme``, ``ntp_model`` and ``grid.block_len`` are required, other
+        keys left out take the field defaults."""
         fields = read_fields(data, {
             "n": json_int, "true_segments": Segments, "scheme": SchemeSpec.from_json,
             "ntp_model": NtpModel.from_json, "replications": json_int, "grid": _read_grid,

@@ -56,9 +56,6 @@ class Segments:
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
 
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
-
     @property
     def union_size(self) -> int:
         return sum(r - l + 1 for l, r in self.intervals)

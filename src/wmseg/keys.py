@@ -181,17 +181,25 @@ def mulhi(h: np.ndarray, m) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def coordinate_tags(vocab_size: int) -> np.ndarray:
     """splitmix64 of the tag 4 + w of each gumbel coordinate w < V, as uint64:
-    coordinate w of a seed's key is ``unit(splitmix64(seed ^ tags[w]))``."""
-    return splitmix64_array(np.arange(4, 4 + vocab_size, dtype=np.uint64))
+    coordinate w of a seed's key is ``unit(splitmix64(seed ^ tags[w]))``.
+    Built once per V into one read-only array that every caller shares."""
+    tags = splitmix64_array(np.arange(4, 4 + vocab_size, dtype=np.uint64))
+    tags.flags.writeable = False
+    return tags
 
 
+@functools.lru_cache(maxsize=16)
 def units_mod(vocab_size: int) -> np.ndarray:
     """The residues in 0..V-1 coprime to V, ascending: the multipliers a for
-    which w -> (a*w + c) mod V is a permutation."""
+    which w -> (a*w + c) mod V is a permutation. Built once per V into one
+    read-only array that every caller shares."""
     residues = np.arange(vocab_size, dtype=np.int64)
-    return residues[np.gcd(residues, vocab_size) == 1]
+    units = residues[np.gcd(residues, vocab_size) == 1]
+    units.flags.writeable = False
+    return units
 
 
 def affine_key(seed: int, vocab_size: int, units: np.ndarray) -> tuple[float, int, int]:

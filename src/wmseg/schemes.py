@@ -45,7 +45,6 @@ logs, inverse's token of each rank, red_green's weight scale), then decodes rows
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -180,14 +179,6 @@ PseudoKey = Union[GumbelKey, AffineKey]
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=16)
-def _shared(table, vocab_size: int) -> np.ndarray:
-    """The read-only ``table(vocab_size)``, built once per V for every spec."""
-    array = table(vocab_size)
-    array.flags.writeable = False
-    return array
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     """A watermarking scheme with its parameters, as used on the wire.
@@ -200,9 +191,9 @@ class SchemeSpec:
 
     The vocabulary size lies in [2, 2^32): the affine keys scale 64-bit
     hashes by V with a 32-bit multiply-high (``keys.mulhi``), and a larger V
-    would only ask for a 32 GiB table per scheme. The option-free tables
-    (``coordinate_tags``, ``units_mod``) are read-only and shared by every
-    spec of one V, so rebuilding a spec per stream file costs no pass over them.
+    would only ask for a 32 GiB table per scheme. ``keys`` caches the option-free
+    tables, ``coordinate_tags(V)`` and ``units_mod(V)``, as read-only arrays
+    shared by every spec of one V, so a spec rebuilt per stream file rebuilds none.
 
     What every scheme class provides (an affine one through ``_AffineKeyed``,
     from its pivot ``_of_rank(u, rank)``): ``_key(seed)`` derives the key of a
@@ -216,7 +207,7 @@ class SchemeSpec:
     ``_pivot`` takes a token or a token array already bounds-checked;
     ``score`` maps pivots to scores; ``null_scores(rng, size)`` draws i.i.d.
     scores from the null law, and ``null_mean`` is its exact mean;
-    ``params`` names the fields the scheme reads beyond the vocabulary size.
+    ``params`` names the fields read beyond V, and ``key_type`` is the key class.
     """
 
     scheme_id: str
@@ -249,7 +240,7 @@ class SchemeSpec:
 
     def decode(self, probs: np.ndarray, key: PseudoKey) -> int:
         """The token for the NTP vector ``probs`` under ``key``; an unusable
-        vector raises InvalidDistribution, a key not of V entries ValueError."""
+        vector raises InvalidDistribution, a key of another kind or size ValueError."""
         self._check_key(key)
         probs = check_decodable(probs, (self.vocab_size,))
         with np.errstate(divide="ignore", over="ignore"):
@@ -257,12 +248,14 @@ class SchemeSpec:
 
     def pivot(self, token: int, key: PseudoKey) -> float:
         """Pivot of one token under one key; a token outside the vocabulary
-        raises IndexError and a key not of V entries ValueError."""
+        raises IndexError and a key of another kind or size ValueError."""
         check_tokens(token, self.vocab_size)
         self._check_key(key)
         return float(self._pivot(token, key))
 
     def _check_key(self, key: PseudoKey) -> None:
+        if not isinstance(key, self.key_type):
+            raise ValueError(f"a {type(key).__name__} for scheme {self.scheme_id!r}")
         size = len(key.ranks if isinstance(key, AffineKey) else key.uniforms)
         if size != self.vocab_size:
             raise ValueError(f"a key of {size} entries for a vocabulary of {self.vocab_size}")
@@ -293,16 +286,14 @@ class _AffineKeyed(SchemeSpec):
     Each subclass writes its pivot once, as ``_of_rank(u, rank)`` of the key
     uniform and the token's rank, arrays or scalars."""
 
-    @property
-    def units(self) -> np.ndarray:
-        return _shared(units_mod, self.vocab_size)
+    key_type = AffineKey
 
     def _key(self, seed: int) -> AffineKey:
-        u, a, c = affine_key(seed, self.vocab_size, self.units)
+        u, a, c = affine_key(seed, self.vocab_size, units_mod(self.vocab_size))
         return AffineKey(u, (a * np.arange(self.vocab_size) + c) % self.vocab_size)
 
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-        u, a, c = affine_keys(seeds, self.vocab_size, self.units)
+        u, a, c = affine_keys(seeds, self.vocab_size, units_mod(self.vocab_size))
         return self._of_rank(u, (a * tokens + c) % self.vocab_size)
 
     def _pivot(self, token, key: AffineKey):
@@ -314,18 +305,15 @@ class Gumbel(SchemeSpec):
     hashed coordinate tags ``keys.coordinate_tags(V)``. A decoder holds the
     logs of its key's uniforms, taken once per key, not per decoded row."""
 
+    key_type = GumbelKey
     null_mean = 1.0
 
-    @property
-    def tags(self) -> np.ndarray:
-        return _shared(coordinate_tags, self.vocab_size)
-
     def _key(self, seed: int) -> GumbelKey:
-        return GumbelKey(uniforms=unit(splitmix64_array(np.uint64(seed) ^ self.tags)))
+        return GumbelKey(unit(splitmix64_array(np.uint64(seed) ^ coordinate_tags(self.vocab_size))))
 
     def pivots(self, tokens: np.ndarray, seeds: np.ndarray) -> np.ndarray:
         """Coordinate ``token`` of each seed's key: one hash per position."""
-        return unit(splitmix64_array(seeds ^ self.tags[tokens]))
+        return unit(splitmix64_array(seeds ^ coordinate_tags(self.vocab_size)[tokens]))
 
     @staticmethod
     def decoder_of(key: GumbelKey):
@@ -483,9 +471,6 @@ class PivotSeries:
         if not np.isfinite(scores).all():
             raise ValueError("scores must be finite (no NaN or infinity)")
         object.__setattr__(self, "scores", scores)
-
-    def __len__(self) -> int:
-        return self.scores.size
 
     @property
     def n(self) -> int:

@@ -57,10 +57,6 @@ class SegmenterConfig:
                 raise ValueError("pad must be 'auto' or a nonnegative integer")
             check_unread(self, ("discard_c", "pad"), f"pad {self.pad}")  # gamma sets only "auto"
 
-    @property
-    def block_len(self) -> int:
-        return self.cert.block_len
-
     def resolved_pad(self, n: int) -> int:
         if self.pad == "auto":
             return default_pad(n, self.gamma)
@@ -333,7 +329,7 @@ def segment_series(series: PivotSeries, config: SegmenterConfig) -> Segmentation
             f"stream has null mean {series.null_mean!r}"
         )
     n = series.n
-    b = config.block_len
+    b = cert.block_len
     pad = config.resolved_pad(n)
     min_run = min_run_blocks(n, b, config.discard_c)
 

@@ -89,7 +89,8 @@ def cap_probs(probs: np.ndarray, delta: float) -> np.ndarray:
     """Project a probability vector onto {max entry <= 1 - delta}.
 
     Entries above the cap are pinned to it and the remaining mass is spread
-    proportionally over the free entries, repeating until feasible.
+    proportionally over the free entries, repeating until feasible, or evenly
+    if no free entry has mass; ``cap * V >= 1`` keeps those below the cap.
     """
     probs = np.asarray(probs, dtype=float)
     cap = _feasible_cap(delta, probs.size)
@@ -99,8 +100,8 @@ def cap_probs(probs: np.ndarray, delta: float) -> np.ndarray:
         free = ~pinned
         remaining = 1.0 - cap * np.count_nonzero(pinned)
         free_mass = out[free].sum()
-        if free_mass <= 0.0:
-            out = np.where(pinned, cap, 0.0)
+        if free_mass <= 0.0:  # max: all entries are pinned only within _feasible_cap's slack
+            out = np.where(pinned, cap, remaining / max(np.count_nonzero(free), 1))
             break
         out = np.where(pinned, cap, out * (remaining / free_mass))
     return out
@@ -252,10 +253,6 @@ class StreamSpec:
         self.true_segments.check_within(self.n)
         check_seed(self.seed)
 
-    @property
-    def vocab_size(self) -> int:
-        return self.scheme.vocab_size
-
 
 @dataclass(frozen=True, eq=False)
 class Stream:
@@ -302,7 +299,7 @@ def generate_stream(spec: StreamSpec) -> Stream:
     ``SchemeSpec.key_at`` is called here, and ``Stream.keys`` derives the
     keys when it is first read. Nothing is scored (``score_tokens``).
     """
-    n, vocab_size = spec.n, spec.vocab_size
+    n, vocab_size = spec.n, spec.scheme.vocab_size
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
     inside = spec.true_segments.mask(n)

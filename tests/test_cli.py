@@ -8,7 +8,7 @@ import pytest
 
 from wmseg.calibration import calibrate_threshold
 from wmseg.cli import cli_main
-from wmseg.harness import EXPERIMENT_COLUMNS, ExperimentPlan
+from wmseg.harness import EXPERIMENT_COLUMNS
 from wmseg.intervals import Segments
 from wmseg.metrics import EVAL_COLUMNS
 from wmseg.schemes import SCHEME_IDS, SchemeSpec
@@ -182,18 +182,11 @@ def test_segment_rejects_a_header_in_the_old_spelling(scheme, header, tmp_path, 
 
 
 def test_experiment_is_byte_reproducible_and_has_no_jobs_or_cache_flags(tmp_path):
-    plan = ExperimentPlan(
-        n=300,
-        true_segments=Segments([(100, 200)], n=300),
-        scheme=SchemeSpec("gumbel", vocab_size=50),
-        ntp_model=NtpModel(kind="dirichlet"),
-        replications=2,
-        block_lens=(20,),
-        mc_reps=1000,
-        seed=4,
-    )
+    plan = {"n": 300, "true_segments": [[100, 200]], "scheme": {"id": "gumbel", "vocab_size": 50},
+            "ntp_model": {"kind": "dirichlet"}, "replications": 2, "grid": {"block_len": [20]},
+            "mc_reps": 1000, "seed": 4}
     config = tmp_path / "plan.json"
-    config.write_text(json.dumps(plan.to_json()), encoding="utf-8")
+    config.write_text(json.dumps(plan), encoding="utf-8")
     outs = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in outs:
         assert cli_main(["experiment", "--config", str(config), "--no-timing",
@@ -202,7 +195,7 @@ def test_experiment_is_byte_reproducible_and_has_no_jobs_or_cache_flags(tmp_path
     with open(outs[0], newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
     assert tuple(header) == EXPERIMENT_COLUMNS
-    assert len(rows) == plan.replications + 2
+    assert len(rows) == plan["replications"] + 2
     for flag in (["--jobs", "2"], ["--cache-dir", str(tmp_path / "d")]):
         argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "c.csv"), *flag]
         assert cli_main(argv) == 1, flag

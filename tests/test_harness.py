@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from wmseg import harness
@@ -30,6 +31,20 @@ PLAN = ExperimentPlan(
     seed=7,
     include_timing=False,
 )
+# PLAN as the plan JSON object a user writes, with every plan key.
+PLAN_JSON = {
+    "n": 600,
+    "true_segments": [[200, 400]],
+    "scheme": {"id": "gumbel", "vocab_size": 50},
+    "ntp_model": {"kind": "dirichlet", "delta_cap": 0.5, "concentration": 0.3},
+    "replications": 2,
+    "grid": {"block_len": [30, 50], "rho": [0.3, 0.5, 0.7], "alpha": [0.05, 0.1],
+             "gamma": [0.1, 0.2]},
+    "discard_c": 0.5,
+    "mc_reps": 2000,
+    "seed": 7,
+    "include_timing": False,
+}
 
 # SHA-256 of json.dumps(rows). It pins generation (gumbel keys from keyed
 # splitmix64 hashes, numpy's draws of the NTP rows and the unwatermarked
@@ -104,7 +119,7 @@ def test_more_than_one_job_is_rejected():
 
 
 def test_plan_json_round_trip():
-    assert ExperimentPlan.from_json(PLAN.to_json()) == PLAN
+    assert ExperimentPlan.from_json(PLAN_JSON) == PLAN
 
 
 def test_plan_from_json_takes_the_field_defaults_for_missing_keys():
@@ -126,7 +141,7 @@ def test_plan_from_json_takes_the_field_defaults_for_missing_keys():
 ], ids=["plan", "grid", "scheme", "ntp_model"])
 def test_plan_from_json_rejects_unknown_keys(edit, key):
     with pytest.raises(ValueError, match=f"unknown .*'{key}'"):
-        ExperimentPlan.from_json({**PLAN.to_json(), **edit})
+        ExperimentPlan.from_json({**PLAN_JSON, **edit})
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -139,7 +154,7 @@ def test_plan_from_json_rejects_a_record_that_is_not_an_object(edit, message):
     # scheme key(s): 'b', 'e', 'g', ..."), and an empty list as an object
     # without items().
     with pytest.raises(ValueError, match=message):
-        ExperimentPlan.from_json({**PLAN.to_json(), **edit})
+        ExperimentPlan.from_json({**PLAN_JSON, **edit})
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -148,7 +163,7 @@ def test_plan_from_json_rejects_a_record_that_is_not_an_object(edit, message):
     ({"scheme": {"id": "gumbel"}}, "vocab_size"),
 ], ids=["plan", "grid", "scheme"])
 def test_plan_from_json_names_a_missing_key(edit, key):
-    data = {**PLAN.to_json(), **edit}
+    data = {**PLAN_JSON, **edit}
     data = {name: value for name, value in data.items() if value is not None}
     with pytest.raises(ValueError, match=f"missing .*'{key}'"):
         ExperimentPlan.from_json(data)
@@ -172,14 +187,14 @@ def test_plan_from_json_rejects_a_value_of_another_json_type(edit, key):
     # Each of these used to be coerced: "false" read as True, 2.9
     # replications as 2 and n=600.7 as 600.
     with pytest.raises(ValueError, match=f"key '{key}': .* is not a JSON"):
-        ExperimentPlan.from_json({**PLAN.to_json(), **edit})
+        ExperimentPlan.from_json({**PLAN_JSON, **edit})
 
 
 @pytest.mark.parametrize("segments, bad", [([[100.7, 200]], "100.7"), ([[100.7, True]], "100.7")],
                          ids=["float-end", "float-and-bool-ends"])
 def test_plan_from_json_names_a_non_integer_segment_end(segments, bad):
     with pytest.raises(ValueError, match=f"key 'true_segments': interval end {bad} is not"):
-        ExperimentPlan.from_json({**PLAN.to_json(), "true_segments": segments})
+        ExperimentPlan.from_json({**PLAN_JSON, "true_segments": segments})
 
 
 def test_the_fixed_ntp_kind_is_unknown():
@@ -187,14 +202,25 @@ def test_the_fixed_ntp_kind_is_unknown():
     (``fixed_ntp.FixedNtp``)."""
     for build in (lambda: NtpModel("fixed"),
                   lambda: NtpModel.from_json({"kind": "fixed", "vectors": [[0.5, 0.5]]}),
-                  lambda: ExperimentPlan.from_json({**PLAN.to_json(), "ntp_model": {
+                  lambda: ExperimentPlan.from_json({**PLAN_JSON, "ntp_model": {
                       "kind": "fixed", "vectors": [[0.5, 0.5]]}})):
         with pytest.raises(ValueError, match="unknown NTP model kind 'fixed'"):
             build()
 
 
+@pytest.mark.parametrize("field", ["rhos", "alphas", "gammas"])
+@pytest.mark.parametrize("value", [np.float64(0.2), np.float32(0.2), True],
+                         ids=["float64", "float32", "bool"])
+def test_a_grid_entry_that_is_not_a_python_number_is_rejected(field, value):
+    # The CSV writes each entry by repr, so under numpy 2 an np.float64(0.2)
+    # entry used to run and write the cell "np.float64(0.2)".
+    message = f"{field} must hold ints or floats, not {type(value).__name__}"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(PLAN, **{field: (getattr(PLAN, field)[0], value)})
+
+
 def test_plan_from_json_reads_a_json_integer_as_a_float():
-    plan = ExperimentPlan.from_json({**PLAN.to_json(), "discard_c": 1,
+    plan = ExperimentPlan.from_json({**PLAN_JSON, "discard_c": 1,
                                      "grid": {"block_len": [30], "alpha": [1]}})
     assert type(plan.discard_c) is float and plan.discard_c == 1.0
     assert plan.alphas == (1.0,) and type(plan.alphas[0]) is float
@@ -206,4 +232,4 @@ def test_a_plan_rejects_true_segments_past_its_n():
     with pytest.raises(ValueError, match=r"interval \[500, 700\] exceeds n=600"):
         dataclasses.replace(PLAN, true_segments=Segments([(500, 700)]))
     with pytest.raises(ValueError, match=r"interval \[500, 700\] exceeds n=600"):
-        ExperimentPlan.from_json({**PLAN.to_json(), "true_segments": [[500, 700]]})
+        ExperimentPlan.from_json({**PLAN_JSON, "true_segments": [[500, 700]]})

@@ -64,7 +64,7 @@ def reference_stream(spec):
     entry of one ``rng_null.integers(0, V, k)`` array for dirichlet and
     zipf, whose mean is uniform, or ``inverse_cdf_1d`` of its fixed vector at
     one ``rng_null.random()``. Returns the tokens, scores and keys."""
-    scheme, model, vocab_size = spec.scheme, spec.ntp_model, spec.vocab_size
+    scheme, model, vocab_size = spec.scheme, spec.ntp_model, spec.scheme.vocab_size
     rng_ntp = generator(mix(spec.seed, TAG_NTP))
     rng_null = generator(mix(spec.seed, TAG_NULL_DRAW))
     inside = spec.true_segments.mask(spec.n)

@@ -19,6 +19,7 @@ from scheme_theory import (
     inverse_null_pivot_cdf,
     uniform_open,
 )
+from wmseg import keys
 from wmseg.keys import generator
 from wmseg.schemes import (
     SCHEME_IDS,
@@ -431,6 +432,31 @@ def test_a_key_of_another_vocabulary_is_rejected(scheme_id, spec_vocab, key_voca
             call()
 
 
+@pytest.mark.parametrize("scheme_id, key_id", [("gumbel", "inverse"), ("gumbel", "red_green"),
+                                               ("inverse", "gumbel"), ("red_green", "gumbel")])
+def test_a_key_of_another_kind_is_rejected(scheme_id, key_id):
+    """``SchemeSpec("inverse", 20).pivot(0, key)`` of a gumbel key used to
+    raise AttributeError "'GumbelKey' object has no attribute 'u'", and
+    gumbel given an affine key "no attribute 'uniforms'": the key's size
+    check passed, since both keys hold 20 entries."""
+    scheme, key = SchemeSpec(scheme_id, 20), SchemeSpec(key_id, 20).key_at(1)
+    message = f"a {type(key).__name__} for scheme '{scheme_id}'"
+    for call in (lambda: scheme.pivot(5, key), lambda: scheme.pivot_score(0, key),
+                 lambda: scheme.decode(np.full(20, 1 / 20), key)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_inverse_and_red_green_read_each_others_keys():
+    """Both read one ``AffineKey`` of a seed, so each takes the other's."""
+    probs = np.random.default_rng(3).dirichlet(np.ones(20))
+    inverse, red_green = SchemeSpec("inverse", 20), SchemeSpec("red_green", 20)
+    for scheme, other in ((inverse, red_green), (red_green, inverse)):
+        own, key = scheme.key_at(7), other.key_at(7)
+        assert scheme.pivot(5, key) == scheme.pivot(5, own)
+        assert scheme.decode(probs, key) == scheme.decode(probs, own)
+
+
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)
 def test_score_keeps_an_empty_array_and_leaves_a_nan_to_pivot_series(scheme_id):
     """The domain checks reduce with min and max, which raise on an empty
@@ -486,7 +512,7 @@ def test_pivot_series_validation():
     with pytest.raises(ValueError):
         PivotSeries(scores=np.empty(0), null_mean=1.0, scheme_id="gumbel")
     series = PivotSeries(scores=np.arange(4.0), null_mean=1.0, scheme_id="gumbel")
-    assert series.n == 4 and len(series) == 4
+    assert series.n == 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -591,18 +617,13 @@ def test_a_red_green_parameter_that_is_not_a_python_number_is_rejected(field, va
 
 
 def test_equal_vocabularies_share_one_read_only_table():
-    gumbel = SchemeSpec("gumbel", 1000)
-    assert SchemeSpec.from_json({"id": "gumbel", "vocab_size": 1000}).tags is gumbel.tags
-    assert SchemeSpec("gumbel", 999).tags is not gumbel.tags
-    # The units mod V read no scheme parameter, so red_green specs of any
-    # parameters share them with inverse.
-    inverse = SchemeSpec("inverse", 100)
-    assert SchemeSpec("red_green", 100, green_frac=0.3, bias=1.0).units is inverse.units
-    assert SchemeSpec("red_green", 100).units is inverse.units
-    assert SchemeSpec("inverse", 99).units is not inverse.units
-    for table in (gumbel.tags, inverse.units):
+    # Every spec of one V reads its key tables from these calls: gumbel the
+    # coordinate tags, inverse and red_green of any parameters the units mod V.
+    for table in (keys.coordinate_tags, keys.units_mod):
+        assert table(1000) is table(1000)
+        assert table(999) is not table(1000)
         with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1
+            table(1000)[0] = 1
 
 
 @pytest.mark.parametrize("scheme_id", SCHEME_IDS)

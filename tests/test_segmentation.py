@@ -515,6 +515,17 @@ class TestSegmentSeries:
         assert SegmenterConfig(cert=cert, pad=10).resolved_pad(100) == 10
         assert SegmenterConfig(cert=cert, gamma=0.3).resolved_pad(100) == default_pad(100, 0.3)
 
+    def test_editing_a_result_leaves_its_certificate_as_it_is(self):
+        """A result's trace used to hold the certificate's own scheme dict,
+        so an edit to one result file's scheme renamed the certificate's
+        vocabulary and that of every later result."""
+        cert = open_cert(100, 10)
+        series = series_of(np.ones(100))
+        first = segment_series(series, SegmenterConfig(cert=cert)).to_json()
+        first["trace"]["certificate"]["scheme"]["vocab_size"] = 50
+        later = segment_series(series, SegmenterConfig(cert=cert)).to_json()
+        assert cert.scheme_params == later["trace"]["certificate"]["scheme"] == GUMBEL.to_json()
+
     def test_cert_mismatch_raises(self):
         cert = calibrate_threshold(GUMBEL, 100, 10, 0.05, mc_reps=2000, seed=1)
         config = SegmenterConfig(cert=cert)

@@ -63,6 +63,21 @@ class TestCapProbs:
         with pytest.raises(ValueError):
             cap_probs(np.array([0.5, 0.5]), 0.8)
 
+    def test_a_vector_with_no_free_mass_is_spread_evenly(self):
+        # The free entries used to keep their zeros: [0.5, 0, 0, 0], of mass 0.5.
+        assert cap_probs(np.array([1.0, 0.0, 0.0, 0.0]), 0.5).tolist() == [0.5, 1 / 6, 1 / 6, 1 / 6]
+
+    def test_capped_dirichlet_rows_are_probability_vectors(self):
+        """At concentration 1e-3 and V=10 nearly every candidate exceeds the
+        cap, so most rows are ``cap_probs`` of their 10^4-th, and about one
+        in seven of those has a single nonzero entry; such a row used to
+        sum to 0.5, and the inverse decoder then chose a token of
+        probability 0 for most key uniforms above 0.5."""
+        rows = NtpModel(concentration=1e-3).sample(generator(4), 10, np.arange(30))
+        assert np.allclose(rows.sum(axis=1), 1.0) and rows.max() <= 0.5
+        # The case is reached: a row of one entry at the cap, the rest even.
+        assert (np.sort(rows, axis=1)[:, :-1] == 0.5 / 9).all(axis=1).any()
+
     @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.05, max_value=0.9))
     @settings(max_examples=60)
     def test_always_lands_in_the_cap(self, seed, delta):
@@ -317,7 +332,7 @@ class TestReconstructKeys:
         spec = make_spec(n=10, seed=10)
         stream = generate_stream(spec)
         tokens = stream.tokens.copy()
-        tokens[4] = (tokens[4] + 1) % spec.vocab_size
+        tokens[4] = (tokens[4] + 1) % spec.scheme.vocab_size
         rebuilt = self.keys_of(tokens, spec.seed, spec.scheme)
         # position 6 (index 5) hashes token 5; all its uniforms move
         assert not np.any(np.isclose(rebuilt[5].uniforms, stream.keys[5].uniforms))

@@ -13,8 +13,12 @@ section of this module (``block_sum_cdf``), their one reader. Bisection
 reads them only at the points it probes, with no table: on the index j of
 the points j·h of the scheme's lattice (red_green's integers, inverse's
 step 2^-11) up to b, at most log2(b/h) + 1 probes, and on the bit patterns
-of nonnegative floats for gumbel's continuous law. The Monte Carlo draws of
-``simulate_max_block_sums`` are the reference the exact laws are tested on.
+of nonnegative floats for gumbel's continuous law. The inverse law is summed
+from its spectrum and lies within 1e-13 of the exact CDF, so it resolves no
+level within about m·1e-13 of 1 over m blocks: ``calibrate_threshold``
+refuses an inverse alpha below m·``INVERSE_ALPHA_FLOOR`` = m·1e-12 and names
+that floor. The Monte Carlo draws of ``simulate_max_block_sums`` are the
+reference the exact laws are tested on.
 """
 
 from __future__ import annotations
@@ -106,7 +110,15 @@ def calibrate_threshold(
 ) -> ThresholdCert:
     """Calibrate the screening threshold from the scheme's exact null law,
     ``block_sum_cdf``. ``mc_reps`` and ``seed`` do not change q; they are
-    accepted for callers that still pass them."""
+    accepted for callers that still pass them.
+
+    An inverse alpha below m·``INVERSE_ALPHA_FLOOR`` for m = ceil(n /
+    block_len) blocks raises ValueError. The inverse law lies within 1e-13
+    of the exact CDF (``_inverse_law``), so the cover F_b^(m-1) F_r solved
+    on it lies within about m·1e-13 of the exact one; at ten times that, its
+    rounding moves the level by at most a tenth of alpha. Gumbel's and
+    red_green's closed forms are not floored here.
+    """
     # type() rather than isinstance(): bool is an int subclass, not a length.
     if type(n) is not int or type(block_len) is not int:
         raise ValueError(f"n and block length must be integers, not {n!r} and {block_len!r}")
@@ -115,6 +127,11 @@ def calibrate_threshold(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     blocks = math.ceil(n / block_len)
+    floor = blocks * INVERSE_ALPHA_FLOOR
+    if scheme.scheme_id == "inverse" and alpha < floor:
+        raise ValueError(
+            f"alpha {alpha!r} lies below {floor:.3g}, the least level the inverse law "
+            f"resolves over {blocks} blocks ({INVERSE_ALPHA_FLOOR:g} per block)")
     last_len = n - (blocks - 1) * block_len
     full = block_sum_cdf(scheme, block_len)
     last = None if last_len == block_len else block_sum_cdf(scheme, last_len)
@@ -143,10 +160,10 @@ def _smallest_covering_q(cover, level: float, step: float | None, top: int) -> f
     between neighbouring lattice points. Bisection still returns a q with
     cover(q) >= level whose neighbour below falls short. That q is the
     smallest one, and does not depend on the points the search reads,
-    unless level lies within about 1e-15 of cover below q. At V = 1000, n =
-    10^6, b = 1000 and alpha = 1e-15 the float search gave 721.57958984375
-    and this one gives 721.5693359375, both locally minimal; on the tests'
-    grid of n, b and alpha >= 1e-6 the two agree to the bit.
+    unless level lies within about 1e-15 of cover below q, which
+    ``calibrate_threshold``'s floor on alpha keeps it from. On the tests'
+    grid of n, b and alpha >= 1e-6 the lattice and float searches agree to
+    the bit.
     """
     if step is None:  # floats by their bit patterns
         point = lambda bits: struct.unpack("<d", struct.pack("<q", bits))[0]
@@ -172,6 +189,9 @@ def _smallest_covering_q(cover, level: float, step: float | None, top: int) -> f
 INVERSE_STEP = 2.0 ** -11
 # The inverse law drops the spectrum bins of a block sum below this.
 INVERSE_BAND_EPS = 1e-16
+# The least alpha per block that calibrate_threshold certifies on the inverse
+# law: ten times its 1e-13 bound on the error of F (``_inverse_law``).
+INVERSE_ALPHA_FLOOR = 1e-12
 
 
 def block_sum_cdf(scheme: SchemeSpec, k: int):
@@ -211,7 +231,11 @@ def band(vocab_size: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
     needs, the bins f in [1, L/2] of P = rfft(pmf, L) with |P(f)| >
     eps^(1/k), and P at those bins. Every such bin lies in 1..top by the
     bound in ``_inverse_law``; P at 1..top is a slice of the rfft of
-    length L, or direct sums (``_spectrum_at``) where those cost less."""
+    length L, or direct sums (``_spectrum_at``) where those cost less: about
+    len(p) units per bin against 6.5 per point of the rfft. Measured on a
+    2-vCPU host at V = 2, 3, 20 and 1000 and k = 8 to 32, the direct sums
+    won at top·len(p) <= 6.37 L and the rfft at >= 6.88 L (k of 12 to 16).
+    """
     pmf, variation = _inverse_pmf(vocab_size)
     fft_len = next_fast_len(round(k / INVERSE_STEP) + 1, real=True)
     thr = INVERSE_BAND_EPS ** (1.0 / k)
@@ -219,8 +243,8 @@ def band(vocab_size: int, k: int) -> tuple[int, np.ndarray, np.ndarray]:
     # one for rounding: all of them when that bound never drops to thr.
     reach = math.asin(min(variation / (2 * thr), 1.0))
     top = min(math.floor(fft_len * reach / math.pi) + 1, fft_len // 2)
-    # Direct sums cost about len(p) per bin, the rfft about 3 per point.
-    if top * pmf.size < 3 * fft_len:
+    # Direct sums cost about len(p) per bin, the rfft about 6.5 per point.
+    if top * pmf.size < 6.5 * fft_len:
         values = _spectrum_at(pmf, np.arange(1, top + 1), fft_len)
     else:
         values = np.fft.rfft(pmf, fft_len)[1 : top + 1]
@@ -260,7 +284,9 @@ def _inverse_law(scheme: SchemeSpec, k: int):
     128). Floating-point rounding moves F by under 1e-13 and lets it
     fall by under 1e-14 between neighbouring lattice points (tested up
     to k = 300 in ``test_calibration.py``, on this function at sampled
-    lattice points and at the points a calibration reads).
+    lattice points and at the points a calibration reads). That 1e-13 is
+    what ``INVERSE_ALPHA_FLOOR`` is ten times: a level within m·1e-13 of 1
+    over m blocks is not resolved, and calibration refuses it.
 
     The band lies below one bin, ``top``, that a bound gives (``band``).
     Summation by parts gives (1 - e^(-i theta)) P(theta) = sum_j (p_j -
@@ -269,11 +295,11 @@ def _inverse_law(scheme: SchemeSpec, k: int):
     total variation of p (2h at V = 2, 4h at V = 1000). Every band bin
     f thus has sin(pi f/L) < TV / (2 thr) and lies in 1..top, top about
     L TV / (2 pi thr): 109 bins at V = 1000 and k = 127, 64 of them kept.
-    When top len(p) < 3L (k above about 20), P is summed directly at
-    1..top (``_spectrum_at``), as two short nested sums that stay within
-    1.1e-15 of the rfft, in ``einsum`` loops rather than a BLAS product,
-    which may start a thread pool that costs more than the sums.
-    Otherwise the rfft of length L costs less, and P is sliced from it.
+    When top len(p) < 6.5 L (k above about 13), P is summed directly at
+    1..top (``_spectrum_at``), in real arithmetic: two short nested sums,
+    the inner one two BLAS products kept small enough to run on the
+    calling thread, that stay within 5.7e-16 of the rfft. Otherwise the
+    rfft of length L costs less, and P is sliced from it.
 
     Each call of the returned CDF sums F(j) anew: calibration bisects
     the lattice index and reads each point once.
@@ -303,25 +329,61 @@ def _inverse_law(scheme: SchemeSpec, k: int):
 
 
 def _spectrum_at(pmf: np.ndarray, bins: np.ndarray, fft_len: int) -> np.ndarray:
-    """``np.fft.rfft(pmf, fft_len)[bins]`` by direct sums.
+    """``np.fft.rfft(pmf, fft_len)[bins]`` by direct sums in real arithmetic.
 
     With j = aB + c and B = isqrt(len(pmf)) + 1, e^(-2 pi i f j/L) =
     e^(-2 pi i f aB/L) e^(-2 pi i f c/L), so each bin takes about 2B
-    exponentials instead of len(pmf); the phases are reduced mod L in
+    cosines and sines instead of len(pmf); the phases are reduced mod L in
     integer arithmetic. The sum runs over c and then over a: one pass over
-    all aB + c terms drifts up to 2.5e-15 from the rfft, where the two short
-    nested sums stay within 1.1e-15 (1.03e-15 at V = 2 and k = 844-854).
+    all aB + c terms drifts up to 2.5e-15 from the rfft. The inner sums are
+    two real BLAS products, cos1 @ grid.T and sin1 @ grid.T, and the outer
+    ones four short ``einsum`` reductions, combined as (c2 re - s2 im) +
+    i (s2 re + c2 im). The cosines enter the product less 1, with the row
+    sums of the grid added back: OpenBLAS's product of the full cosines
+    rounded by up to 9 units in the last place, all one way, and drifted
+    1.0e-15 from the rfft at V = 3 and k = 300. Split so, the sums drift at
+    most 5.7e-16 from the rfft, and 3.3e-16 from a long-double sum, over V
+    in {2, 3, 20, 100, 1000} and k from 1 to 1000; the rfft itself is off
+    by up to 4.1e-16.
+
+    The bins go through the products at most ``_BINS_PER_PRODUCT`` at a
+    time, which keeps each product on the calling thread. A threaded
+    product costs more than these sums: on a shared 2-vCPU host, one
+    product over all 669 bins of k = 1000 made the band take 12-16 ms with
+    OPENBLAS_NUM_THREADS unset, against 1.6 ms with it set to 1. In parts,
+    the band takes 1.3-1.4 ms either way.
     """
     width = math.isqrt(pmf.size) + 1
     grid = np.zeros(-(-pmf.size // width) * width)
     grid[: pmf.size] = pmf
     grid = grid.reshape(-1, width)  # grid[a, c] = pmf[a * width + c]
+    return np.concatenate([_spectrum_part(grid, bins[lo : lo + _BINS_PER_PRODUCT], fft_len)
+                           for lo in range(0, bins.size, _BINS_PER_PRODUCT)])
 
-    def twiddle(steps: np.ndarray) -> np.ndarray:
-        return np.exp((-2j * np.pi / fft_len) * (np.outer(bins, steps) % fft_len))
 
-    inner = np.einsum("fc,ac->fa", twiddle(np.arange(width)), grid)
-    return np.einsum("fa,fa->f", twiddle(np.arange(grid.shape[0]) * width), inner)
+# Bins per pair of BLAS products in _spectrum_part: 120 bins by the 45 x 46
+# grid are 248400 multiply-adds, under the 2^18 below which OpenBLAS (as
+# built by default) keeps a product on the calling thread.
+_BINS_PER_PRODUCT = 120
+
+
+def _spectrum_part(grid: np.ndarray, bins: np.ndarray, fft_len: int) -> np.ndarray:
+    """P at ``bins`` from ``_spectrum_at``'s grid, in real arithmetic."""
+    def twiddle(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phase = (-2 * np.pi / fft_len) * (np.outer(bins, steps) % fft_len)
+        return np.cos(phase), np.sin(phase)
+
+    # The inner sums over c, per (f, a). Less 1, the cosines are at most
+    # 1 - cos(2 pi f B/L), so the product rounds small terms, not ones near 1.
+    cos1, sin1 = twiddle(np.arange(grid.shape[1]))
+    cos1 -= 1.0
+    re, im = cos1 @ grid.T + grid.sum(axis=1), sin1 @ grid.T
+    cos2, sin2 = twiddle(np.arange(grid.shape[0]) * grid.shape[1])
+
+    def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.einsum("fa,fa->f", x, y)
+
+    return (dot(cos2, re) - dot(sin2, im)) + 1j * (dot(sin2, re) + dot(cos2, im))
 
 
 _LAWS = {"gumbel": _gumbel_law, "inverse": _inverse_law, "red_green": _red_green_law}

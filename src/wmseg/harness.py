@@ -64,6 +64,9 @@ class ExperimentPlan:
             raise ValueError("need at least one replication")
         if not (self.block_lens and self.rhos and self.alphas and self.gammas):
             raise ValueError("empty parameter grid")
+        for b in self.block_lens:  # type(): bool is an int subclass, not a length
+            if type(b) is not int or b < 1:
+                raise ValueError(f"block_lens must hold ints >= 1, not {b!r}")
         for name in ("rhos", "alphas", "gammas"):  # the CSV writes each entry by repr
             for kind in map(type, getattr(self, name)):
                 if kind not in (int, float):

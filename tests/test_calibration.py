@@ -308,12 +308,31 @@ class TestExactLaw:
         assert cdf(0.0) >= 0.0 and cdf(top * INVERSE_STEP) == cdf((top + 1) * INVERSE_STEP) == 1.0
 
     def test_inverse_law_reaches_one_at_the_largest_sum(self):
-        # A sum of k rounded-up scores never exceeds k, so every tail is
-        # certified: even alpha = 1e-15 has a threshold, at most b.
+        # A sum of k rounded-up scores never exceeds k, so the law is 1 from
+        # k on. That does not make alpha = 1e-15 certifiable: it lies below
+        # what the law resolves over 126 blocks, so it is refused.
         cdf = block_sum_cdf(SchemeSpec("inverse", 1000), 127)
         assert cdf(127.0) == cdf(128.0) == cdf(1e300) == 1.0
-        tiny = calibrate_threshold(SchemeSpec("inverse", 1000), 16000, 127, 1e-15)
-        assert 93.31640625 < tiny.q <= 127.0
+        with pytest.raises(ValueError, match="below 1.26e-10, the least level"):
+            calibrate_threshold(SchemeSpec("inverse", 1000), 16000, 127, 1e-15)
+
+    @pytest.mark.parametrize("vocab, n, b", [
+        (1000, 16000, 127), (1000, 1_000_000, 1000), (2, 1000, 32), (20, 100, 100),
+    ])
+    def test_inverse_refuses_an_alpha_below_the_level_its_law_resolves(self, vocab, n, b):
+        # The law is within 1e-13 of the exact CDF at every lattice point, so
+        # the cover F_b^(m-1) F_r of m blocks is within about m·1e-13 of the
+        # exact one. The floor is ten times that, m·1e-12: at and above it the
+        # rounding moves the level by a tenth of alpha at most.
+        scheme, m = SchemeSpec("inverse", vocab), math.ceil(n / b)
+        floor = m * 1e-12
+        for alpha in (1e-15, floor / 2, floor * (1 - 1e-9)):
+            with pytest.raises(ValueError, match=f"below {floor:.3g}, the least level"):
+                calibrate_threshold(scheme, n, b, alpha)
+        assert 0 < calibrate_threshold(scheme, n, b, floor).q <= b
+        # The tail forms of the other two laws are not bounded this way.
+        for scheme_id in ("gumbel", "red_green"):
+            assert calibrate_threshold(SchemeSpec(scheme_id, vocab), n, b, 1e-15).q > 0
 
     @pytest.mark.parametrize("vocab, n, b, alpha, j", [
         (1000, 1000, 32, 0.05, 51307),
@@ -371,10 +390,10 @@ class TestExactLaw:
         assert np.all(np.abs(power[f]) <= bound + 1e-15)
 
     @pytest.mark.parametrize("vocab", [2, 3, 20, 1000])
-    @pytest.mark.parametrize("k", [1, 8, 16, 20, 25, 32, 125, 127, 300, 1000])
+    @pytest.mark.parametrize("k", [1, 8, 12, 14, 16, 20, 25, 32, 125, 127, 300, 1000])
     def test_inverse_band_matches_the_full_rfft(self, vocab, k, monkeypatch):
         # Small k reads P at 1..top from the rfft of length L and large k
-        # sums it directly; k = 16, 20 and 25 lie where the two cost alike.
+        # sums it directly; k = 12 to 16 lie where the two cost alike.
         ref_len, ref_bins, ref_values = reference_band(vocab, k)
         lengths, direct = [], []
         rfft, spectrum_at = np.fft.rfft, calibration._spectrum_at
@@ -470,10 +489,13 @@ class TestExactLaw:
     ])
     def test_a_threshold_at_a_level_near_one_is_locally_minimal(self, scheme_id, n, b):
         # At alpha = 1e-15 the level lies within the inverse law's rounding,
-        # so the smallest covering point depends on the points read: the
-        # float search gave 721.57958984375 at n = 10^6, this one 721.5693359375.
-        # Either is locally minimal: it covers and the point below does not.
+        # so no point of that law resolves it and calibration refuses it.
+        # Red_green's threshold covers and the point below does not.
         scheme = SchemeSpec(scheme_id, 1000)
+        if scheme_id == "inverse":
+            with pytest.raises(ValueError, match="the least level the inverse law resolves"):
+                calibrate_threshold(scheme, n, b, 1e-15)
+            return
         q, h = calibrate_threshold(scheme, n, b, 1e-15).q, LATTICE[scheme_id]
         m = math.ceil(n / b)
         full, last = block_sum_cdf(scheme, b), block_sum_cdf(scheme, n - (m - 1) * b)
@@ -483,8 +505,6 @@ class TestExactLaw:
 
         assert q / h == math.floor(q / h) and 0 < q <= b
         assert cover(q) >= 1 - 1e-15 > cover(q - h)
-        if (scheme_id, n) == ("inverse", 1_000_000):
-            assert q == 721.5693359375
 
     def test_each_law_reads_only_the_fields_that_fix_it(self):
         # Gumbel's law is Gamma(k, 1) at every V, red_green's reads |G|/V

@@ -81,6 +81,20 @@ def test_segment_calibrates_on_the_streams_own_null_law(tmp_path):
     assert written["certificate"] == expected
 
 
+def test_segment_refuses_an_inverse_alpha_below_the_laws_floor(tmp_path, capsys):
+    """--alpha reaches calibrate_threshold, whose floor for the inverse law
+    is m·1e-12 over m blocks: 1.5e-11 for 15 blocks of 20 tokens."""
+    stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
+    assert cli_main(["generate", "--scheme", "inverse", "--n", "300", "--seed", "1",
+                     "--out", str(stream)]) == 0
+    capsys.readouterr()
+    argv = ["segment", "--stream", str(stream), "--block-len", "20", "--out", str(out)]
+    assert cli_main([*argv, "--alpha", "1e-15"]) == 1
+    assert not out.exists()
+    assert "below 1.5e-11, the least level" in capsys.readouterr().err
+    assert cli_main([*argv, "--alpha", "1.5e-11"]) == 0
+
+
 def test_segment_without_a_block_length_is_a_validation_error(tmp_path, capsys):
     stream, out = tmp_path / "stream.jsonl", tmp_path / "result.json"
     assert cli_main(["generate", "--n", "300", "--seed", "1", "--out", str(stream)]) == 0

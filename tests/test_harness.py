@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ def test_a_grid_entry_that_is_not_a_python_number_is_rejected(field, value):
     message = f"{field} must hold ints or floats, not {type(value).__name__}"
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(PLAN, **{field: (getattr(PLAN, field)[0], value)})
+
+
+@pytest.mark.parametrize("value", [np.int64(20), True, 20.0, 0],
+                         ids=["int64", "bool", "float", "zero"])
+def test_a_block_len_that_is_not_a_positive_python_int_is_rejected(value):
+    # Caught when the plan is built, not by calibrate_threshold inside
+    # run_experiment.
+    message = f"block_lens must hold ints >= 1, not {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(PLAN, block_lens=(30, value))
+
+
+def test_a_plan_reaches_the_inverse_alpha_floor_through_calibration():
+    plan = dataclasses.replace(PLAN, scheme=SchemeSpec("inverse", 50), alphas=(1e-15,))
+    with pytest.raises(ValueError, match=r"below 2e-11, the least level"):
+        run_experiment(plan)
 
 
 def test_plan_from_json_reads_a_json_integer_as_a_float():
